@@ -1,0 +1,66 @@
+"""Golden corpus: pinned sha256 of trace and metrics per (scenario, seed).
+
+Each scenario under ``golden/`` drives a path that a refactor could change
+without any other test noticing:
+
+- ``page_walkaway``: a page times out after the target walks out of range;
+- ``mcap_timeouts``: a channel create and a channel reconnect time out;
+- ``drop_cycles_lossy``: repeated ``drop_link`` cycles at 5 % loss with jitter;
+- ``release_in_flight``: releases with a reading unacknowledged and with
+  readings buffered behind a lost link;
+- ``evictions``: a walk-out longer than a four-reading source buffer;
+- ``eighth_slave``: the eighth page of one master fails with PiconetFull.
+
+A deliberate trace change re-pins the digests in one declared change:
+``PYTHONPATH=src python tests/test_golden.py > tests/golden/digests.json``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from hdpsim.metrics import metrics_json
+from hdpsim.runner import run_scenario
+from hdpsim.scenario import load_scenario
+
+GOLDEN = Path(__file__).parent / "golden"
+PINS_FILE = GOLDEN / "digests.json"
+SEEDS = (1, 2)
+
+
+def scenario_names() -> list[str]:
+    return sorted(p.stem for p in GOLDEN.glob("*.json") if p != PINS_FILE)
+
+
+def digests(name: str, seed: int) -> dict[str, str]:
+    trace, report = run_scenario(load_scenario(str(GOLDEN / f"{name}.json")), seed)
+    return {
+        "trace": hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest(),
+        "metrics": hashlib.sha256(metrics_json(report).encode("utf-8")).hexdigest(),
+    }
+
+
+def pinned() -> dict:
+    return json.loads(PINS_FILE.read_text(encoding="utf-8"))
+
+
+def test_every_scenario_is_pinned_at_every_seed():
+    pins = pinned()
+    assert sorted(pins) == scenario_names()
+    for name, by_seed in pins.items():
+        assert sorted(by_seed) == [str(s) for s in SEEDS], name
+
+
+@pytest.mark.parametrize("name", scenario_names())
+@pytest.mark.parametrize("seed", SEEDS)
+def test_golden_digests(name, seed):
+    assert digests(name, seed) == pinned()[name][str(seed)]
+
+
+if __name__ == "__main__":
+    pins = {name: {str(s): digests(name, s) for s in SEEDS} for name in scenario_names()}
+    print(json.dumps(pins, indent=2, sort_keys=True))
