@@ -8,7 +8,7 @@ plus a constant signed offset (no drift).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SimTime = int  # microseconds since simulation start
 
@@ -108,30 +108,6 @@ class DeviceConfig:
 
     def local_time(self, now: SimTime) -> int:
         return now + self.clock_offset_us
-
-
-@dataclass
-class DeviceRegistry:
-    """Address-keyed registry enforcing per-simulation address uniqueness."""
-
-    _by_address: dict[DeviceAddress, object] = field(default_factory=dict)
-
-    def register(self, address: DeviceAddress, entry: object) -> None:
-        if address in self._by_address:
-            raise DuplicateAddress(f"address already registered: {address}")
-        self._by_address[address] = entry
-
-    def lookup(self, address: DeviceAddress):
-        return self._by_address.get(address)
-
-    def __contains__(self, address: DeviceAddress) -> bool:
-        return address in self._by_address
-
-    def __iter__(self):
-        return iter(self._by_address.values())
-
-    def __len__(self) -> int:
-        return len(self._by_address)
 
 
 def encode_name(name: DeviceName) -> bytes:

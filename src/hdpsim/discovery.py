@@ -204,7 +204,7 @@ class DiscoveryManager:
         if inquiry.done or now >= inquiry.deadline_us:
             return
         slots: dict[SimTime, int] = {}
-        for receiver in self.engine.devices:
+        for receiver in self.engine.devices.values():
             if receiver.address == inquiry.device.address:
                 continue
             offset = receiver.config.clock_offset_us

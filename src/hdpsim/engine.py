@@ -10,6 +10,12 @@ frame's frequency index, both evaluated at transmit time. Each candidate
 delivery is independently dropped with the configured loss probability using
 the engine's seeded generator, then delivered after a fixed 1 us propagation
 delay (plus optional uniform jitter).
+
+Every protocol exchange that waits for an answer runs on one ``Retry``: it
+sends at once, resends every interval, and fails exactly at its deadline,
+the last wait being clamped to it. Every asynchronous operation returns one
+``Op`` handle: ``done`` turns true once, when ``result`` (on success) or
+``error`` (on failure) is set and the ``on_complete`` callbacks run.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ import heapq
 import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .core import DeviceAddress, DeviceConfig, DeviceRegistry, SimTime
+from .core import DeviceAddress, DeviceConfig, DuplicateAddress, SimTime
 
 logger = logging.getLogger(__name__)
 
@@ -153,7 +159,7 @@ class Engine:
         self.rng = random.Random(self.seed)
         self.now: SimTime = 0
         self.trace = Trace()
-        self.devices = DeviceRegistry()
+        self.devices: dict[DeviceAddress, Device] = {}
         self._heap: list[list] = []
         self._next_seq = 0
         self._entries: dict[int, list] = {}
@@ -165,12 +171,13 @@ class Engine:
     # -- devices ------------------------------------------------------------
 
     def add_device(self, config: DeviceConfig) -> Device:
-        device = Device(config)
-        self.devices.register(config.address, device)
+        if config.address in self.devices:
+            raise DuplicateAddress(f"address already registered: {config.address}")
+        device = self.devices[config.address] = Device(config)
         return device
 
     def device(self, address: DeviceAddress) -> Device:
-        found = self.devices.lookup(address)
+        found = self.devices.get(address)
         if found is None:
             raise UnknownDevice(str(address))
         return found
@@ -218,18 +225,6 @@ class Engine:
         self.now = t
         return self.trace.events[mark:]
 
-    def run(self) -> list[TraceEvent]:
-        """Process events until the queue is empty (time of last event)."""
-        mark = len(self.trace.events)
-        while self._heap:
-            at, event_id, fn = heapq.heappop(self._heap)
-            self._entries.pop(event_id, None)
-            if fn is _CANCELLED:
-                continue
-            self.now = at
-            fn()
-        return self.trace.events[mark:]
-
     @property
     def pending_events(self) -> int:
         return sum(1 for e in self._heap if e[2] is not _CANCELLED)
@@ -270,10 +265,10 @@ class Engine:
         Range and frequency eligibility are evaluated now (transmit time);
         the loss draw happens per candidate in device registration order.
         """
-        if self.devices.lookup(sender.address) is None:
+        if sender.address not in self.devices:
             raise UnknownDevice(str(sender.address))
         deliveries: list[tuple[Device, SimTime]] = []
-        for receiver in self.devices:
+        for receiver in self.devices.values():
             if receiver is sender:
                 continue
             if frame.to is not None and receiver.address != frame.to:
@@ -298,3 +293,87 @@ class Engine:
                 handler(receiver, frame, self.now)
 
         return run
+
+
+class Op:
+    """Handle for one asynchronous operation, resolved while the engine runs.
+
+    ``done`` turns true exactly once; ``result`` then holds the value of a
+    success, or ``error`` the exception of a failure. ``on_complete``
+    callbacks run at that moment, or at once when the op is already done.
+    """
+
+    __slots__ = ("result", "error", "done", "_callbacks")
+
+    def __init__(self):
+        self.result = None
+        self.error: Optional[Exception] = None
+        self.done = False
+        self._callbacks: list[Callable[["Op"], None]] = []
+
+    @classmethod
+    def resolved(cls, result) -> "Op":
+        op = cls()
+        op.resolve(result)
+        return op
+
+    def on_complete(self, fn: Callable[["Op"], None]) -> None:
+        if self.done:
+            fn(self)
+        else:
+            self._callbacks.append(fn)
+
+    def resolve(self, result=None, error: Optional[Exception] = None) -> None:
+        if self.done:
+            return
+        self.result = result
+        self.error = error
+        self.done = True
+        for fn in self._callbacks:
+            fn(self)
+
+
+class Retry:
+    """Send, resend every ``interval_us``, give up exactly at the deadline.
+
+    The deadline is ``timeout_us`` after construction; ``start`` sends at
+    once. Each tick sends before it schedules the next one, and the last wait
+    is clamped to the deadline, where ``on_timeout`` runs instead of a send.
+    ``resolve`` stops the retry on an answer and cancels its pending tick.
+    """
+
+    __slots__ = ("engine", "send", "interval_us", "on_timeout", "deadline_us", "done", "_timer")
+
+    def __init__(
+        self,
+        engine: Engine,
+        send: Callable[[], object],
+        interval_us: int,
+        timeout_us: int,
+        on_timeout: Callable[[], None],
+    ):
+        self.engine = engine
+        self.send = send
+        self.interval_us = interval_us
+        self.deadline_us: SimTime = engine.now + timeout_us
+        self.on_timeout = on_timeout
+        self.done = False
+        self._timer = -1
+
+    def start(self) -> "Retry":
+        self._tick()
+        return self
+
+    def _tick(self) -> None:
+        now = self.engine.now
+        if now >= self.deadline_us:
+            self.done = True
+            self.on_timeout()
+            return
+        self.send()
+        next_at = min(now + self.interval_us, self.deadline_us)
+        self._timer = self.engine.schedule(next_at, self._tick)
+
+    def resolve(self) -> None:
+        self.done = True
+        self.engine.cancel(self._timer)

@@ -12,17 +12,23 @@ When the link drops, measurements submitted in the meantime go to a bounded
 source-side buffer (oldest evicted on overflow) and flush in order once the
 channel reconnects, ahead of any newer reading. Audio transport is refused
 unconditionally, whatever the specialization.
+
+The association request runs on the engine's ``Retry``: resent every
+``retransmit_interval_us``, given up exactly ``handshake_timeout_us`` after
+it started. Channel creation and clock sync wait on the engine ``Op``
+handles that the channel layer returns.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import DeviceAddress, SimTime
-from .engine import Device, Engine
+from .engine import Device, Engine, Retry
 from .link import Link, LinkError, LinkManager, LinkState, PROTO_HDP, pair_key
 from .mcap import (
     ChannelState,
@@ -283,10 +289,12 @@ class Association:
     clock_map: Optional[ClockSyncResult] = None
     auto_reconnect: bool = True
     next_seq: int = 1
-    buffer: list[tuple[Measurement, MeasurementOutcome]] = field(default_factory=list)
+    buffer: deque[tuple[Measurement, MeasurementOutcome]] = field(default_factory=deque)
     buffer_capacity: int = 1024
     sink_log: list[SinkRecord] = field(default_factory=list)
     outcomes: list[MeasurementOutcome] = field(default_factory=list)
+    # The link observer added by associate, removed again by release.
+    _on_link: Optional[Callable[[Link], None]] = field(default=None, init=False, repr=False)
 
     @property
     def pair(self) -> tuple[DeviceAddress, DeviceAddress]:
@@ -297,14 +305,6 @@ _MSG_ASSOC_REQ = 1
 _MSG_ASSOC_RSP = 2
 _MSG_ASSOC_REJECT = 3
 _MSG_ASSOC_CONFIRM = 4
-
-
-@dataclass
-class _Exchange:
-    send: Callable[[], None]
-    fail: Callable[[], None]
-    deadline_us: SimTime
-    done: bool = False
 
 
 class HdpManager:
@@ -325,7 +325,8 @@ class HdpManager:
         self._roles: dict[DeviceAddress, str] = {}
         self._whitelists: dict[DeviceAddress, frozenset[Specialization]] = {}
         self._next_assoc_id = 1
-        self._exchanges: dict[tuple, _Exchange] = {}
+        # assoc_id -> retry of its association request, until answered
+        self._requests: dict[int, Retry] = {}
         links.register_protocol(PROTO_HDP, self._on_pdu)
 
     # -- configuration ------------------------------------------------------
@@ -385,17 +386,20 @@ class HdpManager:
         )
         self._next_assoc_id += 1
         self.associations[assoc.assoc_id] = assoc
-        link.on_state_change(lambda lk, a=assoc: self._on_link_state(a, lk))
-        self._start_exchange(
-            ("assoc", assoc.assoc_id),
+        assoc._on_link = lambda lk: self._on_link_state(assoc, lk)
+        link.on_state_change(assoc._on_link)
+        self._requests[assoc.assoc_id] = Retry(
+            self.engine,
             lambda: self._tx(
                 assoc.source,
                 assoc.sink,
                 _MSG_ASSOC_REQ,
                 struct.pack(">IB", assoc.assoc_id, specialization.value),
             ),
-            lambda: None,
-        )
+            self.params.retransmit_interval_us,
+            self.params.handshake_timeout_us,
+            lambda: self._requests.pop(assoc.assoc_id),
+        ).start()
         return assoc
 
     def _tx(self, sender: Device, peer: Device, msg: int, body: bytes) -> bool:
@@ -408,36 +412,11 @@ class HdpManager:
             return False
         return True
 
-    # -- handshake retransmission -------------------------------------------
-
-    def _start_exchange(self, key: tuple, send: Callable[[], bool], fail: Callable[[], None]) -> None:
-        exchange = _Exchange(
-            send=send,
-            fail=fail,
-            deadline_us=self.engine.now + self.params.handshake_timeout_us,
-        )
-        self._exchanges[key] = exchange
-        self._exchange_tick(key, exchange)
-
-    def _exchange_tick(self, key: tuple, exchange: _Exchange) -> None:
-        if exchange.done:
-            return
-        if self.engine.now >= exchange.deadline_us:
-            exchange.done = True
-            self._exchanges.pop(key, None)
-            exchange.fail()
-            return
-        exchange.send()
-        self.engine.schedule_in(
-            self.params.retransmit_interval_us,
-            lambda: self._exchange_tick(key, exchange),
-        )
-
-    def _resolve_exchange(self, key: tuple) -> bool:
-        exchange = self._exchanges.pop(key, None)
-        if exchange is None:
+    def _answered(self, assoc_id: int) -> bool:
+        retry = self._requests.pop(assoc_id, None)
+        if retry is None:
             return False
-        exchange.done = True
+        retry.resolve()
         return True
 
     # -- handshake handlers --------------------------------------------------
@@ -478,7 +457,7 @@ class HdpManager:
 
     def _on_assoc_rsp(self, receiver: Device, body: bytes) -> None:
         assoc_id = struct.unpack(">I", body[:4])[0]
-        if not self._resolve_exchange(("assoc", assoc_id)):
+        if not self._answered(assoc_id):
             return
         assoc = self.associations.get(assoc_id)
         if assoc is None or assoc.state is not AssocState.ASSOCIATING:
@@ -490,7 +469,7 @@ class HdpManager:
 
     def _on_assoc_reject(self, receiver: Device, body: bytes) -> None:
         assoc_id = struct.unpack(">I", body[:4])[0]
-        if not self._resolve_exchange(("assoc", assoc_id)):
+        if not self._answered(assoc_id):
             return
         assoc = self.associations.pop(assoc_id, None)
         if assoc is not None:
@@ -614,7 +593,7 @@ class HdpManager:
         outcome.submitted = "buffered"
         outcome.status = OutcomeKind.BUFFERED
         if len(assoc.buffer) >= assoc.buffer_capacity:
-            evicted_m, evicted_o = assoc.buffer.pop(0)
+            evicted_m, evicted_o = assoc.buffer.popleft()
             evicted_o.status = OutcomeKind.EVICTED
             self.engine.emit(
                 "evicted",
@@ -640,7 +619,7 @@ class HdpManager:
         ):
             return
         while assoc.buffer:
-            measurement, outcome = assoc.buffer.pop(0)
+            measurement, outcome = assoc.buffer.popleft()
             outcome.send_op = self.mcap.send(
                 channel, assoc.source, measurement.encode()
             )
@@ -735,6 +714,8 @@ class HdpManager:
         if assoc.state is AssocState.RELEASED:
             raise AlreadyReleased(f"association {assoc.assoc_id}")
         assoc.state = AssocState.RELEASED
+        link = self.links.link_between(assoc.source.address, assoc.sink.address)
+        link.off_state_change(assoc._on_link)
         abandoned = len(assoc.buffer)
         for _measurement, outcome in assoc.buffer:
             outcome.status = OutcomeKind.ABANDONED
@@ -749,8 +730,7 @@ class HdpManager:
             abandoned += self.mcap.abandon_pending(
                 channel, assoc.source.address, delivered
             )
-            link = self.links.link_between(assoc.source.address, assoc.sink.address)
-            use_abort = link is None or link.state is not LinkState.CONNECTED
+            use_abort = link.state is not LinkState.CONNECTED
             self.mcap.close_channel(channel, assoc.source, abort=use_abort)
         self.engine.emit(
             "released",

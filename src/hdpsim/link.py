@@ -11,7 +11,10 @@ same link object with its negotiated parameters intact.
 Paging reuses the inquiry sweep arithmetic: the pager transmits at the
 moments the target's standby scan is on the matching frequency, then the
 two sides finish a four-message handshake (page, accept, parameters,
-acknowledgement) on the frequency that worked.
+acknowledgement) on the frequency that worked. A page runs on the engine's
+``Retry``: one sweep per inquiry cycle, failing with ``Unreachable`` exactly
+``page_timeout_us`` after it started. ``page`` returns an engine ``Op``
+whose ``result`` is the ``Link``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Optional
 
 from .core import DeviceAddress, SimTime
 from .discovery import DiscoveryManager, sweep_slots
-from .engine import Device, Engine, FrameKind, RadioFrame
+from .engine import Device, Engine, FrameKind, Op, RadioFrame, Retry
 from .params import SimParams
 from .security import (
     AuthOutcome,
@@ -67,15 +70,6 @@ class Unreachable(LinkError):
 
 class PiconetFull(LinkError):
     """The initiator's piconet already has seven slaves."""
-
-
-class AlreadyMasterElsewhere(LinkError):
-    """Role change would give a device a second piconet to master.
-
-    Kept for API completeness: paging never raises it, because a paged
-    device joins as a slave, and a role switch merges the link into the new
-    master's own piconet.
-    """
 
 
 class WouldViolateTopology(LinkError):
@@ -178,6 +172,7 @@ class Link:
     ka_misses: int = 0
     slave_heard: bool = False
     slave_misses: int = 0
+    # Ids of the two pending supervision ticks: keepalive, then monitor.
     _timers: list[int] = field(default_factory=list)
     _observers: list[Callable[["Link"], None]] = field(default_factory=list)
 
@@ -194,6 +189,9 @@ class Link:
 
     def on_state_change(self, fn: Callable[["Link"], None]) -> None:
         self._observers.append(fn)
+
+    def off_state_change(self, fn: Callable[["Link"], None]) -> None:
+        self._observers.remove(fn)
 
 
 def pair_key(a: DeviceAddress, b: DeviceAddress) -> tuple[DeviceAddress, DeviceAddress]:
@@ -216,37 +214,18 @@ class Piconet:
         return len(self.links)
 
 
-class _AttemptState(enum.Enum):
-    SWEEP = "sweep"
-    PARAMS = "params"
-    DONE = "done"
-    FAILED = "failed"
-
-
 @dataclass
-class PageAttempt:
-    """Handle for one page operation; resolves as the engine runs."""
+class _Page:
+    """Protocol state of one page in progress."""
 
     initiator: Device
     target: DeviceAddress
-    deadline_us: SimTime
-    state: _AttemptState = _AttemptState.SWEEP
-    link: Optional[Link] = None
-    error: Optional[LinkError] = None
+    op: Op = field(default_factory=Op)
+    retry: Optional[Retry] = None
+    # Set once the target accepts: the parameters offered in the handshake.
     params: Optional[ConnectionParams] = None
     listen_freq: int = -1
     listen_from: SimTime = -1
-    _callbacks: list[Callable[["PageAttempt"], None]] = field(default_factory=list)
-
-    @property
-    def done(self) -> bool:
-        return self.state in (_AttemptState.DONE, _AttemptState.FAILED)
-
-    def on_complete(self, fn: Callable[["PageAttempt"], None]) -> None:
-        if self.done:
-            fn(self)
-        else:
-            self._callbacks.append(fn)
 
 
 class LinkManager:
@@ -259,7 +238,7 @@ class LinkManager:
         self.links: dict[tuple[DeviceAddress, DeviceAddress], Link] = {}
         self.piconets: dict[DeviceAddress, Piconet] = {}
         self._links_of: dict[DeviceAddress, list[Link]] = {}
-        self._attempts: dict[tuple[DeviceAddress, DeviceAddress], PageAttempt] = {}
+        self._pages: dict[tuple[DeviceAddress, DeviceAddress], _Page] = {}
         self._pins: dict[DeviceAddress, Pin] = {}
         self._rate_caps: dict[DeviceAddress, int] = {}
         self._protocols: dict[int, Callable] = {}
@@ -298,35 +277,31 @@ class LinkManager:
         for link in self._links_of.get(device.address, ()):
             if link.state is LinkState.CONNECTED:
                 yield hop_frequency(link.params, t)
-        for attempt in self._attempts.values():
+        for page in self._pages.values():
             if (
-                attempt.initiator is device
-                and not attempt.done
-                and attempt.listen_from >= 0
-                and attempt.listen_from <= t < attempt.listen_from + self.params.inquiry_cycle_us
+                page.initiator is device
+                and page.listen_from >= 0
+                and page.listen_from <= t < page.listen_from + self.params.inquiry_cycle_us
             ):
-                yield attempt.listen_freq
+                yield page.listen_freq
 
     # -- paging -------------------------------------------------------------
 
-    def page(self, initiator: Device, target: DeviceAddress) -> PageAttempt:
+    def page(self, initiator: Device, target: DeviceAddress) -> Op:
         """Connect to a discovered device; initiator becomes the master.
 
-        Raises immediately when the attempt cannot succeed: the target is
+        Raises immediately when the page cannot succeed: the target is
         unknown or undiscovered, refuses connections, is out of radio
         range, or the initiator's piconet is full. Paging an endpoint of an
-        existing live link returns a completed attempt for that link.
+        existing live link returns an op already resolved to that link.
         """
         target_dev = self.engine.device(target)
         if target == initiator.address:
             raise LinkError("cannot page self")
-        now = self.engine.now
         key = pair_key(initiator.address, target)
         existing = self.links.get(key)
         if existing is not None and existing.state is LinkState.CONNECTED:
-            attempt = PageAttempt(initiator, target, now, state=_AttemptState.DONE)
-            attempt.link = existing
-            return attempt
+            return Op.resolved(existing)
         if not self.discovery.knows(initiator.address, target):
             raise NotDiscovered(f"{initiator.address} has not discovered {target}")
         if not self.discovery.is_connectable(target):
@@ -340,136 +315,104 @@ class LinkManager:
             and len(piconet) >= MAX_SLAVES
         ):
             raise PiconetFull(f"{initiator.address} already has {MAX_SLAVES} slaves")
-        pending = self._attempts.get(key)
-        if pending is not None and not pending.done:
-            return pending
-        attempt = PageAttempt(
-            initiator, target, deadline_us=now + self.params.page_timeout_us
-        )
-        self._attempts[key] = attempt
+        pending = self._pages.get(key)
+        if pending is not None:
+            return pending.op
+        page = self._pages[key] = _Page(initiator, target)
         self.engine.emit("page", initiator.address, target=str(target))
-        self._attempt_tick(attempt)
-        return attempt
+        page.retry = Retry(
+            self.engine,
+            lambda: self._sweep(page),
+            self.params.inquiry_cycle_us,
+            self.params.page_timeout_us,
+            lambda: self._page_timeout(page),
+        )
+        page.retry.start()
+        return page.op
 
-    def _attempt_tick(self, attempt: PageAttempt) -> None:
-        if attempt.done:
-            return
+    def _sweep(self, page: _Page) -> None:
+        """Schedule this cycle's page transmissions the target can hear."""
         now = self.engine.now
-        if now >= attempt.deadline_us:
-            self._fail_attempt(attempt, Unreachable(f"page to {attempt.target} timed out"))
-            return
-        target_dev = self.engine.device(attempt.target)
+        target_dev = self.engine.device(page.target)
         hits = sweep_slots(
             self.params,
             self.discovery.schedule,
             target_dev.config.clock_offset_us,
             now,
-            attempt.deadline_us,
+            page.retry.deadline_us,
         )
         for slot, freq in hits:
             if slot == now:
-                self._attempt_tx(attempt, freq)
+                self._page_tx(page, freq)
             else:
-                self.engine.schedule(slot, lambda a=attempt, f=freq: self._attempt_tx(a, f))
-        self.engine.schedule_in(
-            self.params.inquiry_cycle_us, lambda: self._attempt_tick(attempt)
-        )
+                self.engine.schedule(slot, lambda p=page, f=freq: self._page_tx(p, f))
 
-    def _attempt_tx(self, attempt: PageAttempt, freq: int) -> None:
-        if attempt.done or self.engine.now >= attempt.deadline_us:
+    def _page_tx(self, page: _Page, freq: int) -> None:
+        if page.retry.done or self.engine.now >= page.retry.deadline_us:
             return
-        if attempt.state is _AttemptState.SWEEP:
-            frame = RadioFrame(
-                from_addr=attempt.initiator.address,
-                freq_index=freq,
-                kind=FrameKind.PAGE,
-                payload=b"",
-                to=attempt.target,
-            )
+        if page.params is None:
+            kind, payload = FrameKind.PAGE, b""
         else:
-            assert attempt.params is not None
-            frame = RadioFrame(
-                from_addr=attempt.initiator.address,
-                freq_index=freq,
-                kind=FrameKind.LINK_DATA,
-                payload=bytes([PROTO_LINK, _MSG_PAGE_PARAMS]) + attempt.params.encode(),
-                to=attempt.target,
-            )
-        attempt.listen_freq = freq
-        attempt.listen_from = self.engine.now
-        self.engine.broadcast(frame, attempt.initiator)
+            kind = FrameKind.LINK_DATA
+            payload = bytes([PROTO_LINK, _MSG_PAGE_PARAMS]) + page.params.encode()
+        page.listen_freq = freq
+        page.listen_from = self.engine.now
+        frame = RadioFrame(page.initiator.address, freq, kind, payload, to=page.target)
+        self.engine.broadcast(frame, page.initiator)
 
-    def _fail_attempt(self, attempt: PageAttempt, error: LinkError) -> None:
-        attempt.state = _AttemptState.FAILED
-        attempt.error = error
-        self._attempts.pop(pair_key(attempt.initiator.address, attempt.target), None)
+    def _page_timeout(self, page: _Page) -> None:
+        del self._pages[pair_key(page.initiator.address, page.target)]
+        error = Unreachable(f"page to {page.target} timed out")
         self.engine.emit(
             "page_failed",
-            attempt.initiator.address,
-            target=str(attempt.target),
+            page.initiator.address,
+            target=str(page.target),
             reason=type(error).__name__,
         )
-        for fn in attempt._callbacks:
-            fn(attempt)
-
-    def _complete_attempt(self, attempt: PageAttempt, link: Link) -> None:
-        attempt.state = _AttemptState.DONE
-        attempt.link = link
-        self._attempts.pop(pair_key(attempt.initiator.address, attempt.target), None)
-        for fn in attempt._callbacks:
-            fn(attempt)
+        page.op.resolve(error=error)
 
     # -- handshake frames ---------------------------------------------------
 
-    def _on_page(self, receiver: Device, frame: RadioFrame, now: SimTime) -> None:
-        if not self.discovery.is_connectable(receiver.address):
-            return
+    def _reply(self, receiver: Device, frame: RadioFrame, msg: int) -> None:
+        """Answer a handshake frame on the frequency it arrived on."""
+        payload = bytes([PROTO_LINK, msg])
         reply = RadioFrame(
-            from_addr=receiver.address,
-            freq_index=frame.freq_index,
-            kind=FrameKind.LINK_DATA,
-            payload=bytes([PROTO_LINK, _MSG_PAGE_ACCEPT]),
-            to=frame.from_addr,
+            receiver.address, frame.freq_index, FrameKind.LINK_DATA, payload, to=frame.from_addr
         )
         self.engine.broadcast(reply, receiver)
 
+    def _on_page(self, receiver: Device, frame: RadioFrame, now: SimTime) -> None:
+        if self.discovery.is_connectable(receiver.address):
+            self._reply(receiver, frame, _MSG_PAGE_ACCEPT)
+
     def _on_page_accept(self, receiver: Device, frame: RadioFrame, now: SimTime) -> None:
-        attempt = self._attempts.get(pair_key(receiver.address, frame.from_addr))
-        if attempt is None or attempt.done or attempt.initiator is not receiver:
+        page = self._pages.get(pair_key(receiver.address, frame.from_addr))
+        if page is None or page.initiator is not receiver or page.params is not None:
             return
-        if attempt.state is not _AttemptState.SWEEP:
-            return
-        existing = self.links.get(pair_key(receiver.address, attempt.target))
+        existing = self.links.get(pair_key(receiver.address, page.target))
         if existing is not None:
-            attempt.params = existing.params
+            page.params = existing.params
         else:
-            attempt.params = negotiate_params(
-                receiver.address, attempt.target, self.engine.seed, self.params
+            page.params = negotiate_params(
+                receiver.address, page.target, self.engine.seed, self.params
             )
-        attempt.state = _AttemptState.PARAMS
-        self._attempt_tx(attempt, frame.freq_index)
+        self._page_tx(page, frame.freq_index)
 
     def _on_page_params(self, receiver: Device, frame: RadioFrame, now: SimTime) -> None:
         params = ConnectionParams.decode(frame.payload[2:])
         master = self.engine.device(frame.from_addr)
-        if self._establish(master, receiver, params) is None:
-            return
-        reply = RadioFrame(
-            from_addr=receiver.address,
-            freq_index=frame.freq_index,
-            kind=FrameKind.LINK_DATA,
-            payload=bytes([PROTO_LINK, _MSG_PARAMS_ACK]),
-            to=frame.from_addr,
-        )
-        self.engine.broadcast(reply, receiver)
+        if self._establish(master, receiver, params) is not None:
+            self._reply(receiver, frame, _MSG_PARAMS_ACK)
 
     def _on_params_ack(self, receiver: Device, frame: RadioFrame, now: SimTime) -> None:
         key = pair_key(receiver.address, frame.from_addr)
-        attempt = self._attempts.get(key)
+        page = self._pages.get(key)
         link = self.links.get(key)
-        if attempt is None or attempt.done or link is None:
+        if page is None or link is None:
             return
-        self._complete_attempt(attempt, link)
+        del self._pages[key]
+        page.retry.resolve()
+        page.op.resolve(link)
 
     # -- establishment and supervision --------------------------------------
 
@@ -482,10 +425,6 @@ class LinkManager:
             if link.state is LinkState.CONNECTED:
                 return link
             link.state = LinkState.CONNECTED
-            link.ka_pending = False
-            link.ka_misses = 0
-            link.slave_heard = False
-            link.slave_misses = 0
             self.engine.emit(
                 "link_restored", link.master.address, peer=str(link.slave.address)
             )
@@ -500,13 +439,7 @@ class LinkManager:
             self._links_of.setdefault(master.address, []).append(link)
             self._links_of.setdefault(slave.address, []).append(link)
             if piconet is None:
-                piconet = Piconet(
-                    master=master,
-                    rate_cap_bps=self._rate_caps.get(
-                        master.address, self.params.version_rate_cap_bps
-                    ),
-                )
-                self.piconets[master.address] = piconet
+                piconet = self._new_piconet(master)
             piconet.links[slave.address] = link
             self.discovery.note_known(master.address, slave.address)
             self.discovery.note_known(slave.address, master.address)
@@ -517,9 +450,22 @@ class LinkManager:
         self._notify(link)
         return link
 
-    def _start_supervision(self, link: Link) -> None:
+    def _new_piconet(self, master: Device) -> Piconet:
+        cap = self._rate_caps.get(master.address, self.params.version_rate_cap_bps)
+        piconet = self.piconets[master.address] = Piconet(master=master, rate_cap_bps=cap)
+        return piconet
+
+    def _stop_supervision(self, link: Link) -> None:
         for timer in link._timers:
             self.engine.cancel(timer)
+        link._timers = []
+        link.ka_pending = False
+        link.ka_misses = 0
+        link.slave_heard = False
+        link.slave_misses = 0
+
+    def _start_supervision(self, link: Link) -> None:
+        self._stop_supervision(link)
         link._timers = [
             self.engine.schedule_in(
                 self.params.keepalive_interval_us, lambda: self._ka_tick(link)
@@ -537,12 +483,10 @@ class LinkManager:
             if link.ka_misses >= self.params.keepalive_miss_threshold:
                 self._lose(link, "keepalive_timeout")
                 return
-        self._send_control(link, link.master, _MSG_KEEPALIVE)
+        self.send_on_link(link, link.master, PROTO_LINK, bytes([_MSG_KEEPALIVE]))
         link.ka_pending = True
-        link._timers.append(
-            self.engine.schedule_in(
-                self.params.keepalive_interval_us, lambda: self._ka_tick(link)
-            )
+        link._timers[0] = self.engine.schedule_in(
+            self.params.keepalive_interval_us, lambda: self._ka_tick(link)
         )
 
     def _monitor_tick(self, link: Link) -> None:
@@ -556,34 +500,15 @@ class LinkManager:
                 self._lose(link, "keepalive_silence")
                 return
         link.slave_heard = False
-        link._timers.append(
-            self.engine.schedule_in(
-                self.params.keepalive_interval_us, lambda: self._monitor_tick(link)
-            )
+        link._timers[1] = self.engine.schedule_in(
+            self.params.keepalive_interval_us, lambda: self._monitor_tick(link)
         )
-
-    def _send_control(self, link: Link, sender: Device, msg: int) -> None:
-        peer = link.peer_of(sender.address)
-        frame = RadioFrame(
-            from_addr=sender.address,
-            freq_index=hop_frequency(link.params, self.engine.now),
-            kind=FrameKind.LINK_DATA,
-            payload=bytes([PROTO_LINK, msg]),
-            to=peer.address,
-        )
-        self.engine.broadcast(frame, sender)
 
     def _lose(self, link: Link, reason: str) -> None:
         if link.state is LinkState.LOST:
             return
         link.state = LinkState.LOST
-        for timer in link._timers:
-            self.engine.cancel(timer)
-        link._timers = []
-        link.ka_pending = False
-        link.ka_misses = 0
-        link.slave_heard = False
-        link.slave_misses = 0
+        self._stop_supervision(link)
         self.engine.emit(
             "link_lost",
             link.master.address,
@@ -648,7 +573,7 @@ class LinkManager:
             return
         if receiver is link.slave:
             link.slave_heard = True
-            self._send_control(link, receiver, _MSG_KEEPALIVE_ACK)
+            self.send_on_link(link, receiver, PROTO_LINK, bytes([_MSG_KEEPALIVE_ACK]))
 
     def _on_keepalive_ack(self, receiver: Device, frame: RadioFrame) -> None:
         link = self.link_between(receiver.address, frame.from_addr)
@@ -718,19 +643,9 @@ class LinkManager:
         if not old.links:
             del self.piconets[link.master.address]
         if target is None:
-            target = Piconet(
-                master=new_master,
-                rate_cap_bps=self._rate_caps.get(
-                    new_master.address, self.params.version_rate_cap_bps
-                ),
-            )
-            self.piconets[new_master.address] = target
+            target = self._new_piconet(new_master)
         target.links[new_slave.address] = link
         link.master, link.slave = new_master, new_slave
-        link.ka_pending = False
-        link.ka_misses = 0
-        link.slave_heard = False
-        link.slave_misses = 0
         self._start_supervision(link)
         self.engine.emit(
             "role_switch",

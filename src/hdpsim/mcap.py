@@ -13,6 +13,15 @@ offset with a bounded error.
 Payloads on an authenticated link are enciphered with the link key and the
 transmit clock; the clock rides in the data header so the receiver can
 compute the same keystream.
+
+Each control exchange runs on the engine's ``Retry``: the request is resent
+every ``retransmit_interval_us`` and the exchange fails with
+``McapTimeout`` exactly ``handshake_timeout_us`` after it started (clock
+sampling sends once and fails with ``SyncTimeout`` after
+``sync_timeout_us``). One table holds the pending exchanges; each entry
+carries the continuation that runs when the answer arrives. Channel
+operations return an engine ``Op``: ``result`` is the ``DataChannel`` or the
+``ClockSyncResult``, ``error`` the ``McapError``.
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import DeviceAddress, SimTime
-from .engine import Device, Engine
-from .link import Link, LinkManager, LinkState, PROTO_MCAP, pair_key
+from .engine import Device, Engine, Op, Retry
+from .link import Link, LinkError, LinkManager, LinkState, PROTO_MCAP, pair_key
 from .params import SimParams
 from .security import NotAuthenticated, apply_cipher
 
@@ -74,6 +83,14 @@ _OP_NAMES = {
     _OP_DELETE_REQ: "delete_req",
     _OP_DELETE_ACK: "delete_ack",
     _OP_ABORT: "abort",
+}
+
+# Answer opcode -> the kind of exchange it completes, keyed by its mdl id.
+_ANSWERS = {
+    _OP_CREATE_ACCEPT: "create",
+    _OP_CREATE_CONFIRM: "config",
+    _OP_RECONNECT_ACCEPT: "reconnect",
+    _OP_DELETE_ACK: "delete",
 }
 
 _DATA_HEADER = struct.Struct(">HIBq")
@@ -126,31 +143,6 @@ class ClockSyncResult:
 
 
 @dataclass
-class McapOp:
-    """Generic async handle resolved while the engine runs."""
-
-    result: object = None
-    error: Optional[Exception] = None
-    done: bool = False
-    _callbacks: list[Callable[["McapOp"], None]] = field(default_factory=list)
-
-    def on_complete(self, fn: Callable[["McapOp"], None]) -> None:
-        if self.done:
-            fn(self)
-        else:
-            self._callbacks.append(fn)
-
-    def _resolve(self, result=None, error=None) -> None:
-        if self.done:
-            return
-        self.result = result
-        self.error = error
-        self.done = True
-        for fn in self._callbacks:
-            fn(self)
-
-
-@dataclass
 class DataChannel:
     """One logical data pipe between a pair; shared by both endpoints."""
 
@@ -186,15 +178,6 @@ class ControlChannel:
         return self.link.pair
 
 
-@dataclass
-class _Exchange:
-    send: Callable[[], None]
-    fail: Callable[[McapError], None]
-    deadline_us: SimTime
-    retry_us: Optional[int]
-    done: bool = False
-
-
 class McapManager:
     """Channel management state for every pair on one engine."""
 
@@ -203,11 +186,8 @@ class McapManager:
         self.links = links
         self.params = params
         self.controls: dict[tuple[DeviceAddress, DeviceAddress], ControlChannel] = {}
-        self._exchanges: dict[tuple, _Exchange] = {}
-        self._sync_pending: dict[tuple, tuple[McapOp, Device, int]] = {}
-        self._creating: dict[tuple, tuple] = {}
-        self._reconnecting: dict[tuple, Callable[[], None]] = {}
-        self._deleting: dict[tuple, Callable[[], None]] = {}
+        # (pair, kind, id) -> (retry, continuation run on the answer)
+        self._pending: dict[tuple, tuple[Retry, Callable]] = {}
         links.register_protocol(PROTO_MCAP, self._on_pdu)
 
     # -- control channel ----------------------------------------------------
@@ -258,7 +238,7 @@ class McapManager:
             self.links.send_on_link(
                 control.link, sender, PROTO_MCAP, bytes([opcode]) + body
             )
-        except Exception:
+        except LinkError:
             return False
         name = _OP_NAMES.get(opcode)
         if name is not None:
@@ -268,54 +248,43 @@ class McapManager:
 
     # -- exchange machinery -------------------------------------------------
 
-    def _start_exchange(
+    def _exchange(
         self,
         key: tuple,
-        send: Callable[[], None],
-        fail: Callable[[McapError], None],
-        timeout_us: int,
-        retry_us: Optional[int],
+        send: Callable[[], object],
+        on_answer: Callable,
+        on_timeout: Callable[[], None],
+        timeout_us: Optional[int] = None,
+        interval_us: Optional[int] = None,
     ) -> None:
-        exchange = _Exchange(
-            send=send,
-            fail=fail,
-            deadline_us=self.engine.now + timeout_us,
-            retry_us=retry_us,
+        """Retry ``send`` until ``_answered(key)`` or the deadline."""
+
+        def expire() -> None:
+            del self._pending[key]
+            on_timeout()
+
+        retry = Retry(
+            self.engine,
+            send,
+            interval_us or self.params.retransmit_interval_us,
+            timeout_us or self.params.handshake_timeout_us,
+            expire,
         )
-        self._exchanges[key] = exchange
-        self._exchange_tick(key, exchange)
+        self._pending[key] = (retry, on_answer)
+        retry.start()
 
-    def _exchange_tick(self, key: tuple, exchange: _Exchange) -> None:
-        if exchange.done:
-            return
-        now = self.engine.now
-        if now >= exchange.deadline_us:
-            exchange.done = True
-            self._exchanges.pop(key, None)
-            exchange.fail(McapTimeout(str(key)))
-            return
-        exchange.send()
-        if exchange.retry_us is None:
-            self.engine.schedule(
-                exchange.deadline_us, lambda: self._exchange_tick(key, exchange)
-            )
-        else:
-            self.engine.schedule_in(
-                min(exchange.retry_us, exchange.deadline_us - now),
-                lambda: self._exchange_tick(key, exchange),
-            )
-
-    def _resolve_exchange(self, key: tuple) -> Optional[_Exchange]:
-        exchange = self._exchanges.pop(key, None)
-        if exchange is not None:
-            exchange.done = True
-        return exchange
+    def _answered(self, key: tuple, *answer) -> None:
+        entry = self._pending.pop(key, None)
+        if entry is not None:
+            retry, on_answer = entry
+            retry.resolve()
+            on_answer(*answer)
 
     # -- data channel creation ----------------------------------------------
 
     def create_data_channel(
         self, control: ControlChannel, initiator: Device, reliable: bool
-    ) -> McapOp:
+    ) -> Op:
         """Four-message handshake yielding a new data channel.
 
         The id is taken from the pair's counter before the first message,
@@ -326,21 +295,41 @@ class McapManager:
         peer = control.link.peer_of(initiator.address)
         mdl_id = control.next_mdl_id
         control.next_mdl_id += 1
-        op = McapOp()
+        op = Op()
         flags = _FLAG_RELIABLE if reliable else 0
         req = struct.pack(">HB", mdl_id, flags)
+        mdl = struct.pack(">H", mdl_id)
+        key = (control.pair, "create", mdl_id)
+        config_key = (control.pair, "config", mdl_id)
 
-        def fail(err: McapError) -> None:
-            op._resolve(error=err)
+        def confirmed() -> None:
+            channel = control.channels.get(mdl_id)
+            if channel is None:
+                channel = DataChannel(control=control, mdl_id=mdl_id, reliable=reliable)
+                control.channels[mdl_id] = channel
+            self.engine.emit(
+                "mdl_create",
+                initiator.address,
+                mdl_id=mdl_id,
+                reliable=reliable,
+                peer=str(peer.address),
+            )
+            op.resolve(channel)
 
-        self._start_exchange(
-            (control.pair, "create", mdl_id),
+        def accepted() -> None:
+            self._exchange(
+                config_key,
+                lambda: self._tx(control, initiator, _OP_CREATE_CONFIG, mdl),
+                confirmed,
+                lambda: op.resolve(error=McapTimeout(str(config_key))),
+            )
+
+        self._exchange(
+            key,
             lambda: self._tx(control, initiator, _OP_CREATE_REQ, req),
-            fail,
-            self.params.handshake_timeout_us,
-            self.params.retransmit_interval_us,
+            accepted,
+            lambda: op.resolve(error=McapTimeout(str(key))),
         )
-        self._creating[(control.pair, mdl_id)] = (op, initiator, reliable, peer)
         return op
 
     def _on_create_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
@@ -355,29 +344,6 @@ class McapManager:
                 control.next_mdl_id = mdl_id + 1
         self._tx(control, receiver, _OP_CREATE_ACCEPT, struct.pack(">H", mdl_id))
 
-    def _on_create_accept(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
-        mdl_id = struct.unpack(">H", body[:2])[0]
-        if self._resolve_exchange((control.pair, "create", mdl_id)) is None:
-            return
-        pending = self._creating.get((control.pair, mdl_id))
-        if pending is None:
-            return
-        op, initiator, reliable, peer = pending
-
-        def fail(err: McapError) -> None:
-            self._creating.pop((control.pair, mdl_id), None)
-            op._resolve(error=err)
-
-        self._start_exchange(
-            (control.pair, "config", mdl_id),
-            lambda: self._tx(
-                control, initiator, _OP_CREATE_CONFIG, struct.pack(">H", mdl_id)
-            ),
-            fail,
-            self.params.handshake_timeout_us,
-            self.params.retransmit_interval_us,
-        )
-
     def _on_create_config(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         mdl_id = struct.unpack(">H", body[:2])[0]
         channel = control.channels.get(mdl_id)
@@ -385,44 +351,20 @@ class McapManager:
             return
         self._tx(control, receiver, _OP_CREATE_CONFIRM, struct.pack(">H", mdl_id))
 
-    def _on_create_confirm(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
-        mdl_id = struct.unpack(">H", body[:2])[0]
-        if self._resolve_exchange((control.pair, "config", mdl_id)) is None:
-            return
-        pending = self._creating.pop((control.pair, mdl_id), None)
-        if pending is None:
-            return
-        op, initiator, reliable, peer = pending
-        channel = control.channels.get(mdl_id)
-        if channel is None:
-            channel = DataChannel(control=control, mdl_id=mdl_id, reliable=reliable)
-            control.channels[mdl_id] = channel
-        self.engine.emit(
-            "mdl_create",
-            initiator.address,
-            mdl_id=mdl_id,
-            reliable=reliable,
-            peer=str(peer.address),
-        )
-        op._resolve(result=channel)
-
     # -- reconnect ----------------------------------------------------------
 
-    def reconnect_data_channel(self, channel: DataChannel, initiator: Device) -> McapOp:
+    def reconnect_data_channel(self, channel: DataChannel, initiator: Device) -> Op:
         """Two-message handshake rebinding a suspended channel to its link."""
         control = channel.control
         if channel.state is ChannelState.CLOSED:
             raise ChannelClosed(f"mdl {channel.mdl_id} is closed")
         if control.link.state is not LinkState.CONNECTED:
             raise LinkDown("cannot reconnect a channel while the link is down")
-        op = McapOp()
         if channel.state is ChannelState.ACTIVE:
-            op._resolve(result=channel)
-            return op
+            return Op.resolved(channel)
+        op = Op()
         mdl_id = channel.mdl_id
-
-        def fail(err: McapError) -> None:
-            op._resolve(error=err)
+        key = (control.pair, "reconnect", mdl_id)
 
         def complete() -> None:
             channel.state = ChannelState.ACTIVE
@@ -432,18 +374,16 @@ class McapManager:
                 mdl_id=mdl_id,
                 pending=channel.pending_count(initiator.address),
             )
-            op._resolve(result=channel)
+            op.resolve(channel)
             self._pump(channel, initiator)
 
-        self._reconnecting[(control.pair, mdl_id)] = complete
-        self._start_exchange(
-            (control.pair, "reconnect", mdl_id),
+        self._exchange(
+            key,
             lambda: self._tx(
                 control, initiator, _OP_RECONNECT_REQ, struct.pack(">H", mdl_id)
             ),
-            fail,
-            self.params.handshake_timeout_us,
-            self.params.retransmit_interval_us,
+            complete,
+            lambda: op.resolve(error=McapTimeout(str(key))),
         )
         return op
 
@@ -457,52 +397,38 @@ class McapManager:
         self._tx(control, receiver, _OP_RECONNECT_ACCEPT, struct.pack(">H", mdl_id))
         self._pump(channel, receiver)
 
-    def _on_reconnect_accept(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
-        mdl_id = struct.unpack(">H", body[:2])[0]
-        if self._resolve_exchange((control.pair, "reconnect", mdl_id)) is None:
-            return
-        complete = self._reconnecting.pop((control.pair, mdl_id), None)
-        if complete is not None:
-            complete()
-
     # -- close --------------------------------------------------------------
 
     def close_channel(
         self, channel: DataChannel, initiator: Device, abort: bool = False
-    ) -> McapOp:
+    ) -> Op:
         """Delete a channel; ``abort`` tears it down without waiting.
 
         Undelivered queued payloads are abandoned on both sides.
         """
         control = channel.control
-        op = McapOp()
         if channel.state is ChannelState.CLOSED:
-            op._resolve(result=channel)
-            return op
+            return Op.resolved(channel)
         mdl_id = channel.mdl_id
         if abort:
             if control.link.state is LinkState.CONNECTED:
                 self._tx(control, initiator, _OP_ABORT, struct.pack(">H", mdl_id))
             self._close_local(channel, initiator.address, "abort")
-            op._resolve(result=channel)
-            return op
-
-        def fail(err: McapError) -> None:
-            op._resolve(error=err)
+            return Op.resolved(channel)
+        op = Op()
+        key = (control.pair, "delete", mdl_id)
 
         def complete() -> None:
             self._close_local(channel, initiator.address, "delete")
-            op._resolve(result=channel)
+            op.resolve(channel)
 
-        self._deleting[(control.pair, mdl_id)] = complete
-        self._start_exchange(
-            (control.pair, "delete", mdl_id),
+        self._exchange(
+            key,
             lambda: self._tx(
                 control, initiator, _OP_DELETE_REQ, struct.pack(">H", mdl_id)
             ),
-            fail,
-            self.params.handshake_timeout_us,
-            self.params.retransmit_interval_us,
+            complete,
+            lambda: op.resolve(error=McapTimeout(str(key))),
         )
         return op
 
@@ -555,14 +481,6 @@ class McapManager:
         if channel is not None:
             self._close_local(channel, receiver.address, "delete")
         self._tx(control, receiver, _OP_DELETE_ACK, struct.pack(">H", mdl_id))
-
-    def _on_delete_ack(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
-        mdl_id = struct.unpack(">H", body[:2])[0]
-        if self._resolve_exchange((control.pair, "delete", mdl_id)) is None:
-            return
-        complete = self._deleting.pop((control.pair, mdl_id), None)
-        if complete is not None:
-            complete()
 
     def _on_abort(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         mdl_id = struct.unpack(">H", body[:2])[0]
@@ -635,7 +553,7 @@ class McapManager:
             deliveries = self.links.send_on_link(
                 link, sender, PROTO_MCAP, bytes([_OP_DATA]) + header + body
             )
-        except Exception:
+        except LinkError:
             return False
         self.engine.emit(
             "mdl_send",
@@ -741,7 +659,7 @@ class McapManager:
 
     # -- clock sync ---------------------------------------------------------
 
-    def sync_clocks(self, control: ControlChannel, requester: Device) -> McapOp:
+    def sync_clocks(self, control: ControlChannel, requester: Device) -> Op:
         """Two-way clock sampling; resolves to a ClockSyncResult.
 
         The estimate places the exchange's remote timestamp against the
@@ -752,58 +670,44 @@ class McapManager:
             raise LinkDown("cannot sample clocks while the link is down")
         token = control.next_token
         control.next_token += 1
-        op = McapOp()
+        op = Op()
         t0 = requester.local_time(self.engine.now)
-        key = (control.pair, "sync", token)
-        self._sync_pending[key] = (op, requester, t0)
 
-        def fail(err: McapError) -> None:
-            self._sync_pending.pop(key, None)
+        def answered(t1: int) -> None:
+            t2 = requester.local_time(self.engine.now)
+            rtt = t2 - t0
+            offset = t1 - (t0 + t2) // 2
+            accuracy = (rtt + 1) // 2
+            peer = control.link.peer_of(requester.address)
+            self.engine.emit(
+                "clock_sync",
+                requester.address,
+                peer=str(peer.address),
+                offset_us=offset,
+                accuracy_us=accuracy,
+                rtt_us=rtt,
+            )
+            op.resolve(ClockSyncResult(offset_us=offset, accuracy_us=accuracy, rtt_us=rtt))
+
+        def timed_out() -> None:
             self.engine.emit("sync_fail", requester.address, token=token)
-            op._resolve(error=SyncTimeout(f"token {token}"))
+            op.resolve(error=SyncTimeout(f"token {token}"))
 
-        self._start_exchange(
-            key,
-            lambda: self._tx_sync_req(control, requester, token),
-            fail,
-            self.params.sync_timeout_us,
-            None,
+        # One request, answered or failed exactly at the sync timeout.
+        self._exchange(
+            (control.pair, "sync", token),
+            lambda: self._tx(control, requester, _OP_SYNC_REQ, struct.pack(">I", token)),
+            answered,
+            timed_out,
+            timeout_us=self.params.sync_timeout_us,
+            interval_us=self.params.sync_timeout_us,
         )
         return op
-
-    def _tx_sync_req(self, control: ControlChannel, requester: Device, token: int) -> None:
-        self._tx(control, requester, _OP_SYNC_REQ, struct.pack(">I", token))
 
     def _on_sync_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         token = struct.unpack(">I", body[:4])[0]
         t1 = receiver.local_time(self.engine.now)
         self._tx(control, receiver, _OP_SYNC_RSP, struct.pack(">Iq", token, t1))
-
-    def _on_sync_rsp(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
-        token, t1 = struct.unpack(">Iq", body[:12])
-        key = (control.pair, "sync", token)
-        if self._resolve_exchange(key) is None:
-            return
-        pending = self._sync_pending.pop(key, None)
-        if pending is None:
-            return
-        op, requester, t0 = pending
-        t2 = requester.local_time(self.engine.now)
-        rtt = t2 - t0
-        offset = t1 - (t0 + t2) // 2
-        accuracy = (rtt + 1) // 2
-        peer = control.link.peer_of(requester.address)
-        self.engine.emit(
-            "clock_sync",
-            requester.address,
-            peer=str(peer.address),
-            offset_us=offset,
-            accuracy_us=accuracy,
-            rtt_us=rtt,
-        )
-        op._resolve(
-            result=ClockSyncResult(offset_us=offset, accuracy_us=accuracy, rtt_us=rtt)
-        )
 
     # -- dispatch -----------------------------------------------------------
 
@@ -817,22 +721,17 @@ class McapManager:
             return
         opcode = body[0]
         rest = body[1:]
-        if opcode == _OP_CREATE_REQ:
+        answer = _ANSWERS.get(opcode)
+        if answer is not None:
+            self._answered((control.pair, answer, struct.unpack(">H", rest[:2])[0]))
+        elif opcode == _OP_CREATE_REQ:
             self._on_create_req(control, receiver, rest)
-        elif opcode == _OP_CREATE_ACCEPT:
-            self._on_create_accept(control, receiver, rest)
         elif opcode == _OP_CREATE_CONFIG:
             self._on_create_config(control, receiver, rest)
-        elif opcode == _OP_CREATE_CONFIRM:
-            self._on_create_confirm(control, receiver, rest)
         elif opcode == _OP_RECONNECT_REQ:
             self._on_reconnect_req(control, receiver, rest)
-        elif opcode == _OP_RECONNECT_ACCEPT:
-            self._on_reconnect_accept(control, receiver, rest)
         elif opcode == _OP_DELETE_REQ:
             self._on_delete_req(control, receiver, rest)
-        elif opcode == _OP_DELETE_ACK:
-            self._on_delete_ack(control, receiver, rest)
         elif opcode == _OP_ABORT:
             self._on_abort(control, receiver, rest)
         elif opcode == _OP_DATA:
@@ -842,4 +741,5 @@ class McapManager:
         elif opcode == _OP_SYNC_REQ:
             self._on_sync_req(control, receiver, rest)
         elif opcode == _OP_SYNC_RSP:
-            self._on_sync_rsp(control, receiver, rest)
+            token, t1 = struct.unpack(">Iq", rest[:12])
+            self._answered((control.pair, "sync", token), t1)

@@ -138,13 +138,12 @@ def compute_metrics(events: list[TraceEvent]) -> MetricsReport:
     return report
 
 
-def emit_metrics(report: MetricsReport, path: str) -> None:
-    """Write the report as stable-key-order JSON; identical reports give
-    identical bytes."""
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def metrics_json(report: MetricsReport) -> str:
+    """The report as stable-key-order JSON; identical reports give identical
+    bytes."""
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def emit_metrics(report: MetricsReport, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(metrics_json(report))

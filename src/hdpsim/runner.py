@@ -31,26 +31,6 @@ from .params import SimParams
 from .scenario import Scenario
 from .security import EmptyPin, NotAuthenticated, Pin
 
-_SPECIALIZATIONS = {
-    "heart_rate": Specialization.HEART_RATE,
-    "blood_pressure": Specialization.BLOOD_PRESSURE,
-    "scale": Specialization.SCALE,
-    "glucometer": Specialization.GLUCOMETER,
-    "thermometer": Specialization.THERMOMETER,
-    "pulse_oximeter": Specialization.PULSE_OXIMETER,
-}
-
-_DISCOVERABILITY = {
-    "discoverable": DiscoverabilityMode.DISCOVERABLE,
-    "limited": DiscoverabilityMode.LIMITED,
-    "non_discoverable": DiscoverabilityMode.NON_DISCOVERABLE,
-}
-
-_CONNECTABILITY = {
-    "connectable": ConnectabilityMode.CONNECTABLE,
-    "non_connectable": ConnectabilityMode.NON_CONNECTABLE,
-}
-
 _ACTION_ERRORS = (LinkError, McapError, HdpError, NotAuthenticated, EmptyPin, ValueError)
 
 
@@ -124,7 +104,7 @@ class ScenarioRun:
                     clock_offset_us=spec_dev.clock_offset_us,
                 )
             )
-            mode = _DISCOVERABILITY[spec_dev.discoverability]
+            mode = DiscoverabilityMode(spec_dev.discoverability)
             if mode is DiscoverabilityMode.LIMITED:
                 stack.discovery.set_discoverability(
                     device, mode, window_us=spec_dev.limited_window_us
@@ -132,7 +112,7 @@ class ScenarioRun:
             else:
                 stack.discovery.set_discoverability(device, mode)
             stack.discovery.set_connectability(
-                device, _CONNECTABILITY[spec_dev.connectability]
+                device, ConnectabilityMode(spec_dev.connectability)
             )
             if spec_dev.pin is not None:
                 stack.links.set_pin(spec_dev.address, Pin.from_text(spec_dev.pin))
@@ -141,7 +121,7 @@ class ScenarioRun:
             if spec_dev.sink_whitelist is not None:
                 stack.hdp.set_sink_whitelist(
                     spec_dev.address,
-                    {_SPECIALIZATIONS[s] for s in spec_dev.sink_whitelist},
+                    {Specialization[s.upper()] for s in spec_dev.sink_whitelist},
                 )
             if spec_dev.rate_cap_bps is not None:
                 stack.links.set_rate_cap(spec_dev.address, spec_dev.rate_cap_bps)
@@ -170,7 +150,7 @@ class ScenarioRun:
         if kind == "set_mode":
             device = engine.device(action["device"])
             if "discoverability" in action:
-                mode = _DISCOVERABILITY[action["discoverability"]]
+                mode = DiscoverabilityMode(action["discoverability"])
                 if mode is DiscoverabilityMode.LIMITED:
                     stack.discovery.set_discoverability(
                         device, mode, window_us=action["window_us"]
@@ -179,7 +159,7 @@ class ScenarioRun:
                     stack.discovery.set_discoverability(device, mode)
             if "connectability" in action:
                 stack.discovery.set_connectability(
-                    device, _CONNECTABILITY[action["connectability"]]
+                    device, ConnectabilityMode(action["connectability"])
                 )
         elif kind == "start_inquiry":
             stack.discovery.start_inquiry(
@@ -193,7 +173,7 @@ class ScenarioRun:
             if stack.mcap.controls.get(pair_key(source.address, sink.address)) is None:
                 stack.mcap.open_control_channel(source, sink)
             assoc = stack.hdp.associate(
-                source, sink, _SPECIALIZATIONS[action["specialization"]]
+                source, sink, Specialization[action["specialization"].upper()]
             )
             self._assocs[(source.address, sink.address)] = assoc
         elif kind == "send_measurement":

@@ -15,18 +15,13 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .core import DeviceAddress, MalformedAddress, parse_address
+from .discovery import ConnectabilityMode, DiscoverabilityMode
+from .hdp import Specialization
 from .params import SimParams
 
-VALID_DISCOVERABILITY = ("discoverable", "limited", "non_discoverable")
-VALID_CONNECTABILITY = ("connectable", "non_connectable")
-VALID_SPECIALIZATIONS = (
-    "heart_rate",
-    "blood_pressure",
-    "scale",
-    "glucometer",
-    "thermometer",
-    "pulse_oximeter",
-)
+VALID_DISCOVERABILITY = tuple(m.value for m in DiscoverabilityMode)
+VALID_CONNECTABILITY = tuple(m.value for m in ConnectabilityMode)
+VALID_SPECIALIZATIONS = tuple(s.name.lower() for s in Specialization)
 
 # action name -> required fields (beyond t_us/action)
 ACTIONS: dict[str, tuple[str, ...]] = {

@@ -8,7 +8,6 @@ from hdpsim.core import (
     DeviceAddress,
     DeviceConfig,
     DeviceName,
-    DeviceRegistry,
     DuplicateAddress,
     InvalidDeviceName,
     MalformedAddress,
@@ -17,6 +16,7 @@ from hdpsim.core import (
     format_address,
     parse_address,
 )
+from hdpsim.engine import Engine
 
 
 @given(st.integers(min_value=0, max_value=2**48 - 1))
@@ -100,9 +100,9 @@ def test_local_time_applies_clock_offset():
 
 
 def test_registry_rejects_duplicate_address():
-    registry = DeviceRegistry()
-    registry.register(DeviceAddress(1), object())
+    engine = Engine()
+    engine.add_device(DeviceConfig(address=DeviceAddress(1)))
     with pytest.raises(DuplicateAddress):
-        registry.register(DeviceAddress(1), object())
-    assert DeviceAddress(1) in registry
-    assert len(registry) == 1
+        engine.add_device(DeviceConfig(address=DeviceAddress(1)))
+    assert DeviceAddress(1) in engine.devices
+    assert len(engine.devices) == 1

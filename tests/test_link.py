@@ -28,7 +28,7 @@ def test_page_establishes_link_with_pager_as_master():
     a = add_device(stack, 1)
     b = add_device(stack, 2, position=(1.0, 0.0))
     link, attempt = connect(stack, a, b)
-    assert attempt.done and attempt.link is link
+    assert attempt.done and attempt.result is link
     assert link.master is a and link.slave is b
     assert link.state is LinkState.CONNECTED
     connected = [e for e in stack.engine.trace if e.ev == "connected"]
@@ -124,7 +124,7 @@ def test_page_times_out_on_midway_loss():
     attempt = stack.links.page(a, b.address)
     stack.engine.move_device(b.address, (100.0, 0.0))
     stack.engine.run_until(100_000)
-    assert attempt.done and attempt.link is None
+    assert attempt.done and attempt.result is None
     assert isinstance(attempt.error, Unreachable)
     failed = [e for e in stack.engine.trace if e.ev == "page_failed"]
     assert len(failed) == 1
