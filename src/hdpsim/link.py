@@ -172,8 +172,8 @@ class Link:
     ka_misses: int = 0
     slave_heard: bool = False
     slave_misses: int = 0
-    # Ids of the two pending supervision ticks: keepalive, then monitor.
-    _timers: list[int] = field(default_factory=list)
+    _ka_timer: int = -1
+    _monitor_timer: int = -1
     _observers: list[Callable[["Link"], None]] = field(default_factory=list)
 
     @property
@@ -456,9 +456,8 @@ class LinkManager:
         return piconet
 
     def _stop_supervision(self, link: Link) -> None:
-        for timer in link._timers:
-            self.engine.cancel(timer)
-        link._timers = []
+        self.engine.cancel(link._ka_timer)
+        self.engine.cancel(link._monitor_timer)
         link.ka_pending = False
         link.ka_misses = 0
         link.slave_heard = False
@@ -466,14 +465,12 @@ class LinkManager:
 
     def _start_supervision(self, link: Link) -> None:
         self._stop_supervision(link)
-        link._timers = [
-            self.engine.schedule_in(
-                self.params.keepalive_interval_us, lambda: self._ka_tick(link)
-            ),
-            self.engine.schedule_in(
-                self.params.keepalive_interval_us, lambda: self._monitor_tick(link)
-            ),
-        ]
+        link._ka_timer = self.engine.schedule_in(
+            self.params.keepalive_interval_us, lambda: self._ka_tick(link)
+        )
+        link._monitor_timer = self.engine.schedule_in(
+            self.params.keepalive_interval_us, lambda: self._monitor_tick(link)
+        )
 
     def _ka_tick(self, link: Link) -> None:
         if link.state is not LinkState.CONNECTED:
@@ -485,7 +482,7 @@ class LinkManager:
                 return
         self.send_on_link(link, link.master, PROTO_LINK, bytes([_MSG_KEEPALIVE]))
         link.ka_pending = True
-        link._timers[0] = self.engine.schedule_in(
+        link._ka_timer = self.engine.schedule_in(
             self.params.keepalive_interval_us, lambda: self._ka_tick(link)
         )
 
@@ -500,7 +497,7 @@ class LinkManager:
                 self._lose(link, "keepalive_silence")
                 return
         link.slave_heard = False
-        link._timers[1] = self.engine.schedule_in(
+        link._monitor_timer = self.engine.schedule_in(
             self.params.keepalive_interval_us, lambda: self._monitor_tick(link)
         )
 

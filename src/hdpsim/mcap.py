@@ -19,7 +19,8 @@ every ``retransmit_interval_us`` and the exchange fails with
 ``McapTimeout`` exactly ``handshake_timeout_us`` after it started (clock
 sampling sends once and fails with ``SyncTimeout`` after
 ``sync_timeout_us``). One table holds the pending exchanges; each entry
-carries the continuation that runs when the answer arrives. Channel
+carries the continuation that runs when the answer arrives, and a repeated
+reconnect or delete of a channel joins the exchange in flight. Channel
 operations return an engine ``Op``: ``result`` is the ``DataChannel`` or the
 ``ClockSyncResult``, ``error`` the ``McapError``.
 """
@@ -30,7 +31,7 @@ import enum
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .core import DeviceAddress, SimTime
 from .engine import Device, Engine, Op, Retry
@@ -186,8 +187,8 @@ class McapManager:
         self.links = links
         self.params = params
         self.controls: dict[tuple[DeviceAddress, DeviceAddress], ControlChannel] = {}
-        # (pair, kind, id) -> (retry, continuation run on the answer)
-        self._pending: dict[tuple, tuple[Retry, Callable]] = {}
+        # (pair, kind, id) -> (retry, continuation run on the answer, op)
+        self._pending: dict[tuple, tuple[Retry, Callable, Op]] = {}
         links.register_protocol(PROTO_MCAP, self._on_pdu)
 
     # -- control channel ----------------------------------------------------
@@ -251,32 +252,35 @@ class McapManager:
     def _exchange(
         self,
         key: tuple,
+        op: Op,
         send: Callable[[], object],
         on_answer: Callable,
         on_timeout: Callable[[], None],
-        timeout_us: Optional[int] = None,
-        interval_us: Optional[int] = None,
-    ) -> None:
-        """Retry ``send`` until ``_answered(key)`` or the deadline."""
+        interval_us: int,
+        timeout_us: int,
+    ) -> Op:
+        """Retry ``send`` until ``_answered(key)`` or the deadline.
+
+        Returns ``op``, or, when ``key`` is already pending, the op of that
+        exchange: a repeated request joins the one in flight.
+        """
+        pending = self._pending.get(key)
+        if pending is not None:
+            return pending[2]
 
         def expire() -> None:
             del self._pending[key]
             on_timeout()
 
-        retry = Retry(
-            self.engine,
-            send,
-            interval_us or self.params.retransmit_interval_us,
-            timeout_us or self.params.handshake_timeout_us,
-            expire,
-        )
-        self._pending[key] = (retry, on_answer)
+        retry = Retry(self.engine, send, interval_us, timeout_us, expire)
+        self._pending[key] = (retry, on_answer, op)
         retry.start()
+        return op
 
     def _answered(self, key: tuple, *answer) -> None:
         entry = self._pending.pop(key, None)
         if entry is not None:
-            retry, on_answer = entry
+            retry, on_answer, _op = entry
             retry.resolve()
             on_answer(*answer)
 
@@ -319,18 +323,23 @@ class McapManager:
         def accepted() -> None:
             self._exchange(
                 config_key,
+                op,
                 lambda: self._tx(control, initiator, _OP_CREATE_CONFIG, mdl),
                 confirmed,
                 lambda: op.resolve(error=McapTimeout(str(config_key))),
+                self.params.retransmit_interval_us,
+                self.params.handshake_timeout_us,
             )
 
-        self._exchange(
+        return self._exchange(
             key,
+            op,
             lambda: self._tx(control, initiator, _OP_CREATE_REQ, req),
             accepted,
             lambda: op.resolve(error=McapTimeout(str(key))),
+            self.params.retransmit_interval_us,
+            self.params.handshake_timeout_us,
         )
-        return op
 
     def _on_create_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         mdl_id, flags = struct.unpack(">HB", body[:3])
@@ -377,15 +386,17 @@ class McapManager:
             op.resolve(channel)
             self._pump(channel, initiator)
 
-        self._exchange(
+        return self._exchange(
             key,
+            op,
             lambda: self._tx(
                 control, initiator, _OP_RECONNECT_REQ, struct.pack(">H", mdl_id)
             ),
             complete,
             lambda: op.resolve(error=McapTimeout(str(key))),
+            self.params.retransmit_interval_us,
+            self.params.handshake_timeout_us,
         )
-        return op
 
     def _on_reconnect_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         mdl_id = struct.unpack(">H", body[:2])[0]
@@ -422,15 +433,17 @@ class McapManager:
             self._close_local(channel, initiator.address, "delete")
             op.resolve(channel)
 
-        self._exchange(
+        return self._exchange(
             key,
+            op,
             lambda: self._tx(
                 control, initiator, _OP_DELETE_REQ, struct.pack(">H", mdl_id)
             ),
             complete,
             lambda: op.resolve(error=McapTimeout(str(key))),
+            self.params.retransmit_interval_us,
+            self.params.handshake_timeout_us,
         )
-        return op
 
     def abandon_pending(
         self,
@@ -694,15 +707,15 @@ class McapManager:
             op.resolve(error=SyncTimeout(f"token {token}"))
 
         # One request, answered or failed exactly at the sync timeout.
-        self._exchange(
+        return self._exchange(
             (control.pair, "sync", token),
+            op,
             lambda: self._tx(control, requester, _OP_SYNC_REQ, struct.pack(">I", token)),
             answered,
             timed_out,
-            timeout_us=self.params.sync_timeout_us,
-            interval_us=self.params.sync_timeout_us,
+            self.params.sync_timeout_us,
+            self.params.sync_timeout_us,
         )
-        return op
 
     def _on_sync_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         token = struct.unpack(">I", body[:4])[0]

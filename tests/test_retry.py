@@ -81,9 +81,9 @@ def test_long_run_link_holds_only_its_two_live_supervision_timers():
     _, _, link = paired_pair(stack)
     for _ in range(120):
         stack.engine.run_until(stack.engine.now + 1_000_000)
-        assert len(link._timers) <= 2
-    assert len(link._timers) == 2
-    assert all(timer in stack.engine._entries for timer in link._timers)
+        assert link._ka_timer in stack.engine._entries
+        assert link._monitor_timer in stack.engine._entries
+    assert stack.engine.pending_events <= 2
 
 
 def test_repeated_associate_release_keeps_link_observers_constant():
@@ -141,6 +141,32 @@ def test_reconnect_timeout_leaves_no_exchange_state():
     assert_nothing_pending(stack)
 
 
+def test_repeated_reconnect_joins_the_pending_exchange():
+    stack = make_stack(handshake_timeout_us=300_000)
+    a, b, link, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    stack.links.drop_link(a.address, b.address)
+    page = stack.links.page(a, b.address)
+    run_while(stack, lambda: not page.done, 1_000_000)
+    first = stack.mcap.reconnect_data_channel(channel, a)
+    assert stack.mcap.reconnect_data_channel(channel, a) is first
+    walk_away(stack, b)
+    stack.engine.run_until(stack.engine.now + 1_000_000)
+    assert isinstance(first.error, McapTimeout)
+    assert_nothing_pending(stack)
+
+
+def test_repeated_close_joins_the_pending_exchange():
+    stack = make_stack(handshake_timeout_us=300_000)
+    a, b, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    first = stack.mcap.close_channel(channel, a)
+    assert stack.mcap.close_channel(channel, a) is first
+    stack.engine.run_until(stack.engine.now + 1_000_000)
+    assert first.error is None and first.result is channel
+    assert_nothing_pending(stack)
+
+
 def test_delete_timeout_leaves_no_exchange_state():
     stack = make_stack(handshake_timeout_us=300_000)
     a, b, _, control = control_pair(stack)
@@ -168,7 +194,6 @@ def test_association_request_timeout_leaves_no_request_state():
     assoc = stack.hdp.associate(a, b, Specialization.HEART_RATE)
     walk_away(stack, b)
     stack.engine.run_until(stack.engine.now + 1_000_000)
-    assert assoc.state is AssocState.ASSOCIATING
     assert_nothing_pending(stack)
 
 
