@@ -9,7 +9,10 @@ without any other test noticing:
 - ``release_in_flight``: releases with a reading unacknowledged and with
   readings buffered behind a lost link;
 - ``evictions``: a walk-out longer than a four-reading source buffer;
-- ``eighth_slave``: the eighth page of one master fails with PiconetFull.
+- ``eighth_slave``: the eighth page of one master fails with PiconetFull;
+- ``ward_lossy_offsets``: ward 4x7 at 5 % loss with 3 us jitter, four
+  distinct clock offsets shared by many devices, and a sensor moved into
+  another phone's range during the inquiry (its own page then times out).
 
 A deliberate trace change re-pins the digests in one declared change:
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden/digests.json``.
