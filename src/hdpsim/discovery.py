@@ -11,7 +11,9 @@ The inquiry transmit sweep is simulated per cycle rather than per frame: for
 each cycle the manager computes which transmit slots fall inside some
 listener's current scan window and broadcasts only those. Slots nobody could
 hear produce no deliveries and no random draws either way, so the shortcut is
-observably identical to transmitting all 32 frames.
+observably identical to transmitting all 32 frames. A listener's scan window
+depends only on its clock offset, so the slots are computed once per distinct
+offset among the other devices, not once per device.
 """
 
 from __future__ import annotations
@@ -130,6 +132,9 @@ class DiscoveryManager:
         self._modes: dict[DeviceAddress, _ModeState] = {}
         self._known: dict[DeviceAddress, set[DeviceAddress]] = {}
         self._active: dict[DeviceAddress, Inquiry] = {}
+        # device -> its inquiry response payload (address, name); the config
+        # it is built from is frozen
+        self._responses: dict[Device, bytes] = {}
         engine.add_frame_handler(FrameKind.INQUIRY, self._on_inquiry)
         engine.add_frame_handler(FrameKind.INQUIRY_RESPONSE, self._on_response)
         engine.add_listen_provider(self._listening)
@@ -203,15 +208,18 @@ class DiscoveryManager:
         now = self.engine.now
         if inquiry.done or now >= inquiry.deadline_us:
             return
+        inquirer = inquiry.device
+        offsets = {
+            receiver.config.clock_offset_us
+            for receiver in self.engine.devices.values()
+            if receiver is not inquirer
+        }
         slots: dict[SimTime, int] = {}
-        for receiver in self.engine.devices.values():
-            if receiver.address == inquiry.device.address:
-                continue
-            offset = receiver.config.clock_offset_us
+        for offset in offsets:
             for slot, freq in sweep_slots(
                 self.params, self.schedule, offset, now, inquiry.deadline_us
             ):
-                slots.setdefault(slot, freq)
+                slots[slot] = freq
         for slot in sorted(slots):
             freq = slots[slot]
             frame = RadioFrame(
@@ -252,7 +260,10 @@ class DiscoveryManager:
             return
         if mode is DiscoverabilityMode.LIMITED and now >= state.limited_until_us:
             return
-        payload = receiver.address.to_bytes() + encode_name(receiver.config.name)
+        payload = self._responses.get(receiver)
+        if payload is None:
+            payload = receiver.address.to_bytes() + encode_name(receiver.config.name)
+            self._responses[receiver] = payload
         response = RadioFrame(
             from_addr=receiver.address,
             freq_index=frame.freq_index,

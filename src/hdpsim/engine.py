@@ -6,7 +6,10 @@ scheduled inputs produce a byte-identical trace.
 
 The medium delivers a frame to every registered device that is inside
 min(sender range, receiver range) Euclidean distance and listening on the
-frame's frequency index, both evaluated at transmit time. Each candidate
+frame's frequency index, both evaluated at transmit time. A frame addressed
+to one device (inquiry responses, pages and link traffic) looks that device
+up in the device table and considers no other; only unaddressed frames
+(inquiries) visit every device, in registration order. Each candidate
 delivery is independently dropped with the configured loss probability using
 the engine's seeded generator, then delivered after a fixed 1 us propagation
 delay (plus optional uniform jitter).
@@ -262,16 +265,21 @@ class Engine:
     def broadcast(self, frame: RadioFrame, sender: Device) -> list[tuple[Device, SimTime]]:
         """Offer a frame to the medium; returns the scheduled deliveries.
 
-        Range and frequency eligibility are evaluated now (transmit time);
-        the loss draw happens per candidate in device registration order.
+        An addressed frame has one candidate, its addressee, looked up by
+        address; an unaddressed one has every registered device. Range and
+        frequency eligibility are evaluated now (transmit time); the loss
+        draw happens per candidate in device registration order.
         """
         if sender.address not in self.devices:
             raise UnknownDevice(str(sender.address))
+        if frame.to is None:
+            candidates: Iterable[Device] = self.devices.values()
+        else:
+            addressee = self.devices.get(frame.to)
+            candidates = () if addressee is None else (addressee,)
         deliveries: list[tuple[Device, SimTime]] = []
-        for receiver in self.devices.values():
+        for receiver in candidates:
             if receiver is sender:
-                continue
-            if frame.to is not None and receiver.address != frame.to:
                 continue
             if not self.in_range(sender, receiver):
                 continue

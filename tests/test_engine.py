@@ -1,7 +1,12 @@
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hdpsim.discovery import sweep_slots
 from hdpsim.engine import (
     Engine,
     FrameKind,
@@ -176,3 +181,81 @@ def test_medium_validates_inputs():
         MediumModel(loss_probability=1.5)
     with pytest.raises(ValueError):
         MediumModel(propagation_us=0)
+
+
+# -- the medium's addressee lookup and the inquiry sweep ------------------------
+
+
+def _addressed(sender, to, freq=0):
+    return RadioFrame(from_addr=sender.address, freq_index=freq, kind=FrameKind.PAGE, to=to)
+
+
+def _after_draws(state, n):
+    rng = random.Random()
+    rng.setstate(state)
+    for _ in range(n):
+        rng.random()
+    return rng.getstate()
+
+
+def test_addressed_frame_to_unknown_or_to_sender_delivers_and_draws_nothing():
+    stack = make_stack(loss=0.5, jitter_us=5)
+    a = add_device(stack, 1)
+    add_device(stack, 2, position=(1.0, 0.0))
+    stack.engine.add_listen_provider(lambda device, t: range(32))
+    for to in (addr(99), a.address):
+        before = stack.engine.rng.getstate()
+        assert stack.engine.broadcast(_addressed(a, to), a) == []
+        assert stack.engine.rng.getstate() == before
+    assert stack.engine.pending_events == 0
+
+
+def test_addressed_frame_draws_one_loss_value_only_when_addressee_can_hear():
+    stack = make_stack(loss=0.5)
+    a = add_device(stack, 1)
+    # Third parties in range and listening must not draw for someone else's frame.
+    add_device(stack, 2, position=(1.0, 0.0))
+    add_device(stack, 3, position=(1.0, 1.0))
+    add_device(stack, 4, position=(50.0, 0.0))
+    add_device(stack, 5, position=(2.0, 0.0))
+    # At t=0 every standby scanner listens on frequency 0.
+    cases = [(addr(3), 0, 1), (addr(4), 0, 0), (addr(5), 7, 0), (addr(2), 0, 1)]
+    for to, freq, draws in cases:
+        before = stack.engine.rng.getstate()
+        stack.engine.broadcast(_addressed(a, to, freq), a)
+        assert stack.engine.rng.getstate() == _after_draws(before, draws), to
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    offsets=st.lists(st.integers(-3_000_000, 3_000_000), min_size=1, max_size=6),
+    inquirer_offset=st.integers(-3_000_000, 3_000_000),
+    start=st.integers(0, 4_000_000),
+    duration=st.integers(1, 30_000),
+)
+def test_inquiry_cycle_sweeps_the_union_of_every_listener_slots(
+    offsets, inquirer_offset, start, duration
+):
+    stack = make_stack()
+    inquirer = add_device(stack, 1, clock_offset_us=inquirer_offset)
+    for i, offset in enumerate(offsets + offsets[:2]):  # repeated offsets too
+        add_device(stack, 2 + i, position=(1.0, 0.0), clock_offset_us=offset)
+    params, schedule = stack.discovery.params, stack.discovery.schedule
+    expected = {
+        hit
+        for offset in offsets
+        for hit in sweep_slots(params, schedule, offset, start, start + duration)
+    }
+    sent = []
+    broadcast = stack.engine.broadcast
+
+    def record(frame, sender):
+        if frame.kind is FrameKind.INQUIRY:
+            sent.append((stack.engine.now, frame.freq_index))
+        return broadcast(frame, sender)
+
+    stack.engine.broadcast = record
+    stack.engine.run_until(start)
+    stack.discovery.start_inquiry(inquirer, duration)
+    stack.engine.run_until(start + params.inquiry_cycle_us - 1)
+    assert sorted(sent) == sorted(expected)
