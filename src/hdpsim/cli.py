@@ -7,6 +7,7 @@ Failures print one JSON line to stderr and exit with a stable code:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.resources
 import json
 import logging
@@ -88,11 +89,14 @@ def _simulate(
         trace, report = run_scenario(scenario, seed, until_us)
     except InvariantViolation as exc:
         return _fail(exc, EXIT_INVARIANT)
+    trace_text = trace.to_jsonl()
     try:
-        _write_outputs(trace_path, trace.to_jsonl(), metrics_path, report)
+        _write_outputs(trace_path, trace_text, metrics_path, report)
     except OSError as exc:
         return _fail(exc, EXIT_IO)
-    log.info("trace sha256 %s", trace.sha256())
+    if log.isEnabledFor(logging.INFO):
+        digest = hashlib.sha256(trace_text.encode("utf-8")).hexdigest()
+        log.info("trace sha256 %s", digest)
     return EXIT_OK
 
 
