@@ -15,7 +15,8 @@ unconditionally, whatever the specialization.
 
 The association request runs on the engine's ``Retry``: resent every
 ``retransmit_interval_us``, given up exactly ``handshake_timeout_us`` after
-it started. Channel creation and clock sync wait on the engine ``Op``
+it started, when the association is released with an ``assoc_failed``
+event. Channel creation and clock sync wait on the engine ``Op``
 handles that the channel layer returns.
 """
 
@@ -398,9 +399,20 @@ class HdpManager:
             ),
             self.params.retransmit_interval_us,
             self.params.handshake_timeout_us,
-            lambda: self._requests.pop(assoc.assoc_id),
+            lambda: self._request_timed_out(assoc),
         ).start()
         return assoc
+
+    def _request_timed_out(self, assoc: Association) -> None:
+        del self._requests[assoc.assoc_id]
+        if assoc.state is not AssocState.ASSOCIATING:
+            return  # released while its request was unanswered
+        assoc.state = AssocState.RELEASED
+        link = self.links.link_between(assoc.source.address, assoc.sink.address)
+        link.off_state_change(assoc._on_link)
+        self.engine.emit(
+            "assoc_failed", assoc.source.address, assoc_id=assoc.assoc_id, reason="timeout"
+        )
 
     def _tx(self, sender: Device, peer: Device, msg: int, body: bytes) -> bool:
         link = self.links.link_between(sender.address, peer.address)

@@ -192,9 +192,17 @@ def test_association_request_timeout_leaves_no_request_state():
     stack = make_stack(handshake_timeout_us=300_000)
     a, b, _, _ = control_pair(stack)
     assoc = stack.hdp.associate(a, b, Specialization.HEART_RATE)
+    link = stack.links.link_between(a.address, b.address)
+    observers = len(link._observers)
     walk_away(stack, b)
     stack.engine.run_until(stack.engine.now + 1_000_000)
     assert_nothing_pending(stack)
+    assert assoc.state is AssocState.RELEASED
+    assert len(link._observers) == observers - 1
+    failed = [e for e in stack.engine.trace if e.ev == "assoc_failed"]
+    assert [(e.dev, e.detail) for e in failed] == [
+        (str(a.address), {"assoc_id": assoc.assoc_id, "reason": "timeout"})
+    ]
 
 
 # -- mcap lets real bugs through --------------------------------------------------
