@@ -110,6 +110,11 @@ _TOP_KEYS = {"name", "devices", "medium", "params", "timeline"}
 _MEDIUM_KEYS = {"loss_probability", "propagation_us", "jitter_us"}
 
 
+def _is_int(value: Any) -> bool:
+    """An integer as JSON gives it; ``true``/``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(condition: bool, fld: str, rule: str) -> None:
     if not condition:
         raise ValidationError(fld, rule)
@@ -148,7 +153,7 @@ def _validate_device(index: int, raw: Any) -> ScenarioDevice:
     )
     offset = raw.get("clock_offset_us", 0)
     _require(
-        isinstance(offset, int), f"{where}.clock_offset_us", "must be an integer"
+        _is_int(offset), f"{where}.clock_offset_us", "must be an integer"
     )
     disc = raw.get("discoverability", "discoverable")
     _require(
@@ -159,7 +164,7 @@ def _validate_device(index: int, raw: Any) -> ScenarioDevice:
     window = raw.get("limited_window_us")
     if disc == "limited":
         _require(
-            isinstance(window, int) and window > 0,
+            _is_int(window) and window > 0,
             f"{where}.limited_window_us",
             "limited discoverability requires a positive window",
         )
@@ -192,7 +197,7 @@ def _validate_device(index: int, raw: Any) -> ScenarioDevice:
     cap = raw.get("rate_cap_bps")
     if cap is not None:
         _require(
-            isinstance(cap, int) and cap > 0,
+            _is_int(cap) and cap > 0,
             f"{where}.rate_cap_bps",
             "must be a positive integer",
         )
@@ -217,7 +222,7 @@ def _validate_action(index: int, raw: Any, known: set[DeviceAddress]) -> dict[st
     _require(isinstance(raw, dict), where, "must be an object")
     _require("t_us" in raw, f"{where}.t_us", "is required")
     _require(
-        isinstance(raw["t_us"], int) and raw["t_us"] >= 0,
+        _is_int(raw["t_us"]) and raw["t_us"] >= 0,
         f"{where}.t_us",
         "must be a non-negative integer",
     )
@@ -257,19 +262,19 @@ def _validate_action(index: int, raw: Any, known: set[DeviceAddress]) -> dict[st
         )
         count = raw.get("count", 1)
         _require(
-            isinstance(count, int) and count >= 1,
+            _is_int(count) and count >= 1,
             f"{where}.count",
             "must be a positive integer",
         )
         interval = raw.get("interval_us", 1_000_000)
         _require(
-            isinstance(interval, int) and interval > 0,
+            _is_int(interval) and interval > 0,
             f"{where}.interval_us",
             "must be a positive integer",
         )
     if action == "start_inquiry":
         _require(
-            isinstance(raw["duration_us"], int) and raw["duration_us"] > 0,
+            _is_int(raw["duration_us"]) and raw["duration_us"] > 0,
             f"{where}.duration_us",
             "must be a positive integer",
         )
@@ -296,7 +301,7 @@ def _validate_action(index: int, raw: Any, known: set[DeviceAddress]) -> dict[st
             )
             if raw["discoverability"] == "limited":
                 _require(
-                    isinstance(raw.get("window_us"), int) and raw["window_us"] > 0,
+                    _is_int(raw.get("window_us")) and raw["window_us"] > 0,
                     f"{where}.window_us",
                     "limited discoverability requires a positive window",
                 )
@@ -327,7 +332,7 @@ def _validate_action(index: int, raw: Any, known: set[DeviceAddress]) -> dict[st
                 f"references undefined device {address}",
             )
             _require(
-                isinstance(bps, int) and bps >= 0,
+                _is_int(bps) and bps >= 0,
                 f"{where}.requested[{key}]",
                 "rate must be a non-negative integer",
             )
@@ -369,7 +374,7 @@ def validate_scenario(raw: Any) -> Scenario:
     for key in ("propagation_us", "jitter_us"):
         if key in medium:
             _require(
-                isinstance(medium[key], int) and medium[key] >= (1 if key == "propagation_us" else 0),
+                _is_int(medium[key]) and medium[key] >= (1 if key == "propagation_us" else 0),
                 f"medium.{key}",
                 "must be a non-negative integer (propagation at least 1)",
             )
@@ -380,7 +385,7 @@ def validate_scenario(raw: Any) -> Scenario:
         _require(key in known_params, f"params.{key}", "unknown parameter")
         floor = 0 if key == "freq_low" else 1
         _require(
-            isinstance(value, int) and value >= floor,
+            _is_int(value) and value >= floor,
             f"params.{key}",
             f"must be an integer of at least {floor}",
         )

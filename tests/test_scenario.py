@@ -146,6 +146,30 @@ def test_validation_error_names_field_and_rule(mutate, field_part, rule_part):
     assert rule_part in info.value.rule
 
 
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (
+            lambda d: d["timeline"].append(
+                {"t_us": 0, "action": "start_inquiry", "device": SINK, "duration_us": True}
+            ),
+            "timeline[0].duration_us",
+        ),
+        (lambda d: d["timeline"].append({"t_us": False, "action": "run_until"}), "timeline[0].t_us"),
+        (lambda d: d["devices"][0].update(clock_offset_us=True), "devices[0].clock_offset_us"),
+        (lambda d: d["devices"][1].update(rate_cap_bps=True), "devices[1].rate_cap_bps"),
+        (lambda d: d.update(medium={"jitter_us": True}), "medium.jitter_us"),
+        (lambda d: d.update(params={"buffer_capacity": True}), "params.buffer_capacity"),
+    ],
+)
+def test_json_booleans_are_not_integers(mutate, field):
+    doc = minimal_scenario()
+    mutate(doc)
+    with pytest.raises(ValidationError) as info:
+        validate_scenario(doc)
+    assert info.value.field == field
+
+
 def test_unsorted_timeline_is_rejected_with_named_rule():
     doc = minimal_scenario(
         timeline=[
