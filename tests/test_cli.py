@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 
 import pytest
 
 from hdpsim import cli
+from hdpsim.engine import Trace
 
 SOURCE = "AA:00:00:00:00:01"
 SINK = "AA:00:00:00:00:02"
@@ -110,6 +113,22 @@ def test_simulate_writes_trace_and_metrics(scenario_file, tmp_path, capsys):
         assert {"t_us", "seq", "ev", "dev"} <= set(event)
     metrics = json.loads(metrics_path.read_text())
     assert metrics["measurements"]["delivered"] == 1
+
+
+@pytest.mark.parametrize("level", [logging.WARNING, logging.INFO], ids=["warn", "info"])
+def test_simulate_serialises_the_trace_once(scenario_file, tmp_path, monkeypatch, caplog, level):
+    calls = []
+    to_jsonl = Trace.to_jsonl
+    monkeypatch.setattr(Trace, "to_jsonl", lambda trace: calls.append(1) or to_jsonl(trace))
+    caplog.set_level(level, logger="hdpsim")
+    trace_path = tmp_path / "trace.jsonl"
+    argv = ["simulate", "--scenario", str(scenario_file), "--seed", "5"]
+    argv += ["--trace", str(trace_path), "--metrics", str(tmp_path / "metrics.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+    logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace sha256")]
+    assert logged == ([f"trace sha256 {digest}"] if level == logging.INFO else [])
 
 
 def test_unwritable_trace_path_exits_4(scenario_file, tmp_path, capsys):
