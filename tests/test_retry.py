@@ -205,6 +205,18 @@ def test_association_request_timeout_leaves_no_request_state():
     ]
 
 
+def test_association_released_before_its_request_times_out_stays_quiet():
+    stack = make_stack(handshake_timeout_us=300_000)
+    a, b, _, _ = control_pair(stack)
+    walk_away(stack, b)
+    assoc = stack.hdp.associate(a, b, Specialization.HEART_RATE)
+    stack.hdp.release(assoc)
+    stack.engine.run_until(stack.engine.now + 1_000_000)
+    assert_nothing_pending(stack)
+    assert assoc.state is AssocState.RELEASED
+    assert not [e for e in stack.engine.trace if e.ev == "assoc_failed"]
+
+
 # -- mcap lets real bugs through --------------------------------------------------
 
 
