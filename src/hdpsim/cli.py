@@ -67,13 +67,7 @@ def _write_outputs(
     emit_metrics(report, metrics_path)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (ParseError, ValidationError) as exc:
-        return _fail(exc, EXIT_VALIDATION)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
+def _cmd_simulate(args: argparse.Namespace, scenario: Scenario) -> int:
     return _simulate(scenario, args.seed, args.until, args.trace, args.metrics)
 
 
@@ -100,13 +94,7 @@ def _simulate(
     return EXIT_OK
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (ParseError, ValidationError) as exc:
-        return _fail(exc, EXIT_VALIDATION)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
+def _cmd_validate(args: argparse.Namespace, scenario: Scenario) -> int:
     print(f"ok: {scenario.name} ({len(scenario.devices)} devices, {len(scenario.timeline)} actions)")
     return EXIT_OK
 
@@ -117,13 +105,7 @@ def demo_scenario(name: str = "pulsemeter") -> Scenario:
         return load_scenario(str(path))
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    try:
-        scenario = demo_scenario(args.name)
-    except (ParseError, ValidationError) as exc:
-        return _fail(exc, EXIT_VALIDATION)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
+def _cmd_demo(args: argparse.Namespace, scenario: Scenario) -> int:
     return _simulate(
         scenario,
         args.seed,
@@ -131,6 +113,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         f"{args.name}_trace.jsonl",
         f"{args.name}_metrics.json",
     )
+
+
+def _load(args: argparse.Namespace) -> Scenario:
+    """The scenario every command runs on: a packaged demo or ``--scenario``."""
+    if args.command == "demo":
+        return demo_scenario(args.name)
+    return load_scenario(args.scenario)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,7 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        scenario = _load(args)
+    except (ParseError, ValidationError) as exc:
+        return _fail(exc, EXIT_VALIDATION)
+    except OSError as exc:
+        return _fail(exc, EXIT_IO)
+    return args.func(args, scenario)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ unconditionally, whatever the specialization.
 
 The association request runs on the engine's ``Retry``: resent every
 ``retransmit_interval_us``, given up exactly ``handshake_timeout_us`` after
-it started, when the association is released with an ``assoc_failed``
-event. Channel creation and clock sync wait on the engine ``Op``
+it started. A request that times out or that the sink rejects releases
+the association with an ``assoc_failed`` event (``reason`` ``"timeout"`` or
+``"rejected"``), removes its link observer and keeps its record. Channel creation and clock sync wait on the engine ``Op``
 handles that the channel layer returns.
 """
 
@@ -405,13 +406,17 @@ class HdpManager:
 
     def _request_timed_out(self, assoc: Association) -> None:
         del self._requests[assoc.assoc_id]
+        self._give_up(assoc, "timeout")
+
+    def _give_up(self, assoc: Association, reason: str) -> None:
+        """End an association whose request failed; the record stays."""
         if assoc.state is not AssocState.ASSOCIATING:
             return  # released while its request was unanswered
         assoc.state = AssocState.RELEASED
         link = self.links.link_between(assoc.source.address, assoc.sink.address)
         link.off_state_change(assoc._on_link)
         self.engine.emit(
-            "assoc_failed", assoc.source.address, assoc_id=assoc.assoc_id, reason="timeout"
+            "assoc_failed", assoc.source.address, assoc_id=assoc.assoc_id, reason=reason
         )
 
     def _tx(self, sender: Device, peer: Device, msg: int, body: bytes) -> bool:
@@ -481,11 +486,8 @@ class HdpManager:
 
     def _on_assoc_reject(self, receiver: Device, body: bytes) -> None:
         assoc_id = struct.unpack(">I", body[:4])[0]
-        if not self._answered(assoc_id):
-            return
-        assoc = self.associations.pop(assoc_id, None)
-        if assoc is not None:
-            assoc.state = AssocState.RELEASED
+        if self._answered(assoc_id):
+            self._give_up(self.associations[assoc_id], "rejected")
 
     # -- channel and sync ----------------------------------------------------
 

@@ -9,6 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 
+class ParamError(ValueError):
+    """A parameter value breaks its rule; ``name`` is the parameter."""
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name} {rule}")
+        self.name = name
+
+
 @dataclass
 class SimParams:
     # Standby scanning: one listening window per 1.28 s, cycling 32 frequencies.
@@ -43,9 +51,10 @@ class SimParams:
         for f in fields(self):
             floor = 0 if f.name == "freq_low" else 1
             if getattr(self, f.name) < floor:
-                raise ValueError(f"{f.name} must be at least {floor}")
-        if self.freq_high < self.freq_low:
-            raise ValueError("freq_high must not be below freq_low")
+                raise ParamError(f.name, f"must be at least {floor}")
+        # The same band ConnectionParams accepts.
+        if not self.freq_low <= self.freq_high <= 31:
+            raise ParamError("freq_high", "must be from freq_low to 31")
 
     @classmethod
     def with_overrides(cls, overrides: dict) -> "SimParams":

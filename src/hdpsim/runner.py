@@ -3,33 +3,30 @@
 Each run constructs a fresh engine with the scenario's medium and the given
 seed, wires the protocol managers, applies device configuration, schedules
 the timeline, and runs to the horizon (the latest timeline time unless
-overridden). Action failures become "error" trace events rather than
-aborting the run; structural invariant breaches abort with
-InvariantViolation.
+overridden). Validation hands over typed devices and actions with every
+default filled in (see ``scenario.ACTIONS``), so ``HANDLERS`` holds one
+handler per action and nothing here parses a value or repeats a default.
+Device modes and ``set_mode`` go through one ``_set_modes``. Action failures,
+including the later sends of a ``send_measurement``, become "error" trace
+events rather than aborting the run; structural invariant breaches abort
+with InvariantViolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import DeviceAddress, DeviceConfig, DeviceName
 from .discovery import ConnectabilityMode, DiscoverabilityMode, DiscoveryManager
-from .engine import Engine, MediumModel, Trace
-from .hdp import (
-    Association,
-    ChannelKind,
-    HdpError,
-    HdpManager,
-    Specialization,
-    validate_channel_kind,
-)
-from .link import LinkError, LinkManager, pair_key
+from .engine import Device, Engine, MediumModel, Trace
+from .hdp import Association, HdpError, HdpManager, validate_channel_kind
+from .link import LinkError, LinkManager
 from .mcap import McapError, McapManager
 from .metrics import MetricsReport, compute_metrics
 from .params import SimParams
 from .scenario import Scenario
-from .security import EmptyPin, NotAuthenticated, Pin
+from .security import EmptyPin, NotAuthenticated
 
 _ACTION_ERRORS = (LinkError, McapError, HdpError, NotAuthenticated, EmptyPin, ValueError)
 
@@ -81,14 +78,8 @@ class ScenarioRun:
 
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
-        medium = MediumModel(
-            loss_probability=float(scenario.medium.get("loss_probability", 0.0)),
-            rng_seed=seed,
-            propagation_us=int(scenario.medium.get("propagation_us", 1)),
-            jitter_us=int(scenario.medium.get("jitter_us", 0)),
-        )
-        params = SimParams.with_overrides(scenario.overrides)
-        self.stack = build_stack(medium=medium, seed=seed, params=params)
+        medium = MediumModel(rng_seed=seed, **scenario.medium)
+        self.stack = build_stack(medium=medium, seed=seed, params=scenario.params)
         self._assocs: dict[tuple[DeviceAddress, DeviceAddress], Association] = {}
         self._configure_devices()
 
@@ -104,112 +95,105 @@ class ScenarioRun:
                     clock_offset_us=spec_dev.clock_offset_us,
                 )
             )
-            mode = DiscoverabilityMode(spec_dev.discoverability)
-            if mode is DiscoverabilityMode.LIMITED:
-                stack.discovery.set_discoverability(
-                    device, mode, window_us=spec_dev.limited_window_us
-                )
-            else:
-                stack.discovery.set_discoverability(device, mode)
-            stack.discovery.set_connectability(
-                device, ConnectabilityMode(spec_dev.connectability)
+            self._set_modes(
+                device,
+                spec_dev.discoverability,
+                spec_dev.connectability,
+                spec_dev.limited_window_us,
             )
             if spec_dev.pin is not None:
-                stack.links.set_pin(spec_dev.address, Pin.from_text(spec_dev.pin))
+                stack.links.set_pin(spec_dev.address, spec_dev.pin)
             if spec_dev.role is not None:
                 stack.hdp.set_role(spec_dev.address, spec_dev.role)
             if spec_dev.sink_whitelist is not None:
-                stack.hdp.set_sink_whitelist(
-                    spec_dev.address,
-                    {Specialization[s.upper()] for s in spec_dev.sink_whitelist},
-                )
+                stack.hdp.set_sink_whitelist(spec_dev.address, spec_dev.sink_whitelist)
             if spec_dev.rate_cap_bps is not None:
                 stack.links.set_rate_cap(spec_dev.address, spec_dev.rate_cap_bps)
 
-    # -- actions ------------------------------------------------------------
+    def _set_modes(
+        self,
+        device: Device,
+        discoverability: Optional[DiscoverabilityMode],
+        connectability: Optional[ConnectabilityMode],
+        window_us: Optional[int],
+    ) -> None:
+        if discoverability is not None:
+            self.stack.discovery.set_discoverability(device, discoverability, window_us)
+        if connectability is not None:
+            self.stack.discovery.set_connectability(device, connectability)
+
+    # -- actions: one handler per scenario.ACTIONS entry ----------------------
 
     def _run_action(self, action: dict) -> None:
-        try:
-            self._dispatch(action)
-        except _ACTION_ERRORS as exc:
-            self.stack.engine.emit(
-                "error",
-                None,
-                action=action["action"],
-                error=type(exc).__name__,
-                detail=str(exc),
-            )
+        self._attempt(action["action"], HANDLERS[action["action"]], self, action)
         self._check_invariants()
 
-    def _dispatch(self, action: dict) -> None:
+    def _attempt(self, kind: str, fn: Callable[..., object], *args) -> None:
+        """Call ``fn(*args)``; a failure becomes an ``error`` event."""
+        try:
+            fn(*args)
+        except _ACTION_ERRORS as exc:
+            self.stack.engine.emit(
+                "error", None, action=kind, error=type(exc).__name__, detail=str(exc)
+            )
+
+    def _set_mode(self, action: dict) -> None:
+        self._set_modes(
+            self.stack.engine.device(action["device"]),
+            action["discoverability"],
+            action["connectability"],
+            action["window_us"],
+        )
+
+    def _start_inquiry(self, action: dict) -> None:
+        device = self.stack.engine.device(action["device"])
+        self.stack.discovery.start_inquiry(device, action["duration_us"])
+
+    def _page(self, action: dict) -> None:
+        self.stack.links.page(self.stack.engine.device(action["device"]), action["target"])
+
+    def _associate(self, action: dict) -> None:
         stack = self.stack
-        engine = stack.engine
-        kind = action["action"]
-        if kind == "run_until":
-            return
-        if kind == "set_mode":
-            device = engine.device(action["device"])
-            if "discoverability" in action:
-                mode = DiscoverabilityMode(action["discoverability"])
-                if mode is DiscoverabilityMode.LIMITED:
-                    stack.discovery.set_discoverability(
-                        device, mode, window_us=action["window_us"]
-                    )
-                else:
-                    stack.discovery.set_discoverability(device, mode)
-            if "connectability" in action:
-                stack.discovery.set_connectability(
-                    device, ConnectabilityMode(action["connectability"])
-                )
-        elif kind == "start_inquiry":
-            stack.discovery.start_inquiry(
-                engine.device(action["device"]), action["duration_us"]
+        source = stack.engine.device(action["source"])
+        sink = stack.engine.device(action["sink"])
+        stack.mcap.open_control_channel(source, sink)
+        self._assocs[(source.address, sink.address)] = stack.hdp.associate(
+            source, sink, action["specialization"], action["auto_reconnect"]
+        )
+
+    def _send_measurement(self, action: dict) -> None:
+        engine = self.stack.engine
+        send = self.stack.hdp.send_measurement
+        assoc = self._assoc_for(action)
+        readings = action["readings"]
+        send(assoc, readings)
+        for i in range(1, action["count"]):
+            engine.schedule(
+                engine.now + i * action["interval_us"],
+                lambda: self._attempt("send_measurement", send, assoc, readings),
             )
-        elif kind == "page":
-            stack.links.page(engine.device(action["device"]), action["target"])
-        elif kind == "associate":
-            source = engine.device(action["source"])
-            sink = engine.device(action["sink"])
-            if stack.mcap.controls.get(pair_key(source.address, sink.address)) is None:
-                stack.mcap.open_control_channel(source, sink)
-            assoc = stack.hdp.associate(
-                source, sink, Specialization[action["specialization"].upper()]
-            )
-            self._assocs[(source.address, sink.address)] = assoc
-        elif kind == "send_measurement":
-            assoc = self._assoc_for(action)
-            readings = action["readings"]
-            count = action.get("count", 1)
-            interval = action.get("interval_us", 1_000_000)
-            stack.hdp.send_measurement(assoc, readings)
-            for i in range(1, count):
-                engine.schedule(
-                    engine.now + i * interval,
-                    lambda a=assoc, r=readings: self._timed_send(a, r),
-                )
-        elif kind == "move_device":
-            x, y = action["position"]
-            engine.move_device(action["device"], (float(x), float(y)))
-        elif kind == "drop_link":
-            stack.links.drop_link(action["a"], action["b"])
-        elif kind == "admit_traffic":
-            requested = {}
-            for key, bps in action["requested"].items():
-                requested[DeviceAddress.parse(key)] = bps
-            stack.links.admit_traffic(action["master"], requested)
-        elif kind == "release":
-            assoc = self._assoc_for(action)
-            stack.hdp.release(assoc)
-        elif kind == "request_channel":
-            validate_channel_kind(ChannelKind(action["kind"]))
-            source = engine.device(action["source"])
-            sink = engine.device(action["sink"])
-            control = stack.mcap.controls.get(pair_key(source.address, sink.address))
-            if control is None:
-                control = stack.mcap.open_control_channel(source, sink)
-            stack.mcap.create_data_channel(control, source, reliable=False)
-        else:
-            raise ValueError(f"unhandled action {kind}")
+
+    def _move_device(self, action: dict) -> None:
+        self.stack.engine.move_device(action["device"], action["position"])
+
+    def _drop_link(self, action: dict) -> None:
+        self.stack.links.drop_link(action["a"], action["b"])
+
+    def _admit_traffic(self, action: dict) -> None:
+        self.stack.links.admit_traffic(action["master"], action["requested"])
+
+    def _release(self, action: dict) -> None:
+        self.stack.hdp.release(self._assoc_for(action))
+
+    def _request_channel(self, action: dict) -> None:
+        validate_channel_kind(action["kind"])
+        source = self.stack.engine.device(action["source"])
+        sink = self.stack.engine.device(action["sink"])
+        control = self.stack.mcap.open_control_channel(source, sink)
+        self.stack.mcap.create_data_channel(control, source, reliable=False)
+
+    def _run_until(self, action: dict) -> None:
+        """Nothing to do: its ``t_us`` only sets the horizon."""
 
     def _assoc_for(self, action: dict) -> Association:
         key = (action["source"], action["sink"])
@@ -219,18 +203,6 @@ class ScenarioRun:
                 f"no association between {action['source']} and {action['sink']}"
             )
         return assoc
-
-    def _timed_send(self, assoc: Association, readings: dict) -> None:
-        try:
-            self.stack.hdp.send_measurement(assoc, readings)
-        except _ACTION_ERRORS as exc:
-            self.stack.engine.emit(
-                "error",
-                None,
-                action="send_measurement",
-                error=type(exc).__name__,
-                detail=str(exc),
-            )
 
     def _check_invariants(self) -> None:
         problems = self.stack.links.topology_violations()
@@ -258,6 +230,21 @@ class ScenarioRun:
                 engine.now,
             )
         return engine.trace, report
+
+
+HANDLERS: dict[str, Callable[[ScenarioRun, dict], None]] = {
+    "set_mode": ScenarioRun._set_mode,
+    "start_inquiry": ScenarioRun._start_inquiry,
+    "page": ScenarioRun._page,
+    "associate": ScenarioRun._associate,
+    "send_measurement": ScenarioRun._send_measurement,
+    "move_device": ScenarioRun._move_device,
+    "drop_link": ScenarioRun._drop_link,
+    "admit_traffic": ScenarioRun._admit_traffic,
+    "release": ScenarioRun._release,
+    "request_channel": ScenarioRun._request_channel,
+    "run_until": ScenarioRun._run_until,
+}
 
 
 def run_scenario(

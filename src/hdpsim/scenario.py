@@ -2,43 +2,33 @@
 
 A scenario declares the devices (with initial radio modes, optional PIN,
 role, and whitelist), the medium, parameter overrides, and a timeline of
-timed actions. Validation resolves every cross-reference and reports the
-offending field and rule by name; JSON syntax errors surface with line and
-column.
+timed actions. The schema is data: ``DEVICE_FIELDS``, ``MEDIUM_FIELDS`` and
+``ACTIONS`` map each field to its check, whether it is required and its
+default. One loop, ``_fields``, applies a table: it rejects keys the table
+does not list, checks each field present, and fills each absent one (or
+``null``) with its default. Checks return typed values: addresses as
+``DeviceAddress``, modes, specializations and channel kinds as their enums,
+PINs as ``Pin``. The runner therefore parses nothing again. The few rules
+that span fields keep one small hook each (the limited window in
+``_validate_device``, and ``_ACTION_RULES``). Rules owned by a constructor
+(``SimParams``, ``DeviceName``, ``Pin``) are checked by building the value.
+Every error names the offending field and rule; JSON syntax errors surface
+with line and column.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
-from typing import Any, Optional
+import math
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
-from .core import DeviceAddress, MalformedAddress, parse_address
+from .core import DeviceAddress, DeviceName, MalformedAddress, parse_address
 from .discovery import ConnectabilityMode, DiscoverabilityMode
-from .hdp import Specialization
-from .params import SimParams
-
-VALID_DISCOVERABILITY = tuple(m.value for m in DiscoverabilityMode)
-VALID_CONNECTABILITY = tuple(m.value for m in ConnectabilityMode)
-VALID_SPECIALIZATIONS = tuple(s.name.lower() for s in Specialization)
-
-# action name -> required fields (beyond t_us/action)
-ACTIONS: dict[str, tuple[str, ...]] = {
-    "set_mode": ("device",),
-    "start_inquiry": ("device", "duration_us"),
-    "page": ("device", "target"),
-    "associate": ("source", "sink", "specialization"),
-    "send_measurement": ("source", "sink", "readings"),
-    "move_device": ("device", "position"),
-    "drop_link": ("a", "b"),
-    "admit_traffic": ("master", "requested"),
-    "release": ("source", "sink"),
-    "request_channel": ("source", "sink", "kind"),
-    "run_until": (),
-}
-
-_ADDRESS_FIELDS = ("device", "target", "source", "sink", "a", "b", "master")
+from .hdp import ChannelKind, Specialization
+from .params import ParamError, SimParams
+from .security import Pin
 
 
 class ParseError(Exception):
@@ -59,55 +49,12 @@ class ValidationError(Exception):
         self.rule = rule
 
 
-@dataclass
-class ScenarioDevice:
-    address: DeviceAddress
-    name: str
-    position: tuple[float, float] = (0.0, 0.0)
-    radio_range_m: float = 10.0
-    clock_offset_us: int = 0
-    discoverability: str = "discoverable"
-    limited_window_us: Optional[int] = None
-    connectability: str = "connectable"
-    pin: Optional[str] = None
-    role: Optional[str] = None
-    sink_whitelist: Optional[list[str]] = None
-    rate_cap_bps: Optional[int] = None
+def _require(condition: bool, fld: str, rule: str) -> None:
+    if not condition:
+        raise ValidationError(fld, rule)
 
 
-@dataclass
-class Scenario:
-    name: str
-    devices: list[ScenarioDevice]
-    medium: dict[str, Any] = field(default_factory=dict)
-    overrides: dict[str, int] = field(default_factory=dict)
-    timeline: list[dict[str, Any]] = field(default_factory=list)
-
-    def device(self, address: DeviceAddress) -> ScenarioDevice:
-        for dev in self.devices:
-            if dev.address == address:
-                return dev
-        raise KeyError(str(address))
-
-
-_DEVICE_KEYS = {
-    "address",
-    "name",
-    "position",
-    "radio_range_m",
-    "clock_offset_us",
-    "discoverability",
-    "limited_window_us",
-    "connectability",
-    "pin",
-    "role",
-    "sink_whitelist",
-    "rate_cap_bps",
-}
-
-_TOP_KEYS = {"name", "devices", "medium", "params", "timeline"}
-
-_MEDIUM_KEYS = {"loss_probability", "propagation_us", "jitter_us"}
+# -- field checks: (JSON value, field path) -> typed value --------------------
 
 
 def _is_int(value: Any) -> bool:
@@ -115,228 +62,315 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require(condition: bool, fld: str, rule: str) -> None:
-    if not condition:
-        raise ValidationError(fld, rule)
+def _int(low: Optional[int] = None) -> Callable[[Any, str], int]:
+    rule = "must be an integer" if low is None else f"must be an integer of at least {low}"
+
+    def check(value: Any, fld: str) -> int:
+        _require(_is_int(value) and (low is None or value >= low), fld, rule)
+        return value
+
+    return check
 
 
-def _parse_addr(fld: str, value: Any) -> DeviceAddress:
-    _require(isinstance(value, str), fld, "must be an address string")
+def _choice(options: dict[str, Any]) -> Callable[[Any, str], Any]:
+    rule = f"must be one of {tuple(options)}"
+
+    def check(value: Any, fld: str) -> Any:
+        _require(isinstance(value, str) and value in options, fld, rule)
+        return options[value]
+
+    return check
+
+
+def _address(value: Any, fld: str) -> DeviceAddress:
     try:
         return parse_address(value)
     except MalformedAddress as exc:
         raise ValidationError(fld, f"not a valid address: {exc}") from exc
 
 
+def _built(make: Callable[[str], Any], value: Any, fld: str) -> Any:
+    """``make(value)`` for a string whose rule ``make`` owns; its ValueError
+    becomes the rule."""
+    _require(isinstance(value, str), fld, "must be a string")
+    try:
+        return make(value)
+    except ValueError as exc:
+        raise ValidationError(fld, str(exc)) from exc
+
+
+def _name(value: Any, fld: str) -> str:
+    return _built(DeviceName, value, fld).text
+
+
+def _pin(value: Any, fld: str) -> Pin:
+    return _built(Pin.from_text, value, fld)
+
+
+def _number(value: Any, fld: str, rule: str, low=-math.inf, high=math.inf) -> float:
+    _require(isinstance(value, (int, float)), fld, rule)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.nan
+    _require(low <= number <= high, fld, rule)
+    return number
+
+
+def _range_m(value: Any, fld: str) -> float:
+    return _number(value, fld, "must be a non-negative number", low=0.0)
+
+
+def _probability(value: Any, fld: str) -> float:
+    return _number(value, fld, "must be in [0, 1]", 0.0, 1.0)
+
+
+def _position(value: Any, fld: str) -> tuple[float, float]:
+    _require(isinstance(value, list) and len(value) == 2, fld, "must be [x, y]")
+    return tuple(_number(v, fld, "must be [x, y]") for v in value)
+
+
+def _bool(value: Any, fld: str) -> bool:
+    _require(isinstance(value, bool), fld, "must be true or false")
+    return value
+
+
+_discoverability = _choice({m.value: m for m in DiscoverabilityMode})
+_connectability = _choice({m.value: m for m in ConnectabilityMode})
+_specialization = _choice({s.name.lower(): s for s in Specialization})
+_non_negative = _int(0)
+_positive = _int(1)
+
+
+def _whitelist(value: Any, fld: str) -> frozenset[Specialization]:
+    _require(isinstance(value, list), fld, "must be a list of specialization names")
+    return frozenset(_specialization(v, f"{fld}[{i}]") for i, v in enumerate(value))
+
+
+def _readings(value: Any, fld: str) -> dict[str, float]:
+    _require(
+        isinstance(value, dict)
+        and value
+        and all(isinstance(v, (int, float)) for v in value.values()),
+        fld,
+        "must be a non-empty object of numbers",
+    )
+    return value
+
+
+def _rates(value: Any, fld: str) -> dict[DeviceAddress, int]:
+    _require(
+        isinstance(value, dict) and value, fld, "must be a non-empty object of address -> bps"
+    )
+    return {
+        _address(key, f"{fld}[{key}]"): _non_negative(bps, f"{fld}[{key}]")
+        for key, bps in value.items()
+    }
+
+
+# -- the schema -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Field:
+    """One schema field: its check, whether it is required, and its default."""
+
+    check: Callable[[Any, str], Any]
+    required: bool = False
+    default: Any = None
+
+
+_ADDRESS = Field(_address, required=True)
+
+DEVICE_FIELDS: dict[str, Field] = {
+    "address": _ADDRESS,
+    "name": Field(_name),  # defaults to the address text, see _validate_device
+    "position": Field(_position, default=(0.0, 0.0)),
+    "radio_range_m": Field(_range_m, default=10.0),
+    "clock_offset_us": Field(_int(), default=0),
+    "discoverability": Field(_discoverability, default=DiscoverabilityMode.DISCOVERABLE),
+    "limited_window_us": Field(_positive),
+    "connectability": Field(_connectability, default=ConnectabilityMode.CONNECTABLE),
+    "pin": Field(_pin),
+    "role": Field(_choice({"source": "source", "sink": "sink"})),
+    "sink_whitelist": Field(_whitelist),
+    "rate_cap_bps": Field(_positive),
+}
+
+MEDIUM_FIELDS: dict[str, Field] = {
+    "loss_probability": Field(_probability, default=0.0),
+    "propagation_us": Field(_positive, default=1),
+    "jitter_us": Field(_non_negative, default=0),
+}
+
+# action name -> its fields beyond t_us and action
+ACTIONS: dict[str, dict[str, Field]] = {
+    "set_mode": {
+        "device": _ADDRESS,
+        "discoverability": Field(_discoverability),
+        "connectability": Field(_connectability),
+        "window_us": Field(_positive),
+    },
+    "start_inquiry": {"device": _ADDRESS, "duration_us": Field(_positive, required=True)},
+    "page": {"device": _ADDRESS, "target": _ADDRESS},
+    "associate": {
+        "source": _ADDRESS,
+        "sink": _ADDRESS,
+        "specialization": Field(_specialization, required=True),
+        "auto_reconnect": Field(_bool, default=True),
+    },
+    "send_measurement": {
+        "source": _ADDRESS,
+        "sink": _ADDRESS,
+        "readings": Field(_readings, required=True),
+        "count": Field(_positive, default=1),
+        "interval_us": Field(_positive, default=1_000_000),
+    },
+    "move_device": {"device": _ADDRESS, "position": Field(_position, required=True)},
+    "drop_link": {"a": _ADDRESS, "b": _ADDRESS},
+    "admit_traffic": {"master": _ADDRESS, "requested": Field(_rates, required=True)},
+    "release": {"source": _ADDRESS, "sink": _ADDRESS},
+    "request_channel": {
+        "source": _ADDRESS,
+        "sink": _ADDRESS,
+        "kind": Field(_choice({k.value: k for k in ChannelKind}), required=True),
+    },
+    "run_until": {},
+}
+
+_TIMED = {
+    "t_us": Field(_non_negative, required=True),
+    "action": Field(_choice({kind: kind for kind in ACTIONS}), required=True),
+}
+_ACTION_TABLES = {kind: {**_TIMED, **fields} for kind, fields in ACTIONS.items()}
+
+_TOP_KEYS = {"name", "devices", "medium", "params", "timeline"}
+
+_PARAM_NAMES = {f.name for f in dataclasses.fields(SimParams)}
+
+
+def _fields(table: dict[str, Field], raw: Any, where: str) -> dict[str, Any]:
+    """Apply one schema table to a JSON object; ``null`` counts as absent."""
+    _require(isinstance(raw, dict), where, "must be an object")
+    for key in raw:
+        if key not in table:
+            raise ValidationError(f"{where}.{key}", "unknown key")
+    out = {}
+    for key, spec in table.items():
+        value = raw.get(key)
+        if value is not None:
+            out[key] = spec.check(value, f"{where}.{key}")
+        elif spec.required:
+            raise ValidationError(f"{where}.{key}", "is required")
+        else:
+            out[key] = spec.default
+    return out
+
+
+# -- rules that span fields ---------------------------------------------------------
+
+
+def _limited_window(mode: Optional[DiscoverabilityMode], window: Optional[int], fld: str) -> None:
+    _require(
+        mode is not DiscoverabilityMode.LIMITED or window is not None,
+        fld,
+        "limited discoverability requires a positive window",
+    )
+
+
+def _set_mode_rules(values: dict[str, Any], where: str, known: set[DeviceAddress]) -> None:
+    _require(
+        values["discoverability"] is not None or values["connectability"] is not None,
+        where,
+        "set_mode needs discoverability and/or connectability",
+    )
+    _limited_window(values["discoverability"], values["window_us"], f"{where}.window_us")
+
+
+def _admit_traffic_rules(values: dict[str, Any], where: str, known: set[DeviceAddress]) -> None:
+    for address in values["requested"]:
+        if address not in known:
+            raise ValidationError(
+                f"{where}.requested[{address}]", f"references undefined device {address}"
+            )
+
+
+_ACTION_RULES: dict[str, Callable[[dict[str, Any], str, set[DeviceAddress]], None]] = {
+    "set_mode": _set_mode_rules,
+    "admit_traffic": _admit_traffic_rules,
+}
+
+
+# -- documents ----------------------------------------------------------------------
+
+
+@dataclass
+class ScenarioDevice:
+    """One device entry, typed as ``DEVICE_FIELDS`` checks it."""
+
+    address: DeviceAddress
+    name: str
+    position: tuple[float, float]
+    radio_range_m: float
+    clock_offset_us: int
+    discoverability: DiscoverabilityMode
+    limited_window_us: Optional[int]
+    connectability: ConnectabilityMode
+    pin: Optional[Pin]
+    role: Optional[str]
+    sink_whitelist: Optional[frozenset[Specialization]]
+    rate_cap_bps: Optional[int]
+
+
+@dataclass
+class Scenario:
+    name: str
+    devices: list[ScenarioDevice]
+    medium: dict[str, Any]  # MEDIUM_FIELDS, defaults filled in
+    params: SimParams
+    timeline: list[dict[str, Any]]  # one ACTIONS table each, plus t_us and action
+
+
 def _validate_device(index: int, raw: Any) -> ScenarioDevice:
     where = f"devices[{index}]"
-    _require(isinstance(raw, dict), where, "must be an object")
-    unknown = set(raw) - _DEVICE_KEYS
-    _require(not unknown, where, f"unknown key(s): {sorted(unknown)}")
-    _require("address" in raw, f"{where}.address", "is required")
-    address = _parse_addr(f"{where}.address", raw["address"])
-    name = raw.get("name", str(address))
-    _require(isinstance(name, str), f"{where}.name", "must be a string")
-    position = raw.get("position", [0.0, 0.0])
-    _require(
-        isinstance(position, list)
-        and len(position) == 2
-        and all(isinstance(v, (int, float)) for v in position),
-        f"{where}.position",
-        "must be [x, y]",
+    values = _fields(DEVICE_FIELDS, raw, where)
+    _limited_window(
+        values["discoverability"], values["limited_window_us"], f"{where}.limited_window_us"
     )
-    radio_range = raw.get("radio_range_m", 10.0)
-    _require(
-        isinstance(radio_range, (int, float)) and radio_range >= 0,
-        f"{where}.radio_range_m",
-        "must be a non-negative number",
-    )
-    offset = raw.get("clock_offset_us", 0)
-    _require(
-        _is_int(offset), f"{where}.clock_offset_us", "must be an integer"
-    )
-    disc = raw.get("discoverability", "discoverable")
-    _require(
-        disc in VALID_DISCOVERABILITY,
-        f"{where}.discoverability",
-        f"must be one of {VALID_DISCOVERABILITY}",
-    )
-    window = raw.get("limited_window_us")
-    if disc == "limited":
-        _require(
-            _is_int(window) and window > 0,
-            f"{where}.limited_window_us",
-            "limited discoverability requires a positive window",
-        )
-    conn = raw.get("connectability", "connectable")
-    _require(
-        conn in VALID_CONNECTABILITY,
-        f"{where}.connectability",
-        f"must be one of {VALID_CONNECTABILITY}",
-    )
-    pin = raw.get("pin")
-    if pin is not None:
-        _require(
-            isinstance(pin, str) and 1 <= len(pin.encode("utf-8")) <= 16,
-            f"{where}.pin",
-            "must be a 1..16 byte string",
-        )
-    role = raw.get("role")
-    if role is not None:
-        _require(
-            role in ("source", "sink"), f"{where}.role", "must be 'source' or 'sink'"
-        )
-    whitelist = raw.get("sink_whitelist")
-    if whitelist is not None:
-        _require(
-            isinstance(whitelist, list)
-            and all(s in VALID_SPECIALIZATIONS for s in whitelist),
-            f"{where}.sink_whitelist",
-            f"entries must be from {VALID_SPECIALIZATIONS}",
-        )
-    cap = raw.get("rate_cap_bps")
-    if cap is not None:
-        _require(
-            _is_int(cap) and cap > 0,
-            f"{where}.rate_cap_bps",
-            "must be a positive integer",
-        )
-    return ScenarioDevice(
-        address=address,
-        name=name,
-        position=(float(position[0]), float(position[1])),
-        radio_range_m=float(radio_range),
-        clock_offset_us=offset,
-        discoverability=disc,
-        limited_window_us=window,
-        connectability=conn,
-        pin=pin,
-        role=role,
-        sink_whitelist=list(whitelist) if whitelist is not None else None,
-        rate_cap_bps=cap,
-    )
+    if values["name"] is None:
+        values["name"] = str(values["address"])
+    return ScenarioDevice(**values)
 
 
 def _validate_action(index: int, raw: Any, known: set[DeviceAddress]) -> dict[str, Any]:
     where = f"timeline[{index}]"
     _require(isinstance(raw, dict), where, "must be an object")
-    _require("t_us" in raw, f"{where}.t_us", "is required")
-    _require(
-        _is_int(raw["t_us"]) and raw["t_us"] >= 0,
-        f"{where}.t_us",
-        "must be a non-negative integer",
-    )
     _require("action" in raw, f"{where}.action", "is required")
-    action = raw["action"]
+    kind = raw["action"]
     _require(
-        action in ACTIONS,
+        isinstance(kind, str) and kind in ACTIONS,
         f"{where}.action",
         f"unknown action; must be one of {sorted(ACTIONS)}",
     )
-    for req in ACTIONS[action]:
-        _require(req in raw, f"{where}.{req}", f"required by action '{action}'")
-    out = dict(raw)
-    for fld in _ADDRESS_FIELDS:
-        if fld in raw:
-            address = _parse_addr(f"{where}.{fld}", raw[fld])
-            _require(
-                address in known,
-                f"{where}.{fld}",
-                f"references undefined device {address}",
-            )
-            out[fld] = address
-    if action == "associate":
-        _require(
-            raw["specialization"] in VALID_SPECIALIZATIONS,
-            f"{where}.specialization",
-            f"must be one of {VALID_SPECIALIZATIONS}",
-        )
-    if action == "send_measurement":
-        readings = raw["readings"]
-        _require(
-            isinstance(readings, dict)
-            and readings
-            and all(isinstance(v, (int, float)) for v in readings.values()),
-            f"{where}.readings",
-            "must be a non-empty object of numbers",
-        )
-        count = raw.get("count", 1)
-        _require(
-            _is_int(count) and count >= 1,
-            f"{where}.count",
-            "must be a positive integer",
-        )
-        interval = raw.get("interval_us", 1_000_000)
-        _require(
-            _is_int(interval) and interval > 0,
-            f"{where}.interval_us",
-            "must be a positive integer",
-        )
-    if action == "start_inquiry":
-        _require(
-            _is_int(raw["duration_us"]) and raw["duration_us"] > 0,
-            f"{where}.duration_us",
-            "must be a positive integer",
-        )
-    if action == "move_device":
-        position = raw["position"]
-        _require(
-            isinstance(position, list)
-            and len(position) == 2
-            and all(isinstance(v, (int, float)) for v in position),
-            f"{where}.position",
-            "must be [x, y]",
-        )
-    if action == "set_mode":
-        _require(
-            "discoverability" in raw or "connectability" in raw,
-            where,
-            "set_mode needs discoverability and/or connectability",
-        )
-        if "discoverability" in raw:
-            _require(
-                raw["discoverability"] in VALID_DISCOVERABILITY,
-                f"{where}.discoverability",
-                f"must be one of {VALID_DISCOVERABILITY}",
-            )
-            if raw["discoverability"] == "limited":
-                _require(
-                    _is_int(raw.get("window_us")) and raw["window_us"] > 0,
-                    f"{where}.window_us",
-                    "limited discoverability requires a positive window",
-                )
-        if "connectability" in raw:
-            _require(
-                raw["connectability"] in VALID_CONNECTABILITY,
-                f"{where}.connectability",
-                f"must be one of {VALID_CONNECTABILITY}",
-            )
-    if action == "request_channel":
-        _require(
-            raw["kind"] in ("data", "audio"),
-            f"{where}.kind",
-            "must be 'data' or 'audio'",
-        )
-    if action == "admit_traffic":
-        requested = raw["requested"]
-        _require(
-            isinstance(requested, dict) and requested,
-            f"{where}.requested",
-            "must be a non-empty object of address -> bps",
-        )
-        for key, bps in requested.items():
-            address = _parse_addr(f"{where}.requested[{key}]", key)
-            _require(
-                address in known,
-                f"{where}.requested[{key}]",
-                f"references undefined device {address}",
-            )
-            _require(
-                _is_int(bps) and bps >= 0,
-                f"{where}.requested[{key}]",
-                "rate must be a non-negative integer",
-            )
-    return out
+    values = _fields(_ACTION_TABLES[kind], raw, where)
+    for key, value in values.items():
+        if isinstance(value, DeviceAddress) and value not in known:
+            raise ValidationError(f"{where}.{key}", f"references undefined device {value}")
+    rules = _ACTION_RULES.get(kind)
+    if rules is not None:
+        rules(values, where, known)
+    return values
+
+
+def _validate_params(raw: Any) -> SimParams:
+    _require(isinstance(raw, dict), "params", "must be an object")
+    for key, value in raw.items():
+        _require(key in _PARAM_NAMES, f"params.{key}", "unknown parameter")
+        _require(_is_int(value), f"params.{key}", "must be an integer")
+    try:
+        return SimParams.with_overrides(raw)
+    except ParamError as exc:
+        raise ValidationError(f"params.{exc.name}", str(exc)) from exc
 
 
 def validate_scenario(raw: Any) -> Scenario:
@@ -360,35 +394,8 @@ def validate_scenario(raw: Any) -> Scenario:
             f"duplicate address {dev.address}",
         )
         seen.add(dev.address)
-    medium = raw.get("medium", {})
-    _require(isinstance(medium, dict), "medium", "must be an object")
-    unknown = set(medium) - _MEDIUM_KEYS
-    _require(not unknown, "medium", f"unknown key(s): {sorted(unknown)}")
-    if "loss_probability" in medium:
-        p = medium["loss_probability"]
-        _require(
-            isinstance(p, (int, float)) and 0.0 <= p <= 1.0,
-            "medium.loss_probability",
-            "must be in [0, 1]",
-        )
-    for key in ("propagation_us", "jitter_us"):
-        if key in medium:
-            _require(
-                _is_int(medium[key]) and medium[key] >= (1 if key == "propagation_us" else 0),
-                f"medium.{key}",
-                "must be a non-negative integer (propagation at least 1)",
-            )
-    overrides = raw.get("params", {})
-    _require(isinstance(overrides, dict), "params", "must be an object")
-    known_params = {f.name for f in dataclasses.fields(SimParams)}
-    for key, value in overrides.items():
-        _require(key in known_params, f"params.{key}", "unknown parameter")
-        floor = 0 if key == "freq_low" else 1
-        _require(
-            _is_int(value) and value >= floor,
-            f"params.{key}",
-            f"must be an integer of at least {floor}",
-        )
+    medium = _fields(MEDIUM_FIELDS, raw.get("medium", {}), "medium")
+    params = _validate_params(raw.get("params", {}))
     timeline_raw = raw.get("timeline", [])
     _require(isinstance(timeline_raw, list), "timeline", "must be a list")
     timeline = [_validate_action(i, a, seen) for i, a in enumerate(timeline_raw)]
@@ -401,11 +408,7 @@ def validate_scenario(raw: Any) -> Scenario:
         )
         last_t = action["t_us"]
     return Scenario(
-        name=name,
-        devices=devices,
-        medium=dict(medium),
-        overrides=dict(overrides),
-        timeline=timeline,
+        name=name, devices=devices, medium=medium, params=params, timeline=timeline
     )
 
 

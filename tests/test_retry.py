@@ -217,6 +217,23 @@ def test_association_released_before_its_request_times_out_stays_quiet():
     assert not [e for e in stack.engine.trace if e.ev == "assoc_failed"]
 
 
+def test_rejected_association_is_released_once_and_removes_its_observer():
+    stack = make_stack()
+    a, b, link, _ = control_pair(stack)
+    observers = len(link._observers)
+    assoc = stack.hdp.associate(a, b, Specialization.HEART_RATE)
+    stack.hdp.set_sink_whitelist(b.address, {Specialization.THERMOMETER})
+    stack.engine.run_until(stack.engine.now + 1_000_000)
+    assert_nothing_pending(stack)
+    assert assoc.state is AssocState.RELEASED
+    assert len(link._observers) == observers
+    failed = [e for e in stack.engine.trace if e.ev == "assoc_failed"]
+    assert [(e.dev, e.detail) for e in failed] == [
+        (str(a.address), {"assoc_id": assoc.assoc_id, "reason": "rejected"})
+    ]
+    assert stack.hdp.associations[assoc.assoc_id] is assoc
+
+
 # -- mcap lets real bugs through --------------------------------------------------
 
 

@@ -1,17 +1,28 @@
 from __future__ import annotations
 
+import copy
 import json
+import pathlib
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hdpsim.core import DeviceAddress
+from hdpsim.discovery import ConnectabilityMode, DiscoverabilityMode
+from hdpsim.hdp import ChannelKind, Specialization
 from hdpsim.metrics import compute_metrics, emit_metrics, metrics_json
-from hdpsim.runner import run_scenario
+from hdpsim.runner import HANDLERS, ScenarioRun, run_scenario
 from hdpsim.scenario import (
+    ACTIONS,
+    DEVICE_FIELDS,
     ParseError,
     ValidationError,
     load_scenario,
     validate_scenario,
 )
+from hdpsim.security import Pin
 
 SOURCE = "AA:00:00:00:00:01"
 SINK = "AA:00:00:00:00:02"
@@ -135,6 +146,14 @@ def test_parse_error_reports_line_and_column(tmp_path):
             "[0, 1]",
         ),
         (lambda d: d.update(params={"warp_speed": 9}), "params.warp_speed", "unknown"),
+        (
+            lambda d: d.update(params={"freq_low": 5, "freq_high": 3}),
+            "params.freq_high",
+            "from freq_low to 31",
+        ),
+        (lambda d: d.update(params={"freq_high": 40}), "params.freq_high", "31"),
+        (lambda d: d["devices"][0].update(name="x" * 249), "devices[0].name", "248"),
+        (lambda d: d["devices"][0].update(position=[10**400, 0]), "devices[0].position", "[x, y]"),
     ],
 )
 def test_validation_error_names_field_and_rule(mutate, field_part, rule_part):
@@ -168,6 +187,241 @@ def test_json_booleans_are_not_integers(mutate, field):
     with pytest.raises(ValidationError) as info:
         validate_scenario(doc)
     assert info.value.field == field
+
+
+READINGS = {
+    "heart_rate_bpm": 70.0,
+    "filling_duration_ms": 150.0,
+    "ascending_wave_index_pct": 12.0,
+}
+
+# One valid example of each action, every field of its table set.
+ACTION_EXAMPLES = {
+    "set_mode": {
+        "device": SOURCE,
+        "discoverability": "limited",
+        "connectability": "connectable",
+        "window_us": 1_000,
+    },
+    "start_inquiry": {"device": SINK, "duration_us": 100_000},
+    "page": {"device": SINK, "target": SOURCE},
+    "associate": {
+        "source": SOURCE,
+        "sink": SINK,
+        "specialization": "heart_rate",
+        "auto_reconnect": True,
+    },
+    "send_measurement": {
+        "source": SOURCE,
+        "sink": SINK,
+        "readings": READINGS,
+        "count": 2,
+        "interval_us": 100_000,
+    },
+    "move_device": {"device": SOURCE, "position": [0.5, 0.0]},
+    "drop_link": {"a": SOURCE, "b": SINK},
+    "admit_traffic": {"master": SINK, "requested": {SOURCE: 1_000}},
+    "release": {"source": SOURCE, "sink": SINK},
+    "request_channel": {"source": SOURCE, "sink": SINK, "kind": "data"},
+    "run_until": {},
+}
+
+
+def test_action_examples_set_every_field_of_the_table():
+    assert {k: set(v) for k, v in ACTION_EXAMPLES.items()} == {
+        k: set(v) for k, v in ACTIONS.items()
+    }
+
+
+def test_runner_handles_exactly_the_actions_in_the_table():
+    assert set(HANDLERS) == set(ACTIONS)
+
+
+@pytest.mark.parametrize("kind", sorted(ACTIONS))
+def test_unknown_action_key_is_rejected_by_name(kind):
+    action = {"t_us": 0, "action": kind, **ACTION_EXAMPLES[kind], "tyop": 1}
+    with pytest.raises(ValidationError) as info:
+        validate_scenario(minimal_scenario(timeline=[action]))
+    assert info.value.field == "timeline[0].tyop"
+    assert info.value.rule == "unknown key"
+
+
+@pytest.mark.parametrize("value", ["maybe", 1, 0, []])
+def test_auto_reconnect_must_be_a_boolean(value):
+    action = {"t_us": 0, "action": "associate", **ACTION_EXAMPLES["associate"]}
+    action["auto_reconnect"] = value
+    with pytest.raises(ValidationError) as info:
+        validate_scenario(minimal_scenario(timeline=[action]))
+    assert info.value.field == "timeline[0].auto_reconnect"
+
+
+def test_validation_returns_typed_values_with_defaults_filled():
+    doc = minimal_scenario(
+        timeline=[
+            {"t_us": 0, "action": kind, **fields}
+            for kind, fields in ACTION_EXAMPLES.items()
+        ]
+    )
+    del doc["timeline"][3]["auto_reconnect"]
+    del doc["timeline"][4]["count"], doc["timeline"][4]["interval_us"]
+    doc["devices"][1]["sink_whitelist"] = ["heart_rate"]
+    scenario = validate_scenario(doc)
+    source, sink = scenario.devices
+    assert source.address == DeviceAddress.parse(SOURCE)
+    assert source.discoverability is DiscoverabilityMode.DISCOVERABLE
+    assert source.connectability is ConnectabilityMode.CONNECTABLE
+    assert source.position == (0.0, 0.0) and source.radio_range_m == 10.0
+    assert source.pin == Pin.from_text("1234")
+    assert sink.sink_whitelist == {Specialization.HEART_RATE}
+    assert scenario.medium == {"loss_probability": 0.0, "propagation_us": 1, "jitter_us": 0}
+    by_kind = {a["action"]: a for a in scenario.timeline}
+    assert by_kind["set_mode"]["discoverability"] is DiscoverabilityMode.LIMITED
+    assert by_kind["page"]["target"] == DeviceAddress.parse(SOURCE)
+    assert by_kind["associate"]["specialization"] is Specialization.HEART_RATE
+    assert by_kind["associate"]["auto_reconnect"] is True
+    assert by_kind["send_measurement"]["count"] == 1
+    assert by_kind["send_measurement"]["interval_us"] == 1_000_000
+    assert by_kind["move_device"]["position"] == (0.5, 0.0)
+    assert by_kind["admit_traffic"]["requested"] == {DeviceAddress.parse(SOURCE): 1_000}
+    assert by_kind["request_channel"]["kind"] is ChannelKind.DATA
+
+
+# -- the README documents the tables ------------------------------------------------
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_table(first_header: str) -> dict[str, list[str]]:
+    """First cell -> the other cells of each row of the README table whose
+    header starts with ``first_header``."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"| {first_header} |"))
+    rows = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        rows[cells[0].strip("`")] = cells[1:]
+    return rows
+
+
+def _json_default(value):
+    if isinstance(value, (DiscoverabilityMode, ConnectabilityMode)):
+        value = value.value
+    return json.dumps(list(value) if isinstance(value, tuple) else value)
+
+
+def _named_fields(cell: str) -> dict[str, str | None]:
+    """Field name -> documented default, for each `field` or `field` (`default`)."""
+    return {
+        name: default or None
+        for name, default in re.findall(r"`([a-z_]+)`(?: \(`([^`]*)`\))?", cell)
+    }
+
+
+def test_readme_action_table_matches_the_schema():
+    rows = _readme_table("action")
+    assert set(rows) == set(ACTIONS)
+    for kind, fields in ACTIONS.items():
+        required, optional = (_named_fields(cell) for cell in rows[kind][:2])
+        assert set(required) == {k for k, f in fields.items() if f.required}, kind
+        assert optional == {
+            k: None if f.default is None else _json_default(f.default)
+            for k, f in fields.items()
+            if not f.required
+        }, kind
+
+
+def test_readme_device_fields_match_the_schema():
+    rows = _readme_table("field")
+    assert set(rows) == set(DEVICE_FIELDS)
+    for name, spec in DEVICE_FIELDS.items():
+        rule, default = rows[name]
+        assert rule.startswith("required") == spec.required, name
+        if spec.default is not None:
+            assert default == f"`{_json_default(spec.default)}`", name
+
+
+# -- any mutation of a valid scenario is rejected or builds -----------------------
+
+
+def full_scenario():
+    """A valid scenario that sets every device, medium and action field."""
+    doc = minimal_scenario(
+        medium={"loss_probability": 0.01, "propagation_us": 1, "jitter_us": 2},
+        params={"freq_low": 0, "freq_high": 31, "buffer_capacity": 16},
+        timeline=[
+            {"t_us": 1_000 * i, "action": kind, **copy.deepcopy(fields)}
+            for i, (kind, fields) in enumerate(ACTION_EXAMPLES.items())
+        ],
+    )
+    doc["devices"][0].update(
+        name="sensor",
+        position=[0.0, 0.0],
+        radio_range_m=10.0,
+        clock_offset_us=300,
+        discoverability="limited",
+        limited_window_us=5_000_000,
+        connectability="connectable",
+        sink_whitelist=["heart_rate"],
+        rate_cap_bps=1_000_000,
+    )
+    return doc
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**40), 2**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=4,
+)
+LONG_NAME = "\u00e9" * 125  # 250 UTF-8 bytes
+NAMED_VALUES = st.sampled_from(
+    [SOURCE, "limited", "non_connectable", "heart_rate", "audio", LONG_NAME, "", 0, 1, 32, 10**400]
+)
+
+
+def test_full_scenario_is_valid():
+    validate_scenario(full_scenario())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(path=("params", "freq_low"), op="retype", key="tyop", value=32)
+@example(path=("devices", 0, "name"), op="retype", key="tyop", value=LONG_NAME)
+@given(
+    path=st.sampled_from(list(_paths(full_scenario()))),
+    op=st.sampled_from(["drop", "add", "retype"]),
+    key=st.sampled_from(["tyop", "name", "count", "window_us", "auto_reconnect"]),
+    value=JSON_VALUES | NAMED_VALUES,
+)
+def test_mutated_scenario_is_rejected_or_builds(path, op, key, value):
+    doc = full_scenario()
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    target = node[path[-1]] if path else doc
+    if op == "add" and isinstance(target, dict):
+        target[key] = value
+    elif path and op == "drop":
+        del node[path[-1]]
+    elif path:
+        node[path[-1]] = value
+    try:
+        scenario = validate_scenario(doc)
+    except ValidationError:
+        return
+    ScenarioRun(scenario, seed=1)
 
 
 def test_unsorted_timeline_is_rejected_with_named_rule():
@@ -278,6 +532,18 @@ def test_drop_link_action_forces_reconnect_cycle():
     assert any(e.ev == "link_restored" for e in trace)
     assert report.reconnect_handshake_msgs == [2]
     assert report.measurements.delivered == report.measurements.sent == 5
+
+
+@pytest.mark.parametrize("auto_reconnect", [True, False])
+def test_auto_reconnect_decides_whether_a_dropped_link_is_restored(auto_reconnect):
+    # Leaving auto_reconnect out is test_drop_link_action_forces_reconnect_cycle.
+    timeline = telemetry_timeline()
+    timeline[2]["auto_reconnect"] = auto_reconnect
+    timeline.insert(4, {"t_us": 700_000, "action": "drop_link", "a": SOURCE, "b": SINK})
+    timeline[-1]["t_us"] = 10_000_000
+    trace, _ = run_scenario(validate_scenario(minimal_scenario(timeline=timeline)), seed=7)
+    assert any(e.ev == "link_lost" for e in trace)
+    assert any(e.ev == "link_restored" for e in trace) is auto_reconnect
 
 
 # -- metrics shape ----------------------------------------------------------
