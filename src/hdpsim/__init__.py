@@ -69,7 +69,7 @@ from .mcap import (
     SendStatus,
     SyncTimeout,
 )
-from .metrics import MetricsReport, compute_metrics, emit_metrics, metrics_json
+from .metrics import MetricsFold, MetricsReport, compute_metrics, emit_metrics, metrics_json
 from .params import SimParams
 from .runner import InvariantViolation, Stack, build_stack, run_scenario
 from .scenario import ParseError, Scenario, ValidationError, load_scenario
@@ -116,6 +116,7 @@ __all__ = [
     "McapTimeout",
     "Measurement",
     "MediumModel",
+    "MetricsFold",
     "MetricsReport",
     "NoControlChannel",
     "NotAuthenticated",

@@ -2,6 +2,8 @@
 
 Failures print one JSON line to stderr and exit with a stable code:
 2 for scenario problems, 3 for a mid-run invariant breach, 4 for I/O.
+``simulate`` and ``demo`` write each trace line as its event is emitted and
+fold the metrics at the same moment, so a run keeps no trace in memory.
 """
 
 from __future__ import annotations
@@ -59,16 +61,16 @@ def _seed(text: str) -> int:
     return value
 
 
-def _write_outputs(
-    trace_path: str, trace_text: str, metrics_path: str, report
-) -> None:
-    with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trace_text)
-    emit_metrics(report, metrics_path)
-
-
 def _cmd_simulate(args: argparse.Namespace, scenario: Scenario) -> int:
     return _simulate(scenario, args.seed, args.until, args.trace, args.metrics)
+
+
+def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _simulate(
@@ -78,19 +80,21 @@ def _simulate(
     trace_path: str,
     metrics_path: str,
 ) -> int:
+    """Stream the trace to ``trace_path`` as the run goes, then write metrics.
+
+    An invariant breach leaves the trace written up to it and no metrics.
+    """
     log.info("running scenario %s with seed %d", scenario.name, seed)
     try:
-        trace, report = run_scenario(scenario, seed, until_us)
+        with open(trace_path, "w", encoding="utf-8", newline="\n") as out:
+            _trace, report = run_scenario(scenario, seed, until_us, out)
+        emit_metrics(report, metrics_path)
+        if log.isEnabledFor(logging.INFO):
+            log.info("trace sha256 %s", _file_sha256(trace_path))
     except InvariantViolation as exc:
         return _fail(exc, EXIT_INVARIANT)
-    trace_text = trace.to_jsonl()
-    try:
-        _write_outputs(trace_path, trace_text, metrics_path, report)
     except OSError as exc:
         return _fail(exc, EXIT_IO)
-    if log.isEnabledFor(logging.INFO):
-        digest = hashlib.sha256(trace_text.encode("utf-8")).hexdigest()
-        log.info("trace sha256 %s", digest)
     return EXIT_OK
 
 

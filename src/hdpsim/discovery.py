@@ -278,10 +278,10 @@ class DiscoveryManager:
         if inquiry is None or inquiry.done:
             return
         address = DeviceAddress.from_bytes(frame.payload[:6])
-        name, _ = decode_name(frame.payload[6:])
         if address in inquiry._seen:
             return
         inquiry._seen.add(address)
+        name, _ = decode_name(frame.payload[6:])
         inquiry.results.append(
             DiscoveryResult(address=address, name=name, discovered_at=now)
         )

@@ -30,7 +30,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, TextIO
 
 from .core import DeviceAddress, DeviceConfig, DuplicateAddress, SimTime
 
@@ -124,16 +124,35 @@ class TraceEvent:
 
 
 class Trace:
-    """Append-only, time-monotonic record of a run."""
+    """Append-only, time-monotonic record of a run.
+
+    Without an output every event is kept in ``events``, and ``to_jsonl`` and
+    ``sha256`` describe them. With an output (a text file set as ``out``
+    before the first event), each event is serialised once, written as one
+    JSONL line and dropped, so ``events`` stays empty and memory does not
+    grow with the run. Either way ``feed``, when set, receives every event as
+    it is appended, and ``len`` counts every event.
+    """
 
     def __init__(self):
+        self.out: Optional[TextIO] = None
+        self.feed: Optional[Callable[[TraceEvent], None]] = None
         self.events: list[TraceEvent] = []
+        self._count = 0
+        self._last_t_us: SimTime = 0
 
     def append(self, t_us: SimTime, ev: str, dev: str, detail: dict) -> TraceEvent:
-        if self.events and t_us < self.events[-1].t_us:
-            raise ValueError(f"trace time went backwards: {t_us} < {self.events[-1].t_us}")
-        event = TraceEvent(t_us, len(self.events), ev, dev, detail)
-        self.events.append(event)
+        if t_us < self._last_t_us:
+            raise ValueError(f"trace time went backwards: {t_us} < {self._last_t_us}")
+        event = TraceEvent(t_us, self._count, ev, dev, detail)
+        self._count += 1
+        self._last_t_us = t_us
+        if self.out is None:
+            self.events.append(event)
+        else:
+            self.out.write(event.to_json() + "\n")
+        if self.feed is not None:
+            self.feed(event)
         return event
 
     def to_jsonl(self) -> str:
@@ -143,7 +162,7 @@ class Trace:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self._count
 
     def __iter__(self):
         return iter(self.events)
@@ -210,14 +229,10 @@ class Engine:
         if entry is not None:
             entry[2] = _CANCELLED
 
-    def run_until(self, t: SimTime) -> list[TraceEvent]:
-        """Process every event with time <= t in total order; now becomes t.
-
-        Returns the slice of trace events appended during this call.
-        """
+    def run_until(self, t: SimTime) -> None:
+        """Process every event with time <= t in total order; now becomes t."""
         if t < self.now:
             raise SchedulingInPast(f"cannot run to {t}, now is {self.now}")
-        mark = len(self.trace.events)
         while self._heap and self._heap[0][0] <= t:
             at, event_id, fn = heapq.heappop(self._heap)
             self._entries.pop(event_id, None)
@@ -226,7 +241,6 @@ class Engine:
             self.now = at
             fn()
         self.now = t
-        return self.trace.events[mark:]
 
     @property
     def pending_events(self) -> int:

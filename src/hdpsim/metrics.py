@@ -2,14 +2,16 @@
 
 Deriving every counter from the trace (rather than from live objects) keeps
 the report a pure function of the run's observable record: identical traces
-always produce identical metrics bytes.
+always produce identical metrics bytes. ``MetricsFold`` takes the events one
+at a time as they are emitted, so a run need not keep its trace to report on
+it; ``compute_metrics`` folds a kept trace the same way.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .engine import TraceEvent
 
@@ -64,57 +66,65 @@ _CREATE_OPS = {"create_req", "create_accept", "create_config", "create_confirm"}
 _RECONNECT_OPS = {"reconnect_req", "reconnect_accept"}
 
 
-def compute_metrics(events: list[TraceEvent]) -> MetricsReport:
-    """Fold the trace into a MetricsReport."""
-    report = MetricsReport()
-    inquiries: list[tuple[str, int, Optional[int]]] = []  # dev, started, latency
-    open_inquiry: dict[str, int] = {}  # dev -> index into inquiries
-    create_counts: dict[int, int] = {}
-    reconnect_counts: dict[int, int] = {}
-    submitted: set[tuple[int, int]] = set()
-    delivered: set[tuple[int, int]] = set()
-    acked = 0
-    buffered: set[tuple[int, int]] = set()
-    mdl_of_assoc: dict[int, int] = {}
+class MetricsFold:
+    """Online fold of trace events into a MetricsReport.
 
-    for event in events:
+    ``feed`` takes each event as it is emitted; ``report`` returns the report
+    of everything fed so far. The fold keeps per-inquiry, per-channel and
+    per-reading state, never the events themselves.
+    """
+
+    def __init__(self):
+        self._report = MetricsReport()
+        self._inquiries: list[tuple[str, int, Optional[int]]] = []  # dev, started, latency
+        self._open_inquiry: dict[str, int] = {}  # dev -> index into _inquiries
+        self._create_counts: dict[int, int] = {}
+        self._reconnect_counts: dict[int, int] = {}
+        self._submitted: set[tuple[int, int]] = set()
+        self._delivered: set[tuple[int, int]] = set()
+        self._buffered: set[tuple[int, int]] = set()
+        self._acked = 0
+        self._mdl_of_assoc: dict[int, int] = {}
+
+    def feed(self, event: TraceEvent) -> None:
         ev = event.ev
         d = event.detail
+        report = self._report
         if ev == "inquiry_start":
-            open_inquiry[event.dev] = len(inquiries)
-            inquiries.append((event.dev, event.t_us, None))
+            self._open_inquiry[event.dev] = len(self._inquiries)
+            self._inquiries.append((event.dev, event.t_us, None))
         elif ev == "inquiry_resp":
-            idx = open_inquiry.get(event.dev)
-            if idx is not None and inquiries[idx][2] is None:
-                dev, started, _ = inquiries[idx]
-                inquiries[idx] = (dev, started, event.t_us - started)
+            idx = self._open_inquiry.get(event.dev)
+            if idx is not None and self._inquiries[idx][2] is None:
+                dev, started, _ = self._inquiries[idx]
+                self._inquiries[idx] = (dev, started, event.t_us - started)
         elif ev == "inquiry_done":
-            open_inquiry.pop(event.dev, None)
+            self._open_inquiry.pop(event.dev, None)
         elif ev == "mcap_tx":
             op = d.get("op")
             mdl = d.get("mdl_id", 0)
             if op in _CREATE_OPS:
-                create_counts[mdl] = create_counts.get(mdl, 0) + 1
+                self._create_counts[mdl] = self._create_counts.get(mdl, 0) + 1
             elif op in _RECONNECT_OPS:
-                reconnect_counts[mdl] = reconnect_counts.get(mdl, 0) + 1
+                self._reconnect_counts[mdl] = self._reconnect_counts.get(mdl, 0) + 1
         elif ev == "mdl_create":
-            report.create_handshake_msgs.append(create_counts.pop(d["mdl_id"], 0))
+            report.create_handshake_msgs.append(self._create_counts.pop(d["mdl_id"], 0))
         elif ev == "mdl_reconnect":
             report.reconnect_handshake_msgs.append(
-                reconnect_counts.pop(d["mdl_id"], 0)
+                self._reconnect_counts.pop(d["mdl_id"], 0)
             )
         elif ev == "assoc":
-            mdl_of_assoc[d["assoc_id"]] = d["mdl_id"]
+            self._mdl_of_assoc[d["assoc_id"]] = d["mdl_id"]
         elif ev == "measurement_tx":
-            submitted.add((d["assoc_id"], d["seq"]))
+            self._submitted.add((d["assoc_id"], d["seq"]))
         elif ev == "buffered":
-            submitted.add((d["assoc_id"], d["seq"]))
-            buffered.add((d["assoc_id"], d["seq"]))
+            self._submitted.add((d["assoc_id"], d["seq"]))
+            self._buffered.add((d["assoc_id"], d["seq"]))
         elif ev == "measurement_rx":
-            delivered.add((d["assoc_id"], d["seq"]))
+            self._delivered.add((d["assoc_id"], d["seq"]))
         elif ev == "mdl_ack":
-            if d.get("mdl_id") in mdl_of_assoc.values():
-                acked += 1
+            if d.get("mdl_id") in self._mdl_of_assoc.values():
+                self._acked += 1
         elif ev == "evicted":
             report.measurements.evicted += 1
         elif ev == "released":
@@ -130,12 +140,22 @@ def compute_metrics(events: list[TraceEvent]) -> MetricsReport:
             kind = d.get("error", "unknown")
             report.errors[kind] = report.errors.get(kind, 0) + 1
 
-    report.discovery_latency_us = [latency for _dev, _t, latency in inquiries]
-    report.measurements.sent = len(submitted)
-    report.measurements.delivered = len(delivered)
-    report.measurements.buffered = len(buffered)
-    report.measurements.acked = acked
-    return report
+    def report(self) -> MetricsReport:
+        report = self._report
+        report.discovery_latency_us = [latency for _dev, _t, latency in self._inquiries]
+        report.measurements.sent = len(self._submitted)
+        report.measurements.delivered = len(self._delivered)
+        report.measurements.buffered = len(self._buffered)
+        report.measurements.acked = self._acked
+        return report
+
+
+def compute_metrics(events: Iterable[TraceEvent]) -> MetricsReport:
+    """Fold a whole trace into a MetricsReport."""
+    fold = MetricsFold()
+    for event in events:
+        fold.feed(event)
+    return fold.report()
 
 
 def metrics_json(report: MetricsReport) -> str:

@@ -3,9 +3,11 @@
 Each run constructs a fresh engine with the scenario's medium and the given
 seed, wires the protocol managers, applies device configuration, schedules
 the timeline, and runs to the horizon (the latest timeline time unless
-overridden). Validation hands over typed devices and actions with every
-default filled in (see ``scenario.ACTIONS``), so ``HANDLERS`` holds one
-handler per action and nothing here parses a value or repeats a default.
+overridden). Metrics are folded from each trace event as it is emitted;
+given an output, the trace is written to it line by line instead of being
+kept. Validation hands over typed devices and actions with every default
+filled in (see ``scenario.ACTIONS``), so ``HANDLERS`` holds one handler per
+action and nothing here parses a value or repeats a default.
 Device modes and ``set_mode`` go through one ``_set_modes``. Action failures,
 including the later sends of a ``send_measurement``, become "error" trace
 events rather than aborting the run; structural invariant breaches abort
@@ -15,7 +17,7 @@ with InvariantViolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 from .core import DeviceAddress, DeviceConfig, DeviceName
 from .discovery import ConnectabilityMode, DiscoverabilityMode, DiscoveryManager
@@ -23,7 +25,7 @@ from .engine import Device, Engine, MediumModel, Trace
 from .hdp import Association, HdpError, HdpManager, validate_channel_kind
 from .link import LinkError, LinkManager
 from .mcap import McapError, McapManager
-from .metrics import MetricsReport, compute_metrics
+from .metrics import MetricsFold, MetricsReport, compute_metrics  # noqa: F401 (re-exported)
 from .params import SimParams
 from .scenario import Scenario
 from .security import EmptyPin, NotAuthenticated
@@ -80,6 +82,8 @@ class ScenarioRun:
         self.scenario = scenario
         medium = MediumModel(rng_seed=seed, **scenario.medium)
         self.stack = build_stack(medium=medium, seed=seed, params=scenario.params)
+        self.metrics = MetricsFold()
+        self.stack.engine.trace.feed = self.metrics.feed
         self._assocs: dict[tuple[DeviceAddress, DeviceAddress], Association] = {}
         self._configure_devices()
 
@@ -211,8 +215,16 @@ class ScenarioRun:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, until_us: Optional[int] = None) -> tuple[Trace, MetricsReport]:
+    def run(
+        self, until_us: Optional[int] = None, out: Optional[TextIO] = None
+    ) -> tuple[Trace, MetricsReport]:
+        """Run to the horizon; the metrics are folded as events are emitted.
+
+        With ``out``, each trace line is written to it as the event happens
+        and the returned ``Trace`` keeps no events; without, it keeps them all.
+        """
         engine = self.stack.engine
+        engine.trace.out = out
         horizon = until_us
         if horizon is None:
             horizon = max((a["t_us"] for a in self.scenario.timeline), default=0)
@@ -222,7 +234,7 @@ class ScenarioRun:
             engine.schedule(action["t_us"], lambda a=action: self._run_action(a))
         engine.run_until(horizon)
         self._check_invariants()
-        report = compute_metrics(engine.trace.events)
+        report = self.metrics.report()
         counters = report.measurements
         if counters.delivered > counters.sent or counters.in_flight < 0:
             raise InvariantViolation(
@@ -248,7 +260,13 @@ HANDLERS: dict[str, Callable[[ScenarioRun, dict], None]] = {
 
 
 def run_scenario(
-    scenario: Scenario, seed: int, until_us: Optional[int] = None
+    scenario: Scenario,
+    seed: int,
+    until_us: Optional[int] = None,
+    out: Optional[TextIO] = None,
 ) -> tuple[Trace, MetricsReport]:
-    """Execute a validated scenario and return its trace and metrics."""
-    return ScenarioRun(scenario, seed).run(until_us)
+    """Execute a validated scenario and return its trace and metrics.
+
+    With ``out`` the trace is streamed to it (see ``ScenarioRun.run``).
+    """
+    return ScenarioRun(scenario, seed).run(until_us, out)

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
+import tracemalloc
 
 import pytest
 
 from hdpsim import cli
-from hdpsim.engine import Trace
+from hdpsim.engine import Trace, TraceEvent
+from hdpsim.link import LinkManager
+from hdpsim.runner import run_scenario
+from hdpsim.scenario import validate_scenario
 
 SOURCE = "AA:00:00:00:00:01"
 SINK = "AA:00:00:00:00:02"
@@ -117,18 +122,77 @@ def test_simulate_writes_trace_and_metrics(scenario_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("level", [logging.WARNING, logging.INFO], ids=["warn", "info"])
 def test_simulate_serialises_the_trace_once(scenario_file, tmp_path, monkeypatch, caplog, level):
-    calls = []
-    to_jsonl = Trace.to_jsonl
-    monkeypatch.setattr(Trace, "to_jsonl", lambda trace: calls.append(1) or to_jsonl(trace))
+    serialised, to_jsonl_calls = [], []
+    to_json = TraceEvent.to_json
+    monkeypatch.setattr(TraceEvent, "to_json", lambda e: serialised.append(e.seq) or to_json(e))
+    monkeypatch.setattr(Trace, "to_jsonl", lambda trace: to_jsonl_calls.append(1) or "")
     caplog.set_level(level, logger="hdpsim")
     trace_path = tmp_path / "trace.jsonl"
     argv = ["simulate", "--scenario", str(scenario_file), "--seed", "5"]
     argv += ["--trace", str(trace_path), "--metrics", str(tmp_path / "metrics.json")]
     assert cli.main(argv) == 0
-    assert len(calls) == 1
+    lines = trace_path.read_text().splitlines()
+    assert lines
+    assert serialised == list(range(len(lines)))  # once per written line, in order
+    assert to_jsonl_calls == []
     digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
     logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace sha256")]
     assert logged == ([f"trace sha256 {digest}"] if level == logging.INFO else [])
+
+
+def test_invariant_breach_exits_3_with_the_trace_up_to_it(
+    scenario_file, tmp_path, monkeypatch, capsys
+):
+    full_path = tmp_path / "full.jsonl"
+    argv = ["simulate", "--scenario", str(scenario_file), "--seed", "5", "--metrics"]
+    assert cli.main(argv + [str(tmp_path / "full.json"), "--trace", str(full_path)]) == 0
+    full = full_path.read_text()
+
+    breach_after_us = 250_000
+    violations = LinkManager.topology_violations
+
+    def failing(links):
+        if links.engine.now > breach_after_us:
+            return ["injected violation"]
+        return violations(links)
+
+    monkeypatch.setattr(LinkManager, "topology_violations", failing)
+    trace_path, metrics_path = tmp_path / "trace.jsonl", tmp_path / "metrics.json"
+    assert cli.main(argv + [str(metrics_path), "--trace", str(trace_path)]) == 3
+    diag = stderr_json(capsys)
+    assert diag == {"error": "InvariantViolation", "detail": "injected violation at t=300000us"}
+    assert not metrics_path.exists()
+    partial = trace_path.read_text()
+    assert partial and partial.endswith("\n")
+    assert full.startswith(partial) and len(partial) < len(full)
+    times = [json.loads(line)["t_us"] for line in partial.splitlines()]
+    assert times[-1] <= 300_000 < json.loads(full.splitlines()[len(times)])["t_us"]
+
+
+def test_streamed_run_keeps_no_events_and_peaks_below_half_of_in_memory(tmp_path):
+    raw = copy.deepcopy(SCENARIO)
+    send = raw["timeline"][3]
+    send["count"], send["interval_us"] = 600, 1_000_000  # ten simulated minutes
+    raw["timeline"][-1]["t_us"] = 601_000_000
+    scenario = validate_scenario(raw)
+
+    def run_traced(out):
+        tracemalloc.start()
+        try:
+            trace, _report = run_scenario(scenario, 5, out=out)
+            return trace, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    path = tmp_path / "trace.jsonl"
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        streamed, streamed_peak = run_traced(out)
+    kept, kept_peak = run_traced(None)
+    written = path.read_text(encoding="utf-8")
+    assert streamed.events == []
+    assert len(streamed) == written.count("\n") == len(kept) > 3000
+    assert written == kept.to_jsonl()
+    assert streamed_peak < kept_peak / 2
 
 
 def test_unwritable_trace_path_exits_4(scenario_file, tmp_path, capsys):

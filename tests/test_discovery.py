@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdpsim import discovery
+from hdpsim.core import decode_name
 from hdpsim.discovery import (
     ConnectabilityMode,
     DiscoverabilityMode,
@@ -69,14 +71,20 @@ def test_inquiry_discovers_in_range_device():
     assert stack.discovery.knows(inquirer.address, scanner.address)
 
 
-def test_inquiry_result_has_discovery_time_and_dedup():
+def test_inquiry_result_has_discovery_time_and_dedup(monkeypatch):
+    decoded = []
+    monkeypatch.setattr(
+        discovery, "decode_name", lambda data: decoded.append(1) or decode_name(data)
+    )
     stack = make_stack()
     add_device(stack, 1)
     inquirer = add_device(stack, 2, position=(1.0, 0.0))
     inquiry = stack.discovery.start_inquiry(inquirer, 100_000)
     stack.engine.run_until(150_000)
-    # Many cycles hit the same scanner; it must appear exactly once.
+    # Many cycles hit the same scanner; it must appear exactly once, and only
+    # its first response has its name decoded.
     assert len(inquiry.results) == 1
+    assert len(decoded) == 1
     assert 0 < inquiry.results[0].discovered_at <= 100_000
     responses = [e for e in stack.engine.trace if e.ev == "inquiry_resp"]
     assert len(responses) == 1

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from hdpsim.metrics import metrics_json
+from hdpsim import cli
+from hdpsim.metrics import compute_metrics, metrics_json
 from hdpsim.runner import run_scenario
 from hdpsim.scenario import load_scenario
 
@@ -62,6 +63,24 @@ def test_every_scenario_is_pinned_at_every_seed():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_golden_digests(name, seed):
     assert digests(name, seed) == pinned()[name][str(seed)]
+
+
+@pytest.mark.parametrize("name", scenario_names())
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cli_streams_the_golden_bytes(name, seed, tmp_path):
+    """``hdpsim simulate`` streams the pinned bytes, and its online metrics
+    fold equals ``compute_metrics`` over the kept trace of an in-memory run."""
+    path = str(GOLDEN / f"{name}.json")
+    trace_path, metrics_path = tmp_path / "trace.jsonl", tmp_path / "metrics.json"
+    argv = ["simulate", "--scenario", path, "--seed", str(seed)]
+    assert cli.main(argv + ["--trace", str(trace_path), "--metrics", str(metrics_path)]) == 0
+    written = {
+        "trace": hashlib.sha256(trace_path.read_bytes()).hexdigest(),
+        "metrics": hashlib.sha256(metrics_path.read_bytes()).hexdigest(),
+    }
+    assert written == pinned()[name][str(seed)]
+    trace, _report = run_scenario(load_scenario(path), seed)
+    assert metrics_path.read_text(encoding="utf-8") == metrics_json(compute_metrics(trace.events))
 
 
 if __name__ == "__main__":
