@@ -107,6 +107,11 @@ class Device:
         return f"Device({self.config.address})"
 
 
+# One encoder for every trace line: json.dumps with these settings would build
+# a new JSONEncoder per call (it reuses one only for the default settings).
+_TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     t_us: SimTime
@@ -116,10 +121,8 @@ class TraceEvent:
     detail: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"t_us": self.t_us, "seq": self.seq, "ev": self.ev, "dev": self.dev, "detail": self.detail},
-            sort_keys=True,
-            separators=(",", ":"),
+        return _TRACE_ENCODER.encode(
+            {"t_us": self.t_us, "seq": self.seq, "ev": self.ev, "dev": self.dev, "detail": self.detail}
         )
 
 
