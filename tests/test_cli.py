@@ -148,25 +148,26 @@ def test_invariant_breach_exits_3_with_the_trace_up_to_it(
     assert cli.main(argv + [str(tmp_path / "full.json"), "--trace", str(full_path)]) == 0
     full = full_path.read_text()
 
-    breach_after_us = 250_000
     violations = LinkManager.topology_violations
 
     def failing(links):
-        if links.engine.now > breach_after_us:
+        if links.engine.now > 250_000:
             return ["injected violation"]
         return violations(links)
+
+    breach_us = 300_000  # the associate action runs the first check after 250 ms
 
     monkeypatch.setattr(LinkManager, "topology_violations", failing)
     trace_path, metrics_path = tmp_path / "trace.jsonl", tmp_path / "metrics.json"
     assert cli.main(argv + [str(metrics_path), "--trace", str(trace_path)]) == 3
     diag = stderr_json(capsys)
-    assert diag == {"error": "InvariantViolation", "detail": "injected violation at t=300000us"}
+    assert diag == {"error": "InvariantViolation", "detail": f"injected violation at t={breach_us}us"}
     assert not metrics_path.exists()
     partial = trace_path.read_text()
     assert partial and partial.endswith("\n")
     assert full.startswith(partial) and len(partial) < len(full)
     times = [json.loads(line)["t_us"] for line in partial.splitlines()]
-    assert times[-1] <= 300_000 < json.loads(full.splitlines()[len(times)])["t_us"]
+    assert times[-1] <= breach_us < json.loads(full.splitlines()[len(times)])["t_us"]
 
 
 def test_streamed_run_keeps_no_events_and_peaks_below_half_of_in_memory(tmp_path):
