@@ -12,7 +12,14 @@ without any other test noticing:
 - ``eighth_slave``: the eighth page of one master fails with PiconetFull;
 - ``ward_lossy_offsets``: ward 4x7 at 5 % loss with 3 us jitter, four
   distinct clock offsets shared by many devices, and a sensor moved into
-  another phone's range during the inquiry (its own page then times out).
+  another phone's range during the inquiry (its own page then times out);
+- ``mobile_ranges``: two inquiring phones and sensors of mixed radio range at
+  2 % loss; one sensor is out of range only by its own shorter range, one
+  walks out of a phone's range before that phone's sweep reaches it and one
+  walks into it mid-inquiry, and pages follow;
+- ``pin_mismatch``: pairing with unequal PINs fails (``auth_fail``) and leaves
+  the link unauthenticated, again after a drop and re-page, while a sensor
+  with the right PIN associates and sends enciphered readings.
 
 A deliberate trace change re-pins the digests in one declared change:
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden/digests.json``.
