@@ -35,10 +35,13 @@ class DeviceAddress:
     """48-bit device address, unique per device within one simulation.
 
     The canonical text form is six uppercase hex octet pairs separated by
-    colons, e.g. ``"0A:1B:2C:3D:4E:5F"``.
+    colons, e.g. ``"0A:1B:2C:3D:4E:5F"``. An address hashes as its value and
+    formats its text on first use only, since validation builds many
+    addresses that are never printed.
     """
 
     value: int
+    _text = None  # canonical text once formatted; a class attribute, not a field
 
     def __post_init__(self):
         if not 0 <= self.value <= MAX_ADDRESS:
@@ -57,8 +60,20 @@ class DeviceAddress:
             raise MalformedAddress(f"expected 6 address bytes, got {len(raw)}")
         return cls(int.from_bytes(raw, "big"))
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self.value
+
     def __str__(self) -> str:
-        return format_address(self)
+        text = self._text
+        if text is None:
+            text = format_address(self)
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 def parse_address(text: str) -> DeviceAddress:

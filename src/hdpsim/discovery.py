@@ -13,7 +13,9 @@ listener's current scan window and broadcasts only those. Slots nobody could
 hear produce no deliveries and no random draws either way, so the shortcut is
 observably identical to transmitting all 32 frames. A listener's scan window
 depends only on its clock offset, so the slots are computed once per distinct
-offset among the other devices, not once per device.
+offset among the other devices, not once per device. Each inquirer's set of
+offsets is kept until the device count changes: devices are never removed
+and offsets are frozen config.
 """
 
 from __future__ import annotations
@@ -135,6 +137,8 @@ class DiscoveryManager:
         # device -> its inquiry response payload (address, name); the config
         # it is built from is frozen
         self._responses: dict[Device, bytes] = {}
+        # inquirer -> (engine device count, clock offsets of the other devices)
+        self._offsets: dict[Device, tuple[int, set[int]]] = {}
         engine.add_frame_handler(FrameKind.INQUIRY, self._on_inquiry)
         engine.add_frame_handler(FrameKind.INQUIRY_RESPONSE, self._on_response)
         engine.add_listen_provider(self._listening)
@@ -178,15 +182,14 @@ class DiscoveryManager:
 
     # -- listening
 
-    def _listening(self, device: Device, t: SimTime):
+    def _listening(self, device: Device, t: SimTime) -> tuple[int]:
         inquiry = self._active.get(device.address)
         if inquiry is not None and not inquiry.done:
             # While inquiring, listen where we are currently transmitting.
             elapsed = t - inquiry.started_at
             in_cycle = elapsed % self.params.inquiry_cycle_us
-            yield min(in_cycle // self.params.inquiry_slot_us, FREQ_COUNT - 1)
-        else:
-            yield self.schedule.frequency_at(device.local_time(t))
+            return (min(in_cycle // self.params.inquiry_slot_us, FREQ_COUNT - 1),)
+        return (self.schedule.frequency_at(device.local_time(t)),)
 
     # -- inquiry
 
@@ -209,11 +212,11 @@ class DiscoveryManager:
         if inquiry.done or now >= inquiry.deadline_us:
             return
         inquirer = inquiry.device
-        offsets = {
-            receiver.config.clock_offset_us
-            for receiver in self.engine.devices.values()
-            if receiver is not inquirer
-        }
+        count, offsets = self._offsets.get(inquirer, (-1, None))
+        if count != len(self.engine.devices):
+            devices = self.engine.devices.values()
+            offsets = {d.config.clock_offset_us for d in devices if d is not inquirer}
+            self._offsets[inquirer] = (len(devices), offsets)
         slots: dict[SimTime, int] = {}
         for offset in offsets:
             for slot, freq in sweep_slots(

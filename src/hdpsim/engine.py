@@ -8,10 +8,12 @@ The medium delivers a frame to every registered device that is inside
 min(sender range, receiver range) Euclidean distance and listening on the
 frame's frequency index, both evaluated at transmit time. A frame addressed
 to one device (inquiry responses, pages and link traffic) looks that device
-up in the device table and considers no other; only unaddressed frames
-(inquiries) visit every device, in registration order. Each candidate
-delivery is independently dropped with the configured loss probability using
-the engine's seeded generator, then delivered after a fixed 1 us propagation
+up in the device table and considers no other. An unaddressed frame (an
+inquiry) visits the sender's neighbour list, the other devices in its range in
+registration order, built on first use; ``add_device`` and ``move_device``,
+the only writers of positions, drop every list. Each candidate delivery is
+independently dropped with the configured loss probability using the
+engine's seeded generator, then delivered after a fixed 1 us propagation
 delay (plus optional uniform jitter).
 
 Every protocol exchange that waits for an answer runs on one ``Retry``: it
@@ -94,11 +96,8 @@ class Device:
 
     def __init__(self, config: DeviceConfig):
         self.config = config
+        self.address: DeviceAddress = config.address
         self.position = config.position
-
-    @property
-    def address(self) -> DeviceAddress:
-        return self.config.address
 
     def local_time(self, now: SimTime) -> int:
         return now + self.config.clock_offset_us
@@ -110,6 +109,7 @@ class Device:
 # One encoder for every trace line: json.dumps with these settings would build
 # a new JSONEncoder per call (it reuses one only for the default settings).
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,13 @@ class TraceEvent:
     detail: dict
 
     def to_json(self) -> str:
-        return _TRACE_ENCODER.encode(
-            {"t_us": self.t_us, "seq": self.seq, "ev": self.ev, "dev": self.dev, "detail": self.detail}
+        """``_TRACE_ENCODER``'s line for the event as a dict, keys in sorted order."""
+        return '{"detail":%s,"dev":%s,"ev":%s,"seq":%d,"t_us":%d}' % (
+            _TRACE_ENCODER.encode(self.detail),
+            _encode_str(self.dev),
+            _encode_str(self.ev),
+            self.seq,
+            self.t_us,
         )
 
 
@@ -185,6 +190,7 @@ class Engine:
         self.now: SimTime = 0
         self.trace = Trace()
         self.devices: dict[DeviceAddress, Device] = {}
+        self._neighbours: dict[Device, list[Device]] = {}  # see _neighbours_of
         self._heap: list[list] = []
         self._next_seq = 0
         self._entries: dict[int, list] = {}
@@ -199,6 +205,7 @@ class Engine:
         if config.address in self.devices:
             raise DuplicateAddress(f"address already registered: {config.address}")
         device = self.devices[config.address] = Device(config)
+        self._neighbours.clear()
         return device
 
     def device(self, address: DeviceAddress) -> Device:
@@ -210,6 +217,7 @@ class Engine:
     def move_device(self, address: DeviceAddress, position: tuple[float, float]) -> None:
         device = self.device(address)
         device.position = (float(position[0]), float(position[1]))
+        self._neighbours.clear()
         self.emit("move", device, x=device.position[0], y=device.position[1])
 
     # -- scheduling ---------------------------------------------------------
@@ -267,47 +275,53 @@ class Engine:
     def add_listen_provider(self, fn: Callable[[Device, SimTime], Iterable[int]]) -> None:
         self._listen_providers.append(fn)
 
-    def listening_on(self, device: Device, freq_index: int, t: SimTime) -> bool:
-        for provider in self._listen_providers:
-            if freq_index in provider(device, t):
-                return True
-        return False
-
     def in_range(self, a: Device, b: Device) -> bool:
         dx = a.position[0] - b.position[0]
         dy = a.position[1] - b.position[1]
         limit = min(a.config.radio_range_m, b.config.radio_range_m)
         return dx * dx + dy * dy <= limit * limit
 
+    def _neighbours_of(self, sender: Device) -> list[Device]:
+        """The other devices in the sender's range, in registration order."""
+        found = self._neighbours.get(sender)
+        if found is None:
+            found = self._neighbours[sender] = [
+                d for d in self.devices.values() if d is not sender and self.in_range(sender, d)
+            ]
+        return found
+
     def broadcast(self, frame: RadioFrame, sender: Device) -> list[tuple[Device, SimTime]]:
         """Offer a frame to the medium; returns the scheduled deliveries.
 
-        An addressed frame has one candidate, its addressee, looked up by
-        address; an unaddressed one has every registered device. Range and
-        frequency eligibility are evaluated now (transmit time); the loss
-        draw happens per candidate in device registration order.
+        An addressed frame has one candidate, its addressee, if registered,
+        not the sender and in range; an unaddressed one has the sender's
+        neighbour list. Range and frequency eligibility are evaluated now
+        (transmit time); the loss draw happens per candidate in device
+        registration order.
         """
         if sender.address not in self.devices:
             raise UnknownDevice(str(sender.address))
         if frame.to is None:
-            candidates: Iterable[Device] = self.devices.values()
+            candidates: Iterable[Device] = self._neighbours_of(sender)
         else:
             addressee = self.devices.get(frame.to)
-            candidates = () if addressee is None else (addressee,)
+            if addressee is None or addressee is sender or not self.in_range(sender, addressee):
+                return []
+            candidates = (addressee,)
+        medium, now, freq = self.medium, self.now, frame.freq_index
         deliveries: list[tuple[Device, SimTime]] = []
         for receiver in candidates:
-            if receiver is sender:
+            for provider in self._listen_providers:
+                if freq in provider(receiver, now):
+                    break
+            else:
+                continue  # not listening on the frame's frequency
+            if medium.loss_probability > 0.0 and self.rng.random() < medium.loss_probability:
                 continue
-            if not self.in_range(sender, receiver):
-                continue
-            if not self.listening_on(receiver, frame.freq_index, self.now):
-                continue
-            if self.medium.loss_probability > 0.0 and self.rng.random() < self.medium.loss_probability:
-                continue
-            delay = self.medium.propagation_us
-            if self.medium.jitter_us > 0:
-                delay = max(1, delay + self.rng.randint(-self.medium.jitter_us, self.medium.jitter_us))
-            deliver_at = self.now + delay
+            delay = medium.propagation_us
+            if medium.jitter_us > 0:
+                delay = max(1, delay + self.rng.randint(-medium.jitter_us, medium.jitter_us))
+            deliver_at = now + delay
             self.schedule(deliver_at, self._deliver(frame, receiver))
             deliveries.append((receiver, deliver_at))
         return deliveries

@@ -175,6 +175,16 @@ class Link:
     _ka_timer: int = -1
     _monitor_timer: int = -1
     _observers: list[Callable[["Link"], None]] = field(default_factory=list)
+    _hop_slot: int = field(default=-1, compare=False, repr=False)
+    _hop_freq: int = field(default=0, compare=False, repr=False)
+
+    def frequency_at(self, t: SimTime) -> int:
+        """``hop_frequency(self.params, t)``, cached per hop slot; params are fixed."""
+        slot = t // self.params.hop_interval_us
+        if slot != self._hop_slot:
+            self._hop_slot = slot
+            self._hop_freq = hop_frequency(self.params, t)
+        return self._hop_freq
 
     @property
     def pair(self) -> tuple[DeviceAddress, DeviceAddress]:
@@ -276,7 +286,7 @@ class LinkManager:
     def _listening(self, device: Device, t: SimTime):
         for link in self._links_of.get(device.address, ()):
             if link.state is LinkState.CONNECTED:
-                yield hop_frequency(link.params, t)
+                yield link.frequency_at(t)
         for page in self._pages.values():
             if (
                 page.initiator is device
@@ -532,7 +542,7 @@ class LinkManager:
         peer = link.peer_of(sender.address)
         frame = RadioFrame(
             from_addr=sender.address,
-            freq_index=hop_frequency(link.params, self.engine.now),
+            freq_index=link.frequency_at(self.engine.now),
             kind=FrameKind.LINK_DATA,
             payload=bytes([proto]) + body,
             to=peer.address,

@@ -8,6 +8,11 @@ shared PIN, the claimant address, and a public random value; mutual
 challenge-response authentication that fails on any PIN mismatch and does
 not admit replays; and a symmetric keystream cipher parameterized by the
 link key and clock so that both ends compute the same stream.
+
+Every keyed computation runs through one PRF that copies HMAC-SHA256 state
+keyed once (RFC 2104's inner and outer hashes after the padded key). A
+``LinkKey`` keys its state when made and reuses it for every keystream block;
+the state lives and dies with the key.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ CHALLENGE_LEN = 16
 _INIT_PREFIX = b"E22"
 _AUTH_PREFIX = b"AUTH"
 _CIPHER_PREFIX = b"E0"
+_BLOCK_LEN = 64  # SHA-256 block size, the HMAC key block
 
 
 class EmptyPin(ValueError):
@@ -61,15 +67,33 @@ class LinkKey:
     def __post_init__(self):
         if len(self.value) != KEY_LEN:
             raise ValueError(f"link key must be {KEY_LEN} bytes")
+        # Keyed PRF state for the keystream; an attribute, not a field.
+        object.__setattr__(self, "_state", _keyed_state(self.value))
 
     def hash8(self) -> str:
         """Short correlation tag for traces; never the key itself."""
         return hashlib.sha256(self.value).hexdigest()[:8]
 
 
+def _keyed_state(key: bytes) -> tuple:
+    """HMAC-SHA256 inner and outer hash states keyed with ``key``."""
+    if len(key) > _BLOCK_LEN:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK_LEN, b"\0")
+    inner, outer = key.translate(hmac.trans_36), key.translate(hmac.trans_5C)
+    return hashlib.sha256(inner), hashlib.sha256(outer)
+
+
+def _prf(state: tuple, message: bytes) -> bytes:
+    inner, outer = state[0].copy(), state[1].copy()
+    inner.update(message)
+    outer.update(inner.digest())
+    return outer.digest()[:KEY_LEN]
+
+
 def keyed_prf(key: bytes, message: bytes) -> bytes:
     """16-byte keyed pseudo-random value used by every security operation."""
-    return hmac.new(key, message, hashlib.sha256).digest()[:KEY_LEN]
+    return _prf(_keyed_state(key), message)
 
 
 def derive_init_key(pin: Pin, claimant: DeviceAddress, rand: bytes) -> LinkKey:
@@ -123,20 +147,14 @@ def authenticate(
 
 def keystream(key: LinkKey, clock_us: SimTime, length: int) -> bytes:
     """Deterministic cipher stream for one payload at one clock value."""
-    out = bytearray()
-    block = 0
-    while len(out) < length:
-        seed = (
-            _CIPHER_PREFIX
-            + clock_us.to_bytes(8, "big", signed=True)
-            + block.to_bytes(4, "big")
-        )
-        out.extend(keyed_prf(key.value, seed))
-        block += 1
-    return bytes(out[:length])
+    seed = _CIPHER_PREFIX + clock_us.to_bytes(8, "big", signed=True)
+    blocks = -(-length // KEY_LEN)
+    stream = b"".join(_prf(key._state, seed + i.to_bytes(4, "big")) for i in range(blocks))
+    return stream[:length]
 
 
 def apply_cipher(key: LinkKey, clock_us: SimTime, payload: bytes) -> bytes:
     """XOR the payload with the link keystream; applying twice restores it."""
-    stream = keystream(key, clock_us, len(payload))
-    return bytes(p ^ s for p, s in zip(payload, stream))
+    n = len(payload)
+    stream = keystream(key, clock_us, n)
+    return (int.from_bytes(payload, "big") ^ int.from_bytes(stream, "big")).to_bytes(n, "big")

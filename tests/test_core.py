@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -67,6 +69,41 @@ def test_address_value_range_checked():
 def test_address_ordering_is_total():
     addresses = [DeviceAddress(3), DeviceAddress(1), DeviceAddress(2)]
     assert sorted(addresses) == [DeviceAddress(1), DeviceAddress(2), DeviceAddress(3)]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**48 - 1), max_size=20))
+def test_address_hash_eq_and_order_follow_the_value(values):
+    addresses = [DeviceAddress(v) for v in values]
+    twins = [DeviceAddress(v) for v in values]
+    for a, b in zip(addresses, twins):
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert not a != b
+    assert [a.value for a in sorted(addresses)] == sorted(values)
+    assert set(addresses) == set(twins) and len(set(addresses)) == len(set(values))
+
+
+def test_address_never_equals_its_integer_or_text():
+    assert DeviceAddress(1) != 1 and 1 != DeviceAddress(1)
+    assert DeviceAddress(1) != "00:00:00:00:00:01"
+    assert DeviceAddress(1) in {DeviceAddress(1)} and 1 not in {DeviceAddress(1)}
+
+
+def test_address_text_is_canonical_before_and_after_first_use():
+    address = DeviceAddress(0x0A1B2C3D4E5F)
+    assert repr(address) == "DeviceAddress(value=11111822610015)"
+    assert str(address) == format_address(address) == "0A:1B:2C:3D:4E:5F"
+    assert str(address) == "0A:1B:2C:3D:4E:5F"  # the kept text
+    assert f"{address}" == "0A:1B:2C:3D:4E:5F" and repr(address) == "DeviceAddress(value=11111822610015)"
+    assert address == DeviceAddress(0x0A1B2C3D4E5F)
+
+
+def test_address_is_frozen():
+    address = DeviceAddress(5)
+    str(address)
+    for name in ("value", "_text"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(address, name, 6)
+    assert address.value == 5 and str(address) == "00:00:00:00:00:05"
 
 
 def test_device_name_limit_is_248_utf8_bytes():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdpsim.core import DeviceConfig
 from hdpsim.discovery import sweep_slots
 from hdpsim.engine import (
     Engine,
@@ -14,6 +16,7 @@ from hdpsim.engine import (
     RadioFrame,
     SchedulingInPast,
     Trace,
+    TraceEvent,
     UnknownDevice,
 )
 
@@ -259,3 +262,105 @@ def test_inquiry_cycle_sweeps_the_union_of_every_listener_slots(
     stack.discovery.start_inquiry(inquirer, duration)
     stack.engine.run_until(start + params.inquiry_cycle_us - 1)
     assert sorted(sent) == sorted(expected)
+
+
+# -- neighbour lists and the trace-line kernel -----------------------------------
+
+
+def _brute_force_broadcast(engine, sender, freq, rng):
+    """Deliveries of an unaddressed frame found by scanning every device, as
+    the medium did before it kept neighbour lists; draws from ``rng``."""
+    loss, jitter = engine.medium.loss_probability, engine.medium.jitter_us
+    out = []
+    for receiver in engine.devices.values():
+        if receiver is sender:
+            continue
+        dx = sender.position[0] - receiver.position[0]
+        dy = sender.position[1] - receiver.position[1]
+        limit = min(sender.config.radio_range_m, receiver.config.radio_range_m)
+        if dx * dx + dy * dy > limit * limit:
+            continue
+        if receiver.address.value % 3 == freq:  # the test's listen provider
+            continue
+        if rng.random() < loss:
+            continue
+        delay = engine.medium.propagation_us
+        if jitter:
+            delay = max(1, delay + rng.randint(-jitter, jitter))
+        out.append((receiver, engine.now + delay))
+    return out
+
+
+_coord = st.floats(0.0, 30.0, allow_nan=False)
+_step = st.one_of(
+    st.tuples(st.just("add"), _coord, _coord, st.floats(0.0, 20.0, allow_nan=False)),
+    st.tuples(st.just("move"), st.integers(0, 50), _coord, _coord),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.lists(_step, min_size=1, max_size=25),
+    loss=st.floats(0.05, 0.9),
+    jitter=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_unaddressed_broadcast_matches_a_scan_of_every_device(steps, loss, jitter, seed):
+    engine = Engine(MediumModel(loss_probability=loss, jitter_us=jitter), seed=seed)
+    engine.add_listen_provider(lambda device, t: [f for f in range(3) if f != device.address.value % 3])
+    for n, step in enumerate(steps):
+        if step[0] == "add":
+            _, x, y, reach = step
+            engine.add_device(DeviceConfig(address=addr(n), position=(x, y), radio_range_m=reach))
+        elif engine.devices:
+            _, index, x, y = step
+            device = list(engine.devices.values())[index % len(engine.devices)]
+            engine.move_device(device.address, (x, y))
+        for sender in engine.devices.values():
+            freq = n % 3
+            reference = random.Random()
+            reference.setstate(engine.rng.getstate())
+            expected = _brute_force_broadcast(engine, sender, freq, reference)
+            frame = RadioFrame(from_addr=sender.address, freq_index=freq, kind=FrameKind.INQUIRY)
+            assert engine.broadcast(frame, sender) == expected
+            assert engine.rng.getstate() == reference.getstate()
+
+
+def test_inquiry_hears_a_device_moved_into_range_and_not_one_moved_out():
+    stack = make_stack()
+    inquirer = add_device(stack, 1)
+    # Scans frequency 0, heard at the start of every cycle once in range.
+    add_device(stack, 2, position=(50.0, 0.0))
+    # Scans frequency 31, heard 9,703 us into a cycle: later than its move.
+    add_device(stack, 3, position=(2.0, 0.0), clock_offset_us=31 * 1_280_000)
+    inquiry = stack.discovery.start_inquiry(inquirer, 100_000)
+    stack.engine.run_until(5_000)
+    assert inquiry.results == []
+    stack.engine.move_device(addr(2), (3.0, 0.0))
+    stack.engine.move_device(addr(3), (60.0, 0.0))
+    stack.engine.run_until(200_000)
+    assert [(r.address, r.discovered_at) for r in inquiry.results] == [(addr(2), 10_002)]
+
+
+_text = st.text(alphabet=st.characters(codec="utf-8"), max_size=12) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "é€😀", " "]
+)
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150)
+@given(
+    t_us=st.integers(0, 2**62),
+    seq=st.integers(0, 2**40),
+    ev=_text,
+    dev=_text,
+    detail=st.dictionaries(_text, _json_value, max_size=5),
+)
+def test_trace_line_equals_json_dumps_of_the_event(t_us, seq, ev, dev, detail):
+    event = TraceEvent(t_us, seq, ev, dev, detail)
+    as_dict = {"t_us": t_us, "seq": seq, "ev": ev, "dev": dev, "detail": detail}
+    assert event.to_json() == json.dumps(as_dict, sort_keys=True, separators=(",", ":"))

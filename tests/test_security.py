@@ -123,3 +123,30 @@ def test_keystream_length_and_extension():
 def test_link_key_hash_tag_is_stable():
     key = LinkKey(b"\x22" * 16)
     assert key.hash8() == hashlib.sha256(key.value).hexdigest()[:8]
+
+
+def _reference_cipher(key: LinkKey, clock: int, payload: bytes) -> bytes:
+    """The cipher as first written: one ``hmac.new`` per block, XOR per byte."""
+    stream = b""
+    block = 0
+    while len(stream) < len(payload):
+        seed = b"E0" + clock.to_bytes(8, "big", signed=True) + block.to_bytes(4, "big")
+        stream += hmac.new(key.value, seed, hashlib.sha256).digest()[:16]
+        block += 1
+    return bytes(p ^ s for p, s in zip(payload, stream))
+
+
+@pytest.mark.parametrize("clock", [0, 1, 777, 2**40 + 3, -5_000, 2**63 - 1])
+def test_cipher_and_keystream_equal_the_per_block_hmac_reference(clock):
+    key = LinkKey(bytes.fromhex("f32e31cff3cd1ad29727b6e70ca2d439"))
+    payload = bytes(range(7, 87))
+    for n in range(81):
+        expected = _reference_cipher(key, clock, payload[:n])
+        assert apply_cipher(key, clock, payload[:n]) == expected, n
+        assert keystream(key, clock, n) == _reference_cipher(key, clock, bytes(n)), n
+
+
+@given(st.binary(max_size=100), st.binary(max_size=100))
+def test_keyed_prf_equals_hmac_for_any_key_length(key, msg):
+    # Keys longer than the 64-byte SHA-256 block are hashed first (RFC 2104).
+    assert keyed_prf(key, msg) == hmac.new(key, msg, hashlib.sha256).digest()[:16]
