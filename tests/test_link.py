@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,18 @@ def test_hop_frequency_stays_in_negotiated_range(t):
 def test_hop_frequency_constant_within_slot():
     params = negotiate_params(addr(1), addr(2), 1, SimParams())
     assert hop_frequency(params, 0) == hop_frequency(params, 624)
+
+
+@settings(max_examples=25, deadline=None)
+@given(times=st.lists(st.integers(min_value=0, max_value=10**9), max_size=30))
+def test_link_hop_cache_equals_hop_frequency_and_stays_out_of_eq_and_repr(times):
+    stack = make_stack()
+    link, _ = connect(stack, add_device(stack, 1), add_device(stack, 2, position=(1.0, 0.0)))
+    before = repr(link)
+    for t in times + [t + 1 for t in times]:  # repeats hit the cache
+        assert link.frequency_at(t) == hop_frequency(link.params, t)
+    assert repr(link) == before and "_hop" not in before
+    assert dataclasses.replace(link, _hop_slot=-1, _hop_freq=0) == link
 
 
 def test_page_requires_prior_discovery():
