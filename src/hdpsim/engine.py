@@ -1,8 +1,9 @@
 """Deterministic discrete-event engine and the virtual radio medium.
 
 One engine instance per simulation, single-threaded by contract. Events are
-totally ordered by (time, insertion sequence); the same seed and the same
-scheduled inputs produce a byte-identical trace.
+totally ordered by (time, event id). Ids follow scheduling order, except that
+``reserve_ids`` sets ids aside for events that ``schedule_as`` queues later.
+The same seed and the same scheduled inputs produce a byte-identical trace.
 
 The medium delivers a frame to every registered device that is inside
 min(sender range, receiver range) Euclidean distance and listening on the
@@ -107,9 +108,21 @@ class Device:
 
 
 # One encoder for every trace line: json.dumps with these settings would build
-# a new JSONEncoder per call (it reuses one only for the default settings).
+# a new JSONEncoder per call, and JSONEncoder.encode a new C encoder per call.
+# The C encoder built once here has _TRACE_ENCODER's settings but no cycle
+# markers, which a failed call could leave behind; trace details are acyclic.
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _encode_str = json.encoder.encode_basestring_ascii
+if json.encoder.c_make_encoder is None:
+    _encode_detail = _TRACE_ENCODER.encode
+else:
+    # markers, default, encoder, indent, separators, sort_keys, skipkeys, allow_nan
+    _c_encode = json.encoder.c_make_encoder(
+        None, _TRACE_ENCODER.default, _encode_str, None, ":", ",", True, False, True
+    )
+
+    def _encode_detail(detail: dict) -> str:
+        return "".join(_c_encode(detail, 0))
 
 
 @dataclass(frozen=True)
@@ -123,7 +136,7 @@ class TraceEvent:
     def to_json(self) -> str:
         """``_TRACE_ENCODER``'s line for the event as a dict, keys in sorted order."""
         return '{"detail":%s,"dev":%s,"ev":%s,"seq":%d,"t_us":%d}' % (
-            _TRACE_ENCODER.encode(self.detail),
+            _encode_detail(self.detail),
             _encode_str(self.dev),
             _encode_str(self.ev),
             self.seq,
@@ -234,6 +247,20 @@ class Engine:
 
     def schedule_in(self, delay_us: int, fn: Callable[[], None]) -> int:
         return self.schedule(self.now + delay_us, fn)
+
+    def reserve_ids(self, count: int) -> int:
+        """Set aside ``count`` consecutive event ids; returns the first."""
+        self._next_seq += count
+        return self._next_seq - count
+
+    def schedule_as(self, event_id: int, at: SimTime, fn: Callable[[], None]) -> int:
+        """``schedule`` under a reserved id: the event fires, ties included,
+        where it would have had it been scheduled when the id was reserved."""
+        next_seq, self._next_seq = self._next_seq, event_id
+        try:
+            return self.schedule(at, fn)
+        finally:
+            self._next_seq = next_seq
 
     def cancel(self, event_id: int) -> None:
         entry = self._entries.pop(event_id, None)

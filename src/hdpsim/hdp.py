@@ -13,6 +13,12 @@ source-side buffer (oldest evicted on overflow) and flush in order once the
 channel reconnects, ahead of any newer reading. Audio transport is refused
 unconditionally, whatever the specialization.
 
+The profile keeps a reading only while it is in flight, in the source
+buffer or the channel queue: ``send_measurement`` returns its outcome handle
+to the caller, and a sink callback (``set_sink_callback``) sees each reading
+the sink receives. ``release`` settles the channel queue by the sink's
+receive watermark on the channel.
+
 The association request runs on the engine's ``Retry``: resent every
 ``retransmit_interval_us``, given up exactly ``handshake_timeout_us`` after
 it started. A request that times out or that the sink rejects releases
@@ -267,18 +273,6 @@ class MeasurementOutcome:
 
 
 @dataclass
-class SinkRecord:
-    """One measurement as stored by the sink."""
-
-    seq: int
-    specialization: Specialization
-    values: tuple[tuple[str, int], ...]
-    source_timestamp_us: SimTime
-    sink_timestamp_us: SimTime
-    received_at_us: SimTime
-
-
-@dataclass
 class Association:
     """Source-to-sink session for one specialization."""
 
@@ -293,8 +287,6 @@ class Association:
     next_seq: int = 1
     buffer: deque[tuple[Measurement, MeasurementOutcome]] = field(default_factory=deque)
     buffer_capacity: int = 1024
-    sink_log: list[SinkRecord] = field(default_factory=list)
-    outcomes: list[MeasurementOutcome] = field(default_factory=list)
     # The link observer added by associate, removed again by release.
     _on_link: Optional[Callable[[Link], None]] = field(default=None, init=False, repr=False)
 
@@ -302,6 +294,9 @@ class Association:
     def pair(self) -> tuple[DeviceAddress, DeviceAddress]:
         return pair_key(self.source.address, self.sink.address)
 
+
+# Receives (association, decoded measurement, sink timestamp in us).
+SinkCallback = Callable[[Association, Measurement, SimTime], None]
 
 _MSG_ASSOC_REQ = 1
 _MSG_ASSOC_RSP = 2
@@ -326,6 +321,7 @@ class HdpManager:
         self.associations: dict[int, Association] = {}
         self._roles: dict[DeviceAddress, str] = {}
         self._whitelists: dict[DeviceAddress, frozenset[Specialization]] = {}
+        self._sink_callbacks: dict[DeviceAddress, SinkCallback] = {}
         self._next_assoc_id = 1
         # assoc_id -> retry of its association request, until answered
         self._requests: dict[int, Retry] = {}
@@ -342,6 +338,12 @@ class HdpManager:
         self, address: DeviceAddress, allowed: frozenset[Specialization] | set[Specialization]
     ) -> None:
         self._whitelists[address] = frozenset(allowed)
+
+    def set_sink_callback(self, address: DeviceAddress, fn: SinkCallback) -> None:
+        """Call ``fn(association, measurement, sink_timestamp_us)`` for every
+        reading the sink at ``address`` receives, after its
+        ``measurement_rx`` event; the simulator itself keeps no readings."""
+        self._sink_callbacks[address] = fn
 
     # -- association --------------------------------------------------------
 
@@ -579,27 +581,35 @@ class HdpManager:
             readings,
         )
         outcome = MeasurementOutcome(seq=seq)
-        assoc.outcomes.append(outcome)
-        channel = assoc.reliable_mdl
         link = self.links.link_between(assoc.source.address, assoc.sink.address)
         link_up = link is not None and link.state is LinkState.CONNECTED
-        channel_up = (
-            channel is not None
-            and channel.state is ChannelState.ACTIVE
-            and assoc.state is AssocState.OPERATING
-        )
-        if link_up and channel_up and not assoc.buffer:
-            outcome.send_op = self.mcap.send(channel, assoc.source, measurement.encode())
-            outcome.submitted = "sent"
-            self.engine.emit(
-                "measurement_tx",
-                assoc.source.address,
-                assoc_id=assoc.assoc_id,
-                seq=seq,
-            )
+        if link_up and self._channel_up(assoc) and not assoc.buffer:
+            self._transmit(assoc, measurement, outcome)
         else:
             self._buffer(assoc, measurement, outcome)
         return outcome
+
+    def _channel_up(self, assoc: Association) -> bool:
+        channel = assoc.reliable_mdl
+        return (
+            assoc.state is AssocState.OPERATING
+            and channel is not None
+            and channel.state is ChannelState.ACTIVE
+        )
+
+    def _transmit(
+        self, assoc: Association, measurement: Measurement, outcome: MeasurementOutcome
+    ) -> None:
+        outcome.send_op = self.mcap.send(
+            assoc.reliable_mdl, assoc.source, measurement.encode()
+        )
+        outcome.status = OutcomeKind.PENDING
+        self.engine.emit(
+            "measurement_tx",
+            assoc.source.address,
+            assoc_id=assoc.assoc_id,
+            seq=measurement.seq,
+        )
 
     def _buffer(
         self, assoc: Association, measurement: Measurement, outcome: MeasurementOutcome
@@ -625,25 +635,9 @@ class HdpManager:
         )
 
     def _flush(self, assoc: Association) -> None:
-        channel = assoc.reliable_mdl
-        if (
-            assoc.state is not AssocState.OPERATING
-            or channel is None
-            or channel.state is not ChannelState.ACTIVE
-        ):
-            return
-        while assoc.buffer:
-            measurement, outcome = assoc.buffer.popleft()
-            outcome.send_op = self.mcap.send(
-                channel, assoc.source, measurement.encode()
-            )
-            outcome.status = OutcomeKind.PENDING
-            self.engine.emit(
-                "measurement_tx",
-                assoc.source.address,
-                assoc_id=assoc.assoc_id,
-                seq=measurement.seq,
-            )
+        if self._channel_up(assoc):
+            while assoc.buffer:
+                self._transmit(assoc, *assoc.buffer.popleft())
 
     def _on_measurement_frame(
         self, assoc: Association, from_addr: DeviceAddress, payload: bytes, now: SimTime
@@ -658,16 +652,6 @@ class HdpManager:
         measurement = Measurement.decode(payload)
         offset = assoc.clock_map.offset_us if assoc.clock_map is not None else 0
         sink_ts = measurement.source_timestamp_us - offset
-        assoc.sink_log.append(
-            SinkRecord(
-                seq=measurement.seq,
-                specialization=measurement.specialization,
-                values=measurement.values,
-                source_timestamp_us=measurement.source_timestamp_us,
-                sink_timestamp_us=sink_ts,
-                received_at_us=now,
-            )
-        )
         self.engine.emit(
             "measurement_rx",
             assoc.sink.address,
@@ -675,6 +659,9 @@ class HdpManager:
             seq=measurement.seq,
             sink_timestamp_us=sink_ts,
         )
+        on_reading = self._sink_callbacks.get(assoc.sink.address)
+        if on_reading is not None:
+            on_reading(assoc, measurement, sink_ts)
 
     # -- link loss and recovery ----------------------------------------------
 
@@ -737,12 +724,12 @@ class HdpManager:
         channel = assoc.reliable_mdl
         if channel is not None and channel.state is not ChannelState.CLOSED:
             # Settle the channel queue now so nothing sends after release.
-            # Measurements are the channel's only payloads, submitted in
-            # order, so channel seqs equal association seqs and the sink log
-            # tells us which queued items actually arrived.
-            delivered = {record.seq for record in assoc.sink_log}
+            # Queued items carry channel seqs, which skip evicted readings,
+            # so the sink's receive watermark on the channel tells which
+            # of them arrived.
+            received = channel.rx_last.get(assoc.source.address, 0)
             abandoned += self.mcap.abandon_pending(
-                channel, assoc.source.address, delivered
+                channel, assoc.source.address, range(1, received + 1)
             )
             use_abort = link.state is not LinkState.CONNECTED
             self.mcap.close_channel(channel, assoc.source, abort=use_abort)

@@ -216,10 +216,6 @@ class Piconet:
     rate_cap_bps: int
     links: dict[DeviceAddress, Link] = field(default_factory=dict)
 
-    @property
-    def slaves(self) -> list[DeviceAddress]:
-        return list(self.links)
-
     def __len__(self) -> int:
         return len(self.links)
 

@@ -31,7 +31,7 @@ import enum
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Container
 
 from .core import DeviceAddress, SimTime
 from .engine import Device, Engine, Op, Retry
@@ -449,11 +449,11 @@ class McapManager:
         self,
         channel: DataChannel,
         sender: DeviceAddress,
-        delivered_seqs: set[int],
+        delivered_seqs: Container[int],
     ) -> int:
         """Settle a sender's queue without transmitting further.
 
-        Items whose seq appears in ``delivered_seqs`` are marked delivered
+        Items whose channel seq is in ``delivered_seqs`` are marked delivered
         (the peer already has them); the rest are abandoned. Returns the
         abandoned count.
         """
@@ -468,9 +468,7 @@ class McapManager:
                     abandoned += 1
             queue.clear()
         channel.in_flight[sender] = False
-        timer = channel._retx_timers.pop(sender, None)
-        if timer is not None:
-            self.engine.cancel(timer)
+        self.engine.cancel(channel._retx_timers.pop(sender, -1))
         return abandoned
 
     def _close_local(self, channel: DataChannel, by: DeviceAddress, mode: str) -> None:
@@ -530,23 +528,13 @@ class McapManager:
             channel.state is ChannelState.SUSPENDED
             or control.link.state is not LinkState.CONNECTED
         ):
-            self.engine.emit(
-                "mdl_drop",
-                sender.address,
-                mdl_id=channel.mdl_id,
-                seq=seq,
-                reason="link_down",
-            )
-            return SendOp(seq=seq, status=SendStatus.DROPPED)
-        delivered = self._tx_data(channel, sender, seq, payload, attempts=0)
-        if delivered:
+            reason = "link_down"
+        elif self._tx_data(channel, sender, seq, payload, attempts=0):
             return SendOp(seq=seq, status=SendStatus.DELIVERED)
+        else:
+            reason = "loss"
         self.engine.emit(
-            "mdl_drop",
-            sender.address,
-            mdl_id=channel.mdl_id,
-            seq=seq,
-            reason="loss",
+            "mdl_drop", sender.address, mdl_id=channel.mdl_id, seq=seq, reason=reason
         )
         return SendOp(seq=seq, status=SendStatus.DROPPED)
 
@@ -601,19 +589,10 @@ class McapManager:
         )
 
     def _retx_tick(self, channel: DataChannel, sender: Device) -> None:
-        addr = sender.address
-        if channel.state is not ChannelState.ACTIVE:
-            return
-        if not channel.in_flight.get(addr):
-            return
-        queue = channel.queue.get(addr)
-        if not queue:
-            channel.in_flight[addr] = False
-            return
-        item = queue[0]
-        self._tx_data(channel, sender, item.seq, item.payload, item.attempts)
-        item.attempts += 1
-        self._arm_retx(channel, sender)
+        """Resend the unacknowledged head of the queue, if any."""
+        if channel.state is ChannelState.ACTIVE and channel.in_flight.get(sender.address):
+            channel.in_flight[sender.address] = False
+            self._pump(channel, sender)
 
     def _on_data(
         self, control: ControlChannel, receiver: Device, from_addr: DeviceAddress, body: bytes, now: SimTime
@@ -664,9 +643,7 @@ class McapManager:
         item = queue.popleft()
         item.op.status = SendStatus.DELIVERED
         channel.in_flight[addr] = False
-        timer = channel._retx_timers.pop(addr, None)
-        if timer is not None:
-            self.engine.cancel(timer)
+        self.engine.cancel(channel._retx_timers.pop(addr, -1))
         self.engine.emit("mdl_ack", addr, mdl_id=mdl_id, seq=seq)
         self._pump(channel, receiver)
 

@@ -10,7 +10,8 @@ it; ``compute_metrics`` folds a kept trace the same way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
 from .engine import TraceEvent
@@ -43,23 +44,9 @@ class MetricsReport:
     errors: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "discovery_latency_us": self.discovery_latency_us,
-            "reconnect_handshake_msgs": self.reconnect_handshake_msgs,
-            "create_handshake_msgs": self.create_handshake_msgs,
-            "measurements": {
-                "sent": self.measurements.sent,
-                "acked": self.measurements.acked,
-                "buffered": self.measurements.buffered,
-                "evicted": self.measurements.evicted,
-                "delivered": self.measurements.delivered,
-                "abandoned": self.measurements.abandoned,
-                "in_flight": self.measurements.in_flight,
-            },
-            "sync": self.sync,
-            "granted_bps": self.granted_bps,
-            "errors": self.errors,
-        }
+        out = asdict(self)
+        out["measurements"]["in_flight"] = self.measurements.in_flight
+        return out
 
 
 _CREATE_OPS = {"create_req", "create_accept", "create_config", "create_confirm"}
@@ -70,8 +57,13 @@ class MetricsFold:
     """Online fold of trace events into a MetricsReport.
 
     ``feed`` takes each event as it is emitted; ``report`` returns the report
-    of everything fed so far. The fold keeps per-inquiry, per-channel and
-    per-reading state, never the events themselves.
+    of everything fed so far. The fold keeps per-inquiry and per-channel
+    state, never the events themselves. Of the readings it keeps only those
+    in flight, by association: the seqs in the source buffer (``buffered``
+    until ``evicted`` or flushed by ``measurement_tx``) and those on the
+    channel (``measurement_tx`` until ``measurement_rx``), all dropped on
+    ``released``. A flush is not a new reading and only a reading on the
+    channel can arrive, so each ``(assoc_id, seq)`` counts once.
     """
 
     def __init__(self):
@@ -80,11 +72,9 @@ class MetricsFold:
         self._open_inquiry: dict[str, int] = {}  # dev -> index into _inquiries
         self._create_counts: dict[int, int] = {}
         self._reconnect_counts: dict[int, int] = {}
-        self._submitted: set[tuple[int, int]] = set()
-        self._delivered: set[tuple[int, int]] = set()
-        self._buffered: set[tuple[int, int]] = set()
-        self._acked = 0
-        self._mdl_of_assoc: dict[int, int] = {}
+        self._in_buffer: defaultdict[int, set[int]] = defaultdict(set)  # by assoc_id
+        self._on_channel: defaultdict[int, set[int]] = defaultdict(set)
+        self._assoc_mdls: set[int] = set()
 
     def feed(self, event: TraceEvent) -> None:
         ev = event.ev
@@ -114,21 +104,35 @@ class MetricsFold:
                 self._reconnect_counts.pop(d["mdl_id"], 0)
             )
         elif ev == "assoc":
-            self._mdl_of_assoc[d["assoc_id"]] = d["mdl_id"]
+            self._assoc_mdls.add(d["mdl_id"])
         elif ev == "measurement_tx":
-            self._submitted.add((d["assoc_id"], d["seq"]))
+            in_buffer = self._in_buffer[d["assoc_id"]]
+            if d["seq"] in in_buffer:
+                in_buffer.remove(d["seq"])
+            else:
+                report.measurements.sent += 1
+            self._on_channel[d["assoc_id"]].add(d["seq"])
         elif ev == "buffered":
-            self._submitted.add((d["assoc_id"], d["seq"]))
-            self._buffered.add((d["assoc_id"], d["seq"]))
+            in_buffer = self._in_buffer[d["assoc_id"]]
+            if d["seq"] not in in_buffer:
+                in_buffer.add(d["seq"])
+                report.measurements.sent += 1
+                report.measurements.buffered += 1
         elif ev == "measurement_rx":
-            self._delivered.add((d["assoc_id"], d["seq"]))
+            on_channel = self._on_channel[d["assoc_id"]]
+            if d["seq"] in on_channel:
+                on_channel.remove(d["seq"])
+                report.measurements.delivered += 1
         elif ev == "mdl_ack":
-            if d.get("mdl_id") in self._mdl_of_assoc.values():
-                self._acked += 1
+            if d.get("mdl_id") in self._assoc_mdls:
+                report.measurements.acked += 1
         elif ev == "evicted":
             report.measurements.evicted += 1
+            self._in_buffer[d["assoc_id"]].discard(d["seq"])
         elif ev == "released":
             report.measurements.abandoned += d.get("abandoned", 0)
+            self._in_buffer.pop(d["assoc_id"], None)
+            self._on_channel.pop(d["assoc_id"], None)
         elif ev == "clock_sync":
             report.sync = {
                 "offset_us": d["offset_us"],
@@ -143,10 +147,6 @@ class MetricsFold:
     def report(self) -> MetricsReport:
         report = self._report
         report.discovery_latency_us = [latency for _dev, _t, latency in self._inquiries]
-        report.measurements.sent = len(self._submitted)
-        report.measurements.delivered = len(self._delivered)
-        report.measurements.buffered = len(self._buffered)
-        report.measurements.acked = self._acked
         return report
 
 

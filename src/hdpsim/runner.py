@@ -8,10 +8,12 @@ given an output, the trace is written to it line by line instead of being
 kept. Validation hands over typed devices and actions with every default
 filled in (see ``scenario.ACTIONS``), so ``HANDLERS`` holds one handler per
 action and nothing here parses a value or repeats a default.
-Device modes and ``set_mode`` go through one ``_set_modes``. Action failures,
-including the later sends of a ``send_measurement``, become "error" trace
-events rather than aborting the run; structural invariant breaches abort
-with InvariantViolation.
+Device modes and ``set_mode`` go through one ``_set_modes``. The later sends
+of a ``send_measurement`` are queued one at a time, each under an event id
+reserved when the action ran, so they fire where queuing them all at once
+would put them. Action failures, those later sends included, become "error"
+trace events rather than aborting the run; structural invariant breaches
+abort with InvariantViolation.
 """
 
 from __future__ import annotations
@@ -171,11 +173,19 @@ class ScenarioRun:
         assoc = self._assoc_for(action)
         readings = action["readings"]
         send(assoc, readings)
-        for i in range(1, action["count"]):
-            engine.schedule(
-                engine.now + i * action["interval_us"],
-                lambda: self._attempt("send_measurement", send, assoc, readings),
-            )
+        count, interval, start = action["count"], action["interval_us"], engine.now
+        if count < 2:
+            return
+        # Send i goes at start + i * interval under id first + i - 1; only
+        # the next send is queued, and each one queues the send after it.
+        first = engine.reserve_ids(count - 1)
+
+        def fire(i: int) -> None:
+            if i + 1 < count:
+                engine.schedule_as(first + i, start + (i + 1) * interval, lambda: fire(i + 1))
+            self._attempt("send_measurement", send, assoc, readings)
+
+        engine.schedule_as(first, start + interval, lambda: fire(1))
 
     def _move_device(self, action: dict) -> None:
         self.stack.engine.move_device(action["device"], action["position"])

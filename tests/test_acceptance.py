@@ -313,39 +313,44 @@ def test_criterion_07_exactly_once_telemetry():
             back_at, lambda: stack.engine.move_device(source.address, (0.0, 0.0))
         )
         release_at = rng.randrange(10, 24) if trial % 2 == 0 else None
+        outcomes = []
+        received = []
+        stack.hdp.set_sink_callback(
+            sink.address, lambda _assoc, m, _sink_ts: received.append(m.seq)
+        )
 
         for k in range(24):
             if assoc.state is AssocState.RELEASED:
                 break
-            stack.hdp.send_measurement(assoc, HEART_READINGS)
+            outcomes.append(stack.hdp.send_measurement(assoc, HEART_READINGS))
             if release_at is not None and k == release_at:
                 stack.hdp.release(assoc)
             stack.engine.run_until(stack.engine.now + 400_000)
 
         if assoc.state is not AssocState.RELEASED:
             def unsettled():
-                for o in assoc.outcomes:
+                for o in outcomes:
                     o.refresh()
                 return any(
                     o.status in (OutcomeKind.PENDING, OutcomeKind.BUFFERED)
-                    for o in assoc.outcomes
+                    for o in outcomes
                 )
 
             run_while(stack, unsettled, 180_000_000, step_us=500_000)
 
-        for o in assoc.outcomes:
+        assert outcomes, f"trial {trial} sent nothing"
+        for o in outcomes:
             o.refresh()
         terminal = {OutcomeKind.ACKED, OutcomeKind.EVICTED, OutcomeKind.ABANDONED}
-        assert all(o.status in terminal for o in assoc.outcomes), (
+        assert all(o.status in terminal for o in outcomes), (
             f"trial {trial} left undecided outcomes"
         )
-        received = [r.seq for r in assoc.sink_log]
         assert all(a < b for a, b in zip(received, received[1:])), (
             f"trial {trial} out of order or duplicated: {received}"
         )
-        sent = {o.seq for o in assoc.outcomes}
-        evicted = {o.seq for o in assoc.outcomes if o.status is OutcomeKind.EVICTED}
-        abandoned = {o.seq for o in assoc.outcomes if o.status is OutcomeKind.ABANDONED}
+        sent = {o.seq for o in outcomes}
+        evicted = {o.seq for o in outcomes if o.status is OutcomeKind.EVICTED}
+        abandoned = {o.seq for o in outcomes if o.status is OutcomeKind.ABANDONED}
         assert set(received) == sent - evicted - abandoned, f"trial {trial} accounting"
     print("criterion 07 exactly-once telemetry: PASS")
 

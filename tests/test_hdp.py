@@ -23,6 +23,7 @@ from hdpsim.hdp import (
     UnknownMetric,
     validate_channel_kind,
 )
+from hdpsim.metrics import compute_metrics
 from hdpsim.security import Pin
 
 from conftest import add_device, connect, make_stack, run_while
@@ -170,20 +171,32 @@ def test_sink_whitelist_rejects_other_specializations():
         stack.hdp.associate(source, sink, Specialization.HEART_RATE)
 
 
+def record_readings(stack, sink):
+    """What the sink's callback saw: (assoc, measurement, sink ts, arrival)."""
+    received = []
+    stack.hdp.set_sink_callback(
+        sink.address,
+        lambda assoc, m, sink_ts: received.append((assoc, m, sink_ts, stack.engine.now)),
+    )
+    return received
+
+
 def test_measurement_reaches_sink_with_mapped_timestamp():
     stack = make_stack()
     source, sink = sensor_pair(stack, source_offset_us=1500)
     assoc = operating_assoc(stack, source, sink)
+    received = record_readings(stack, sink)
     outcome = stack.hdp.send_measurement(assoc, HEART_READINGS)
     run_while(stack, lambda: not outcome.acked, 1_000_000)
     assert outcome.status is OutcomeKind.ACKED
-    assert len(assoc.sink_log) == 1
-    record = assoc.sink_log[0]
-    assert record.seq == outcome.seq == 1
-    assert dict(record.values)["heart_rate_bpm"] == 720
+    assert len(received) == 1
+    got_assoc, measurement, sink_ts, received_at = received[0]
+    assert got_assoc is assoc
+    assert measurement.seq == outcome.seq == 1
+    assert dict(measurement.values)["heart_rate_bpm"] == 720
     # Clock mapping: sink timestamp within sync accuracy of true arrival.
-    assert record.sink_timestamp_us == record.source_timestamp_us - assoc.clock_map.offset_us
-    assert abs(record.sink_timestamp_us - record.received_at_us) <= (
+    assert sink_ts == measurement.source_timestamp_us - assoc.clock_map.offset_us
+    assert abs(sink_ts - received_at) <= (
         assoc.clock_map.accuracy_us + 2  # plus propagation both ways
     )
     rx = [e for e in stack.engine.trace if e.ev == "measurement_rx"]
@@ -194,14 +207,15 @@ def test_measurements_buffer_while_link_down_and_flush_on_restore():
     stack = make_stack()
     source, sink = sensor_pair(stack)
     assoc = operating_assoc(stack, source, sink)
+    received = record_readings(stack, sink)
     stack.links.drop_link(source.address, sink.address)
     outcomes = [stack.hdp.send_measurement(assoc, HEART_READINGS) for _ in range(5)]
     assert all(o.submitted == "buffered" for o in outcomes)
     buffered = [e for e in stack.engine.trace if e.ev == "buffered"]
     assert [e.detail["depth"] for e in buffered] == [1, 2, 3, 4, 5]
     # Auto-reconnect pages from the link master once per retry interval.
-    run_while(stack, lambda: len(assoc.sink_log) < 5, 15_000_000)
-    assert [r.seq for r in assoc.sink_log] == [o.seq for o in outcomes]
+    run_while(stack, lambda: len(received) < 5, 15_000_000)
+    assert [r[1].seq for r in received] == [o.seq for o in outcomes]
     assert all(o.acked for o in outcomes)
 
 
@@ -247,6 +261,33 @@ def test_release_counts_only_undelivered():
     abandoned = stack.hdp.release(assoc)
     assert abandoned == 0
     assert first.status is OutcomeKind.ACKED
+
+
+def test_release_settles_the_channel_queue_by_channel_seq():
+    # Evictions make channel seqs (1, 2, 3) differ from reading seqs (4, 5,
+    # 6); release happens after reading 5 arrives and before its ack does.
+    stack = make_stack(buffer_capacity=3, propagation_us=2000)
+    source, sink = sensor_pair(stack)
+    assoc = operating_assoc(stack, source, sink)
+    stack.links.drop_link(source.address, sink.address)
+    outcomes = [stack.hdp.send_measurement(assoc, HEART_READINGS) for _ in range(6)]
+
+    def received():
+        return [e.detail["seq"] for e in stack.engine.trace if e.ev == "measurement_rx"]
+
+    run_while(stack, lambda: len(received()) < 2, 15_000_000, step_us=100)
+    assert received() == [4, 5]
+    assert stack.hdp.release(assoc) == 1
+    for o in outcomes:
+        o.refresh()
+    assert [o.status for o in outcomes] == [OutcomeKind.EVICTED] * 3 + [
+        OutcomeKind.ACKED,
+        OutcomeKind.ACKED,
+        OutcomeKind.ABANDONED,
+    ]
+    counts = compute_metrics(stack.engine.trace.events).measurements
+    assert (counts.sent, counts.delivered, counts.evicted, counts.abandoned) == (6, 2, 3, 1)
+    assert counts.in_flight == 0
 
 
 def test_sink_learns_of_link_loss_within_supervision_budget():

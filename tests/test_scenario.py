@@ -546,6 +546,70 @@ def test_auto_reconnect_decides_whether_a_dropped_link_is_restored(auto_reconnec
     assert any(e.ev == "link_restored" for e in trace) is auto_reconnect
 
 
+def eager_send_measurement(run, action):
+    """Queue every later send when the action runs (the lazy series' model)."""
+    engine = run.stack.engine
+    send = run.stack.hdp.send_measurement
+    assoc = run._assoc_for(action)
+    send(assoc, action["readings"])
+    for i in range(1, action["count"]):
+        engine.schedule(
+            engine.now + i * action["interval_us"],
+            lambda: run._attempt("send_measurement", send, assoc, action["readings"]),
+        )
+
+
+def test_lazy_send_series_keeps_the_order_of_ties(monkeypatch):
+    # The second source's sends and its move land on the exact times of the
+    # first source's later sends, which are queued one at a time.
+    other = "AA:00:00:00:00:03"
+    readings = telemetry_timeline()[3]["readings"]
+
+    def send(source, t_us, count):
+        return {
+            "t_us": t_us,
+            "action": "send_measurement",
+            "source": source,
+            "sink": SINK,
+            "count": count,
+            "interval_us": 1_000_000,
+            "readings": readings,
+        }
+
+    doc = minimal_scenario(
+        timeline=[
+            {"t_us": 0, "action": "start_inquiry", "device": SINK, "duration_us": 100_000},
+            {"t_us": 200_000, "action": "page", "device": SINK, "target": SOURCE},
+            {"t_us": 300_000, "action": "page", "device": SINK, "target": other},
+        ]
+        + [
+            {
+                "t_us": t_us,
+                "action": "associate",
+                "source": source,
+                "sink": SINK,
+                "specialization": "heart_rate",
+            }
+            for t_us, source in ((500_000, SOURCE), (600_000, other))
+        ]
+        + [
+            send(SOURCE, 1_000_000, 6),
+            send(other, 2_000_000, 4),
+            {"t_us": 3_000_000, "action": "move_device", "device": other, "position": [0.0, 2.0]},
+            {"t_us": 8_000_000, "action": "run_until"},
+        ]
+    )
+    doc["devices"].append({"address": other, "position": [0.0, 1.0], "pin": "1234", "role": "source"})
+    scenario = validate_scenario(doc)
+    lazy, lazy_report = run_scenario(scenario, seed=3)
+    monkeypatch.setitem(HANDLERS, "send_measurement", eager_send_measurement)
+    eager, _ = run_scenario(scenario, seed=3)
+    assert lazy.to_jsonl() == eager.to_jsonl()
+    assert lazy_report.measurements.delivered == 10
+    at_3s = {(e.ev, e.detail.get("assoc_id")) for e in lazy if e.t_us == 3_000_000}
+    assert {("move", None), ("measurement_tx", 1), ("measurement_tx", 2)} <= at_3s
+
+
 # -- metrics shape ----------------------------------------------------------
 
 
