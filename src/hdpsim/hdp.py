@@ -14,17 +14,20 @@ channel reconnects, ahead of any newer reading. Audio transport is refused
 unconditionally, whatever the specialization.
 
 The profile keeps a reading only while it is in flight, in the source
-buffer or the channel queue: ``send_measurement`` returns its outcome handle
-to the caller, and a sink callback (``set_sink_callback``) sees each reading
-the sink receives. ``release`` settles the channel queue by the sink's
-receive watermark on the channel.
+buffer or the channel queue. ``send_measurement`` returns the reading's
+engine ``Op``, which resolves to a ``SendStatus``: DELIVERED on the sink's
+acknowledgement, EVICTED when the full source buffer drops it, ABANDONED
+when the association ends first. A sink callback (``set_sink_callback``)
+sees each reading the sink receives. ``release`` settles the channel queue
+by the sink's receive watermark on the channel.
 
 The association request runs on the engine's ``Retry``: resent every
 ``retransmit_interval_us``, given up exactly ``handshake_timeout_us`` after
-it started. A request that times out or that the sink rejects releases
-the association with an ``assoc_failed`` event (``reason`` ``"timeout"`` or
-``"rejected"``), removes its link observer and keeps its record. Channel creation and clock sync wait on the engine ``Op``
-handles that the channel layer returns.
+it started. A request that times out or that the sink rejects emits
+``assoc_failed`` (``reason`` ``"timeout"`` or ``"rejected"``), then goes
+through ``release``: readings buffered meanwhile are abandoned and counted
+in a ``released`` event. The record stays. Channel creation and clock sync
+wait on the engine ``Op`` handles that the channel layer returns.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import DeviceAddress, SimTime
-from .engine import Device, Engine, Retry
+from .engine import Device, Engine, Op, Retry
 from .link import Link, LinkError, LinkManager, LinkState, PROTO_HDP, pair_key
 from .mcap import (
     ChannelState,
@@ -45,7 +48,6 @@ from .mcap import (
     LinkDown,
     McapError,
     McapManager,
-    SendOp,
     SendStatus,
 )
 from .params import SimParams
@@ -239,39 +241,6 @@ class AssocState(enum.Enum):
     RELEASED = "released"
 
 
-class OutcomeKind(enum.Enum):
-    PENDING = "pending"
-    ACKED = "acked"
-    BUFFERED = "buffered"
-    EVICTED = "evicted"
-    ABANDONED = "abandoned"
-
-
-@dataclass
-class MeasurementOutcome:
-    """Tracks one submitted measurement through to its fate."""
-
-    seq: int
-    # What happened at submit time: handed to the channel, or buffered
-    # because the link was down.
-    submitted: str = "sent"
-    status: OutcomeKind = OutcomeKind.PENDING
-    send_op: Optional[SendOp] = None
-
-    @property
-    def acked(self) -> bool:
-        self.refresh()
-        return self.status is OutcomeKind.ACKED
-
-    def refresh(self) -> None:
-        if self.status in (OutcomeKind.PENDING, OutcomeKind.BUFFERED):
-            if self.send_op is not None:
-                if self.send_op.status is SendStatus.DELIVERED:
-                    self.status = OutcomeKind.ACKED
-                elif self.send_op.status is SendStatus.ABANDONED:
-                    self.status = OutcomeKind.ABANDONED
-
-
 @dataclass
 class Association:
     """Source-to-sink session for one specialization."""
@@ -285,7 +254,7 @@ class Association:
     clock_map: Optional[ClockSyncResult] = None
     auto_reconnect: bool = True
     next_seq: int = 1
-    buffer: deque[tuple[Measurement, MeasurementOutcome]] = field(default_factory=deque)
+    buffer: deque[tuple[Measurement, Op]] = field(default_factory=deque)
     buffer_capacity: int = 1024
     # The link observer added by associate, removed again by release.
     _on_link: Optional[Callable[[Link], None]] = field(default=None, init=False, repr=False)
@@ -414,12 +383,10 @@ class HdpManager:
         """End an association whose request failed; the record stays."""
         if assoc.state is not AssocState.ASSOCIATING:
             return  # released while its request was unanswered
-        assoc.state = AssocState.RELEASED
-        link = self.links.link_between(assoc.source.address, assoc.sink.address)
-        link.off_state_change(assoc._on_link)
         self.engine.emit(
             "assoc_failed", assoc.source.address, assoc_id=assoc.assoc_id, reason=reason
         )
+        self.release(assoc)
 
     def _tx(self, sender: Device, peer: Device, msg: int, body: bytes) -> bool:
         link = self.links.link_between(sender.address, peer.address)
@@ -561,33 +528,33 @@ class HdpManager:
 
     # -- measurements --------------------------------------------------------
 
-    def send_measurement(
-        self, assoc: Association, readings: dict[str, float]
-    ) -> MeasurementOutcome:
+    def send_measurement(self, assoc: Association, readings: dict[str, float]) -> Op:
         """Submit one reading on an association.
 
-        Returns an outcome handle: handed to the reliable channel when the
-        link is up, buffered when it is down. Buffered readings flush in
-        sequence order on reconnection, before anything newer.
+        Returns the reading's ``Op``, which resolves to its SendStatus. The
+        reading goes to the reliable channel when the link is up and to the
+        source buffer when it is down; buffered readings flush in sequence
+        order on reconnection, before anything newer. Seqs count 1, 2, 3...
+        per association in the order readings are sent; a reading rejected
+        as invalid takes none.
         """
         if assoc.state is AssocState.RELEASED:
             raise Released(f"association {assoc.assoc_id} is released")
-        seq = assoc.next_seq
-        assoc.next_seq += 1
         measurement = Measurement.build(
             assoc.specialization,
-            seq,
+            assoc.next_seq,
             assoc.source.local_time(self.engine.now),
             readings,
         )
-        outcome = MeasurementOutcome(seq=seq)
+        assoc.next_seq += 1
+        op = Op()
         link = self.links.link_between(assoc.source.address, assoc.sink.address)
         link_up = link is not None and link.state is LinkState.CONNECTED
         if link_up and self._channel_up(assoc) and not assoc.buffer:
-            self._transmit(assoc, measurement, outcome)
+            self._transmit(assoc, measurement, op)
         else:
-            self._buffer(assoc, measurement, outcome)
-        return outcome
+            self._buffer(assoc, measurement, op)
+        return op
 
     def _channel_up(self, assoc: Association) -> bool:
         channel = assoc.reliable_mdl
@@ -597,13 +564,9 @@ class HdpManager:
             and channel.state is ChannelState.ACTIVE
         )
 
-    def _transmit(
-        self, assoc: Association, measurement: Measurement, outcome: MeasurementOutcome
-    ) -> None:
-        outcome.send_op = self.mcap.send(
-            assoc.reliable_mdl, assoc.source, measurement.encode()
-        )
-        outcome.status = OutcomeKind.PENDING
+    def _transmit(self, assoc: Association, measurement: Measurement, op: Op) -> None:
+        sent = self.mcap.send(assoc.reliable_mdl, assoc.source, measurement.encode())
+        sent.on_complete(lambda done: op.resolve(done.result))
         self.engine.emit(
             "measurement_tx",
             assoc.source.address,
@@ -611,21 +574,17 @@ class HdpManager:
             seq=measurement.seq,
         )
 
-    def _buffer(
-        self, assoc: Association, measurement: Measurement, outcome: MeasurementOutcome
-    ) -> None:
-        outcome.submitted = "buffered"
-        outcome.status = OutcomeKind.BUFFERED
+    def _buffer(self, assoc: Association, measurement: Measurement, op: Op) -> None:
+        evicted = None
         if len(assoc.buffer) >= assoc.buffer_capacity:
-            evicted_m, evicted_o = assoc.buffer.popleft()
-            evicted_o.status = OutcomeKind.EVICTED
+            evicted_m, evicted = assoc.buffer.popleft()
             self.engine.emit(
                 "evicted",
                 assoc.source.address,
                 assoc_id=assoc.assoc_id,
                 seq=evicted_m.seq,
             )
-        assoc.buffer.append((measurement, outcome))
+        assoc.buffer.append((measurement, op))
         self.engine.emit(
             "buffered",
             assoc.source.address,
@@ -633,6 +592,8 @@ class HdpManager:
             seq=measurement.seq,
             depth=len(assoc.buffer),
         )
+        if evicted is not None:  # last, so its callbacks see the buffer as it is
+            evicted.resolve(SendStatus.EVICTED)
 
     def _flush(self, assoc: Association) -> None:
         if self._channel_up(assoc):
@@ -718,8 +679,8 @@ class HdpManager:
         link = self.links.link_between(assoc.source.address, assoc.sink.address)
         link.off_state_change(assoc._on_link)
         abandoned = len(assoc.buffer)
-        for _measurement, outcome in assoc.buffer:
-            outcome.status = OutcomeKind.ABANDONED
+        for _measurement, op in assoc.buffer:
+            op.resolve(SendStatus.ABANDONED)
         assoc.buffer.clear()
         channel = assoc.reliable_mdl
         if channel is not None and channel.state is not ChannelState.CLOSED:

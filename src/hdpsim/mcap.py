@@ -22,7 +22,8 @@ sampling sends once and fails with ``SyncTimeout`` after
 carries the continuation that runs when the answer arrives, and a repeated
 reconnect or delete of a channel joins the exchange in flight. Channel
 operations return an engine ``Op``: ``result`` is the ``DataChannel`` or the
-``ClockSyncResult``, ``error`` the ``McapError``.
+``ClockSyncResult``, ``error`` the ``McapError``. A payload ``send`` returns
+one too, whose ``result`` is the payload's ``SendStatus``.
 """
 
 from __future__ import annotations
@@ -108,29 +109,19 @@ class ChannelState(enum.Enum):
 
 
 class SendStatus(enum.Enum):
-    QUEUED = "queued"
+    """The fate a payload's or a reading's ``Op`` resolves to."""
+
     DELIVERED = "delivered"
     DROPPED = "dropped"
+    EVICTED = "evicted"
     ABANDONED = "abandoned"
-
-
-@dataclass
-class SendOp:
-    """Outcome handle for one payload submission."""
-
-    seq: int
-    status: SendStatus
-
-    @property
-    def done(self) -> bool:
-        return self.status is not SendStatus.QUEUED
 
 
 @dataclass
 class _QueuedItem:
     seq: int
     payload: bytes
-    op: SendOp
+    op: Op
     attempts: int = 0
 
 
@@ -457,18 +448,16 @@ class McapManager:
         (the peer already has them); the rest are abandoned. Returns the
         abandoned count.
         """
-        queue = channel.queue.get(sender)
-        abandoned = 0
-        if queue:
-            for item in queue:
-                if item.seq in delivered_seqs:
-                    item.op.status = SendStatus.DELIVERED
-                else:
-                    item.op.status = SendStatus.ABANDONED
-                    abandoned += 1
-            queue.clear()
+        items = channel.queue.pop(sender, ())
         channel.in_flight[sender] = False
         self.engine.cancel(channel._retx_timers.pop(sender, -1))
+        abandoned = 0
+        for item in items:
+            if item.seq in delivered_seqs:
+                item.op.resolve(SendStatus.DELIVERED)
+            else:
+                item.op.resolve(SendStatus.ABANDONED)
+                abandoned += 1
         return abandoned
 
     def _close_local(self, channel: DataChannel, by: DeviceAddress, mode: str) -> None:
@@ -476,15 +465,13 @@ class McapManager:
             return
         channel.state = ChannelState.CLOSED
         self._halt_retx(channel)
-        abandoned = 0
-        for addr, queue in channel.queue.items():
-            for item in queue:
-                item.op.status = SendStatus.ABANDONED
-                abandoned += 1
-            queue.clear()
+        items = [item for queue in channel.queue.values() for item in queue]
+        channel.queue.clear()
         self.engine.emit(
-            "mdl_close", by, mdl_id=channel.mdl_id, mode=mode, abandoned=abandoned
+            "mdl_close", by, mdl_id=channel.mdl_id, mode=mode, abandoned=len(items)
         )
+        for item in items:
+            item.op.resolve(SendStatus.ABANDONED)
 
     def _on_delete_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         mdl_id = struct.unpack(">H", body[:2])[0]
@@ -501,12 +488,17 @@ class McapManager:
 
     # -- data plane ---------------------------------------------------------
 
-    def send(self, channel: DataChannel, sender: Device, payload: bytes) -> SendOp:
-        """Submit one payload; the returned handle tracks its outcome.
+    def send(self, channel: DataChannel, sender: Device, payload: bytes) -> Op:
+        """Submit one payload; the returned ``Op`` resolves to its SendStatus.
 
         Reliable channels queue and retransmit until the peer acknowledges,
-        surviving link loss. Streaming channels transmit once, immediately,
-        and report Dropped when the medium or link does not carry the frame.
+        surviving link loss: the op stays pending while the payload is
+        queued, and resolves to DELIVERED on its ack or to ABANDONED when the
+        queue is settled or the channel closes. Streaming channels transmit
+        once, immediately, and return an op already resolved to DELIVERED,
+        or to DROPPED when the medium or link does not carry the frame.
+        The channel seq of a sender's payloads counts 1, 2, 3... in the order
+        they are sent.
         """
         control = channel.control
         if channel.state is ChannelState.CLOSED:
@@ -519,7 +511,7 @@ class McapManager:
         seq = channel.tx_seq.get(sender.address, 0) + 1
         channel.tx_seq[sender.address] = seq
         if channel.reliable:
-            op = SendOp(seq=seq, status=SendStatus.QUEUED)
+            op = Op()
             queue = channel.queue.setdefault(sender.address, deque())
             queue.append(_QueuedItem(seq=seq, payload=payload, op=op))
             self._pump(channel, sender)
@@ -530,13 +522,13 @@ class McapManager:
         ):
             reason = "link_down"
         elif self._tx_data(channel, sender, seq, payload, attempts=0):
-            return SendOp(seq=seq, status=SendStatus.DELIVERED)
+            return Op.resolved(SendStatus.DELIVERED)
         else:
             reason = "loss"
         self.engine.emit(
             "mdl_drop", sender.address, mdl_id=channel.mdl_id, seq=seq, reason=reason
         )
-        return SendOp(seq=seq, status=SendStatus.DROPPED)
+        return Op.resolved(SendStatus.DROPPED)
 
     def _tx_data(
         self, channel: DataChannel, sender: Device, seq: int, payload: bytes, attempts: int
@@ -641,10 +633,10 @@ class McapManager:
         if queue[0].seq != seq:
             return
         item = queue.popleft()
-        item.op.status = SendStatus.DELIVERED
         channel.in_flight[addr] = False
         self.engine.cancel(channel._retx_timers.pop(addr, -1))
         self.engine.emit("mdl_ack", addr, mdl_id=mdl_id, seq=seq)
+        item.op.resolve(SendStatus.DELIVERED)
         self._pump(channel, receiver)
 
     # -- clock sync ---------------------------------------------------------

@@ -45,7 +45,6 @@ class SimParams:
     reconnect_retry_interval_us: int = 1_000_000
     # Application-layer source buffer.
     buffer_capacity: int = 1024
-    max_payload_bytes: int = 1024
 
     def __post_init__(self):
         for f in fields(self):

@@ -22,12 +22,11 @@ from hdpsim.hdp import (
     AuthRequired,
     ChannelKind,
     NoControlChannel,
-    OutcomeKind,
     Specialization,
     validate_channel_kind,
 )
 from hdpsim.link import PiconetFull, pair_key
-from hdpsim.mcap import ChannelState, NotAuthenticated
+from hdpsim.mcap import ChannelState, NotAuthenticated, SendStatus
 from hdpsim.runner import run_scenario
 from hdpsim.scenario import validate_scenario
 from hdpsim.security import LinkKey, Pin, apply_cipher
@@ -313,7 +312,7 @@ def test_criterion_07_exactly_once_telemetry():
             back_at, lambda: stack.engine.move_device(source.address, (0.0, 0.0))
         )
         release_at = rng.randrange(10, 24) if trial % 2 == 0 else None
-        outcomes = []
+        ops = []
         received = []
         stack.hdp.set_sink_callback(
             sink.address, lambda _assoc, m, _sink_ts: received.append(m.seq)
@@ -322,36 +321,30 @@ def test_criterion_07_exactly_once_telemetry():
         for k in range(24):
             if assoc.state is AssocState.RELEASED:
                 break
-            outcomes.append(stack.hdp.send_measurement(assoc, HEART_READINGS))
+            ops.append(stack.hdp.send_measurement(assoc, HEART_READINGS))
             if release_at is not None and k == release_at:
                 stack.hdp.release(assoc)
             stack.engine.run_until(stack.engine.now + 400_000)
 
         if assoc.state is not AssocState.RELEASED:
-            def unsettled():
-                for o in outcomes:
-                    o.refresh()
-                return any(
-                    o.status in (OutcomeKind.PENDING, OutcomeKind.BUFFERED)
-                    for o in outcomes
-                )
+            run_while(
+                stack, lambda: not all(op.done for op in ops), 180_000_000, step_us=500_000
+            )
 
-            run_while(stack, unsettled, 180_000_000, step_us=500_000)
-
-        assert outcomes, f"trial {trial} sent nothing"
-        for o in outcomes:
-            o.refresh()
-        terminal = {OutcomeKind.ACKED, OutcomeKind.EVICTED, OutcomeKind.ABANDONED}
-        assert all(o.status in terminal for o in outcomes), (
-            f"trial {trial} left undecided outcomes"
-        )
+        assert ops, f"trial {trial} sent nothing"
+        assert all(op.done for op in ops), f"trial {trial} left undecided readings"
         assert all(a < b for a, b in zip(received, received[1:])), (
             f"trial {trial} out of order or duplicated: {received}"
         )
-        sent = {o.seq for o in outcomes}
-        evicted = {o.seq for o in outcomes if o.status is OutcomeKind.EVICTED}
-        abandoned = {o.seq for o in outcomes if o.status is OutcomeKind.ABANDONED}
-        assert set(received) == sent - evicted - abandoned, f"trial {trial} accounting"
+        # Reading seqs count from 1 in send order.
+        fates = {seq: op.result for seq, op in enumerate(ops, 1)}
+        assert set(fates.values()) <= {
+            SendStatus.DELIVERED,
+            SendStatus.EVICTED,
+            SendStatus.ABANDONED,
+        }, f"trial {trial} fates {set(fates.values())}"
+        delivered = {seq for seq, fate in fates.items() if fate is SendStatus.DELIVERED}
+        assert set(received) == delivered, f"trial {trial} accounting"
     print("criterion 07 exactly-once telemetry: PASS")
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdpsim.engine import MediumModel
 from hdpsim.hdp import (
     AlreadyReleased,
     AssocState,
@@ -15,7 +16,6 @@ from hdpsim.hdp import (
     Measurement,
     METRICS,
     NoControlChannel,
-    OutcomeKind,
     Released,
     scale_value,
     Specialization,
@@ -23,6 +23,8 @@ from hdpsim.hdp import (
     UnknownMetric,
     validate_channel_kind,
 )
+from hdpsim.link import LinkState
+from hdpsim.mcap import SendStatus
 from hdpsim.metrics import compute_metrics
 from hdpsim.security import Pin
 
@@ -186,13 +188,13 @@ def test_measurement_reaches_sink_with_mapped_timestamp():
     source, sink = sensor_pair(stack, source_offset_us=1500)
     assoc = operating_assoc(stack, source, sink)
     received = record_readings(stack, sink)
-    outcome = stack.hdp.send_measurement(assoc, HEART_READINGS)
-    run_while(stack, lambda: not outcome.acked, 1_000_000)
-    assert outcome.status is OutcomeKind.ACKED
+    op = stack.hdp.send_measurement(assoc, HEART_READINGS)
+    run_while(stack, lambda: not op.done, 1_000_000)
+    assert op.result is SendStatus.DELIVERED
     assert len(received) == 1
     got_assoc, measurement, sink_ts, received_at = received[0]
     assert got_assoc is assoc
-    assert measurement.seq == outcome.seq == 1
+    assert measurement.seq == 1
     assert dict(measurement.values)["heart_rate_bpm"] == 720
     # Clock mapping: sink timestamp within sync accuracy of true arrival.
     assert sink_ts == measurement.source_timestamp_us - assoc.clock_map.offset_us
@@ -209,14 +211,20 @@ def test_measurements_buffer_while_link_down_and_flush_on_restore():
     assoc = operating_assoc(stack, source, sink)
     received = record_readings(stack, sink)
     stack.links.drop_link(source.address, sink.address)
-    outcomes = [stack.hdp.send_measurement(assoc, HEART_READINGS) for _ in range(5)]
-    assert all(o.submitted == "buffered" for o in outcomes)
+    ops = [stack.hdp.send_measurement(assoc, HEART_READINGS) for _ in range(5)]
+    assert not any(op.done for op in ops)
     buffered = [e for e in stack.engine.trace if e.ev == "buffered"]
-    assert [e.detail["depth"] for e in buffered] == [1, 2, 3, 4, 5]
+    assert [(e.detail["seq"], e.detail["depth"]) for e in buffered] == [
+        (1, 1),
+        (2, 2),
+        (3, 3),
+        (4, 4),
+        (5, 5),
+    ]
     # Auto-reconnect pages from the link master once per retry interval.
     run_while(stack, lambda: len(received) < 5, 15_000_000)
-    assert [r[1].seq for r in received] == [o.seq for o in outcomes]
-    assert all(o.acked for o in outcomes)
+    assert [r[1].seq for r in received] == [1, 2, 3, 4, 5]
+    assert all(op.result is SendStatus.DELIVERED for op in ops)
 
 
 def test_buffer_evicts_oldest_when_full():
@@ -225,11 +233,11 @@ def test_buffer_evicts_oldest_when_full():
     assoc = operating_assoc(stack, source, sink)
     stack.links.drop_link(source.address, sink.address)
     assoc.auto_reconnect = False
-    outcomes = [stack.hdp.send_measurement(assoc, HEART_READINGS) for _ in range(5)]
+    ops = [stack.hdp.send_measurement(assoc, HEART_READINGS) for _ in range(5)]
     evicted = [e for e in stack.engine.trace if e.ev == "evicted"]
     assert [e.detail["seq"] for e in evicted] == [1, 2]
-    assert outcomes[0].status is OutcomeKind.EVICTED
-    assert outcomes[1].status is OutcomeKind.EVICTED
+    assert [op.result for op in ops[:2]] == [SendStatus.EVICTED] * 2
+    assert not any(op.done for op in ops[2:])
     assert len(assoc.buffer) == 3
 
 
@@ -257,10 +265,10 @@ def test_release_counts_only_undelivered():
     source, sink = sensor_pair(stack)
     assoc = operating_assoc(stack, source, sink)
     first = stack.hdp.send_measurement(assoc, HEART_READINGS)
-    run_while(stack, lambda: not first.acked, 1_000_000)
+    run_while(stack, lambda: not first.done, 1_000_000)
     abandoned = stack.hdp.release(assoc)
     assert abandoned == 0
-    assert first.status is OutcomeKind.ACKED
+    assert first.result is SendStatus.DELIVERED
 
 
 def test_release_settles_the_channel_queue_by_channel_seq():
@@ -270,7 +278,7 @@ def test_release_settles_the_channel_queue_by_channel_seq():
     source, sink = sensor_pair(stack)
     assoc = operating_assoc(stack, source, sink)
     stack.links.drop_link(source.address, sink.address)
-    outcomes = [stack.hdp.send_measurement(assoc, HEART_READINGS) for _ in range(6)]
+    ops = [stack.hdp.send_measurement(assoc, HEART_READINGS) for _ in range(6)]
 
     def received():
         return [e.detail["seq"] for e in stack.engine.trace if e.ev == "measurement_rx"]
@@ -278,12 +286,10 @@ def test_release_settles_the_channel_queue_by_channel_seq():
     run_while(stack, lambda: len(received()) < 2, 15_000_000, step_us=100)
     assert received() == [4, 5]
     assert stack.hdp.release(assoc) == 1
-    for o in outcomes:
-        o.refresh()
-    assert [o.status for o in outcomes] == [OutcomeKind.EVICTED] * 3 + [
-        OutcomeKind.ACKED,
-        OutcomeKind.ACKED,
-        OutcomeKind.ABANDONED,
+    assert [op.result for op in ops] == [SendStatus.EVICTED] * 3 + [
+        SendStatus.DELIVERED,
+        SendStatus.DELIVERED,
+        SendStatus.ABANDONED,
     ]
     counts = compute_metrics(stack.engine.trace.events).measurements
     assert (counts.sent, counts.delivered, counts.evicted, counts.abandoned) == (6, 2, 3, 1)
@@ -312,5 +318,78 @@ def test_seq_numbers_are_per_association_and_monotonic():
     stack = make_stack()
     source, sink = sensor_pair(stack)
     assoc = operating_assoc(stack, source, sink)
-    seqs = [stack.hdp.send_measurement(assoc, HEART_READINGS).seq for _ in range(4)]
-    assert seqs == [1, 2, 3, 4]
+    for _ in range(4):
+        stack.hdp.send_measurement(assoc, HEART_READINGS)
+    tx = [e.detail for e in stack.engine.trace if e.ev == "measurement_tx"]
+    assert [(d["assoc_id"], d["seq"]) for d in tx] == [(assoc.assoc_id, s) for s in (1, 2, 3, 4)]
+
+
+def test_rejected_reading_takes_no_seq():
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    assoc = operating_assoc(stack, source, sink)
+    with pytest.raises(InvalidMeasurement):
+        stack.hdp.send_measurement(assoc, {"heart_rate_bpm": 70.0})
+    stack.hdp.send_measurement(assoc, HEART_READINGS)
+    tx = [e.detail["seq"] for e in stack.engine.trace if e.ev == "measurement_tx"]
+    assert tx == [1]
+
+
+def test_readings_buffered_before_a_failed_association_are_abandoned():
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    stack.engine.move_device(source.address, (100.0, 0.0))
+    assoc = stack.hdp.associate(source, sink, Specialization.HEART_RATE)
+    ops = [stack.hdp.send_measurement(assoc, HEART_READINGS) for _ in range(3)]
+    stack.engine.run_until(30_000_000)
+    assert assoc.state is AssocState.RELEASED
+    assert [e.ev for e in stack.engine.trace if e.ev in ("assoc_failed", "released")] == [
+        "assoc_failed",
+        "released",
+    ]
+    assert all(op.result is SendStatus.ABANDONED for op in ops)
+    counts = compute_metrics(stack.engine.trace.events).measurements
+    assert (counts.sent, counts.abandoned, counts.in_flight) == (3, 3, 0)
+
+
+# Sends three times as likely as each link or mobility step.
+SEND_STEPS = ("send", "send", "send", "drop", "out", "back", "wait")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=4),
+    loss=st.sampled_from([0.0, 0.05, 0.2]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    steps=st.lists(st.sampled_from(SEND_STEPS), min_size=8, max_size=30),
+    release=st.booleans(),
+)
+def test_every_reading_handle_finishes(capacity, loss, seed, steps, release):
+    stack = make_stack(buffer_capacity=capacity)
+    source, sink = sensor_pair(stack)
+    assoc = operating_assoc(stack, source, sink)
+    stack.engine.medium = MediumModel(loss_probability=loss, rng_seed=seed)
+    link = stack.links.link_between(source.address, sink.address)
+    ops = []
+    for step in steps:
+        if step == "send":
+            ops.append(stack.hdp.send_measurement(assoc, HEART_READINGS))
+        elif step == "drop" and link.state is LinkState.CONNECTED:
+            stack.links.drop_link(source.address, sink.address)
+        elif step in ("out", "back"):
+            stack.engine.move_device(source.address, (60.0 if step == "out" else 0.0, 0.0))
+        stack.engine.run_until(stack.engine.now + 400_000)
+    if release:
+        stack.hdp.release(assoc)
+    stack.engine.move_device(source.address, (0.0, 0.0))
+    run_while(stack, lambda: not all(op.done for op in ops), 300_000_000, step_us=500_000)
+
+    assert all(op.done for op in ops)
+    results = [op.result for op in ops]
+    events = stack.engine.trace.events
+    assert results.count(SendStatus.DELIVERED) == sum(e.ev == "measurement_rx" for e in events)
+    assert results.count(SendStatus.EVICTED) == sum(e.ev == "evicted" for e in events)
+    assert results.count(SendStatus.ABANDONED) == sum(
+        e.detail["abandoned"] for e in events if e.ev == "released"
+    )
+    assert compute_metrics(events).measurements.in_flight == 0

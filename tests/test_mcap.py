@@ -117,8 +117,9 @@ def test_reliable_send_delivers_and_acks():
     received = []
     channel.on_receive(lambda ch, frm, payload, now: received.append((frm, payload)))
     op = stack.mcap.send(channel, a, b"hello")
+    assert not op.done
     stack.engine.run_until(stack.engine.now + 20_000)
-    assert op.status is SendStatus.DELIVERED
+    assert op.result is SendStatus.DELIVERED
     assert received == [(a.address, b"hello")]
     acks = [e for e in stack.engine.trace if e.ev == "mdl_ack"]
     assert len(acks) == 1
@@ -135,7 +136,7 @@ def test_reliable_delivery_is_exactly_once_under_loss():
         ops.append(stack.mcap.send(channel, a, b"m%02d" % i))
     # Stop-and-wait with 100 ms retransmit: give it generous drain time.
     stack.engine.run_until(stack.engine.now + 60_000_000)
-    assert all(op.status is SendStatus.DELIVERED for op in ops)
+    assert all(op.result is SendStatus.DELIVERED for op in ops)
     assert received == [b"m%02d" % i for i in range(20)]
     retx = [e for e in stack.engine.trace if e.ev == "mdl_send" and e.detail["retx"]]
     assert retx  # loss actually exercised the retransmit path
@@ -149,8 +150,8 @@ def test_streaming_send_drops_on_loss_without_retransmit():
     channel = open_channel(stack, control, a, reliable=False)
     stack.engine.medium = MediumModel(loss_probability=1.0)  # jam the medium
     op = stack.mcap.send(channel, a, b"sample")
+    assert op.done and op.result is SendStatus.DROPPED
     stack.engine.run_until(stack.engine.now + 1_000_000)
-    assert op.status is SendStatus.DROPPED
     drops = [e for e in stack.engine.trace if e.ev == "mdl_drop"]
     assert drops and drops[0].detail["reason"] == "loss"
     assert channel.pending_count(a.address) == 0
@@ -162,7 +163,7 @@ def test_streaming_send_drops_while_link_down():
     channel = open_channel(stack, control, a, reliable=False)
     stack.links.drop_link(a.address, b.address)
     op = stack.mcap.send(channel, a, b"sample")
-    assert op.status is SendStatus.DROPPED
+    assert op.done and op.result is SendStatus.DROPPED
     drops = [e for e in stack.engine.trace if e.ev == "mdl_drop"]
     assert drops[-1].detail["reason"] == "link_down"
 
@@ -176,12 +177,12 @@ def test_reliable_queue_survives_link_loss_and_resumes():
     stack.links.drop_link(a.address, b.address)
     ops = [stack.mcap.send(channel, a, b"x%d" % i) for i in range(3)]
     stack.engine.run_until(stack.engine.now + 500_000)
-    assert all(op.status is SendStatus.QUEUED for op in ops)
+    assert not any(op.done for op in ops)
     assert received == []
     connect(stack, a, b)
     op = stack.mcap.reconnect_data_channel(channel, a)
     stack.engine.run_until(stack.engine.now + 1_000_000)
-    assert op.done and all(o.status is SendStatus.DELIVERED for o in ops)
+    assert op.done and all(o.result is SendStatus.DELIVERED for o in ops)
     assert received == [b"x0", b"x1", b"x2"]
     suspended = [e for e in stack.engine.trace if e.ev == "mdl_suspended"]
     reconnected = [e for e in stack.engine.trace if e.ev == "mdl_reconnect"]
@@ -208,7 +209,7 @@ def test_close_abandons_undelivered_queue():
     ops = [stack.mcap.send(channel, a, b"q%d" % i) for i in range(4)]
     stack.mcap.close_channel(channel, a, abort=True)
     assert channel.state is ChannelState.CLOSED
-    assert all(op.status is SendStatus.ABANDONED for op in ops)
+    assert all(op.result is SendStatus.ABANDONED for op in ops)
     closed = [e for e in stack.engine.trace if e.ev == "mdl_close"]
     assert closed[-1].detail["abandoned"] == 4
 
@@ -219,10 +220,14 @@ def test_abandon_pending_honors_delivery_evidence():
     channel = open_channel(stack, control, a)
     stack.links.drop_link(a.address, b.address)
     ops = [stack.mcap.send(channel, a, b"p%d" % i) for i in range(3)]
-    abandoned = stack.mcap.abandon_pending(channel, a.address, {ops[0].seq})
+    # A sender's channel seqs count from 1 in send order.
+    abandoned = stack.mcap.abandon_pending(channel, a.address, {1})
     assert abandoned == 2
-    assert ops[0].status is SendStatus.DELIVERED
-    assert ops[1].status is SendStatus.ABANDONED
+    assert [op.result for op in ops] == [
+        SendStatus.DELIVERED,
+        SendStatus.ABANDONED,
+        SendStatus.ABANDONED,
+    ]
     assert channel.pending_count(a.address) == 0
 
 

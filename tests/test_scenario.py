@@ -147,6 +147,11 @@ def test_parse_error_reports_line_and_column(tmp_path):
         ),
         (lambda d: d.update(params={"warp_speed": 9}), "params.warp_speed", "unknown"),
         (
+            lambda d: d.update(params={"max_payload_bytes": 1024}),
+            "params.max_payload_bytes",
+            "unknown",
+        ),
+        (
             lambda d: d.update(params={"freq_low": 5, "freq_high": 3}),
             "params.freq_high",
             "from freq_low to 31",
@@ -340,6 +345,17 @@ def test_readme_device_fields_match_the_schema():
         assert rule.startswith("required") == spec.required, name
         if spec.default is not None:
             assert default == f"`{_json_default(spec.default)}`", name
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    """Every Python block of the README runs, in order, in one namespace."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) >= 3
+    monkeypatch.chdir(tmp_path)
+    namespace = {"__name__": "readme"}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
 
 
 # -- any mutation of a valid scenario is rejected or builds -----------------------
