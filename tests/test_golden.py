@@ -19,7 +19,10 @@ without any other test noticing:
   walks into it mid-inquiry, and pages follow;
 - ``pin_mismatch``: pairing with unequal PINs fails (``auth_fail``) and leaves
   the link unauthenticated, again after a drop and re-page, while a sensor
-  with the right PIN associates and sends enciphered readings.
+  with the right PIN associates and sends enciphered readings;
+- ``inquiry_edges``: at 5 % loss with 3 us jitter, an inquiry ends with
+  responses still in flight, and the same phone starts a second inquiry 1 us
+  after the first deadline, so those responses reach the second one.
 
 A deliberate trace change re-pins the digests in one declared change:
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden/digests.json``.
