@@ -15,7 +15,9 @@ observably identical to transmitting all 32 frames. A listener's scan window
 depends only on its clock offset, so the slots are computed once per distinct
 offset among the other devices, not once per device. Each inquirer's set of
 offsets is kept until the device count changes: devices are never removed
-and offsets are frozen config.
+and offsets are frozen config. A response from a device the inquiry has
+already found still makes its loss and jitter draws, but it is not queued
+when it must land before the deadline, where the inquiry would ignore it.
 """
 
 from __future__ import annotations
@@ -267,12 +269,21 @@ class DiscoveryManager:
         if payload is None:
             payload = receiver.address.to_bytes() + encode_name(receiver.config.name)
             self._responses[receiver] = payload
+        # The inquiry active now is the one the response reaches if it lands
+        # before that inquiry's deadline; one that has seen the responder
+        # ignores it, so only the medium's draws are left to make.
+        inquiry = self._active.get(frame.from_addr)
+        medium = self.engine.medium
         response = RadioFrame(
             from_addr=receiver.address,
             freq_index=frame.freq_index,
             kind=FrameKind.INQUIRY_RESPONSE,
             payload=payload,
             to=frame.from_addr,
+            draw_only=inquiry is not None
+            and not inquiry.done
+            and receiver.address in inquiry._seen
+            and now + max(1, medium.propagation_us + medium.jitter_us) < inquiry.deadline_us,
         )
         self.engine.broadcast(response, receiver)
 

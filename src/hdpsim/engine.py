@@ -15,7 +15,11 @@ registration order, built on first use; ``add_device`` and ``move_device``,
 the only writers of positions, drop every list. Each candidate delivery is
 independently dropped with the configured loss probability using the
 engine's seeded generator, then delivered after a fixed 1 us propagation
-delay (plus optional uniform jitter).
+delay (plus optional uniform jitter). Work whose outcome is already known
+is skipped, though never a random draw: a frame sent on a connected link
+(``on_link``) skips the listen search, since its addressee listens on the
+link's hop frequency by construction; a ``draw_only`` frame (a repeat
+inquiry response) makes its draws and is not queued.
 
 Every protocol exchange that waits for an answer runs on one ``Retry``: it
 sends at once, resends every interval, and fails exactly at its deadline,
@@ -33,7 +37,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, TextIO
+from typing import Callable, Iterable, NamedTuple, Optional, TextIO
 
 from .core import DeviceAddress, DeviceConfig, DuplicateAddress, SimTime
 
@@ -63,6 +67,10 @@ class RadioFrame:
 
     `to` narrows delivery to a single addressee (page and link traffic);
     broadcast frames leave it None. The payload is the encoded PDU bytes.
+    `on_link` marks a frame sent on a connected link's hop frequency, which
+    its addressee listens on by construction. `draw_only` marks a frame whose
+    delivery would change nothing: the medium makes its draws and schedules
+    no delivery.
     """
 
     from_addr: DeviceAddress
@@ -70,6 +78,8 @@ class RadioFrame:
     kind: FrameKind
     payload: bytes = b""
     to: Optional[DeviceAddress] = None
+    on_link: bool = False
+    draw_only: bool = False
 
     def __post_init__(self):
         if not 0 <= self.freq_index < FREQ_COUNT:
@@ -125,8 +135,7 @@ else:
         return "".join(_c_encode(detail, 0))
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     t_us: SimTime
     seq: int
     ev: str
@@ -318,13 +327,14 @@ class Engine:
         return found
 
     def broadcast(self, frame: RadioFrame, sender: Device) -> list[tuple[Device, SimTime]]:
-        """Offer a frame to the medium; returns the scheduled deliveries.
+        """Offer a frame to the medium; returns the deliveries it drew.
 
         An addressed frame has one candidate, its addressee, if registered,
         not the sender and in range; an unaddressed one has the sender's
         neighbour list. Range and frequency eligibility are evaluated now
         (transmit time); the loss draw happens per candidate in device
-        registration order.
+        registration order. An ``on_link`` frame skips the frequency check.
+        A ``draw_only`` frame's deliveries are returned but not scheduled.
         """
         if sender.address not in self.devices:
             raise UnknownDevice(str(sender.address))
@@ -338,18 +348,20 @@ class Engine:
         medium, now, freq = self.medium, self.now, frame.freq_index
         deliveries: list[tuple[Device, SimTime]] = []
         for receiver in candidates:
-            for provider in self._listen_providers:
-                if freq in provider(receiver, now):
-                    break
-            else:
-                continue  # not listening on the frame's frequency
+            if not frame.on_link:
+                for provider in self._listen_providers:
+                    if freq in provider(receiver, now):
+                        break
+                else:
+                    continue  # not listening on the frame's frequency
             if medium.loss_probability > 0.0 and self.rng.random() < medium.loss_probability:
                 continue
             delay = medium.propagation_us
             if medium.jitter_us > 0:
                 delay = max(1, delay + self.rng.randint(-medium.jitter_us, medium.jitter_us))
             deliver_at = now + delay
-            self.schedule(deliver_at, self._deliver(frame, receiver))
+            if not frame.draw_only:
+                self.schedule(deliver_at, self._deliver(frame, receiver))
             deliveries.append((receiver, deliver_at))
         return deliveries
 
@@ -375,7 +387,7 @@ class Op:
         self.result = None
         self.error: Optional[Exception] = None
         self.done = False
-        self._callbacks: list[Callable[["Op"], None]] = []
+        self._callbacks: Optional[list[Callable[["Op"], None]]] = None
 
     @classmethod
     def resolved(cls, result) -> "Op":
@@ -386,6 +398,8 @@ class Op:
     def on_complete(self, fn: Callable[["Op"], None]) -> None:
         if self.done:
             fn(self)
+        elif self._callbacks is None:
+            self._callbacks = [fn]
         else:
             self._callbacks.append(fn)
 
@@ -395,7 +409,8 @@ class Op:
         self.result = result
         self.error = error
         self.done = True
-        for fn in self._callbacks:
+        callbacks, self._callbacks = self._callbacks, None
+        for fn in callbacks or ():
             fn(self)
 
 

@@ -542,6 +542,7 @@ class LinkManager:
             kind=FrameKind.LINK_DATA,
             payload=bytes([proto]) + body,
             to=peer.address,
+            on_link=True,
         )
         return self.engine.broadcast(frame, sender)
 

@@ -67,8 +67,10 @@ class LinkKey:
     def __post_init__(self):
         if len(self.value) != KEY_LEN:
             raise ValueError(f"link key must be {KEY_LEN} bytes")
-        # Keyed PRF state for the keystream; an attribute, not a field.
+        # Keyed PRF state for the keystream and the last stream made with it,
+        # (clock_us, length, stream); attributes, not fields.
         object.__setattr__(self, "_state", _keyed_state(self.value))
+        object.__setattr__(self, "_last_stream", (None, 0, b""))
 
     def hash8(self) -> str:
         """Short correlation tag for traces; never the key itself."""
@@ -146,11 +148,20 @@ def authenticate(
 
 
 def keystream(key: LinkKey, clock_us: SimTime, length: int) -> bytes:
-    """Deterministic cipher stream for one payload at one clock value."""
+    """Deterministic cipher stream for one payload at one clock value.
+
+    The key keeps the last stream it made, so the receiver of a payload,
+    deciphering at the sender's clock, reuses the sender's stream.
+    """
+    last_clock, last_length, stream = key._last_stream
+    if last_clock == clock_us and last_length == length:
+        return stream
     seed = _CIPHER_PREFIX + clock_us.to_bytes(8, "big", signed=True)
     blocks = -(-length // KEY_LEN)
     stream = b"".join(_prf(key._state, seed + i.to_bytes(4, "big")) for i in range(blocks))
-    return stream[:length]
+    stream = stream[:length]
+    object.__setattr__(key, "_last_stream", (clock_us, length, stream))
+    return stream
 
 
 def apply_cipher(key: LinkKey, clock_us: SimTime, payload: bytes) -> bytes:

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdpsim.core import DeviceConfig
-from hdpsim.discovery import sweep_slots
+from hdpsim.core import DeviceConfig, encode_name
+from hdpsim.discovery import DiscoverabilityMode, sweep_slots
 from hdpsim.engine import (
     Engine,
     FrameKind,
@@ -19,6 +20,8 @@ from hdpsim.engine import (
     TraceEvent,
     UnknownDevice,
 )
+from hdpsim.runner import ScenarioRun
+from hdpsim.scenario import load_scenario, validate_scenario
 
 from conftest import add_device, addr, make_stack
 
@@ -324,6 +327,143 @@ def test_unaddressed_broadcast_matches_a_scan_of_every_device(steps, loss, jitte
             frame = RadioFrame(from_addr=sender.address, freq_index=freq, kind=FrameKind.INQUIRY)
             assert engine.broadcast(frame, sender) == expected
             assert engine.rng.getstate() == reference.getstate()
+
+
+# -- frames whose outcome is known: link frames and repeat inquiry responses -----
+
+
+def _reference_on_inquiry(discovery):
+    """``DiscoveryManager._on_inquiry`` as it was before draw-only frames: it
+    schedules every response, a repeat one included."""
+
+    def on_inquiry(receiver, frame, now):
+        state = discovery._state(receiver.address)
+        if state.discoverability is DiscoverabilityMode.NON_DISCOVERABLE:
+            return
+        if state.discoverability is DiscoverabilityMode.LIMITED and now >= state.limited_until_us:
+            return
+        payload = receiver.address.to_bytes() + encode_name(receiver.config.name)
+        response = RadioFrame(
+            from_addr=receiver.address,
+            freq_index=frame.freq_index,
+            kind=FrameKind.INQUIRY_RESPONSE,
+            payload=payload,
+            to=frame.from_addr,
+        )
+        discovery.engine.broadcast(response, receiver)
+
+    return on_inquiry
+
+
+def _run_checked(scenario, seed, reference=False):
+    """The scenario's trace, and how many frames carried each flag. Every
+    ``on_link`` frame is checked against the full listen-provider search."""
+    run = ScenarioRun(scenario, seed)
+    engine = run.stack.engine
+    if reference:
+        engine._frame_handlers[FrameKind.INQUIRY] = [_reference_on_inquiry(run.stack.discovery)]
+    flagged = {"on_link": 0, "draw_only": 0}
+    broadcast = engine.broadcast
+
+    def checked(frame, sender):
+        if frame.on_link:
+            addressee = engine.devices[frame.to]
+            providers = engine._listen_providers
+            assert any(frame.freq_index in p(addressee, engine.now) for p in providers)
+            flagged["on_link"] += 1
+        flagged["draw_only"] += frame.draw_only
+        return broadcast(frame, sender)
+
+    engine.broadcast = checked
+    trace, _ = run.run()
+    return trace.to_jsonl(), flagged
+
+
+_HEART_RATE = {"heart_rate_bpm": 72.0, "filling_duration_ms": 180.0, "ascending_wave_index_pct": 15.0}
+
+
+def _edges_scenario(loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves):
+    phone = "AA:00:00:00:00:10"
+    devices = [{"address": phone, "position": [0.0, 0.0], "pin": "1234", "role": "sink"}]
+    for i, (x, offset) in enumerate(sensors):
+        devices.append(
+            {"address": f"AA:00:00:00:00:0{i + 1}", "position": [x, 1.0],
+             "pin": "1234", "role": "source", "clock_offset_us": offset}
+        )
+    source = devices[1]["address"]
+    timeline = [
+        {"t_us": 0, "action": "start_inquiry", "device": phone, "duration_us": first_us},
+        {"t_us": first_us + gap_us, "action": "start_inquiry", "device": phone,
+         "duration_us": second_us},
+    ]
+    for t_us, index, x in moves:
+        timeline.append({"t_us": t_us, "action": "move_device",
+                         "device": devices[1 + index % len(sensors)]["address"],
+                         "position": [x, 1.0]})
+    timeline += [
+        {"t_us": 100_000, "action": "page", "device": phone, "target": source},
+        {"t_us": 1_000_000, "action": "associate", "source": source, "sink": phone,
+         "specialization": "heart_rate"},
+        {"t_us": 1_500_000, "action": "send_measurement", "source": source, "sink": phone,
+         "count": 3, "interval_us": 300_000, "readings": _HEART_RATE},
+        {"t_us": 8_000_000, "action": "run_until"},
+    ]
+    timeline.sort(key=lambda a: a["t_us"])  # stable: ties keep their order
+    medium = {"loss_probability": loss, "jitter_us": jitter, "propagation_us": propagation}
+    return validate_scenario({"devices": devices, "medium": medium, "timeline": timeline})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    loss=st.sampled_from([0.0, 0.05, 0.3]),
+    jitter=st.integers(0, 4),
+    propagation=st.integers(1, 3),
+    sensors=st.lists(
+        st.tuples(st.floats(0.5, 12.0), st.sampled_from([0, 300, 39_700_000, 1_281_000])),
+        min_size=1,
+        max_size=4,
+    ),
+    # Either anywhere, or a few us after a slot that scanners at the offsets
+    # above hear (313 us per frequency), so responses are still in flight at
+    # the first deadline.
+    first_us=st.integers(1, 40_000)
+    | st.builds(
+        lambda cycle, slot, delta: 10_000 * cycle + slot + delta,
+        st.integers(0, 3),
+        st.sampled_from([0, 313, 9_703]),
+        st.integers(1, 6),
+    ),
+    gap_us=st.integers(1, 4),
+    second_us=st.integers(1, 30_000),
+    moves=st.lists(
+        st.tuples(st.integers(0, 6_000_000), st.integers(0, 3), st.sampled_from([2.0, 40.0])),
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**16),
+)
+@example(  # a repeat response lands 1 us into the second inquiry
+    loss=0.0, jitter=3, propagation=1, sensors=[(1.0, 0), (2.0, 39_700_000)],
+    first_us=20_002, gap_us=2, second_us=30_000, moves=[], seed=0,
+)
+def test_skipped_work_keeps_the_trace_bytes(
+    loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves, seed
+):
+    scenario = _edges_scenario(
+        loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves
+    )
+    trace, _ = _run_checked(scenario, seed)
+    reference, flagged = _run_checked(scenario, seed, reference=True)
+    assert trace == reference
+    assert flagged["draw_only"] == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_inquiry_edges_golden_takes_both_shortcuts_with_the_reference_bytes(seed):
+    scenario = load_scenario(str(Path(__file__).parent / "golden" / "inquiry_edges.json"))
+    trace, flagged = _run_checked(scenario, seed)
+    reference, _ = _run_checked(scenario, seed, reference=True)
+    assert trace == reference
+    assert flagged["on_link"] > 0 and flagged["draw_only"] > 0
 
 
 def test_inquiry_hears_a_device_moved_into_range_and_not_one_moved_out():

@@ -66,11 +66,14 @@ def test_op_resolves_once_and_runs_late_callbacks_at_once():
     op = Op()
     seen = []
     op.on_complete(lambda o: seen.append(("early", o.result)))
+    op.on_complete(lambda o: seen.append(("early too", o.result)))
     op.resolve(7)
+    assert op._callbacks is None  # nothing held once the callbacks ran
     op.resolve(8, error=ValueError("ignored"))
     op.on_complete(lambda o: seen.append(("late", o.result)))
     assert op.done and op.result == 7 and op.error is None
-    assert seen == [("early", 7), ("late", 7)]
+    assert op._callbacks is None
+    assert seen == [("early", 7), ("early too", 7), ("late", 7)]
 
 
 # -- bounded per-object state ---------------------------------------------------

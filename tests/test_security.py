@@ -146,6 +146,25 @@ def test_cipher_and_keystream_equal_the_per_block_hmac_reference(clock):
         assert keystream(key, clock, n) == _reference_cipher(key, clock, bytes(n)), n
 
 
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 1), st.sampled_from([0, 1, 777, -5]), st.binary(max_size=40)),
+        max_size=30,
+    )
+)
+def test_interleaved_ciphers_over_two_keys_equal_the_uncached_keystream(calls):
+    # Each key keeps its last stream; equal and different clocks and lengths
+    # alternate over two keys, and a fresh key's stream is computed anew.
+    raw = (b"\x5a" * 16, bytes.fromhex("f32e31cff3cd1ad29727b6e70ca2d439"))
+    keys = [LinkKey(value) for value in raw]
+    for which, clock, payload in calls:
+        uncached = keystream(LinkKey(raw[which]), clock, len(payload))
+        assert keystream(keys[which], clock, len(payload)) == uncached
+        assert apply_cipher(keys[which], clock, payload) == _reference_cipher(
+            keys[which], clock, payload
+        )
+
+
 @given(st.binary(max_size=100), st.binary(max_size=100))
 def test_keyed_prf_equals_hmac_for_any_key_length(key, msg):
     # Keys longer than the 64-byte SHA-256 block are hashed first (RFC 2104).
