@@ -23,9 +23,11 @@ inquiry response) makes its draws and is not queued.
 
 Every protocol exchange that waits for an answer runs on one ``Retry``: it
 sends at once, resends every interval, and fails exactly at its deadline,
-the last wait being clamped to it. Every asynchronous operation returns one
-``Op`` handle: ``done`` turns true once, when ``result`` (on success) or
-``error`` (on failure) is set and the ``on_complete`` callbacks run.
+the last wait being clamped to it. A ``Retry`` without a deadline (a
+reliable channel's queue head) resends until it is resolved. Every
+asynchronous operation returns one ``Op`` handle: ``done`` turns true once,
+when ``result`` (on success) or ``error`` (on failure) is set and the
+``on_complete`` callbacks run.
 """
 
 from __future__ import annotations
@@ -61,8 +63,7 @@ class FrameKind(enum.Enum):
     LINK_DATA = "link_data"
 
 
-@dataclass(frozen=True)
-class RadioFrame:
+class RadioFrame(NamedTuple):
     """One over-the-air transmission.
 
     `to` narrows delivery to a single addressee (page and link traffic);
@@ -80,10 +81,6 @@ class RadioFrame:
     to: Optional[DeviceAddress] = None
     on_link: bool = False
     draw_only: bool = False
-
-    def __post_init__(self):
-        if not 0 <= self.freq_index < FREQ_COUNT:
-            raise ValueError(f"freq_index out of [0,{FREQ_COUNT - 1}]: {self.freq_index}")
 
 
 @dataclass(frozen=True)
@@ -335,7 +332,11 @@ class Engine:
         (transmit time); the loss draw happens per candidate in device
         registration order. An ``on_link`` frame skips the frequency check.
         A ``draw_only`` frame's deliveries are returned but not scheduled.
+        A frequency index outside [0, FREQ_COUNT) raises ``ValueError``
+        before anything is drawn.
         """
+        if not 0 <= frame.freq_index < FREQ_COUNT:
+            raise ValueError(f"freq_index out of [0,{FREQ_COUNT - 1}]: {frame.freq_index}")
         if sender.address not in self.devices:
             raise UnknownDevice(str(sender.address))
         if frame.to is None:
@@ -420,7 +421,9 @@ class Retry:
     The deadline is ``timeout_us`` after construction; ``start`` sends at
     once. Each tick sends before it schedules the next one, and the last wait
     is clamped to the deadline, where ``on_timeout`` runs instead of a send.
-    ``resolve`` stops the retry on an answer and cancels its pending tick.
+    With ``timeout_us`` None the deadline is infinite: the retry resends
+    until it is resolved. ``resolve`` stops the retry on an answer and
+    cancels its pending tick.
     """
 
     __slots__ = ("engine", "send", "interval_us", "on_timeout", "deadline_us", "done", "_timer")
@@ -430,13 +433,13 @@ class Retry:
         engine: Engine,
         send: Callable[[], object],
         interval_us: int,
-        timeout_us: int,
-        on_timeout: Callable[[], None],
+        timeout_us: Optional[int] = None,
+        on_timeout: Optional[Callable[[], None]] = None,
     ):
         self.engine = engine
         self.send = send
         self.interval_us = interval_us
-        self.deadline_us: SimTime = engine.now + timeout_us
+        self.deadline_us = float("inf") if timeout_us is None else engine.now + timeout_us
         self.on_timeout = on_timeout
         self.done = False
         self._timer = -1

@@ -14,12 +14,12 @@ channel reconnects, ahead of any newer reading. Audio transport is refused
 unconditionally, whatever the specialization.
 
 The profile keeps a reading only while it is in flight, in the source
-buffer or the channel queue. ``send_measurement`` returns the reading's
-engine ``Op``, which resolves to a ``SendStatus``: DELIVERED on the sink's
-acknowledgement, EVICTED when the full source buffer drops it, ABANDONED
-when the association ends first. A sink callback (``set_sink_callback``)
-sees each reading the sink receives. ``release`` settles the channel queue
-by the sink's receive watermark on the channel.
+buffer or the channel queue; both hold the one engine ``Op`` that
+``send_measurement`` returns, which resolves to a ``SendStatus``: DELIVERED
+on the sink's acknowledgement, EVICTED when the full source buffer drops
+it, ABANDONED when the association ends first. A sink callback
+(``set_sink_callback``) sees each reading the sink receives. ``release``
+settles the channel queue by the sink's receive watermark on the channel.
 
 The association request runs on the engine's ``Retry``: resent every
 ``retransmit_interval_us``, given up exactly ``handshake_timeout_us`` after
@@ -388,15 +388,12 @@ class HdpManager:
         )
         self.release(assoc)
 
-    def _tx(self, sender: Device, peer: Device, msg: int, body: bytes) -> bool:
+    def _tx(self, sender: Device, peer: Device, msg: int, body: bytes) -> None:
         link = self.links.link_between(sender.address, peer.address)
-        if link is None or link.state is not LinkState.CONNECTED:
-            return False
         try:
             self.links.send_on_link(link, sender, PROTO_HDP, bytes([msg]) + body)
         except LinkError:
-            return False
-        return True
+            pass  # a lost link carries nothing
 
     def _answered(self, assoc_id: int) -> bool:
         retry = self._requests.pop(assoc_id, None)
@@ -565,8 +562,7 @@ class HdpManager:
         )
 
     def _transmit(self, assoc: Association, measurement: Measurement, op: Op) -> None:
-        sent = self.mcap.send(assoc.reliable_mdl, assoc.source, measurement.encode())
-        sent.on_complete(lambda done: op.resolve(done.result))
+        self.mcap.send(assoc.reliable_mdl, assoc.source, measurement.encode(), op)
         self.engine.emit(
             "measurement_tx",
             assoc.source.address,

@@ -4,9 +4,10 @@ A device that pages a previously discovered target becomes the master of the
 resulting link and of the piconet containing it. A piconet holds at most
 seven slaves; a device masters at most one piconet but may simultaneously be
 a slave in others, and links can swap roles after the fact. The master
-drives a keepalive exchange; three consecutive misses on either side mark
-the link lost, after which the same master may page again to restore the
-same link object with its negotiated parameters intact.
+drives a keepalive exchange on one timer per link, whose tick checks both
+sides; three consecutive misses on either side mark the link lost, after
+which the same master may page again to restore the same link object with
+its negotiated parameters intact.
 
 Paging reuses the inquiry sweep arithmetic: the pager transmits at the
 moments the target's standby scan is on the matching frequency, then the
@@ -172,8 +173,7 @@ class Link:
     ka_misses: int = 0
     slave_heard: bool = False
     slave_misses: int = 0
-    _ka_timer: int = -1
-    _monitor_timer: int = -1
+    _timer: int = -1  # the pending supervision tick
     _observers: list[Callable[["Link"], None]] = field(default_factory=list)
     _hop_slot: int = field(default=-1, compare=False, repr=False)
     _hop_freq: int = field(default=0, compare=False, repr=False)
@@ -462,8 +462,7 @@ class LinkManager:
         return piconet
 
     def _stop_supervision(self, link: Link) -> None:
-        self.engine.cancel(link._ka_timer)
-        self.engine.cancel(link._monitor_timer)
+        self.engine.cancel(link._timer)
         link.ka_pending = False
         link.ka_misses = 0
         link.slave_heard = False
@@ -471,14 +470,12 @@ class LinkManager:
 
     def _start_supervision(self, link: Link) -> None:
         self._stop_supervision(link)
-        link._ka_timer = self.engine.schedule_in(
-            self.params.keepalive_interval_us, lambda: self._ka_tick(link)
-        )
-        link._monitor_timer = self.engine.schedule_in(
-            self.params.keepalive_interval_us, lambda: self._monitor_tick(link)
+        link._timer = self.engine.schedule_in(
+            self.params.keepalive_interval_us, lambda: self._supervise(link)
         )
 
-    def _ka_tick(self, link: Link) -> None:
+    def _supervise(self, link: Link) -> None:
+        """Master miss check and keepalive, slave miss check, next tick."""
         if link.state is not LinkState.CONNECTED:
             return
         if link.ka_pending:
@@ -488,13 +485,6 @@ class LinkManager:
                 return
         self.send_on_link(link, link.master, PROTO_LINK, bytes([_MSG_KEEPALIVE]))
         link.ka_pending = True
-        link._ka_timer = self.engine.schedule_in(
-            self.params.keepalive_interval_us, lambda: self._ka_tick(link)
-        )
-
-    def _monitor_tick(self, link: Link) -> None:
-        if link.state is not LinkState.CONNECTED:
-            return
         if link.slave_heard:
             link.slave_misses = 0
         else:
@@ -503,8 +493,8 @@ class LinkManager:
                 self._lose(link, "keepalive_silence")
                 return
         link.slave_heard = False
-        link._monitor_timer = self.engine.schedule_in(
-            self.params.keepalive_interval_us, lambda: self._monitor_tick(link)
+        link._timer = self.engine.schedule_in(
+            self.params.keepalive_interval_us, lambda: self._supervise(link)
         )
 
     def _lose(self, link: Link, reason: str) -> None:

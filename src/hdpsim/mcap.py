@@ -20,10 +20,12 @@ every ``retransmit_interval_us`` and the exchange fails with
 sampling sends once and fails with ``SyncTimeout`` after
 ``sync_timeout_us``). One table holds the pending exchanges; each entry
 carries the continuation that runs when the answer arrives, and a repeated
-reconnect or delete of a channel joins the exchange in flight. Channel
-operations return an engine ``Op``: ``result`` is the ``DataChannel`` or the
-``ClockSyncResult``, ``error`` the ``McapError``. A payload ``send`` returns
-one too, whose ``result`` is the payload's ``SendStatus``.
+reconnect or delete of a channel joins the exchange in flight. A reliable
+sender's queue head is resent on one ``Retry`` with no deadline, which its
+ack, a suspend or a close resolves. Channel operations return an engine
+``Op``: ``result`` is the ``DataChannel`` or the ``ClockSyncResult``,
+``error`` the ``McapError``. A payload ``send`` resolves the ``Op`` it is
+given, or a new one, to the payload's ``SendStatus``, and returns it.
 """
 
 from __future__ import annotations
@@ -87,13 +89,15 @@ _OP_NAMES = {
     _OP_ABORT: "abort",
 }
 
-# Answer opcode -> the kind of exchange it completes, keyed by its mdl id.
-_ANSWERS = {
-    _OP_CREATE_ACCEPT: "create",
-    _OP_CREATE_CONFIRM: "config",
-    _OP_RECONNECT_ACCEPT: "reconnect",
-    _OP_DELETE_ACK: "delete",
+# Channel handshake kind -> (request opcode, answer opcode). The answer
+# completes the pending exchange of its kind, keyed by its mdl id.
+_HANDSHAKES = {
+    "create": (_OP_CREATE_REQ, _OP_CREATE_ACCEPT),
+    "config": (_OP_CREATE_CONFIG, _OP_CREATE_CONFIRM),
+    "reconnect": (_OP_RECONNECT_REQ, _OP_RECONNECT_ACCEPT),
+    "delete": (_OP_DELETE_REQ, _OP_DELETE_ACK),
 }
+_ANSWERS = {answer: kind for kind, (_request, answer) in _HANDSHAKES.items()}
 
 _DATA_HEADER = struct.Struct(">HIBq")
 _FLAG_RELIABLE = 1
@@ -145,8 +149,8 @@ class DataChannel:
     tx_seq: dict[DeviceAddress, int] = field(default_factory=dict)
     rx_last: dict[DeviceAddress, int] = field(default_factory=dict)
     queue: dict[DeviceAddress, deque] = field(default_factory=dict)
-    in_flight: dict[DeviceAddress, bool] = field(default_factory=dict)
-    _retx_timers: dict[DeviceAddress, int] = field(default_factory=dict)
+    # sender -> the Retry resending its queue head, while the channel is active
+    _retx: dict[DeviceAddress, Retry] = field(default_factory=dict)
     _receivers: list[Callable] = field(default_factory=list)
 
     def on_receive(self, fn: Callable[["DataChannel", DeviceAddress, bytes, SimTime], None]) -> None:
@@ -217,26 +221,23 @@ class McapManager:
                     )
 
     def _halt_retx(self, channel: DataChannel) -> None:
-        for addr, timer in channel._retx_timers.items():
-            self.engine.cancel(timer)
-        channel._retx_timers.clear()
-        for addr in channel.in_flight:
-            channel.in_flight[addr] = False
+        for retry in channel._retx.values():
+            retry.resolve()
+        channel._retx.clear()
 
     # -- wire helpers -------------------------------------------------------
 
-    def _tx(self, control: ControlChannel, sender: Device, opcode: int, body: bytes) -> bool:
+    def _tx(self, control: ControlChannel, sender: Device, opcode: int, body: bytes) -> None:
         try:
             self.links.send_on_link(
                 control.link, sender, PROTO_MCAP, bytes([opcode]) + body
             )
         except LinkError:
-            return False
+            return
         name = _OP_NAMES.get(opcode)
         if name is not None:
             mdl_id = struct.unpack(">H", body[:2])[0] if len(body) >= 2 else 0
             self.engine.emit("mcap_tx", sender.address, op=name, mdl_id=mdl_id)
-        return True
 
     # -- exchange machinery -------------------------------------------------
 
@@ -275,6 +276,32 @@ class McapManager:
             retry.resolve()
             on_answer(*answer)
 
+    def _handshake(
+        self,
+        control: ControlChannel,
+        initiator: Device,
+        kind: str,
+        mdl_id: int,
+        op: Op,
+        on_answer: Callable[[], None],
+        body: bytes | None = None,
+    ) -> Op:
+        """``_exchange`` for one ``_HANDSHAKES`` request on ``mdl_id`` (``body``
+        defaults to the bare id); ``op`` fails with ``McapTimeout``."""
+        key = (control.pair, kind, mdl_id)
+        opcode = _HANDSHAKES[kind][0]
+        if body is None:
+            body = struct.pack(">H", mdl_id)
+        return self._exchange(
+            key,
+            op,
+            lambda: self._tx(control, initiator, opcode, body),
+            on_answer,
+            lambda: op.resolve(error=McapTimeout(str(key))),
+            self.params.retransmit_interval_us,
+            self.params.handshake_timeout_us,
+        )
+
     # -- data channel creation ----------------------------------------------
 
     def create_data_channel(
@@ -291,11 +318,6 @@ class McapManager:
         mdl_id = control.next_mdl_id
         control.next_mdl_id += 1
         op = Op()
-        flags = _FLAG_RELIABLE if reliable else 0
-        req = struct.pack(">HB", mdl_id, flags)
-        mdl = struct.pack(">H", mdl_id)
-        key = (control.pair, "create", mdl_id)
-        config_key = (control.pair, "config", mdl_id)
 
         def confirmed() -> None:
             channel = control.channels.get(mdl_id)
@@ -312,25 +334,10 @@ class McapManager:
             op.resolve(channel)
 
         def accepted() -> None:
-            self._exchange(
-                config_key,
-                op,
-                lambda: self._tx(control, initiator, _OP_CREATE_CONFIG, mdl),
-                confirmed,
-                lambda: op.resolve(error=McapTimeout(str(config_key))),
-                self.params.retransmit_interval_us,
-                self.params.handshake_timeout_us,
-            )
+            self._handshake(control, initiator, "config", mdl_id, op, confirmed)
 
-        return self._exchange(
-            key,
-            op,
-            lambda: self._tx(control, initiator, _OP_CREATE_REQ, req),
-            accepted,
-            lambda: op.resolve(error=McapTimeout(str(key))),
-            self.params.retransmit_interval_us,
-            self.params.handshake_timeout_us,
-        )
+        req = struct.pack(">HB", mdl_id, _FLAG_RELIABLE if reliable else 0)
+        return self._handshake(control, initiator, "create", mdl_id, op, accepted, req)
 
     def _on_create_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         mdl_id, flags = struct.unpack(">HB", body[:3])
@@ -364,7 +371,6 @@ class McapManager:
             return Op.resolved(channel)
         op = Op()
         mdl_id = channel.mdl_id
-        key = (control.pair, "reconnect", mdl_id)
 
         def complete() -> None:
             channel.state = ChannelState.ACTIVE
@@ -377,17 +383,7 @@ class McapManager:
             op.resolve(channel)
             self._pump(channel, initiator)
 
-        return self._exchange(
-            key,
-            op,
-            lambda: self._tx(
-                control, initiator, _OP_RECONNECT_REQ, struct.pack(">H", mdl_id)
-            ),
-            complete,
-            lambda: op.resolve(error=McapTimeout(str(key))),
-            self.params.retransmit_interval_us,
-            self.params.handshake_timeout_us,
-        )
+        return self._handshake(control, initiator, "reconnect", mdl_id, op, complete)
 
     def _on_reconnect_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         mdl_id = struct.unpack(">H", body[:2])[0]
@@ -418,23 +414,12 @@ class McapManager:
             self._close_local(channel, initiator.address, "abort")
             return Op.resolved(channel)
         op = Op()
-        key = (control.pair, "delete", mdl_id)
 
         def complete() -> None:
             self._close_local(channel, initiator.address, "delete")
             op.resolve(channel)
 
-        return self._exchange(
-            key,
-            op,
-            lambda: self._tx(
-                control, initiator, _OP_DELETE_REQ, struct.pack(">H", mdl_id)
-            ),
-            complete,
-            lambda: op.resolve(error=McapTimeout(str(key))),
-            self.params.retransmit_interval_us,
-            self.params.handshake_timeout_us,
-        )
+        return self._handshake(control, initiator, "delete", mdl_id, op, complete)
 
     def abandon_pending(
         self,
@@ -449,8 +434,9 @@ class McapManager:
         abandoned count.
         """
         items = channel.queue.pop(sender, ())
-        channel.in_flight[sender] = False
-        self.engine.cancel(channel._retx_timers.pop(sender, -1))
+        retry = channel._retx.pop(sender, None)
+        if retry is not None:
+            retry.resolve()
         abandoned = 0
         for item in items:
             if item.seq in delivered_seqs:
@@ -488,14 +474,16 @@ class McapManager:
 
     # -- data plane ---------------------------------------------------------
 
-    def send(self, channel: DataChannel, sender: Device, payload: bytes) -> Op:
-        """Submit one payload; the returned ``Op`` resolves to its SendStatus.
+    def send(
+        self, channel: DataChannel, sender: Device, payload: bytes, op: Op | None = None
+    ) -> Op:
+        """Submit one payload; returns ``op``, or a new ``Op``, for its SendStatus.
 
         Reliable channels queue and retransmit until the peer acknowledges,
         surviving link loss: the op stays pending while the payload is
         queued, and resolves to DELIVERED on its ack or to ABANDONED when the
         queue is settled or the channel closes. Streaming channels transmit
-        once, immediately, and return an op already resolved to DELIVERED,
+        once, immediately, and return the op already resolved to DELIVERED,
         or to DROPPED when the medium or link does not carry the frame.
         The channel seq of a sender's payloads counts 1, 2, 3... in the order
         they are sent.
@@ -510,8 +498,9 @@ class McapManager:
             raise McapError(f"payload of {len(payload)} bytes exceeds page size {limit}")
         seq = channel.tx_seq.get(sender.address, 0) + 1
         channel.tx_seq[sender.address] = seq
-        if channel.reliable:
+        if op is None:
             op = Op()
+        if channel.reliable:
             queue = channel.queue.setdefault(sender.address, deque())
             queue.append(_QueuedItem(seq=seq, payload=payload, op=op))
             self._pump(channel, sender)
@@ -522,13 +511,15 @@ class McapManager:
         ):
             reason = "link_down"
         elif self._tx_data(channel, sender, seq, payload, attempts=0):
-            return Op.resolved(SendStatus.DELIVERED)
+            op.resolve(SendStatus.DELIVERED)
+            return op
         else:
             reason = "loss"
         self.engine.emit(
             "mdl_drop", sender.address, mdl_id=channel.mdl_id, seq=seq, reason=reason
         )
-        return Op.resolved(SendStatus.DROPPED)
+        op.resolve(SendStatus.DROPPED)
+        return op
 
     def _tx_data(
         self, channel: DataChannel, sender: Device, seq: int, payload: bytes, attempts: int
@@ -559,32 +550,20 @@ class McapManager:
         return bool(deliveries)
 
     def _pump(self, channel: DataChannel, sender: Device) -> None:
+        """Start resending the sender's queue head, unless one is in flight."""
         addr = sender.address
-        if channel.state is not ChannelState.ACTIVE:
-            return
-        if channel.in_flight.get(addr):
+        if channel.state is not ChannelState.ACTIVE or addr in channel._retx:
             return
         queue = channel.queue.get(addr)
         if not queue:
             return
         item = queue[0]
-        self._tx_data(channel, sender, item.seq, item.payload, item.attempts)
-        item.attempts += 1
-        channel.in_flight[addr] = True
-        self._arm_retx(channel, sender)
 
-    def _arm_retx(self, channel: DataChannel, sender: Device) -> None:
-        addr = sender.address
-        channel._retx_timers[addr] = self.engine.schedule_in(
-            self.params.retransmit_interval_us,
-            lambda: self._retx_tick(channel, sender),
-        )
+        def send() -> None:
+            self._tx_data(channel, sender, item.seq, item.payload, item.attempts)
+            item.attempts += 1
 
-    def _retx_tick(self, channel: DataChannel, sender: Device) -> None:
-        """Resend the unacknowledged head of the queue, if any."""
-        if channel.state is ChannelState.ACTIVE and channel.in_flight.get(sender.address):
-            channel.in_flight[sender.address] = False
-            self._pump(channel, sender)
+        channel._retx[addr] = Retry(self.engine, send, self.params.retransmit_interval_us).start()
 
     def _on_data(
         self, control: ControlChannel, receiver: Device, from_addr: DeviceAddress, body: bytes, now: SimTime
@@ -627,14 +606,15 @@ class McapManager:
         if channel is None:
             return
         addr = receiver.address
-        queue = channel.queue.get(addr)
-        if not queue or not channel.in_flight.get(addr):
+        retry = channel._retx.get(addr)
+        # An ack with no live retry (the channel was suspended or settled
+        # meanwhile) or for an older seq is ignored; the queue is non-empty
+        # while its retry lives.
+        if retry is None or channel.queue[addr][0].seq != seq:
             return
-        if queue[0].seq != seq:
-            return
-        item = queue.popleft()
-        channel.in_flight[addr] = False
-        self.engine.cancel(channel._retx_timers.pop(addr, -1))
+        del channel._retx[addr]
+        retry.resolve()
+        item = channel.queue[addr].popleft()
         self.engine.emit("mdl_ack", addr, mdl_id=mdl_id, seq=seq)
         item.op.resolve(SendStatus.DELIVERED)
         self._pump(channel, receiver)

@@ -232,6 +232,29 @@ def test_addressed_frame_draws_one_loss_value_only_when_addressee_can_hear():
         assert stack.engine.rng.getstate() == _after_draws(before, draws), to
 
 
+def test_radio_frame_is_a_tuple_of_its_fields_with_their_defaults():
+    frame = RadioFrame(addr(1), 3, FrameKind.PAGE)
+    assert frame == (addr(1), 3, FrameKind.PAGE, b"", None, False, False)
+    assert RadioFrame._fields == (
+        "from_addr", "freq_index", "kind", "payload", "to", "on_link", "draw_only"
+    )
+
+
+@pytest.mark.parametrize("freq", [32, -1])
+@pytest.mark.parametrize("to", [None, addr(2)])
+def test_broadcast_rejects_a_frequency_index_out_of_range_before_any_draw(freq, to):
+    stack = make_stack(loss=0.5, jitter_us=5)
+    a = add_device(stack, 1)
+    add_device(stack, 2, position=(1.0, 0.0))
+    stack.engine.add_listen_provider(lambda device, t: range(-1, 33))
+    frame = RadioFrame(a.address, freq, FrameKind.PAGE, to=to)
+    before = stack.engine.rng.getstate()
+    with pytest.raises(ValueError, match="freq_index"):
+        stack.engine.broadcast(frame, a)
+    assert stack.engine.rng.getstate() == before
+    assert stack.engine.pending_events == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     offsets=st.lists(st.integers(-3_000_000, 3_000_000), min_size=1, max_size=6),

@@ -226,6 +226,49 @@ def test_role_switch_swaps_endpoints_and_piconets():
     assert len(events) == 1
 
 
+def supervision_timers(stack):
+    """Pending events whose callback the link layer scheduled."""
+    return [e[1] for e in stack.engine._entries.values() if e[2].__module__ == "hdpsim.link"]
+
+
+def test_idle_link_schedules_one_supervision_event_per_keepalive_interval(monkeypatch):
+    stack = make_stack()
+    a = add_device(stack, 1)
+    b = add_device(stack, 2, position=(1.0, 0.0))
+    link, _ = connect(stack, a, b)
+    interval = stack.links.params.keepalive_interval_us
+    scheduled = []
+    schedule = stack.engine.schedule
+
+    def record(at, fn):
+        if fn.__module__ == "hdpsim.link":
+            scheduled.append(at)
+        return schedule(at, fn)
+
+    monkeypatch.setattr(stack.engine, "schedule", record)
+    stack.engine.run_until(stack.engine.now + 10 * interval)
+    assert len(scheduled) == 10
+    assert {later - earlier for earlier, later in zip(scheduled, scheduled[1:])} == {interval}
+    assert link.state is LinkState.CONNECTED
+
+
+def test_role_switch_leaves_exactly_one_supervision_timer():
+    stack = make_stack()
+    a = add_device(stack, 1)
+    b = add_device(stack, 2, position=(1.0, 0.0))
+    link, _ = connect(stack, a, b)
+    interval = stack.links.params.keepalive_interval_us
+    stack.engine.run_until(stack.engine.now + interval // 2)
+    stack.links.role_switch(link)
+    assert supervision_timers(stack) == [link._timer]
+    stack.engine.run_until(stack.engine.now + interval // 2)
+    for _ in range(5):
+        stack.engine.run_until(stack.engine.now + interval)
+        assert supervision_timers(stack) == [link._timer]
+        assert stack.engine.pending_events == 1
+    assert link.state is LinkState.CONNECTED and link.master is b
+
+
 def test_role_switch_refused_when_new_master_is_full():
     stack = make_stack()
     big = add_device(stack, 99)

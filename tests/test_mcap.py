@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from hdpsim.engine import Op
 from hdpsim.mcap import (
     ChannelClosed,
     ChannelState,
@@ -123,6 +124,17 @@ def test_reliable_send_delivers_and_acks():
     assert received == [(a.address, b"hello")]
     acks = [e for e in stack.engine.trace if e.ev == "mdl_ack"]
     assert len(acks) == 1
+
+
+@pytest.mark.parametrize("reliable", [True, False])
+def test_send_resolves_and_returns_the_op_it_is_given(reliable):
+    stack = make_stack()
+    a, _, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a, reliable=reliable)
+    mine = Op()
+    assert stack.mcap.send(channel, a, b"hello", mine) is mine
+    stack.engine.run_until(stack.engine.now + 20_000)
+    assert mine.done and mine.result is SendStatus.DELIVERED
 
 
 def test_reliable_delivery_is_exactly_once_under_loss():

@@ -7,15 +7,23 @@ import pytest
 from hdpsim.engine import Engine, Op, Retry
 from hdpsim.hdp import AssocState, Specialization
 from hdpsim.link import Unreachable
-from hdpsim.mcap import McapTimeout, SyncTimeout
+from hdpsim.mcap import ChannelState, McapTimeout, SendStatus, SyncTimeout
 
-from conftest import add_device, make_stack, paired_pair, run_while
+from conftest import add_device, connect, make_stack, paired_pair, run_while
 
 
 def assert_nothing_pending(stack):
     assert stack.links._pages == {}
     assert stack.mcap._pending == {}
     assert stack.hdp._requests == {}
+    # A retransmit Retry lives only while its channel is active and its
+    # sender's queue holds the payload it resends.
+    for control in stack.mcap.controls.values():
+        for channel in control.channels.values():
+            if channel.state is not ChannelState.ACTIVE or not any(channel.queue.values()):
+                assert channel._retx == {}
+            for sender in channel._retx:
+                assert channel.queue.get(sender)
 
 
 def control_pair(stack):
@@ -79,14 +87,13 @@ def test_op_resolves_once_and_runs_late_callbacks_at_once():
 # -- bounded per-object state ---------------------------------------------------
 
 
-def test_long_run_link_holds_only_its_two_live_supervision_timers():
+def test_long_run_link_holds_only_its_one_live_supervision_timer():
     stack = make_stack()
     _, _, link = paired_pair(stack)
     for _ in range(120):
         stack.engine.run_until(stack.engine.now + 1_000_000)
-        assert link._ka_timer in stack.engine._entries
-        assert link._monitor_timer in stack.engine._entries
-    assert stack.engine.pending_events <= 2
+        assert link._timer in stack.engine._entries
+    assert stack.engine.pending_events <= 1
 
 
 def test_repeated_associate_release_keeps_link_observers_constant():
@@ -101,6 +108,99 @@ def test_repeated_associate_release_keeps_link_observers_constant():
         stack.engine.run_until(stack.engine.now + 100_000)
         counts.append(len(link._observers))
     assert counts == [counts[0]] * 4
+    assert_nothing_pending(stack)
+
+
+# -- reliable retransmission runs on one Retry per sender -------------------------
+
+
+def lose_acks(monkeypatch, stack):
+    """Drop every data ack on arrival; data frames still reach the peer."""
+    monkeypatch.setattr(stack.mcap, "_on_data_ack", lambda *args: None)
+
+
+def sends_of(stack, seq=1):
+    return [
+        (e.t_us, e.detail["retx"])
+        for e in stack.engine.trace
+        if e.ev == "mdl_send" and e.detail["seq"] == seq
+    ]
+
+
+def test_unacknowledged_head_is_resent_every_retransmit_interval(monkeypatch):
+    stack = make_stack()
+    a, _, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    lose_acks(monkeypatch, stack)
+    t = stack.engine.now
+    op = stack.mcap.send(channel, a, b"head")
+    stack.engine.run_until(t + 250_000)
+    assert sends_of(stack) == [(t, 0), (t + 100_000, 1), (t + 200_000, 2)]
+    assert not op.done and list(channel._retx) == [a.address]
+    assert_nothing_pending(stack)
+
+
+def test_suspended_channel_resends_nothing_until_reconnect(monkeypatch):
+    stack = make_stack()
+    a, b, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    lose_acks(monkeypatch, stack)
+    t = stack.engine.now
+    op = stack.mcap.send(channel, a, b"head")
+    stack.engine.run_until(t + 150_000)
+    stack.links.drop_link(a.address, b.address)
+    assert channel.state is ChannelState.SUSPENDED and channel._retx == {}
+    assert_nothing_pending(stack)
+    stack.engine.run_until(t + 2_000_000)
+    assert sends_of(stack) == [(t, 0), (t + 100_000, 1)]
+    monkeypatch.undo()
+    connect(stack, a, b)
+    reconnect = stack.mcap.reconnect_data_channel(channel, a)
+    run_while(stack, lambda: not op.done, 1_000_000)
+    assert reconnect.result is channel
+    sends = sends_of(stack)
+    assert [retx for _, retx in sends] == [0, 1, 2] and sends[2][0] > t + 2_000_000
+    assert op.result is SendStatus.DELIVERED
+    assert_nothing_pending(stack)
+
+
+def test_ack_landing_after_the_suspend_is_ignored():
+    stack = make_stack()
+    a, b, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    received = []
+    channel.on_receive(lambda ch, frm, payload, now: received.append(payload))
+    t = stack.engine.now
+    op = stack.mcap.send(channel, a, b"head")
+    # The payload lands at t+1 us and its ack at t+2 us, after the link drops.
+    stack.engine.run_until(t + 1)
+    assert received == [b"head"]
+    stack.links.drop_link(a.address, b.address)
+    stack.engine.run_until(t + 500_000)
+    assert not op.done and channel.pending_count(a.address) == 1
+    assert not [e for e in stack.engine.trace if e.ev == "mdl_ack"]
+    assert_nothing_pending(stack)
+    connect(stack, a, b)
+    stack.mcap.reconnect_data_channel(channel, a)
+    run_while(stack, lambda: not op.done, 1_000_000)
+    # The resend is a duplicate to the peer, which acks it without a second rx.
+    assert op.result is SendStatus.DELIVERED and received == [b"head"]
+    assert [retx for _, retx in sends_of(stack)] == [0, 1]
+    assert_nothing_pending(stack)
+
+
+def test_a_reading_has_one_op_from_submit_to_the_channel_queue():
+    stack = make_stack()
+    a, b, _, _ = control_pair(stack)
+    assoc = stack.hdp.associate(a, b, Specialization.HEART_RATE)
+    run_while(stack, lambda: assoc.state is AssocState.ASSOCIATING, 1_000_000)
+    op = stack.hdp.send_measurement(
+        assoc, {"heart_rate_bpm": 61, "filling_duration_ms": 300, "ascending_wave_index_pct": 40}
+    )
+    (item,) = assoc.reliable_mdl.queue[a.address]
+    assert item.op is op and op._callbacks is None
+    stack.engine.run_until(stack.engine.now + 20_000)
+    assert op.result is SendStatus.DELIVERED
     assert_nothing_pending(stack)
 
 
