@@ -22,7 +22,12 @@ without any other test noticing:
   with the right PIN associates and sends enciphered readings;
 - ``inquiry_edges``: at 5 % loss with 3 us jitter, an inquiry ends with
   responses still in flight, and the same phone starts a second inquiry 1 us
-  after the first deadline, so those responses reach the second one.
+  after the first deadline, so those responses reach the second one;
+- ``inquiry_quiet``: lossless with 2 us propagation, a phone finds two sensors
+  in its first cycle, a third walks into range mid-cycle before the slot its
+  scan frequency is heard on, a non-discoverable one is made discoverable
+  1 us after a slot it hears, and a second inquiry starts 1 us after the
+  first deadline with a response still in flight.
 
 A deliberate trace change re-pins the digests in one declared change:
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden/digests.json``.
