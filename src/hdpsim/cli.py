@@ -9,6 +9,7 @@ fold the metrics at the same moment, so a run keeps no trace in memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -126,6 +127,7 @@ def _load(args: argparse.Namespace) -> Scenario:
     return load_scenario(args.scenario)
 
 
+@functools.cache  # once per process; each parse_args makes a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdpsim",

@@ -18,6 +18,13 @@ offsets is kept until the device count changes: devices are never removed
 and offsets are frozen config. A response from a device the inquiry has
 already found still makes its loss and jitter draws, but it is not queued
 when it must land before the deadline, where the inquiry would ignore it.
+
+A sweep slot is not broadcast at all when, at its own time, the medium draws
+nothing (no loss, no jitter), ``now + 2 * propagation_us`` is before the
+deadline, ``_on_inquiry`` is the only inquiry handler and every device in the
+inquirer's range is in ``_seen``: each delivery would end in such a response,
+so only event ids are saved. An unseen neighbour blocks this even when it is
+non-discoverable, since its mode is read when the frame lands.
 """
 
 from __future__ import annotations
@@ -226,22 +233,30 @@ class DiscoveryManager:
             ):
                 slots[slot] = freq
         for slot in sorted(slots):
-            freq = slots[slot]
             frame = RadioFrame(
-                from_addr=inquiry.device.address,
-                freq_index=freq,
-                kind=FrameKind.INQUIRY,
-                payload=b"",
+                from_addr=inquirer.address, freq_index=slots[slot], kind=FrameKind.INQUIRY
             )
             if slot == now:
-                self.engine.broadcast(frame, inquiry.device)
+                self._sweep(inquiry, frame)
             else:
-                self.engine.schedule(
-                    slot, lambda f=frame: self.engine.broadcast(f, inquiry.device)
-                )
+                self.engine.schedule(slot, lambda f=frame: self._sweep(inquiry, f))
         self.engine.schedule(
             now + self.params.inquiry_cycle_us, lambda: self._cycle(inquiry)
         )
+
+    def _sweep(self, inquiry: Inquiry, frame: RadioFrame) -> None:
+        """Broadcast one sweep slot's frame, unless the slot is quiet."""
+        engine = self.engine
+        medium = engine.medium
+        if (
+            medium.loss_probability == 0.0
+            and medium.jitter_us == 0
+            and engine.now + 2 * medium.propagation_us < inquiry.deadline_us
+            and len(engine._frame_handlers[FrameKind.INQUIRY]) == 1  # _on_inquiry
+            and all(d.address in inquiry._seen for d in engine._neighbours_of(inquiry.device))
+        ):
+            return
+        engine.broadcast(frame, inquiry.device)
 
     def _finish(self, inquiry: Inquiry) -> None:
         if inquiry.done:

@@ -285,6 +285,22 @@ def test_simulate_until_truncates(scenario_file, tmp_path):
     assert last["t_us"] <= 250_000
 
 
+def test_main_calls_parse_their_flags_independently(scenario_file, tmp_path):
+    """The parser is built once per process, and an ``--until`` given to one
+    run does not leak into the next."""
+    trace_path = tmp_path / "t.jsonl"
+
+    def last_t_us(*until):
+        argv = ["simulate", "--scenario", str(scenario_file), "--seed", "5", *until]
+        argv += ["--trace", str(trace_path), "--metrics", str(tmp_path / "m.json")]
+        assert cli.main(argv) == 0
+        return json.loads(trace_path.read_text().splitlines()[-1])["t_us"]
+
+    assert last_t_us("--until", "250000") <= 250_000
+    assert last_t_us() > 250_000
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_seed_out_of_range_is_an_argparse_error(scenario_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(

@@ -379,13 +379,16 @@ def _reference_on_inquiry(discovery):
 
 
 def _run_checked(scenario, seed, reference=False):
-    """The scenario's trace, and how many frames carried each flag. Every
-    ``on_link`` frame is checked against the full listen-provider search."""
+    """The scenario's trace, and how many frames carried each flag and how
+    many inquiry frames were sent. Every ``on_link`` frame is checked against
+    the full listen-provider search. The reference broadcasts every sweep
+    slot and schedules every inquiry response."""
     run = ScenarioRun(scenario, seed)
     engine = run.stack.engine
     if reference:
         engine._frame_handlers[FrameKind.INQUIRY] = [_reference_on_inquiry(run.stack.discovery)]
-    flagged = {"on_link": 0, "draw_only": 0}
+        run.stack.discovery._sweep = lambda inquiry, frame: engine.broadcast(frame, inquiry.device)
+    flagged = {"on_link": 0, "draw_only": 0, "inquiry": 0}
     broadcast = engine.broadcast
 
     def checked(frame, sender):
@@ -395,6 +398,7 @@ def _run_checked(scenario, seed, reference=False):
             assert any(frame.freq_index in p(addressee, engine.now) for p in providers)
             flagged["on_link"] += 1
         flagged["draw_only"] += frame.draw_only
+        flagged["inquiry"] += frame.kind is FrameKind.INQUIRY
         return broadcast(frame, sender)
 
     engine.broadcast = checked
@@ -405,7 +409,9 @@ def _run_checked(scenario, seed, reference=False):
 _HEART_RATE = {"heart_rate_bpm": 72.0, "filling_duration_ms": 180.0, "ascending_wave_index_pct": 15.0}
 
 
-def _edges_scenario(loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves):
+def _edges_scenario(
+    loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves, modes=()
+):
     phone = "AA:00:00:00:00:10"
     devices = [{"address": phone, "position": [0.0, 0.0], "pin": "1234", "role": "sink"}]
     for i, (x, offset) in enumerate(sensors):
@@ -423,6 +429,10 @@ def _edges_scenario(loss, jitter, propagation, sensors, first_us, gap_us, second
         timeline.append({"t_us": t_us, "action": "move_device",
                          "device": devices[1 + index % len(sensors)]["address"],
                          "position": [x, 1.0]})
+    for t_us, index, mode in modes:
+        timeline.append({"t_us": t_us, "action": "set_mode",
+                         "device": devices[1 + index % len(sensors)]["address"],
+                         "discoverability": mode})
     timeline += [
         {"t_us": 100_000, "action": "page", "device": phone, "target": source},
         {"t_us": 1_000_000, "action": "associate", "source": source, "sink": phone,
@@ -436,48 +446,93 @@ def _edges_scenario(loss, jitter, propagation, sensors, first_us, gap_us, second
     return validate_scenario({"devices": devices, "medium": medium, "timeline": timeline})
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    loss=st.sampled_from([0.0, 0.05, 0.3]),
-    jitter=st.integers(0, 4),
-    propagation=st.integers(1, 3),
-    sensors=st.lists(
-        st.tuples(st.floats(0.5, 12.0), st.sampled_from([0, 300, 39_700_000, 1_281_000])),
-        min_size=1,
-        max_size=4,
-    ),
-    # Either anywhere, or a few us after a slot that scanners at the offsets
-    # above hear (313 us per frequency), so responses are still in flight at
-    # the first deadline.
-    first_us=st.integers(1, 40_000)
-    | st.builds(
+def _near_slot(cycles, deltas):
+    """Times a few us from a slot that scanners at the sensor offsets below
+    hear, 313 us per frequency (the inquiry_quiet offsets 10,240,000 and
+    20,480,000 are heard 2,504 and 5,008 us into a cycle): frames are then in
+    flight, or a move or mode change lands between a slot and its delivery."""
+    return st.builds(
         lambda cycle, slot, delta: 10_000 * cycle + slot + delta,
-        st.integers(0, 3),
-        st.sampled_from([0, 313, 9_703]),
-        st.integers(1, 6),
-    ),
-    gap_us=st.integers(1, 4),
-    second_us=st.integers(1, 30_000),
-    moves=st.lists(
-        st.tuples(st.integers(0, 6_000_000), st.integers(0, 3), st.sampled_from([2.0, 40.0])),
-        max_size=4,
-    ),
-    seed=st.integers(0, 2**16),
-)
-@example(  # a repeat response lands 1 us into the second inquiry
-    loss=0.0, jitter=3, propagation=1, sensors=[(1.0, 0), (2.0, 39_700_000)],
-    first_us=20_002, gap_us=2, second_us=30_000, moves=[], seed=0,
-)
-def test_skipped_work_keeps_the_trace_bytes(
-    loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves, seed
-):
-    scenario = _edges_scenario(
-        loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves
+        st.integers(0, cycles),
+        st.sampled_from([0, 313, 2_504, 5_008, 9_703]),
+        deltas,
     )
-    trace, _ = _run_checked(scenario, seed)
-    reference, flagged = _run_checked(scenario, seed, reference=True)
-    assert trace == reference
-    assert flagged["draw_only"] == 0
+
+
+_QUIET = [(1.0, 0), (1.5, 5_120_000), (2.0, 10_240_000), (40.0, 20_480_000)]
+
+
+def test_skipped_work_keeps_the_trace_bytes():
+    skipped = []  # inquiry frames the skip saved, per lossless jitter-free example
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        loss=st.sampled_from([0.0, 0.05, 0.3]),
+        jitter=st.integers(0, 4),
+        propagation=st.integers(1, 3),
+        sensors=st.lists(
+            st.tuples(
+                st.floats(0.5, 12.0),
+                st.sampled_from([0, 300, 39_700_000, 1_281_000, 10_240_000, 20_480_000]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        # Responses may still be in flight at the first deadline.
+        first_us=st.integers(1, 40_000) | _near_slot(3, st.integers(1, 6)),
+        gap_us=st.integers(1, 4),
+        second_us=st.integers(1, 30_000),
+        moves=st.lists(
+            st.tuples(
+                st.integers(0, 6_000_000) | _near_slot(5, st.integers(-3, 3)),
+                st.integers(0, 3),
+                st.sampled_from([2.0, 40.0]),
+            ),
+            max_size=4,
+        ),
+        modes=st.lists(
+            st.tuples(
+                st.integers(0, 80_000) | _near_slot(7, st.integers(0, 4)),
+                st.integers(0, 3),
+                st.sampled_from(["discoverable", "non_discoverable"]),
+            ),
+            max_size=4,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @example(  # a repeat response lands 1 us into the second inquiry
+        loss=0.0, jitter=3, propagation=1, sensors=[(1.0, 0), (2.0, 39_700_000)],
+        first_us=20_002, gap_us=2, second_us=30_000, moves=[], modes=[], seed=0,
+    )
+    @example(  # the inquiry_quiet edges: a walk-in before its slot, a device made
+        # discoverable 1 us after its slot, a response in flight at the deadline
+        loss=0.0, jitter=0, propagation=2, sensors=_QUIET,
+        first_us=20_003, gap_us=1, second_us=30_000, moves=[(12_000, 3, 2.5)],
+        modes=[(0, 2, "non_discoverable"), (2_505, 2, "discoverable")], seed=0,
+    )
+    @example(  # made discoverable as the frame it hears lands, and hidden again
+        loss=0.0, jitter=0, propagation=2, sensors=_QUIET,
+        first_us=20_003, gap_us=1, second_us=30_000, moves=[(15_008, 3, 2.5)],
+        modes=[(0, 2, "non_discoverable"), (2_506, 2, "discoverable"),
+               (12_505, 0, "non_discoverable")],
+        seed=0,
+    )
+    def check(loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves, modes, seed):
+        scenario = _edges_scenario(
+            loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves, modes
+        )
+        trace, flagged = _run_checked(scenario, seed)
+        reference, full = _run_checked(scenario, seed, reference=True)
+        assert trace == reference
+        assert full["draw_only"] == 0
+        assert flagged["inquiry"] <= full["inquiry"]
+        if loss == 0.0 and jitter == 0:
+            skipped.append(full["inquiry"] - flagged["inquiry"])
+        else:
+            assert flagged["inquiry"] == full["inquiry"]
+
+    check()
+    assert any(skipped)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -487,6 +542,15 @@ def test_inquiry_edges_golden_takes_both_shortcuts_with_the_reference_bytes(seed
     reference, _ = _run_checked(scenario, seed, reference=True)
     assert trace == reference
     assert flagged["on_link"] > 0 and flagged["draw_only"] > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_inquiry_quiet_golden_skips_sweep_slots_with_the_reference_bytes(seed):
+    scenario = load_scenario(str(Path(__file__).parent / "golden" / "inquiry_quiet.json"))
+    trace, flagged = _run_checked(scenario, seed)
+    reference, full = _run_checked(scenario, seed, reference=True)
+    assert trace == reference
+    assert 0 < flagged["inquiry"] < full["inquiry"]
 
 
 def test_inquiry_hears_a_device_moved_into_range_and_not_one_moved_out():

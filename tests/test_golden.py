@@ -37,6 +37,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +63,13 @@ def digests(name: str, seed: int) -> dict[str, str]:
     return {
         "trace": hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest(),
         "metrics": hashlib.sha256(metrics_json(report).encode("utf-8")).hexdigest(),
+    }
+
+
+def written(trace_path: Path, metrics_path: Path) -> dict[str, str]:
+    return {
+        "trace": hashlib.sha256(trace_path.read_bytes()).hexdigest(),
+        "metrics": hashlib.sha256(metrics_path.read_bytes()).hexdigest(),
     }
 
 
@@ -89,13 +99,24 @@ def test_cli_streams_the_golden_bytes(name, seed, tmp_path):
     trace_path, metrics_path = tmp_path / "trace.jsonl", tmp_path / "metrics.json"
     argv = ["simulate", "--scenario", path, "--seed", str(seed)]
     assert cli.main(argv + ["--trace", str(trace_path), "--metrics", str(metrics_path)]) == 0
-    written = {
-        "trace": hashlib.sha256(trace_path.read_bytes()).hexdigest(),
-        "metrics": hashlib.sha256(metrics_path.read_bytes()).hexdigest(),
-    }
-    assert written == pinned()[name][str(seed)]
+    assert written(trace_path, metrics_path) == pinned()[name][str(seed)]
     trace, _report = run_scenario(load_scenario(path), seed)
     assert metrics_path.read_text(encoding="utf-8") == metrics_json(compute_metrics(trace.events))
+
+
+@pytest.mark.parametrize("name", ["ward_lossy_offsets", "inquiry_quiet"])
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_trace_bytes_do_not_depend_on_the_hash_seed(name, hash_seed, tmp_path):
+    """``python -m hdpsim simulate`` in a fresh process under either hash seed
+    writes the pinned bytes: no set or dict order leaks into a run."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    trace_path, metrics_path = tmp_path / "trace.jsonl", tmp_path / "metrics.json"
+    argv = ["simulate", "--scenario", str(GOLDEN / f"{name}.json"), "--seed", "1"]
+    argv += ["--trace", str(trace_path), "--metrics", str(metrics_path)]
+    subprocess.run([sys.executable, "-m", "hdpsim", *argv], env=env, check=True)
+    assert written(trace_path, metrics_path) == pinned()[name]["1"]
 
 
 if __name__ == "__main__":
