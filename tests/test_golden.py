@@ -27,7 +27,12 @@ without any other test noticing:
   in its first cycle, a third walks into range mid-cycle before the slot its
   scan frequency is heard on, a non-discoverable one is made discoverable
   1 us after a slot it hears, and a second inquiry starts 1 us after the
-  first deadline with a response still in flight.
+  first deadline with a response still in flight;
+- ``keepalive_edges``: lossless with 100 us propagation (p), one pair whose
+  sensor walks out p/2, exactly p and p + 1 us after a master keepalive tick
+  (the keepalive lands; its ack is lost in the first two cases and delivered
+  in the third), then a ``drop_link`` and a re-page 30 and 60 us after a
+  tick, and an association that sends five readings.
 
 A deliberate trace change re-pins the digests in one declared change:
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden/digests.json``.
