@@ -76,74 +76,3 @@ from .scenario import ParseError, Scenario, ValidationError, load_scenario
 from .security import EmptyPin, LinkKey, NotAuthenticated, Pin
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Association",
-    "AudioNotSupported",
-    "AuthRequired",
-    "ChannelClosed",
-    "ChannelKind",
-    "ChannelState",
-    "ClockSyncResult",
-    "ConnectabilityMode",
-    "ConnectionParams",
-    "ControlChannel",
-    "DataChannel",
-    "Device",
-    "DeviceAddress",
-    "DeviceConfig",
-    "DeviceName",
-    "DiscoverabilityMode",
-    "DiscoveryManager",
-    "DuplicateAddress",
-    "EmptyPin",
-    "Engine",
-    "FrameKind",
-    "HdpError",
-    "HdpManager",
-    "InquiryInProgress",
-    "InvalidDeviceName",
-    "InvariantViolation",
-    "Link",
-    "LinkDown",
-    "LinkError",
-    "LinkKey",
-    "LinkManager",
-    "LinkState",
-    "MalformedAddress",
-    "McapError",
-    "McapManager",
-    "McapTimeout",
-    "Measurement",
-    "MediumModel",
-    "MetricsFold",
-    "MetricsReport",
-    "NoControlChannel",
-    "NotAuthenticated",
-    "NotConnectable",
-    "NotDiscovered",
-    "ParseError",
-    "Piconet",
-    "PiconetFull",
-    "Pin",
-    "RadioFrame",
-    "Scenario",
-    "SchedulingInPast",
-    "SendStatus",
-    "SimParams",
-    "Specialization",
-    "Stack",
-    "SyncTimeout",
-    "Trace",
-    "TraceEvent",
-    "UnknownDevice",
-    "Unreachable",
-    "ValidationError",
-    "WouldViolateTopology",
-    "build_stack",
-    "compute_metrics",
-    "emit_metrics",
-    "load_scenario",
-    "metrics_json",
-    "run_scenario",
-]

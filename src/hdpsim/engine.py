@@ -19,7 +19,13 @@ delay (plus optional uniform jitter). Work whose outcome is already known
 is skipped, though never a random draw: a frame sent on a connected link
 (``on_link``) skips the listen search, since its addressee listens on the
 link's hop frequency by construction; a ``draw_only`` frame (a repeat
-inquiry response) makes its draws and is not queued.
+inquiry response) makes its draws and is not queued. A frame whose whole
+exchange is known is not sent at all: the link layer settles a keepalive on
+a lossless, jitter-free medium without frames (see ``hdpsim.link``), keeping
+its delivery's event id from ``reserve_ids``. ``add_medium_hook`` reports
+each ``move_device`` and each replacement of ``medium``, and ``fired`` tells
+whether the delivery's ``(t, id)`` has passed, so that a change that comes
+first queues the real ``delivery`` under that id with ``schedule_as``.
 
 Every protocol exchange that waits for an answer runs on one ``Retry``: it
 sends at once, resends every interval, and fails exactly at its deadline,
@@ -197,14 +203,17 @@ class Trace:
 
 # Heap entries are [at, seq, callback]; a cancelled entry has callback None.
 _CANCELLED = None
+# The id of "the event now firing" outside run_until: every queued event at
+# or before ``now`` has fired.
+_IDLE = float("inf")
 
 
 class Engine:
     """Event queue, sim clock, trace, seeded RNG, and the radio medium."""
 
     def __init__(self, medium: MediumModel | None = None, seed: int | None = None):
-        self.medium = medium or MediumModel()
-        self.seed = seed if seed is not None else self.medium.rng_seed
+        self._medium = medium or MediumModel()
+        self.seed = seed if seed is not None else self._medium.rng_seed
         self.rng = random.Random(self.seed)
         self.now: SimTime = 0
         self.trace = Trace()
@@ -213,10 +222,23 @@ class Engine:
         self._heap: list[list] = []
         self._next_seq = 0
         self._entries: dict[int, list] = {}
+        self._firing: int | float = _IDLE  # see fired
         # kind -> [fn(receiver_device, frame, now)]
         self._frame_handlers: dict[FrameKind, list[Callable]] = {k: [] for k in FrameKind}
         # fn(device, t) -> iterable of frequency indices the device listens on
         self._listen_providers: list[Callable[[Device, SimTime], Iterable[int]]] = []
+        # fn(device) after a move, fn(None) after the medium model is replaced
+        self._medium_hooks: list[Callable[[Optional[Device]], None]] = []
+
+    @property
+    def medium(self) -> MediumModel:
+        return self._medium
+
+    @medium.setter
+    def medium(self, model: MediumModel) -> None:
+        self._medium = model
+        for fn in self._medium_hooks:
+            fn(None)
 
     # -- devices ------------------------------------------------------------
 
@@ -238,6 +260,8 @@ class Engine:
         device.position = (float(position[0]), float(position[1]))
         self._neighbours.clear()
         self.emit("move", device, x=device.position[0], y=device.position[1])
+        for fn in self._medium_hooks:
+            fn(device)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -268,6 +292,11 @@ class Engine:
         finally:
             self._next_seq = next_seq
 
+    def fired(self, at: SimTime, event_id: int) -> bool:
+        """Whether the event ``(at, event_id)`` comes before the one now firing
+        in the total order; outside ``run_until``, whether ``at <= now``."""
+        return (at, event_id) < (self.now, self._firing)
+
     def cancel(self, event_id: int) -> None:
         entry = self._entries.pop(event_id, None)
         if entry is not None:
@@ -277,13 +306,17 @@ class Engine:
         """Process every event with time <= t in total order; now becomes t."""
         if t < self.now:
             raise SchedulingInPast(f"cannot run to {t}, now is {self.now}")
-        while self._heap and self._heap[0][0] <= t:
-            at, event_id, fn = heapq.heappop(self._heap)
-            self._entries.pop(event_id, None)
-            if fn is _CANCELLED:
-                continue
-            self.now = at
-            fn()
+        try:
+            while self._heap and self._heap[0][0] <= t:
+                at, event_id, fn = heapq.heappop(self._heap)
+                self._entries.pop(event_id, None)
+                if fn is _CANCELLED:
+                    continue
+                self.now = at
+                self._firing = event_id
+                fn()
+        finally:
+            self._firing = _IDLE
         self.now = t
 
     @property
@@ -307,6 +340,11 @@ class Engine:
 
     def add_listen_provider(self, fn: Callable[[Device, SimTime], Iterable[int]]) -> None:
         self._listen_providers.append(fn)
+
+    def add_medium_hook(self, fn: Callable[[Optional[Device]], None]) -> None:
+        """Call ``fn(device)`` after ``move_device`` moves a device and
+        ``fn(None)`` after ``medium`` is replaced."""
+        self._medium_hooks.append(fn)
 
     def in_range(self, a: Device, b: Device) -> bool:
         dx = a.position[0] - b.position[0]
@@ -346,7 +384,7 @@ class Engine:
             if addressee is None or addressee is sender or not self.in_range(sender, addressee):
                 return []
             candidates = (addressee,)
-        medium, now, freq = self.medium, self.now, frame.freq_index
+        medium, now, freq = self._medium, self.now, frame.freq_index
         deliveries: list[tuple[Device, SimTime]] = []
         for receiver in candidates:
             if not frame.on_link:
@@ -362,11 +400,13 @@ class Engine:
                 delay = max(1, delay + self.rng.randint(-medium.jitter_us, medium.jitter_us))
             deliver_at = now + delay
             if not frame.draw_only:
-                self.schedule(deliver_at, self._deliver(frame, receiver))
+                self.schedule(deliver_at, self.delivery(frame, receiver))
             deliveries.append((receiver, deliver_at))
         return deliveries
 
-    def _deliver(self, frame: RadioFrame, receiver: Device) -> Callable[[], None]:
+    def delivery(self, frame: RadioFrame, receiver: Device) -> Callable[[], None]:
+        """The event that hands ``frame`` to the receiver's frame handlers."""
+
         def run():
             for handler in self._frame_handlers[frame.kind]:
                 handler(receiver, frame, self.now)

@@ -9,6 +9,17 @@ sides; three consecutive misses on either side mark the link lost, after
 which the same master may page again to restore the same link object with
 its negotiated parameters intact.
 
+On a lossless, jitter-free medium, with the keepalive interval longer than a
+round trip of 2p (p the propagation delay), a tick at T whose two ends are in
+range sends no keepalive: the keepalive would land at T+p, and the ack the
+slave then sends would land at T+2p. The tick keeps the delivery's
+``(T+p, event id)`` on the link, and the next tick first settles the exchange:
+the slave has heard, the master's keepalive is answered. A move of either
+end, or a new medium model, before that delivery can change the ack, so it
+queues the real keepalive under the kept id, and the slave answers it as
+usual. Stopping supervision before then (a loss, a restore or a role switch)
+queues it too, since the slave may still hear it.
+
 Paging reuses the inquiry sweep arithmetic: the pager transmits at the
 moments the target's standby scan is on the matching frequency, then the
 two sides finish a four-message handshake (page, accept, parameters,
@@ -174,6 +185,8 @@ class Link:
     slave_heard: bool = False
     slave_misses: int = 0
     _timer: int = -1  # the pending supervision tick
+    # An elided keepalive: (sent at, delivery time, delivery event id).
+    _ka_elided: Optional[tuple[int, int, int]] = field(default=None, compare=False, repr=False)
     _observers: list[Callable[["Link"], None]] = field(default_factory=list)
     _hop_slot: int = field(default=-1, compare=False, repr=False)
     _hop_freq: int = field(default=0, compare=False, repr=False)
@@ -251,6 +264,7 @@ class LinkManager:
         engine.add_frame_handler(FrameKind.PAGE, self._on_page)
         engine.add_frame_handler(FrameKind.LINK_DATA, self._on_link_data)
         engine.add_listen_provider(self._listening)
+        engine.add_medium_hook(self._medium_changed)
 
     # -- configuration ------------------------------------------------------
 
@@ -463,6 +477,9 @@ class LinkManager:
 
     def _stop_supervision(self, link: Link) -> None:
         self.engine.cancel(link._timer)
+        if link._ka_elided is not None:
+            self._unelide(link)
+            link._ka_elided = None
         link.ka_pending = False
         link.ka_misses = 0
         link.slave_heard = False
@@ -478,12 +495,23 @@ class LinkManager:
         """Master miss check and keepalive, slave miss check, next tick."""
         if link.state is not LinkState.CONNECTED:
             return
+        if link._ka_elided is not None:
+            # The last tick's elided exchange has landed, ack included.
+            link._ka_elided = None
+            link.slave_heard = True
+            link.ka_pending = False
+            link.ka_misses = 0
         if link.ka_pending:
             link.ka_misses += 1
             if link.ka_misses >= self.params.keepalive_miss_threshold:
                 self._lose(link, "keepalive_timeout")
                 return
-        self.send_on_link(link, link.master, PROTO_LINK, bytes([_MSG_KEEPALIVE]))
+        if self._elides_keepalive(link):
+            now = self.engine.now
+            at = now + self.engine.medium.propagation_us
+            link._ka_elided = (now, at, self.engine.reserve_ids(1))
+        else:
+            self.send_on_link(link, link.master, PROTO_LINK, bytes([_MSG_KEEPALIVE]))
         link.ka_pending = True
         if link.slave_heard:
             link.slave_misses = 0
@@ -496,6 +524,41 @@ class LinkManager:
         link._timer = self.engine.schedule_in(
             self.params.keepalive_interval_us, lambda: self._supervise(link)
         )
+
+    def _elides_keepalive(self, link: Link) -> bool:
+        """Whether the keepalive about to be sent, and its ack, surely land."""
+        medium = self.engine.medium
+        return (
+            medium.loss_probability == 0.0
+            and medium.jitter_us == 0
+            and self.params.keepalive_interval_us > 2 * medium.propagation_us
+            and self.engine.in_range(link.master, link.slave)
+        )
+
+    def _unelide(self, link: Link) -> None:
+        """Queue an elided keepalive that has not landed yet as the real frame,
+        under its reserved id; the slave's handler then answers it."""
+        sent_at, at, event_id = link._ka_elided
+        if self.engine.fired(at, event_id):
+            return
+        link._ka_elided = None
+        frame = RadioFrame(
+            from_addr=link.master.address,
+            freq_index=link.frequency_at(sent_at),
+            kind=FrameKind.LINK_DATA,
+            payload=bytes([PROTO_LINK, _MSG_KEEPALIVE]),
+            to=link.slave.address,
+            on_link=True,
+        )
+        self.engine.schedule_as(event_id, at, self.engine.delivery(frame, link.slave))
+
+    def _medium_changed(self, device: Optional[Device]) -> None:
+        """A move or a new medium model can change what an elided keepalive's
+        ack does, unless the keepalive has already landed."""
+        links = self.links.values() if device is None else self._links_of.get(device.address, ())
+        for link in links:
+            if link._ka_elided is not None:
+                self._unelide(link)
 
     def _lose(self, link: Link, reason: str) -> None:
         if link.state is LinkState.LOST:
@@ -639,6 +702,8 @@ class LinkManager:
         if target is None:
             target = self._new_piconet(new_master)
         target.links[new_slave.address] = link
+        # Stopped before the swap: an elided keepalive is queued master to slave.
+        self._stop_supervision(link)
         link.master, link.slave = new_master, new_slave
         self._start_supervision(link)
         self.engine.emit(

@@ -450,9 +450,10 @@ def _near_slot(cycles, deltas):
     """Times a few us from a slot that scanners at the sensor offsets below
     hear, 313 us per frequency (the inquiry_quiet offsets 10,240,000 and
     20,480,000 are heard 2,504 and 5,008 us into a cycle): frames are then in
-    flight, or a move or mode change lands between a slot and its delivery."""
+    flight, or a move or mode change lands between a slot and its delivery.
+    A time before the first slot is clamped to 0, the earliest valid one."""
     return st.builds(
-        lambda cycle, slot, delta: 10_000 * cycle + slot + delta,
+        lambda cycle, slot, delta: max(0, 10_000 * cycle + slot + delta),
         st.integers(0, cycles),
         st.sampled_from([0, 313, 2_504, 5_008, 9_703]),
         deltas,

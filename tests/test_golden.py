@@ -40,6 +40,7 @@ A deliberate trace change re-pins the digests in one declared change:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -109,19 +110,25 @@ def test_cli_streams_the_golden_bytes(name, seed, tmp_path):
     assert metrics_path.read_text(encoding="utf-8") == metrics_json(compute_metrics(trace.events))
 
 
-@pytest.mark.parametrize("name", ["ward_lossy_offsets", "inquiry_quiet"])
-@pytest.mark.parametrize("hash_seed", ["0", "4242"])
-def test_trace_bytes_do_not_depend_on_the_hash_seed(name, hash_seed, tmp_path):
-    """``python -m hdpsim simulate`` in a fresh process under either hash seed
-    writes the pinned bytes: no set or dict order leaks into a run."""
+@functools.lru_cache(maxsize=None)
+def digests_under_hash_seed(hash_seed: str) -> dict:
+    """The re-pin command's digests of every golden, from one fresh process
+    under ``PYTHONHASHSEED=hash_seed``."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    trace_path, metrics_path = tmp_path / "trace.jsonl", tmp_path / "metrics.json"
-    argv = ["simulate", "--scenario", str(GOLDEN / f"{name}.json"), "--seed", "1"]
-    argv += ["--trace", str(trace_path), "--metrics", str(metrics_path)]
-    subprocess.run([sys.executable, "-m", "hdpsim", *argv], env=env, check=True)
-    assert written(trace_path, metrics_path) == pinned()[name]["1"]
+    done = subprocess.run(
+        [sys.executable, __file__], env=env, check=True, capture_output=True, text=True
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_trace_bytes_do_not_depend_on_the_hash_seed(name, hash_seed):
+    """A fresh process under either hash seed gives the pinned bytes: no set
+    or dict order leaks into a run. One process per hash seed runs them all."""
+    assert digests_under_hash_seed(hash_seed)[name] == pinned()[name]
 
 
 if __name__ == "__main__":

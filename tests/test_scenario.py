@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import json
 import pathlib
 import re
@@ -356,6 +357,18 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     namespace = {"__name__": "readme"}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_readme_imports_resolve():
+    """Every name a README import takes from ``hdpsim`` or one of its modules
+    is there."""
+    text = README.read_text(encoding="utf-8")
+    imports = re.findall(r"^from (hdpsim[.\w]*) import (\([^)]*\)|.*)$", text, re.M)
+    assert any(module == "hdpsim" for module, _names in imports)
+    for module, names in imports:
+        found = importlib.import_module(module)
+        for name in re.findall(r"\w+", names):
+            assert hasattr(found, name), f"{module}.{name}"
 
 
 # -- any mutation of a valid scenario is rejected or builds -----------------------
