@@ -12,6 +12,7 @@ equal times) or by the tick itself (so they fire after its keepalive).
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -196,3 +197,21 @@ def test_elided_keepalives_match_the_real_frames():
     check()
     assert fired["lossless"] > 0, "the elision never fired"
     assert fired["lossy"] == 0, "a keepalive was elided under loss or jitter"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_supervise counts a slave miss at a link's first tick, before any keepalive",
+)
+def test_a_walk_out_before_the_first_tick_is_lost_after_three_missed_intervals():
+    connected = 2_100_613
+    scenario = pair_scenario(BASES["lossless"])
+    timeline = scenario["timeline"]
+    walk_out = {"action": "move_device", "device": SENSOR, "position": list(AWAY[SENSOR])}
+    # Inquiry and page, the walk-out 87 us after the link connects, the horizon.
+    timeline[2:-1] = [dict(walk_out, t_us=connected + 87)]
+    trace, _report = ScenarioRun(validate_scenario(scenario), 1).run()
+    events = [(e.t_us, e.ev) for e in trace if e.ev in ("connected", "link_lost")]
+    # The master ticks at connected + K, 2K, ...: the keepalives of the first
+    # three go unanswered, so the fourth gives the link up.
+    assert events == [(connected, "connected"), (connected + 4 * K, "link_lost")]
