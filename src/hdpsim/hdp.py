@@ -28,6 +28,12 @@ it started. A request that times out or that the sink rejects emits
 through ``release``: readings buffered meanwhile are abandoned and counted
 in a ``released`` event. The record stays. Channel creation and clock sync
 wait on the engine ``Op`` handles that the channel layer returns.
+
+A send series repeats one readings object, so a reading's pure steps
+(scaling, the values check, the encoded metric entries and their decoding)
+each keep a one-entry memo, the last key with its result: a series does that
+work once, not per reading, and memory stays bounded however long the run.
+A memo keeps only results that succeeded, so every error is raised again.
 """
 
 from __future__ import annotations
@@ -134,6 +140,18 @@ _I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
 _HEADER = struct.Struct(">IqBB")
 _METRIC_ENTRY = struct.Struct(">Bi")
 
+# The one-entry memos (see the module docstring). Readings (a copy) and their
+# value classes -> values: equal values scale alike only within one class
+# (a float and the Fraction of its exact value can round apart).
+_last_scaled: tuple = (None, [], ())
+# (specialization, values) last found valid.
+_last_valid: tuple = (None, None)
+# Values, by identity -> their wire entries: equal values of another class
+# (a float for an int) must still fail to pack.
+_last_entries: tuple = (None, b"")
+# The wire count byte and the entries it covers -> values.
+_last_decoded: tuple = (None, ())
+
 
 def scale_value(value: float) -> int:
     scaled = round(value * SCALE_FACTOR)
@@ -152,8 +170,12 @@ class Measurement:
     values: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
+        global _last_valid
         if not 0 <= self.seq <= 0xFFFFFFFF:
             raise InvalidMeasurement("seq must fit in 32 bits")
+        checked = (self.specialization, self.values)
+        if checked == _last_valid:
+            return
         if not self.values:
             raise InvalidMeasurement("a measurement needs at least one metric")
         names = set()
@@ -172,6 +194,7 @@ class Measurement:
                 "heart-rate readings carry exactly heart_rate_bpm, "
                 "filling_duration_ms, ascending_wave_index_pct"
             )
+        _last_valid = checked
 
     @classmethod
     def build(
@@ -181,9 +204,16 @@ class Measurement:
         source_timestamp_us: SimTime,
         readings: dict[str, float],
     ) -> "Measurement":
-        values = tuple(
-            sorted((name, scale_value(v)) for name, v in readings.items())
-        )
+        global _last_scaled
+        # A list: a tuple built from an iterator is resized from a guess, and
+        # each one freed would grow the interpreter's tuple free list.
+        classes = [*map(type, readings.values())]
+        last, last_classes, values = _last_scaled
+        if readings != last or classes != last_classes:
+            values = tuple(
+                sorted((name, scale_value(v)) for name, v in readings.items())
+            )
+            _last_scaled = (dict(readings), classes, values)
         return cls(specialization, seq, source_timestamp_us, values)
 
     def value(self, name: str) -> float:
@@ -204,34 +234,48 @@ class Measurement:
         specialization code, 1-byte metric count, then per metric a 1-byte
         code and a 4-byte big-endian signed scaled value.
         """
-        entries = sorted((METRICS[name][0], scaled) for name, scaled in self.values)
-        out = _HEADER.pack(
+        global _last_entries
+        values, entries = _last_entries
+        if self.values is not values:
+            entries = b"".join(
+                _METRIC_ENTRY.pack(code, scaled)
+                for code, scaled in sorted(
+                    (METRICS[name][0], scaled) for name, scaled in self.values
+                )
+            )
+            _last_entries = (self.values, entries)
+        header = _HEADER.pack(
             self.seq,
             self.source_timestamp_us,
             self.specialization.value,
-            len(entries),
+            len(self.values),
         )
-        for code, scaled in entries:
-            out += _METRIC_ENTRY.pack(code, scaled)
-        return out
+        return header + entries
 
     @classmethod
     def decode(cls, raw: bytes) -> "Measurement":
+        global _last_decoded
         seq, timestamp, spec_code, count = _HEADER.unpack_from(raw, 0)
         offset = _HEADER.size
-        values = []
-        for _ in range(count):
-            code, scaled = _METRIC_ENTRY.unpack_from(raw, offset)
-            offset += _METRIC_ENTRY.size
-            name = _METRIC_BY_CODE.get(code)
-            if name is None:
-                raise UnknownMetric(f"code {code}")
-            values.append((name, scaled))
+        # The count byte and the entries it covers.
+        entries = raw[offset - 1 : offset + count * _METRIC_ENTRY.size]
+        last, values = _last_decoded
+        if entries != last:
+            parsed = []
+            for _ in range(count):
+                code, scaled = _METRIC_ENTRY.unpack_from(raw, offset)
+                offset += _METRIC_ENTRY.size
+                name = _METRIC_BY_CODE.get(code)
+                if name is None:
+                    raise UnknownMetric(f"code {code}")
+                parsed.append((name, scaled))
+            values = tuple(sorted(parsed))
+            _last_decoded = (entries, values)
         return cls(
             specialization=Specialization(spec_code),
             seq=seq,
             source_timestamp_us=timestamp,
-            values=tuple(sorted(values)),
+            values=values,
         )
 
 

@@ -218,7 +218,7 @@ class Link:
 
 
 def pair_key(a: DeviceAddress, b: DeviceAddress) -> tuple[DeviceAddress, DeviceAddress]:
-    return (a, b) if a <= b else (b, a)
+    return (a, b) if a.value <= b.value else (b, a)
 
 
 @dataclass

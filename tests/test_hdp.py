@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import struct
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdpsim import hdp
 from hdpsim.engine import MediumModel
 from hdpsim.hdp import (
     AlreadyReleased,
@@ -122,6 +126,46 @@ def test_measurement_wire_layout_is_fixed():
     assert raw[12] == Specialization.HEART_RATE.value
     assert raw[13] == 3
     assert raw[14] == METRICS["heart_rate_bpm"][0]  # entries sorted by code
+
+
+def test_equal_readings_of_another_class_are_scaled_anew():
+    # 0.15 * 10 rounds to 1.5 in floats and so to 2; the exact value of the
+    # same float, as a Fraction, is just under 0.15 and scales to 1.
+    assert Measurement.build(Specialization.SCALE, 1, 0, {"mass_kg": 0.15}).values == (
+        ("mass_kg", 2),
+    )
+    exact = Measurement.build(Specialization.SCALE, 1, 0, {"mass_kg": Fraction(0.15)})
+    assert exact.values == (("mass_kg", 1),)
+
+
+def test_equal_values_of_another_class_are_encoded_anew():
+    Measurement(Specialization.SCALE, 1, 0, (("mass_kg", 700),)).encode()
+    with pytest.raises(struct.error):
+        Measurement(Specialization.SCALE, 1, 0, (("mass_kg", 700.0),)).encode()
+
+
+def test_decoding_an_unknown_metric_code_raises_after_a_memo_hit():
+    raw = Measurement.build(Specialization.HEART_RATE, 3, 10, HEART_READINGS).encode()
+    assert Measurement.decode(raw) == Measurement.decode(raw)
+    bad = bytearray(raw)
+    bad[14] = 0xEE  # the first metric code
+    with pytest.raises(UnknownMetric):
+        Measurement.decode(bytes(bad))
+    with pytest.raises(struct.error):
+        Measurement.decode(raw[:-1])  # the last entry cut short
+    assert Measurement.decode(raw).seq == 3
+
+
+def test_reading_memos_hold_one_entry():
+    for i in range(1_000):
+        readings = dict(HEART_READINGS, heart_rate_bpm=float(i))
+        m = Measurement.build(Specialization.HEART_RATE, i + 1, i, readings)
+        raw = m.encode()
+        assert Measurement.decode(raw) == m
+    assert hdp._last_scaled == (readings, [float, float, float], m.values)
+    assert hdp._last_valid == (Specialization.HEART_RATE, m.values)
+    assert hdp._last_entries == (m.values, raw[14:])
+    assert hdp._last_decoded == (raw[13:], m.values)
 
 
 def test_audio_channel_kind_is_rejected():
@@ -333,6 +377,33 @@ def test_rejected_reading_takes_no_seq():
     stack.hdp.send_measurement(assoc, HEART_READINGS)
     tx = [e.detail["seq"] for e in stack.engine.trace if e.ev == "measurement_tx"]
     assert tx == [1]
+
+
+def test_an_invalid_reading_after_a_valid_one_raises_and_takes_no_seq():
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    assoc = operating_assoc(stack, source, sink)
+    stack.hdp.send_measurement(assoc, HEART_READINGS)
+    stack.hdp.send_measurement(assoc, HEART_READINGS)
+    with pytest.raises(InvalidMeasurement):
+        stack.hdp.send_measurement(assoc, dict(HEART_READINGS, heart_rate_bpm=3e8))
+    stack.hdp.send_measurement(assoc, HEART_READINGS)
+    tx = [e.detail["seq"] for e in stack.engine.trace if e.ev == "measurement_tx"]
+    assert tx == [1, 2, 3]
+
+
+def test_a_readings_dict_changed_between_sends_is_sent_as_changed():
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    assoc = operating_assoc(stack, source, sink)
+    received = record_readings(stack, sink)
+    readings = dict(HEART_READINGS)
+    ops = [stack.hdp.send_measurement(assoc, readings)]
+    readings["heart_rate_bpm"] = 95.0
+    ops.append(stack.hdp.send_measurement(assoc, readings))
+    ops.append(stack.hdp.send_measurement(assoc, readings))
+    run_while(stack, lambda: not all(op.done for op in ops), 1_000_000)
+    assert [dict(m.values)["heart_rate_bpm"] for _a, m, _ts, _at in received] == [720, 950, 950]
 
 
 def test_readings_buffered_before_a_failed_association_are_abandoned():
