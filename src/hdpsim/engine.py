@@ -34,12 +34,6 @@ reliable channel's queue head) resends until it is resolved. Every
 asynchronous operation returns one ``Op`` handle: ``done`` turns true once,
 when ``result`` (on success) or ``error`` (on failure) is set and the
 ``on_complete`` callbacks run.
-
-A trace line is what ``json.dumps(sort_keys=True, separators=(",", ":"))``
-makes of the event. Its format is built once per shape, the event name with
-the detail keys as passed, and holds that text already encoded; a line then
-only fills in its values. Detail keys come from the emit sites, so the shapes
-are as few as the sites.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ import hashlib
 import heapq
 import json
 import logging
-import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, TextIO
@@ -145,27 +138,6 @@ else:
         return "".join(_c_encode(detail, 0))
 
 
-# (ev, *detail keys as passed) -> (line format, fn(detail) -> values in key
-# order); one entry per emit-site shape.
-_LINE_SHAPES: dict[tuple, tuple[str, Callable[[dict], object]]] = {}
-
-
-def _line_shape(ev: str, detail: dict) -> tuple[str, Callable[[dict], object]]:
-    """The line format of one shape, with the ev text and the sorted detail
-    keys already encoded; ``%`` in them is escaped. Details with a key that
-    is not a str go to the encoder whole, as its one value."""
-    def literal(text: str) -> str:
-        return _encode_str(text).replace("%", "%%")
-
-    if all(k.__class__ is str for k in detail):
-        keys = sorted(detail)
-        body = "{%s}" % ",".join(literal(k) + ":%s" for k in keys)
-        values = operator.itemgetter(*keys) if len(keys) > 1 else lambda d: [d[k] for k in keys]
-    else:
-        body, values = "%s", lambda d: (d,)
-    return '{"detail":%s,"dev":%%s,"ev":%s,"seq":%%d,"t_us":%%d}' % (body, literal(ev)), values
-
-
 class TraceEvent(NamedTuple):
     t_us: SimTime
     seq: int
@@ -174,20 +146,11 @@ class TraceEvent(NamedTuple):
     detail: dict
 
     def to_json(self) -> str:
-        """``_TRACE_ENCODER``'s line for the event as a dict, keys in sorted order.
-
-        The line comes from its shape's format: an exact int goes in as
-        itself (``%s`` writes it as ``%d`` would), and any other value, a
-        bool included, as ``_encode_detail`` writes it.
-        """
-        detail = self.detail
-        shape = _LINE_SHAPES.get((self.ev, *detail))
-        if shape is None:
-            shape = _LINE_SHAPES[(self.ev, *detail)] = _line_shape(self.ev, detail)
-        line, values = shape
-        return line % (
-            *[v if v.__class__ is int else _encode_detail(v) for v in values(detail)],
+        """``_TRACE_ENCODER``'s line for the event as a dict, keys in sorted order."""
+        return '{"detail":%s,"dev":%s,"ev":%s,"seq":%d,"t_us":%d}' % (
+            _encode_detail(self.detail),
             _encode_str(self.dev),
+            _encode_str(self.ev),
             self.seq,
             self.t_us,
         )

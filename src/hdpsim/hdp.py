@@ -29,11 +29,13 @@ through ``release``: readings buffered meanwhile are abandoned and counted
 in a ``released`` event. The record stays. Channel creation and clock sync
 wait on the engine ``Op`` handles that the channel layer returns.
 
-A send series repeats one readings object, so a reading's pure steps
-(scaling, the values check, the encoded metric entries and their decoding)
-each keep a one-entry memo, the last key with its result: a series does that
-work once, not per reading, and memory stays bounded however long the run.
-A memo keeps only results that succeeded, so every error is raised again.
+A send series repeats one readings object, so each association keeps a
+``ReadingMemo``: for each of a reading's pure steps (scaling, the values
+check, the packed metric entries, and their decoding at the sink) a one-entry
+memo, the last key with its result. A series does that work once, not per
+reading, even when many associations interleave, and memory stays bounded
+however long the run. A memo keeps only results that succeeded, so every
+error is raised again.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import enum
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 from .core import DeviceAddress, SimTime
@@ -140,18 +142,6 @@ _I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
 _HEADER = struct.Struct(">IqBB")
 _METRIC_ENTRY = struct.Struct(">Bi")
 
-# The one-entry memos (see the module docstring). Readings (a copy) and their
-# value classes -> values: equal values scale alike only within one class
-# (a float and the Fraction of its exact value can round apart).
-_last_scaled: tuple = (None, [], ())
-# (specialization, values) last found valid.
-_last_valid: tuple = (None, None)
-# Values, by identity -> their wire entries: equal values of another class
-# (a float for an int) must still fail to pack.
-_last_entries: tuple = (None, b"")
-# The wire count byte and the entries it covers -> values.
-_last_decoded: tuple = (None, ())
-
 
 def scale_value(value: float) -> int:
     scaled = round(value * SCALE_FACTOR)
@@ -162,20 +152,24 @@ def scale_value(value: float) -> int:
 
 @dataclass(frozen=True)
 class Measurement:
-    """One typed reading; ``values`` maps metric name to a x10-scaled int."""
+    """One typed reading; ``values`` maps metric name to a x10-scaled int.
+
+    A ``memo`` skips the values check for the values it last passed.
+    """
 
     specialization: Specialization
     seq: int
     source_timestamp_us: SimTime
     values: tuple[tuple[str, int], ...]
+    memo: InitVar[Optional[ReadingMemo]] = None
 
-    def __post_init__(self):
-        global _last_valid
+    def __post_init__(self, memo: Optional[ReadingMemo]):
         if not 0 <= self.seq <= 0xFFFFFFFF:
             raise InvalidMeasurement("seq must fit in 32 bits")
-        checked = (self.specialization, self.values)
-        if checked == _last_valid:
-            return
+        if memo is not None:
+            specialization, values = memo.valid
+            if specialization is self.specialization and values == self.values:
+                return
         if not self.values:
             raise InvalidMeasurement("a measurement needs at least one metric")
         names = set()
@@ -194,7 +188,8 @@ class Measurement:
                 "heart-rate readings carry exactly heart_rate_bpm, "
                 "filling_duration_ms, ascending_wave_index_pct"
             )
-        _last_valid = checked
+        if memo is not None:
+            memo.valid = (self.specialization, self.values)
 
     @classmethod
     def build(
@@ -203,18 +198,24 @@ class Measurement:
         seq: int,
         source_timestamp_us: SimTime,
         readings: dict[str, float],
+        memo: Optional[ReadingMemo] = None,
     ) -> "Measurement":
-        global _last_scaled
-        # A list: a tuple built from an iterator is resized from a guess, and
-        # each one freed would grow the interpreter's tuple free list.
-        classes = [*map(type, readings.values())]
-        last, last_classes, values = _last_scaled
-        if readings != last or classes != last_classes:
-            values = tuple(
-                sorted((name, scale_value(v)) for name, v in readings.items())
-            )
-            _last_scaled = (dict(readings), classes, values)
-        return cls(specialization, seq, source_timestamp_us, values)
+        """Scale ``readings`` (name -> value) into a measurement.
+
+        With a ``memo``, readings equal to its last ones, name by name and
+        of the same classes, reuse their scaled values: a float and the
+        Fraction of its exact value are equal but can round apart.
+        """
+        if memo is not None:
+            key = [(name, v.__class__, v) for name, v in readings.items()]
+            last, values = memo.scaled
+            if key == last:
+                return cls(specialization, seq, source_timestamp_us, values, memo)
+        values = tuple(sorted((name, scale_value(v)) for name, v in readings.items()))
+        measurement = cls(specialization, seq, source_timestamp_us, values, memo)
+        if memo is not None:
+            memo.scaled = (key, values)
+        return measurement
 
     def value(self, name: str) -> float:
         for metric, scaled in self.values:
@@ -227,15 +228,16 @@ class Measurement:
             raise UnknownMetric(name)
         return METRICS[name][1]
 
-    def encode(self) -> bytes:
+    def encode(self, memo: Optional[ReadingMemo] = None) -> bytes:
         """Fixed wire format, metrics ordered by code.
 
         4-byte big-endian seq, 8-byte big-endian source timestamp, 1-byte
         specialization code, 1-byte metric count, then per metric a 1-byte
-        code and a 4-byte big-endian signed scaled value.
+        code and a 4-byte big-endian signed scaled value. A ``memo`` reuses
+        the entries of its last values, by identity: equal values of another
+        class (a float for an int) must still fail to pack.
         """
-        global _last_entries
-        values, entries = _last_entries
+        values, entries = memo.packed if memo is not None else (None, b"")
         if self.values is not values:
             entries = b"".join(
                 _METRIC_ENTRY.pack(code, scaled)
@@ -243,7 +245,8 @@ class Measurement:
                     (METRICS[name][0], scaled) for name, scaled in self.values
                 )
             )
-            _last_entries = (self.values, entries)
+            if memo is not None:
+                memo.packed = (self.values, entries)
         header = _HEADER.pack(
             self.seq,
             self.source_timestamp_us,
@@ -253,13 +256,13 @@ class Measurement:
         return header + entries
 
     @classmethod
-    def decode(cls, raw: bytes) -> "Measurement":
-        global _last_decoded
+    def decode(cls, raw: bytes, memo: Optional[ReadingMemo] = None) -> "Measurement":
+        """Inverse of ``encode``. A ``memo`` reuses the values of its last
+        count byte and metric entries."""
         seq, timestamp, spec_code, count = _HEADER.unpack_from(raw, 0)
         offset = _HEADER.size
-        # The count byte and the entries it covers.
         entries = raw[offset - 1 : offset + count * _METRIC_ENTRY.size]
-        last, values = _last_decoded
+        last, values = memo.decoded if memo is not None else (None, ())
         if entries != last:
             parsed = []
             for _ in range(count):
@@ -270,13 +273,34 @@ class Measurement:
                     raise UnknownMetric(f"code {code}")
                 parsed.append((name, scaled))
             values = tuple(sorted(parsed))
-            _last_decoded = (entries, values)
+            if memo is not None:
+                memo.decoded = (entries, values)
         return cls(
             specialization=Specialization(spec_code),
             seq=seq,
             source_timestamp_us=timestamp,
             values=values,
+            memo=memo,
         )
+
+
+class ReadingMemo:
+    """One association's last reading at each step (see the module docstring).
+
+    Each slot holds one entry, the last key with its result: ``scaled`` the
+    readings as ``(name, class, value)`` in order -> values, ``valid`` the
+    last ``(specialization, values)`` that passed the values check,
+    ``packed`` the values (by identity) -> wire entries, and ``decoded`` the
+    wire count byte and entries -> values.
+    """
+
+    __slots__ = ("scaled", "valid", "packed", "decoded")
+
+    def __init__(self):
+        self.scaled: tuple = (None, ())
+        self.valid: tuple = (object(), ())  # no specialization is this object
+        self.packed: tuple = (None, b"")
+        self.decoded: tuple = (None, ())
 
 
 class AssocState(enum.Enum):
@@ -300,6 +324,9 @@ class Association:
     next_seq: int = 1
     buffer: deque[tuple[Measurement, Op]] = field(default_factory=deque)
     buffer_capacity: int = 1024
+    memo: ReadingMemo = field(
+        default_factory=ReadingMemo, init=False, repr=False, compare=False
+    )
     # The link observer added by associate, removed again by release.
     _on_link: Optional[Callable[[Link], None]] = field(default=None, init=False, repr=False)
 
@@ -586,6 +613,7 @@ class HdpManager:
             assoc.next_seq,
             assoc.source.local_time(self.engine.now),
             readings,
+            assoc.memo,
         )
         assoc.next_seq += 1
         op = Op()
@@ -606,7 +634,7 @@ class HdpManager:
         )
 
     def _transmit(self, assoc: Association, measurement: Measurement, op: Op) -> None:
-        self.mcap.send(assoc.reliable_mdl, assoc.source, measurement.encode(), op)
+        self.mcap.send(assoc.reliable_mdl, assoc.source, measurement.encode(assoc.memo), op)
         self.engine.emit(
             "measurement_tx",
             assoc.source.address,
@@ -650,7 +678,7 @@ class HdpManager:
             # release time was already settled as abandoned, so logging it
             # here would double-count it.
             return
-        measurement = Measurement.decode(payload)
+        measurement = Measurement.decode(payload, assoc.memo)
         offset = assoc.clock_map.offset_us if assoc.clock_map is not None else 0
         sink_ts = measurement.source_timestamp_us - offset
         self.engine.emit(

@@ -77,109 +77,72 @@ class MetricsFold:
         self._assoc_mdls: set[int] = set()
 
     def feed(self, event: TraceEvent) -> None:
-        fold = self._FOLDS.get(event.ev)
-        if fold is not None:
-            fold(self, event.detail, event)
-
-    # -- one fold per event name, in _FOLDS; the rest are ignored -------------
-
-    def _inquiry_start(self, d: dict, event: TraceEvent) -> None:
-        self._open_inquiry[event.dev] = len(self._inquiries)
-        self._inquiries.append((event.dev, event.t_us, None))
-
-    def _inquiry_resp(self, d: dict, event: TraceEvent) -> None:
-        idx = self._open_inquiry.get(event.dev)
-        if idx is not None and self._inquiries[idx][2] is None:
-            dev, started, _ = self._inquiries[idx]
-            self._inquiries[idx] = (dev, started, event.t_us - started)
-
-    def _inquiry_done(self, d: dict, event: TraceEvent) -> None:
-        self._open_inquiry.pop(event.dev, None)
-
-    def _mcap_tx(self, d: dict, event: TraceEvent) -> None:
-        op = d.get("op")
-        mdl = d.get("mdl_id", 0)
-        if op in _CREATE_OPS:
-            self._create_counts[mdl] = self._create_counts.get(mdl, 0) + 1
-        elif op in _RECONNECT_OPS:
-            self._reconnect_counts[mdl] = self._reconnect_counts.get(mdl, 0) + 1
-
-    def _mdl_create(self, d: dict, event: TraceEvent) -> None:
-        self._report.create_handshake_msgs.append(self._create_counts.pop(d["mdl_id"], 0))
-
-    def _mdl_reconnect(self, d: dict, event: TraceEvent) -> None:
-        self._report.reconnect_handshake_msgs.append(
-            self._reconnect_counts.pop(d["mdl_id"], 0)
-        )
-
-    def _assoc(self, d: dict, event: TraceEvent) -> None:
-        self._assoc_mdls.add(d["mdl_id"])
-
-    def _measurement_tx(self, d: dict, event: TraceEvent) -> None:
-        in_buffer = self._in_buffer[d["assoc_id"]]
-        if d["seq"] in in_buffer:
-            in_buffer.remove(d["seq"])
-        else:
-            self._report.measurements.sent += 1
-        self._on_channel[d["assoc_id"]].add(d["seq"])
-
-    def _buffered(self, d: dict, event: TraceEvent) -> None:
-        in_buffer = self._in_buffer[d["assoc_id"]]
-        if d["seq"] not in in_buffer:
-            in_buffer.add(d["seq"])
-            self._report.measurements.sent += 1
-            self._report.measurements.buffered += 1
-
-    def _measurement_rx(self, d: dict, event: TraceEvent) -> None:
-        on_channel = self._on_channel[d["assoc_id"]]
-        if d["seq"] in on_channel:
-            on_channel.remove(d["seq"])
-            self._report.measurements.delivered += 1
-
-    def _mdl_ack(self, d: dict, event: TraceEvent) -> None:
-        if d.get("mdl_id") in self._assoc_mdls:
-            self._report.measurements.acked += 1
-
-    def _evicted(self, d: dict, event: TraceEvent) -> None:
-        self._report.measurements.evicted += 1
-        self._in_buffer[d["assoc_id"]].discard(d["seq"])
-
-    def _released(self, d: dict, event: TraceEvent) -> None:
-        self._report.measurements.abandoned += d.get("abandoned", 0)
-        self._in_buffer.pop(d["assoc_id"], None)
-        self._on_channel.pop(d["assoc_id"], None)
-
-    def _clock_sync(self, d: dict, event: TraceEvent) -> None:
-        self._report.sync = {
-            "offset_us": d["offset_us"],
-            "accuracy_us": d["accuracy_us"],
-        }
-
-    def _admit(self, d: dict, event: TraceEvent) -> None:
-        self._report.granted_bps[event.dev] = dict(d.get("granted", {}))
-
-    def _error(self, d: dict, event: TraceEvent) -> None:
-        kind = d.get("error", "unknown")
-        self._report.errors[kind] = self._report.errors.get(kind, 0) + 1
-
-    _FOLDS = {
-        "inquiry_start": _inquiry_start,
-        "inquiry_resp": _inquiry_resp,
-        "inquiry_done": _inquiry_done,
-        "mcap_tx": _mcap_tx,
-        "mdl_create": _mdl_create,
-        "mdl_reconnect": _mdl_reconnect,
-        "assoc": _assoc,
-        "measurement_tx": _measurement_tx,
-        "buffered": _buffered,
-        "measurement_rx": _measurement_rx,
-        "mdl_ack": _mdl_ack,
-        "evicted": _evicted,
-        "released": _released,
-        "clock_sync": _clock_sync,
-        "admit": _admit,
-        "error": _error,
-    }
+        ev = event.ev
+        d = event.detail
+        report = self._report
+        if ev == "inquiry_start":
+            self._open_inquiry[event.dev] = len(self._inquiries)
+            self._inquiries.append((event.dev, event.t_us, None))
+        elif ev == "inquiry_resp":
+            idx = self._open_inquiry.get(event.dev)
+            if idx is not None and self._inquiries[idx][2] is None:
+                dev, started, _ = self._inquiries[idx]
+                self._inquiries[idx] = (dev, started, event.t_us - started)
+        elif ev == "inquiry_done":
+            self._open_inquiry.pop(event.dev, None)
+        elif ev == "mcap_tx":
+            op = d.get("op")
+            mdl = d.get("mdl_id", 0)
+            if op in _CREATE_OPS:
+                self._create_counts[mdl] = self._create_counts.get(mdl, 0) + 1
+            elif op in _RECONNECT_OPS:
+                self._reconnect_counts[mdl] = self._reconnect_counts.get(mdl, 0) + 1
+        elif ev == "mdl_create":
+            report.create_handshake_msgs.append(self._create_counts.pop(d["mdl_id"], 0))
+        elif ev == "mdl_reconnect":
+            report.reconnect_handshake_msgs.append(
+                self._reconnect_counts.pop(d["mdl_id"], 0)
+            )
+        elif ev == "assoc":
+            self._assoc_mdls.add(d["mdl_id"])
+        elif ev == "measurement_tx":
+            in_buffer = self._in_buffer[d["assoc_id"]]
+            if d["seq"] in in_buffer:
+                in_buffer.remove(d["seq"])
+            else:
+                report.measurements.sent += 1
+            self._on_channel[d["assoc_id"]].add(d["seq"])
+        elif ev == "buffered":
+            in_buffer = self._in_buffer[d["assoc_id"]]
+            if d["seq"] not in in_buffer:
+                in_buffer.add(d["seq"])
+                report.measurements.sent += 1
+                report.measurements.buffered += 1
+        elif ev == "measurement_rx":
+            on_channel = self._on_channel[d["assoc_id"]]
+            if d["seq"] in on_channel:
+                on_channel.remove(d["seq"])
+                report.measurements.delivered += 1
+        elif ev == "mdl_ack":
+            if d.get("mdl_id") in self._assoc_mdls:
+                report.measurements.acked += 1
+        elif ev == "evicted":
+            report.measurements.evicted += 1
+            self._in_buffer[d["assoc_id"]].discard(d["seq"])
+        elif ev == "released":
+            report.measurements.abandoned += d.get("abandoned", 0)
+            self._in_buffer.pop(d["assoc_id"], None)
+            self._on_channel.pop(d["assoc_id"], None)
+        elif ev == "clock_sync":
+            report.sync = {
+                "offset_us": d["offset_us"],
+                "accuracy_us": d["accuracy_us"],
+            }
+        elif ev == "admit":
+            report.granted_bps[event.dev] = dict(d.get("granted", {}))
+        elif ev == "error":
+            kind = d.get("error", "unknown")
+            report.errors[kind] = report.errors.get(kind, 0) + 1
 
     def report(self) -> MetricsReport:
         report = self._report

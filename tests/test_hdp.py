@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdpsim import hdp
 from hdpsim.engine import MediumModel
 from hdpsim.hdp import (
     AlreadyReleased,
@@ -20,6 +19,7 @@ from hdpsim.hdp import (
     Measurement,
     METRICS,
     NoControlChannel,
+    ReadingMemo,
     Released,
     scale_value,
     Specialization,
@@ -131,41 +131,104 @@ def test_measurement_wire_layout_is_fixed():
 def test_equal_readings_of_another_class_are_scaled_anew():
     # 0.15 * 10 rounds to 1.5 in floats and so to 2; the exact value of the
     # same float, as a Fraction, is just under 0.15 and scales to 1.
-    assert Measurement.build(Specialization.SCALE, 1, 0, {"mass_kg": 0.15}).values == (
+    memo = ReadingMemo()
+
+    def build(readings):
+        return Measurement.build(Specialization.SCALE, 1, 0, readings, memo).values
+
+    assert build({"mass_kg": 0.15}) == (("mass_kg", 2),)
+    assert build({"mass_kg": Fraction(0.15)}) == (("mass_kg", 1),)
+    # Equal dicts whose classes sit under the other names, in another order.
+    assert build({"mass_kg": 0.15, "temperature_c": Fraction(0.15)}) == (
         ("mass_kg", 2),
+        ("temperature_c", 1),
     )
-    exact = Measurement.build(Specialization.SCALE, 1, 0, {"mass_kg": Fraction(0.15)})
-    assert exact.values == (("mass_kg", 1),)
+    assert build({"temperature_c": 0.15, "mass_kg": Fraction(0.15)}) == (
+        ("mass_kg", 1),
+        ("temperature_c", 2),
+    )
 
 
 def test_equal_values_of_another_class_are_encoded_anew():
-    Measurement(Specialization.SCALE, 1, 0, (("mass_kg", 700),)).encode()
+    memo = ReadingMemo()
+    Measurement(Specialization.SCALE, 1, 0, (("mass_kg", 700),)).encode(memo)
     with pytest.raises(struct.error):
-        Measurement(Specialization.SCALE, 1, 0, (("mass_kg", 700.0),)).encode()
+        Measurement(Specialization.SCALE, 1, 0, (("mass_kg", 700.0),)).encode(memo)
 
 
 def test_decoding_an_unknown_metric_code_raises_after_a_memo_hit():
+    memo = ReadingMemo()
     raw = Measurement.build(Specialization.HEART_RATE, 3, 10, HEART_READINGS).encode()
-    assert Measurement.decode(raw) == Measurement.decode(raw)
+    assert Measurement.decode(raw, memo) == Measurement.decode(raw, memo)
     bad = bytearray(raw)
     bad[14] = 0xEE  # the first metric code
     with pytest.raises(UnknownMetric):
-        Measurement.decode(bytes(bad))
+        Measurement.decode(bytes(bad), memo)
     with pytest.raises(struct.error):
-        Measurement.decode(raw[:-1])  # the last entry cut short
-    assert Measurement.decode(raw).seq == 3
+        Measurement.decode(raw[:-1], memo)  # the last entry cut short
+    assert Measurement.decode(raw, memo).seq == 3
+
+
+def test_a_fresh_memo_passes_no_values_check():
+    for values in ((), None):
+        with pytest.raises(InvalidMeasurement):
+            Measurement(None, 0, 0, values, ReadingMemo())
+
+
+def test_an_invalid_reading_after_a_valid_one_raises_with_a_memo():
+    memo = ReadingMemo()
+    Measurement.build(Specialization.HEART_RATE, 1, 0, HEART_READINGS, memo)
+    with pytest.raises(InvalidMeasurement):
+        Measurement.build(Specialization.SCALE, 2, 0, {"mass_kg": 3e8}, memo)
+    with pytest.raises(InvalidMeasurement):
+        Measurement(Specialization.HEART_RATE, 2, 0, memo.scaled[1][:2], memo)
+    with pytest.raises(InvalidMeasurement):
+        Measurement(Specialization.HEART_RATE, 2**32, 0, memo.scaled[1], memo)
 
 
 def test_reading_memos_hold_one_entry():
+    memo = ReadingMemo()
     for i in range(1_000):
         readings = dict(HEART_READINGS, heart_rate_bpm=float(i))
-        m = Measurement.build(Specialization.HEART_RATE, i + 1, i, readings)
-        raw = m.encode()
-        assert Measurement.decode(raw) == m
-    assert hdp._last_scaled == (readings, [float, float, float], m.values)
-    assert hdp._last_valid == (Specialization.HEART_RATE, m.values)
-    assert hdp._last_entries == (m.values, raw[14:])
-    assert hdp._last_decoded == (raw[13:], m.values)
+        m = Measurement.build(Specialization.HEART_RATE, i + 1, i, readings, memo)
+        raw = m.encode(memo)
+        assert raw == m.encode()
+        assert Measurement.decode(raw, memo) == m == Measurement.build(
+            Specialization.HEART_RATE, i + 1, i, readings
+        )
+    assert memo.scaled == ([(k, float, v) for k, v in readings.items()], m.values)
+    assert memo.valid == (Specialization.HEART_RATE, m.values)
+    assert memo.packed == (m.values, raw[14:])
+    assert memo.decoded == (raw[13:], m.values)
+
+
+def test_interleaved_associations_each_reuse_their_own_readings():
+    stack = make_stack()
+    sink = add_device(stack, 3, position=(1.0, 0.0))
+    stack.links.set_pin(sink.address, Pin.from_text("1234"))
+    stack.hdp.set_role(sink.address, "sink")
+    assocs = []
+    for i in (1, 2):
+        source = add_device(stack, i, position=(0.0, float(i)))
+        stack.links.set_pin(source.address, Pin.from_text("1234"))
+        stack.hdp.set_role(source.address, "source")
+        connect(stack, sink, source)
+        stack.mcap.open_control_channel(source, sink)
+        assocs.append(operating_assoc(stack, source, sink))
+    received = record_readings(stack, sink)
+    readings = [dict(HEART_READINGS, heart_rate_bpm=60.0 + i) for i in range(2)]
+    ops = [
+        stack.hdp.send_measurement(assoc, r)
+        for _ in range(3)
+        for assoc, r in zip(assocs, readings)
+    ]
+    run_while(stack, lambda: not all(op.done for op in ops), 1_000_000)
+    for i, assoc in enumerate(assocs):
+        got = [m for a, m, _ts, _at in received if a is assoc]
+        assert [m.value("heart_rate_bpm") for m in got] == [60.0 + i] * 3
+        # Each send and each receipt after the first reused the memo.
+        assert all(m.values is got[0].values for m in got)
+        assert assoc.memo.scaled[1] == assoc.memo.decoded[1] == got[0].values
 
 
 def test_audio_channel_kind_is_rejected():
