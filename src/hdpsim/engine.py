@@ -459,11 +459,12 @@ class Retry:
     """Send, resend every ``interval_us``, give up exactly at the deadline.
 
     The deadline is ``timeout_us`` after construction; ``start`` sends at
-    once. Each tick sends before it schedules the next one, and the last wait
-    is clamped to the deadline, where ``on_timeout`` runs instead of a send.
-    With ``timeout_us`` None the deadline is infinite: the retry resends
-    until it is resolved. ``resolve`` stops the retry on an answer and
-    cancels its pending tick.
+    once, or ``start(delay_us)`` first sends ``delay_us`` later. Each tick
+    sends before it schedules the next one, and the last wait is clamped to
+    the deadline, where ``on_timeout`` runs instead of a send. With
+    ``timeout_us`` None the deadline is infinite: the retry resends until it
+    is resolved. ``resolve`` stops the retry on an answer, or when its owner
+    ends, and cancels its pending tick.
     """
 
     __slots__ = ("engine", "send", "interval_us", "on_timeout", "deadline_us", "done", "_timer")
@@ -484,8 +485,11 @@ class Retry:
         self.done = False
         self._timer = -1
 
-    def start(self) -> "Retry":
-        self._tick()
+    def start(self, delay_us: int = 0) -> "Retry":
+        if delay_us:
+            self._timer = self.engine.schedule_in(delay_us, self._tick)
+        else:
+            self._tick()
         return self
 
     def _tick(self) -> None:

@@ -21,13 +21,18 @@ it, ABANDONED when the association ends first. A sink callback
 (``set_sink_callback``) sees each reading the sink receives. ``release``
 settles the channel queue by the sink's receive watermark on the channel.
 
-The association request runs on the engine's ``Retry``: resent every
+An association owns its timers, and ``release`` stops them all. The
+request runs on the engine's ``Retry``: resent every
 ``retransmit_interval_us``, given up exactly ``handshake_timeout_us`` after
 it started. A request that times out or that the sink rejects emits
 ``assoc_failed`` (``reason`` ``"timeout"`` or ``"rejected"``), then goes
 through ``release``: readings buffered meanwhile are abandoned and counted
-in a ``released`` event. The record stays. Channel creation and clock sync
-wait on the engine ``Op`` handles that the channel layer returns.
+in a ``released`` event. The record stays. Set-up then creates the channel
+and syncs the clocks, one step at a time, each waiting on the ``Op`` the
+channel layer returns; a failed step is taken again
+``reconnect_retry_interval_us`` later. A lost link is re-paged on a second
+``Retry`` every ``reconnect_retry_interval_us``, from one interval after the
+loss until the link is restored.
 
 A send series repeats one readings object, so each association keeps a
 ``ReadingMemo``: for each of a reading's pure steps (scaling, the values
@@ -327,8 +332,11 @@ class Association:
     memo: ReadingMemo = field(
         default_factory=ReadingMemo, init=False, repr=False, compare=False
     )
-    # The link observer added by associate, removed again by release.
+    # The link observer added by associate, and the timers: the request
+    # until answered, the re-page while the link is lost. release ends all.
     _on_link: Optional[Callable[[Link], None]] = field(default=None, init=False, repr=False)
+    _request: Optional[Retry] = field(default=None, init=False, repr=False)
+    _repage: Optional[Retry] = field(default=None, init=False, repr=False)
 
     @property
     def pair(self) -> tuple[DeviceAddress, DeviceAddress]:
@@ -363,8 +371,6 @@ class HdpManager:
         self._whitelists: dict[DeviceAddress, frozenset[Specialization]] = {}
         self._sink_callbacks: dict[DeviceAddress, SinkCallback] = {}
         self._next_assoc_id = 1
-        # assoc_id -> retry of its association request, until answered
-        self._requests: dict[int, Retry] = {}
         links.register_protocol(PROTO_HDP, self._on_pdu)
 
     # -- configuration ------------------------------------------------------
@@ -432,7 +438,7 @@ class HdpManager:
         self.associations[assoc.assoc_id] = assoc
         assoc._on_link = lambda lk: self._on_link_state(assoc, lk)
         link.on_state_change(assoc._on_link)
-        self._requests[assoc.assoc_id] = Retry(
+        assoc._request = Retry(
             self.engine,
             lambda: self._tx(
                 assoc.source,
@@ -442,18 +448,12 @@ class HdpManager:
             ),
             self.params.retransmit_interval_us,
             self.params.handshake_timeout_us,
-            lambda: self._request_timed_out(assoc),
+            lambda: self._give_up(assoc, "timeout"),
         ).start()
         return assoc
 
-    def _request_timed_out(self, assoc: Association) -> None:
-        del self._requests[assoc.assoc_id]
-        self._give_up(assoc, "timeout")
-
     def _give_up(self, assoc: Association, reason: str) -> None:
         """End an association whose request failed; the record stays."""
-        if assoc.state is not AssocState.ASSOCIATING:
-            return  # released while its request was unanswered
         self.engine.emit(
             "assoc_failed", assoc.source.address, assoc_id=assoc.assoc_id, reason=reason
         )
@@ -466,12 +466,13 @@ class HdpManager:
         except LinkError:
             pass  # a lost link carries nothing
 
-    def _answered(self, assoc_id: int) -> bool:
-        retry = self._requests.pop(assoc_id, None)
-        if retry is None:
-            return False
-        retry.resolve()
-        return True
+    def _answered(self, assoc_id: int) -> Optional[Association]:
+        """The association, if its request was unanswered until now."""
+        assoc = self.associations.get(assoc_id)
+        if assoc is None or assoc._request.done:
+            return None
+        assoc._request.resolve()
+        return assoc
 
     # -- handshake handlers --------------------------------------------------
 
@@ -511,88 +512,68 @@ class HdpManager:
 
     def _on_assoc_rsp(self, receiver: Device, body: bytes) -> None:
         assoc_id = struct.unpack(">I", body[:4])[0]
-        if not self._answered(assoc_id):
-            return
-        assoc = self.associations.get(assoc_id)
-        if assoc is None or assoc.state is not AssocState.ASSOCIATING:
+        assoc = self._answered(assoc_id)
+        if assoc is None:
             return
         self._tx(
             assoc.source, assoc.sink, _MSG_ASSOC_CONFIRM, struct.pack(">I", assoc_id)
         )
-        self._create_channel(assoc)
+        self._set_up(assoc)
 
     def _on_assoc_reject(self, receiver: Device, body: bytes) -> None:
-        assoc_id = struct.unpack(">I", body[:4])[0]
-        if self._answered(assoc_id):
-            self._give_up(self.associations[assoc_id], "rejected")
+        assoc = self._answered(struct.unpack(">I", body[:4])[0])
+        if assoc is not None:
+            self._give_up(assoc, "rejected")
 
     # -- channel and sync ----------------------------------------------------
 
-    def _create_channel(self, assoc: Association) -> None:
+    def _set_up(self, assoc: Association) -> None:
+        """Take the next set-up step: the channel, then the clock sync."""
         control = self.mcap.controls.get(assoc.pair)
         if control is None or assoc.state is not AssocState.ASSOCIATING:
             return
         try:
-            op = self.mcap.create_data_channel(control, assoc.source, reliable=True)
-        except LinkDown:
-            self._retry_later(assoc, lambda: self._create_channel(assoc))
-            return
-        op.on_complete(lambda o, a=assoc: self._on_channel_ready(a, o))
+            if assoc.reliable_mdl is None:
+                op = self.mcap.create_data_channel(control, assoc.source, reliable=True)
+            else:
+                # The sink requests, so the resulting offset maps source
+                # clock readings onto the sink's timeline.
+                op = self.mcap.sync_clocks(control, assoc.sink)
+        except LinkDown as exc:
+            op = Op()
+            op.resolve(error=exc)
+        op.on_complete(lambda o, a=assoc: self._set_up_done(a, o))
 
-    def _on_channel_ready(self, assoc: Association, op) -> None:
+    def _set_up_done(self, assoc: Association, op: Op) -> None:
         if assoc.state is not AssocState.ASSOCIATING:
             return
         if op.error is not None:
-            self._retry_later(assoc, lambda: self._create_channel(assoc))
-            return
-        channel: DataChannel = op.result
-        assoc.reliable_mdl = channel
-        channel.on_receive(
-            lambda ch, from_addr, payload, now, a=assoc: self._on_measurement_frame(
-                a, from_addr, payload, now
+            # Not a Retry: its resends would not wait on the step's Op.
+            self.engine.schedule_in(
+                self.params.reconnect_retry_interval_us, lambda: self._set_up(assoc)
             )
-        )
-        self._start_sync(assoc)
-
-    def _start_sync(self, assoc: Association) -> None:
-        if assoc.state is not AssocState.ASSOCIATING:
-            return
-        control = self.mcap.controls.get(assoc.pair)
-        if control is None:
-            return
-        try:
-            # The sink requests, so the resulting offset maps source clock
-            # readings onto the sink's timeline.
-            op = self.mcap.sync_clocks(control, assoc.sink)
-        except LinkDown:
-            self._retry_later(assoc, lambda: self._start_sync(assoc))
-            return
-        op.on_complete(lambda o, a=assoc: self._on_sync_done(a, o))
-
-    def _on_sync_done(self, assoc: Association, op) -> None:
-        if assoc.state is not AssocState.ASSOCIATING:
-            return
-        if op.error is not None:
-            self._retry_later(assoc, lambda: self._start_sync(assoc))
-            return
-        assoc.clock_map = op.result
-        assoc.state = AssocState.OPERATING
-        self.engine.emit(
-            "assoc",
-            assoc.source.address,
-            assoc_id=assoc.assoc_id,
-            sink=str(assoc.sink.address),
-            specialization=assoc.specialization.name.lower(),
-            mdl_id=assoc.reliable_mdl.mdl_id,
-        )
-        # Anything submitted before the association finished goes out now.
-        self._flush(assoc)
-
-    def _retry_later(self, assoc: Association, fn: Callable[[], None]) -> None:
-        self.engine.schedule_in(
-            self.params.reconnect_retry_interval_us,
-            lambda: fn() if assoc.state is not AssocState.RELEASED else None,
-        )
+        elif assoc.reliable_mdl is None:
+            channel: DataChannel = op.result
+            assoc.reliable_mdl = channel
+            channel.on_receive(
+                lambda ch, from_addr, payload, now, a=assoc: self._on_measurement_frame(
+                    a, from_addr, payload, now
+                )
+            )
+            self._set_up(assoc)
+        else:
+            assoc.clock_map = op.result
+            assoc.state = AssocState.OPERATING
+            self.engine.emit(
+                "assoc",
+                assoc.source.address,
+                assoc_id=assoc.assoc_id,
+                sink=str(assoc.sink.address),
+                specialization=assoc.specialization.name.lower(),
+                mdl_id=assoc.reliable_mdl.mdl_id,
+            )
+            # Anything submitted before the association finished goes out now.
+            self._flush(assoc)
 
     # -- measurements --------------------------------------------------------
 
@@ -697,26 +678,21 @@ class HdpManager:
     def _on_link_state(self, assoc: Association, link: Link) -> None:
         if assoc.state is AssocState.RELEASED:
             return
-        if link.state is LinkState.LOST:
-            if assoc.auto_reconnect:
-                self.engine.schedule_in(
-                    self.params.reconnect_retry_interval_us,
-                    lambda: self._try_repage(assoc, link),
-                )
-        else:
+        if link.state is not LinkState.LOST:
+            if assoc._repage is not None:
+                assoc._repage.resolve()
             self._reconnect_channel(assoc)
+        elif assoc.auto_reconnect:
+            interval = self.params.reconnect_retry_interval_us
+            assoc._repage = Retry(
+                self.engine, lambda: self._page(link), interval
+            ).start(interval)
 
-    def _try_repage(self, assoc: Association, link: Link) -> None:
-        if assoc.state is AssocState.RELEASED or link.state is LinkState.CONNECTED:
-            return
+    def _page(self, link: Link) -> None:
         try:
             self.links.page(link.master, link.slave.address)
         except LinkError:
             pass
-        self.engine.schedule_in(
-            self.params.reconnect_retry_interval_us,
-            lambda: self._try_repage(assoc, link),
-        )
 
     def _reconnect_channel(self, assoc: Association) -> None:
         channel = assoc.reliable_mdl
@@ -744,6 +720,9 @@ class HdpManager:
         if assoc.state is AssocState.RELEASED:
             raise AlreadyReleased(f"association {assoc.assoc_id}")
         assoc.state = AssocState.RELEASED
+        assoc._request.resolve()
+        if assoc._repage is not None:
+            assoc._repage.resolve()
         link = self.links.link_between(assoc.source.address, assoc.sink.address)
         link.off_state_change(assoc._on_link)
         abandoned = len(assoc.buffer)

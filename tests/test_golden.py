@@ -32,7 +32,10 @@ without any other test noticing:
   sensor walks out p/2, exactly p and p + 1 us after a master keepalive tick
   (the keepalive lands; its ack is lost in the first two cases and delivered
   in the third), then a ``drop_link`` and a re-page 30 and 60 us after a
-  tick, and an association that sends five readings.
+  tick, and an association that sends five readings;
+- ``repage_flaps``: ``drop_cycles_lossy`` without loss, with sensor-1's
+  link dropped at 8.0, 9.3 and 10.8 s, each drop within one re-page
+  interval of the re-page that restored the link before it.
 
 A deliberate trace change re-pins the digests in one declared change:
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden/digests.json``.

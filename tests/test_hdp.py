@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdpsim.engine import MediumModel
@@ -30,6 +31,9 @@ from hdpsim.hdp import (
 from hdpsim.link import LinkState
 from hdpsim.mcap import SendStatus
 from hdpsim.metrics import compute_metrics
+from hdpsim.params import SimParams
+from hdpsim.runner import run_scenario
+from hdpsim.scenario import load_scenario
 from hdpsim.security import Pin
 
 from conftest import add_device, connect, make_stack, run_while
@@ -419,6 +423,80 @@ def test_sink_learns_of_link_loss_within_supervision_budget():
         stack.params.keepalive_miss_threshold + 1
     )
     assert lost and lost[0].t_us - silence_from <= budget
+
+
+# -- re-paging a lost link ----------------------------------------------------
+
+REPAGE_US = SimParams().reconnect_retry_interval_us
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_link_lost_again_within_an_interval_is_repaged_one_interval_after_the_loss(seed):
+    # Each drop comes under an interval after the re-page that restored the
+    # link, so a re-page left over from the drop before would come early.
+    path = Path(__file__).parent / "golden" / "repage_flaps.json"
+    trace, _report = run_scenario(load_scenario(str(path)), seed)
+    sensor = "AA:00:00:00:00:01"
+    events = [
+        (e.t_us, e.ev)
+        for e in trace
+        if e.detail.get("peer", e.detail.get("target")) == sensor
+        and e.ev in ("link_lost", "link_restored", "page")
+    ]
+    losses = [t for t, ev in events if ev == "link_lost"]
+    assert losses == [8_000_000, 9_300_000, 10_800_000]
+    assert [ev for t, ev in events if t >= losses[0]] == [
+        "link_lost", "page", "link_restored"
+    ] * 3
+    assert [t for t, ev in events if ev == "page" and t > losses[0]] == [
+        t + REPAGE_US for t in losses
+    ]
+
+
+FLAP_STEPS = ("send", "drop", "out", "back")
+GAPS_US = (100_000, 300_000, 1_000_000, 1_300_000, 2_500_000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(FLAP_STEPS), st.sampled_from(GAPS_US)),
+        min_size=4,
+        max_size=14,
+    )
+)
+# Dropped again 0.3 s after the re-page 1 s after the first drop restored it.
+@example(steps=[("send", 100_000), ("drop", 1_300_000), ("drop", 2_500_000), ("send", 100_000)])
+def test_repages_keep_their_interval_and_readings_arrive_in_order(steps):
+    """At loss 0, whatever the drops, walk-outs and returns: every page after
+    a link loss comes a whole number (at least one) of re-page intervals
+    after the latest loss, and each association receives rising seqs."""
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    assoc = operating_assoc(stack, source, sink)
+    link = stack.links.link_between(source.address, sink.address)
+    for step, gap_us in steps:
+        if step == "send":
+            stack.hdp.send_measurement(assoc, HEART_READINGS)
+        elif step == "drop" and link.state is LinkState.CONNECTED:
+            stack.links.drop_link(source.address, sink.address)
+        elif step in ("out", "back"):
+            stack.engine.move_device(source.address, (60.0 if step == "out" else 0.0, 0.0))
+        stack.engine.run_until(stack.engine.now + gap_us)
+    stack.engine.move_device(source.address, (0.0, 0.0))
+    stack.engine.run_until(stack.engine.now + 8_000_000)
+
+    lost, seqs = None, {}
+    for e in stack.engine.trace:
+        if e.ev == "link_lost":
+            lost = e.t_us
+        elif e.ev == "page" and lost is not None:
+            intervals, rest = divmod(e.t_us - lost, REPAGE_US)
+            assert intervals >= 1 and rest == 0, (lost, e.t_us)
+        elif e.ev == "measurement_rx":
+            seqs.setdefault(e.detail["assoc_id"], []).append(e.detail["seq"])
+    for received in seqs.values():
+        assert all(a < b for a, b in zip(received, received[1:]))
 
 
 def test_seq_numbers_are_per_association_and_monotonic():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from hdpsim import hdp
 from hdpsim.engine import Engine, Op, Retry
-from hdpsim.hdp import AssocState, Specialization
-from hdpsim.link import Unreachable
+from hdpsim.hdp import _MSG_ASSOC_REQ, AssocState, Specialization
+from hdpsim.link import PROTO_HDP, Unreachable
 from hdpsim.mcap import ChannelState, McapTimeout, SendStatus, SyncTimeout
 
 from conftest import add_device, connect, make_stack, paired_pair, run_while
@@ -15,7 +18,11 @@ from conftest import add_device, connect, make_stack, paired_pair, run_while
 def assert_nothing_pending(stack):
     assert stack.links._pages == {}
     assert stack.mcap._pending == {}
-    assert stack.hdp._requests == {}
+    # An association's request stops once answered, timed out or released;
+    # its re-page once the link is back or the association is released.
+    for assoc in stack.hdp.associations.values():
+        assert assoc._request.done
+        assert assoc._repage is None or assoc._repage.done
     # A retransmit Retry lives only while its channel is active and its
     # sender's queue holds the payload it resends.
     for control in stack.mcap.controls.values():
@@ -68,6 +75,28 @@ def test_resolving_a_retry_cancels_its_pending_tick():
     assert retry.done and engine.pending_events == 0
     engine.run_until(2000)
     assert sends == [0, 100]
+
+
+def test_a_delayed_start_first_sends_after_the_delay_then_every_interval():
+    engine = Engine()
+    sends = []
+    retry = Retry(engine, lambda: sends.append(engine.now), 300).start(1000)
+    assert sends == [] and engine.pending_events == 1
+    engine.run_until(2000)
+    assert sends == [1000, 1300, 1600, 1900]
+    retry.resolve()
+    assert engine.pending_events == 0
+
+
+def test_resolving_a_delayed_retry_before_its_first_tick_sends_nothing():
+    engine = Engine()
+    sends = []
+    retry = Retry(engine, lambda: sends.append(engine.now), 300).start(1000)
+    engine.run_until(999)
+    retry.resolve()
+    assert retry.done and engine.pending_events == 0
+    engine.run_until(5000)
+    assert sends == []
 
 
 def test_op_resolves_once_and_runs_late_callbacks_at_once():
@@ -318,6 +347,38 @@ def test_association_released_before_its_request_times_out_stays_quiet():
     assert_nothing_pending(stack)
     assert assoc.state is AssocState.RELEASED
     assert not [e for e in stack.engine.trace if e.ev == "assoc_failed"]
+
+
+def test_release_stops_the_association_request(monkeypatch):
+    # Answers take 400 ms to come back, so the request is still unanswered
+    # when the association is released 10 us after it starts.
+    stack = make_stack(propagation_us=200_000)
+    a, b, _, _ = control_pair(stack)
+    requests = []
+    send_on_link = stack.links.send_on_link
+
+    def record(link, sender, proto, body):
+        if proto == PROTO_HDP and body[0] == _MSG_ASSOC_REQ:
+            requests.append((stack.engine.now, str(sender.address)))
+        return send_on_link(link, sender, proto, body)
+
+    monkeypatch.setattr(stack.links, "send_on_link", record)
+    t = stack.engine.now
+    assoc = stack.hdp.associate(a, b, Specialization.HEART_RATE)
+    stack.engine.run_until(t + 10)
+    stack.hdp.release(assoc)
+    stack.engine.run_until(t + 6_000_000)
+    assert requests == [(t, str(a.address))]
+    assert_nothing_pending(stack)
+    assert not [e for e in stack.engine.trace if e.ev in ("assoc", "assoc_failed")]
+
+
+def test_hdp_defers_only_its_set_up_step_outside_retry():
+    """Every hdp resend is a Retry held on its association; the one deferred
+    call left takes a failed set-up step again, once its Op has failed."""
+    source = inspect.getsource(hdp)
+    assert source.count("schedule_in(") == 1
+    assert "schedule_in(" in inspect.getsource(hdp.HdpManager._set_up_done)
 
 
 def test_rejected_association_is_released_once_and_removes_its_observer():
