@@ -138,6 +138,18 @@ else:
         return "".join(_c_encode(detail, 0))
 
 
+def trace_line(t_us: SimTime, seq: int, ev: str, dev: str, detail: dict) -> str:
+    """An event's trace line: ``_TRACE_ENCODER``'s text of the event as a
+    dict, keys in sorted order, and a newline. Every line is made here."""
+    return '{"detail":%s,"dev":%s,"ev":%s,"seq":%d,"t_us":%d}\n' % (
+        _encode_detail(detail),
+        _encode_str(dev),
+        _encode_str(ev),
+        seq,
+        t_us,
+    )
+
+
 class TraceEvent(NamedTuple):
     t_us: SimTime
     seq: int
@@ -146,50 +158,46 @@ class TraceEvent(NamedTuple):
     detail: dict
 
     def to_json(self) -> str:
-        """``_TRACE_ENCODER``'s line for the event as a dict, keys in sorted order."""
-        return '{"detail":%s,"dev":%s,"ev":%s,"seq":%d,"t_us":%d}' % (
-            _encode_detail(self.detail),
-            _encode_str(self.dev),
-            _encode_str(self.ev),
-            self.seq,
-            self.t_us,
-        )
+        """The event's trace line without its newline."""
+        return trace_line(*self)[:-1]
 
 
 class Trace:
     """Append-only, time-monotonic record of a run.
 
-    Without an output every event is kept in ``events``, and ``to_jsonl`` and
+    ``append`` checks the time and numbers the event. Without an output it
+    keeps the event as a ``TraceEvent`` in ``events``, and ``to_jsonl`` and
     ``sha256`` describe them. With an output (a text file set as ``out``
-    before the first event), each event is serialised once, written as one
-    JSONL line and dropped, so ``events`` stays empty and memory does not
-    grow with the run. Either way ``feed``, when set, receives every event as
-    it is appended, and ``len`` counts every event.
+    before the first event), it writes the event's ``trace_line`` and keeps
+    nothing, so ``events`` stays empty and memory does not grow with the
+    run. Either way ``feed``, when set, receives ``(t_us, ev, dev, detail)``
+    of each event whose name is in ``feed_events``, and ``len`` counts every
+    event.
     """
 
     def __init__(self):
         self.out: Optional[TextIO] = None
-        self.feed: Optional[Callable[[TraceEvent], None]] = None
+        self.feed: Optional[Callable[[SimTime, str, str, dict], None]] = None
+        self.feed_events: frozenset[str] = frozenset()
         self.events: list[TraceEvent] = []
         self._count = 0
         self._last_t_us: SimTime = 0
 
-    def append(self, t_us: SimTime, ev: str, dev: str, detail: dict) -> TraceEvent:
+    def append(self, t_us: SimTime, ev: str, dev: str, detail: dict) -> None:
         if t_us < self._last_t_us:
             raise ValueError(f"trace time went backwards: {t_us} < {self._last_t_us}")
-        event = TraceEvent(t_us, self._count, ev, dev, detail)
-        self._count += 1
+        seq = self._count
+        self._count = seq + 1
         self._last_t_us = t_us
         if self.out is None:
-            self.events.append(event)
+            self.events.append(TraceEvent(t_us, seq, ev, dev, detail))
         else:
-            self.out.write(event.to_json() + "\n")
-        if self.feed is not None:
-            self.feed(event)
-        return event
+            self.out.write(trace_line(t_us, seq, ev, dev, detail))
+        if ev in self.feed_events:
+            self.feed(t_us, ev, dev, detail)
 
     def to_jsonl(self) -> str:
-        return "".join(e.to_json() + "\n" for e in self.events)
+        return "".join(trace_line(*e) for e in self.events)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
@@ -259,7 +267,7 @@ class Engine:
         device = self.device(address)
         device.position = (float(position[0]), float(position[1]))
         self._neighbours.clear()
-        self.emit("move", device, x=device.position[0], y=device.position[1])
+        self.emit("move", device.address, x=device.position[0], y=device.position[1])
         for fn in self._medium_hooks:
             fn(device)
 
@@ -325,13 +333,10 @@ class Engine:
 
     # -- trace --------------------------------------------------------------
 
-    def emit(self, ev: str, dev: Device | DeviceAddress | None, **detail) -> TraceEvent:
-        addr = ""
-        if isinstance(dev, Device):
-            addr = str(dev.address)
-        elif isinstance(dev, DeviceAddress):
-            addr = str(dev)
-        return self.trace.append(self.now, ev, addr, detail)
+    def emit(self, ev: str, dev: Optional[DeviceAddress], **detail) -> None:
+        """Append event ``ev`` at ``now``, about the device at ``dev`` (None
+        for none), with ``detail`` as its fields."""
+        self.trace.append(self.now, ev, "" if dev is None else dev._text or str(dev), detail)
 
     # -- medium -------------------------------------------------------------
 

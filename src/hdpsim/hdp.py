@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import enum
 import struct
-from collections import deque
-from dataclasses import InitVar, dataclass, field
+from collections import deque, namedtuple
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import DeviceAddress, SimTime
@@ -137,6 +137,7 @@ METRICS: dict[str, tuple[int, str]] = {
 }
 
 _METRIC_BY_CODE = {code: name for name, (code, _unit) in METRICS.items()}
+_SPECIALIZATION_BY_CODE = {s.value: s for s in Specialization}
 
 HEART_RATE_METRICS = frozenset(
     {"heart_rate_bpm", "filling_duration_ms", "ascending_wave_index_pct"}
@@ -155,46 +156,50 @@ def scale_value(value: float) -> int:
     return int(scaled)
 
 
-@dataclass(frozen=True)
-class Measurement:
+def _check_values(specialization: Specialization, values: tuple[tuple[str, int], ...]) -> None:
+    if not values:
+        raise InvalidMeasurement("a measurement needs at least one metric")
+    names = set()
+    for name, scaled in values:
+        if name not in METRICS:
+            raise UnknownMetric(name)
+        if name in names:
+            raise InvalidMeasurement(f"duplicate metric {name}")
+        names.add(name)
+        if not _I32_MIN <= scaled <= _I32_MAX:
+            raise InvalidMeasurement(f"{name} value out of range")
+    if specialization is Specialization.HEART_RATE and names != set(HEART_RATE_METRICS):
+        raise InvalidMeasurement(
+            "heart-rate readings carry exactly heart_rate_bpm, "
+            "filling_duration_ms, ascending_wave_index_pct"
+        )
+
+
+class Measurement(namedtuple("Measurement", "specialization seq source_timestamp_us values")):
     """One typed reading; ``values`` maps metric name to a x10-scaled int.
 
-    A ``memo`` skips the values check for the values it last passed.
+    An immutable tuple of its four fields, checked and then built in one
+    ``tuple.__new__``. A ``memo`` skips the values check for the values it
+    last passed.
     """
 
-    specialization: Specialization
-    seq: int
-    source_timestamp_us: SimTime
-    values: tuple[tuple[str, int], ...]
-    memo: InitVar[Optional[ReadingMemo]] = None
+    __slots__ = ()
 
-    def __post_init__(self, memo: Optional[ReadingMemo]):
-        if not 0 <= self.seq <= 0xFFFFFFFF:
+    def __new__(
+        cls,
+        specialization: Specialization,
+        seq: int,
+        source_timestamp_us: SimTime,
+        values: tuple[tuple[str, int], ...],
+        memo: Optional[ReadingMemo] = None,
+    ) -> "Measurement":
+        if not 0 <= seq <= 0xFFFFFFFF:
             raise InvalidMeasurement("seq must fit in 32 bits")
-        if memo is not None:
-            specialization, values = memo.valid
-            if specialization is self.specialization and values == self.values:
-                return
-        if not self.values:
-            raise InvalidMeasurement("a measurement needs at least one metric")
-        names = set()
-        for name, scaled in self.values:
-            if name not in METRICS:
-                raise UnknownMetric(name)
-            if name in names:
-                raise InvalidMeasurement(f"duplicate metric {name}")
-            names.add(name)
-            if not _I32_MIN <= scaled <= _I32_MAX:
-                raise InvalidMeasurement(f"{name} value out of range")
-        if self.specialization is Specialization.HEART_RATE and names != set(
-            HEART_RATE_METRICS
-        ):
-            raise InvalidMeasurement(
-                "heart-rate readings carry exactly heart_rate_bpm, "
-                "filling_duration_ms, ascending_wave_index_pct"
-            )
-        if memo is not None:
-            memo.valid = (self.specialization, self.values)
+        if memo is None or memo.valid[0] is not specialization or memo.valid[1] != values:
+            _check_values(specialization, values)
+            if memo is not None:
+                memo.valid = (specialization, values)
+        return tuple.__new__(cls, (specialization, seq, source_timestamp_us, values))
 
     @classmethod
     def build(
@@ -280,13 +285,10 @@ class Measurement:
             values = tuple(sorted(parsed))
             if memo is not None:
                 memo.decoded = (entries, values)
-        return cls(
-            specialization=Specialization(spec_code),
-            seq=seq,
-            source_timestamp_us=timestamp,
-            values=values,
-            memo=memo,
-        )
+        specialization = _SPECIALIZATION_BY_CODE.get(spec_code)
+        if specialization is None:
+            raise ValueError(f"{spec_code} is not a valid Specialization")
+        return cls(specialization, seq, timestamp, values, memo)
 
 
 class ReadingMemo:

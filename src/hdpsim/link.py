@@ -256,6 +256,9 @@ class LinkManager:
         self.params = params
         self.links: dict[tuple[DeviceAddress, DeviceAddress], Link] = {}
         self.piconets: dict[DeviceAddress, Piconet] = {}
+        # Writes to links, piconets, a piconet's links or a link's ends: only
+        # _establish (with _new_piconet) and role_switch make them.
+        self.topology_changes = 0
         self._links_of: dict[DeviceAddress, list[Link]] = {}
         self._pages: dict[tuple[DeviceAddress, DeviceAddress], _Page] = {}
         self._pins: dict[DeviceAddress, Pin] = {}
@@ -455,6 +458,7 @@ class LinkManager:
                 # up silently and let the pager time out.
                 return None
             link = Link(master=master, slave=slave, params=params)
+            self.topology_changes += 1
             self.links[key] = link
             self._links_of.setdefault(master.address, []).append(link)
             self._links_of.setdefault(slave.address, []).append(link)
@@ -695,6 +699,7 @@ class LinkManager:
             raise WouldViolateTopology(
                 f"{new_master.address} piconet already has {MAX_SLAVES} slaves"
             )
+        self.topology_changes += 1
         old = self.piconets[link.master.address]
         del old.links[link.slave.address]
         if not old.links:

@@ -56,15 +56,22 @@ _RECONNECT_OPS = {"reconnect_req", "reconnect_accept"}
 class MetricsFold:
     """Online fold of trace events into a MetricsReport.
 
-    ``feed`` takes each event as it is emitted; ``report`` returns the report
-    of everything fed so far. The fold keeps per-inquiry and per-channel
-    state, never the events themselves. Of the readings it keeps only those
-    in flight, by association: the seqs in the source buffer (``buffered``
-    until ``evicted`` or flushed by ``measurement_tx``) and those on the
-    channel (``measurement_tx`` until ``measurement_rx``), all dropped on
-    ``released``. A flush is not a new reading and only a reading on the
-    channel can arrive, so each ``(assoc_id, seq)`` counts once.
+    ``feed`` takes each event whose name is in ``EVENTS``, the names it
+    branches on, as it is emitted, and ignores any other; ``report`` returns
+    the report of everything fed so far. The fold keeps per-inquiry and
+    per-channel state, never the events themselves. Of the readings it keeps
+    only those in flight, by association: the seqs in the source buffer
+    (``buffered`` until ``evicted`` or flushed by ``measurement_tx``) and
+    those on the channel (``measurement_tx`` until ``measurement_rx``), all
+    dropped on ``released``. A flush is not a new reading and only a reading
+    on the channel can arrive, so each ``(assoc_id, seq)`` counts once.
     """
+
+    EVENTS = frozenset({
+        "measurement_tx", "measurement_rx", "mdl_ack", "buffered", "evicted", "released",
+        "inquiry_start", "inquiry_resp", "inquiry_done", "mcap_tx", "mdl_create",
+        "mdl_reconnect", "assoc", "clock_sync", "admit", "error",
+    })
 
     def __init__(self):
         self._report = MetricsReport()
@@ -76,20 +83,48 @@ class MetricsFold:
         self._on_channel: defaultdict[int, set[int]] = defaultdict(set)
         self._assoc_mdls: set[int] = set()
 
-    def feed(self, event: TraceEvent) -> None:
-        ev = event.ev
-        d = event.detail
+    def feed(self, t_us: int, ev: str, dev: str, detail: dict) -> None:
+        """Fold one event, given as its fields."""
+        d = detail
         report = self._report
-        if ev == "inquiry_start":
-            self._open_inquiry[event.dev] = len(self._inquiries)
-            self._inquiries.append((event.dev, event.t_us, None))
+        if ev == "measurement_tx":
+            in_buffer = self._in_buffer[d["assoc_id"]]
+            if d["seq"] in in_buffer:
+                in_buffer.remove(d["seq"])
+            else:
+                report.measurements.sent += 1
+            self._on_channel[d["assoc_id"]].add(d["seq"])
+        elif ev == "measurement_rx":
+            on_channel = self._on_channel[d["assoc_id"]]
+            if d["seq"] in on_channel:
+                on_channel.remove(d["seq"])
+                report.measurements.delivered += 1
+        elif ev == "mdl_ack":
+            if d.get("mdl_id") in self._assoc_mdls:
+                report.measurements.acked += 1
+        elif ev == "buffered":
+            in_buffer = self._in_buffer[d["assoc_id"]]
+            if d["seq"] not in in_buffer:
+                in_buffer.add(d["seq"])
+                report.measurements.sent += 1
+                report.measurements.buffered += 1
+        elif ev == "evicted":
+            report.measurements.evicted += 1
+            self._in_buffer[d["assoc_id"]].discard(d["seq"])
+        elif ev == "released":
+            report.measurements.abandoned += d.get("abandoned", 0)
+            self._in_buffer.pop(d["assoc_id"], None)
+            self._on_channel.pop(d["assoc_id"], None)
+        elif ev == "inquiry_start":
+            self._open_inquiry[dev] = len(self._inquiries)
+            self._inquiries.append((dev, t_us, None))
         elif ev == "inquiry_resp":
-            idx = self._open_inquiry.get(event.dev)
+            idx = self._open_inquiry.get(dev)
             if idx is not None and self._inquiries[idx][2] is None:
-                dev, started, _ = self._inquiries[idx]
-                self._inquiries[idx] = (dev, started, event.t_us - started)
+                started = self._inquiries[idx][1]
+                self._inquiries[idx] = (dev, started, t_us - started)
         elif ev == "inquiry_done":
-            self._open_inquiry.pop(event.dev, None)
+            self._open_inquiry.pop(dev, None)
         elif ev == "mcap_tx":
             op = d.get("op")
             mdl = d.get("mdl_id", 0)
@@ -105,41 +140,13 @@ class MetricsFold:
             )
         elif ev == "assoc":
             self._assoc_mdls.add(d["mdl_id"])
-        elif ev == "measurement_tx":
-            in_buffer = self._in_buffer[d["assoc_id"]]
-            if d["seq"] in in_buffer:
-                in_buffer.remove(d["seq"])
-            else:
-                report.measurements.sent += 1
-            self._on_channel[d["assoc_id"]].add(d["seq"])
-        elif ev == "buffered":
-            in_buffer = self._in_buffer[d["assoc_id"]]
-            if d["seq"] not in in_buffer:
-                in_buffer.add(d["seq"])
-                report.measurements.sent += 1
-                report.measurements.buffered += 1
-        elif ev == "measurement_rx":
-            on_channel = self._on_channel[d["assoc_id"]]
-            if d["seq"] in on_channel:
-                on_channel.remove(d["seq"])
-                report.measurements.delivered += 1
-        elif ev == "mdl_ack":
-            if d.get("mdl_id") in self._assoc_mdls:
-                report.measurements.acked += 1
-        elif ev == "evicted":
-            report.measurements.evicted += 1
-            self._in_buffer[d["assoc_id"]].discard(d["seq"])
-        elif ev == "released":
-            report.measurements.abandoned += d.get("abandoned", 0)
-            self._in_buffer.pop(d["assoc_id"], None)
-            self._on_channel.pop(d["assoc_id"], None)
         elif ev == "clock_sync":
             report.sync = {
                 "offset_us": d["offset_us"],
                 "accuracy_us": d["accuracy_us"],
             }
         elif ev == "admit":
-            report.granted_bps[event.dev] = dict(d.get("granted", {}))
+            report.granted_bps[dev] = dict(d.get("granted", {}))
         elif ev == "error":
             kind = d.get("error", "unknown")
             report.errors[kind] = report.errors.get(kind, 0) + 1
@@ -151,10 +158,10 @@ class MetricsFold:
 
 
 def compute_metrics(events: Iterable[TraceEvent]) -> MetricsReport:
-    """Fold a whole trace into a MetricsReport."""
+    """Fold a whole kept trace into a MetricsReport, feeding every event."""
     fold = MetricsFold()
-    for event in events:
-        fold.feed(event)
+    for t_us, _seq, ev, dev, detail in events:
+        fold.feed(t_us, ev, dev, detail)
     return fold.report()
 
 

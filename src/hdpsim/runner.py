@@ -3,9 +3,9 @@
 Each run constructs a fresh engine with the scenario's medium and the given
 seed, wires the protocol managers, applies device configuration, schedules
 the timeline, and runs to the horizon (the latest timeline time unless
-overridden). Metrics are folded from each trace event as it is emitted;
-given an output, the trace is written to it line by line instead of being
-kept. Validation hands over typed devices and actions with every default
+overridden). Metrics are folded from the events the fold reads as they are
+emitted; given an output, the trace is written to it line by line instead of
+being kept. Validation hands over typed devices and actions with every default
 filled in (see ``scenario.ACTIONS``), so ``HANDLERS`` holds one handler per
 action and nothing here parses a value or repeats a default.
 Device modes and ``set_mode`` go through one ``_set_modes``. The later sends
@@ -13,7 +13,9 @@ of a ``send_measurement`` are queued one at a time, each under an event id
 reserved when the action ran, so they fire where queuing them all at once
 would put them. Action failures, those later sends included, become "error"
 trace events rather than aborting the run; structural invariant breaches
-abort with InvariantViolation.
+abort with InvariantViolation. The topology is walked after an action only
+when ``LinkManager.topology_changes`` has moved since the last clean walk,
+and always at the horizon.
 """
 
 from __future__ import annotations
@@ -85,7 +87,9 @@ class ScenarioRun:
         medium = MediumModel(rng_seed=seed, **scenario.medium)
         self.stack = build_stack(medium=medium, seed=seed, params=scenario.params)
         self.metrics = MetricsFold()
-        self.stack.engine.trace.feed = self.metrics.feed
+        trace = self.stack.engine.trace
+        trace.feed, trace.feed_events = self.metrics.feed, MetricsFold.EVENTS
+        self._walked_at = 0  # links.topology_changes at the last clean walk
         self._assocs: dict[tuple[DeviceAddress, DeviceAddress], Association] = {}
         self._configure_devices()
 
@@ -132,7 +136,8 @@ class ScenarioRun:
 
     def _run_action(self, action: dict) -> None:
         self._attempt(action["action"], HANDLERS[action["action"]], self, action)
-        self._check_invariants()
+        if self.stack.links.topology_changes != self._walked_at:
+            self._check_invariants()
 
     def _attempt(self, kind: str, fn: Callable[..., object], *args) -> None:
         """Call ``fn(*args)``; a failure becomes an ``error`` event."""
@@ -219,9 +224,11 @@ class ScenarioRun:
         return assoc
 
     def _check_invariants(self) -> None:
-        problems = self.stack.links.topology_violations()
+        links = self.stack.links
+        problems = links.topology_violations()
         if problems:
             raise InvariantViolation(problems[0], self.stack.engine.now)
+        self._walked_at = links.topology_changes
 
     # -- execution ----------------------------------------------------------
 

@@ -9,8 +9,8 @@ import tracemalloc
 
 import pytest
 
-from hdpsim import cli
-from hdpsim.engine import Trace, TraceEvent
+from hdpsim import cli, engine
+from hdpsim.engine import Trace
 from hdpsim.link import LinkManager
 from hdpsim.runner import run_scenario
 from hdpsim.scenario import validate_scenario
@@ -124,8 +124,14 @@ def test_simulate_writes_trace_and_metrics(scenario_file, tmp_path, capsys):
 @pytest.mark.parametrize("level", [logging.WARNING, logging.INFO], ids=["warn", "info"])
 def test_simulate_serialises_the_trace_once(scenario_file, tmp_path, monkeypatch, caplog, level):
     serialised, to_jsonl_calls = [], []
-    to_json = TraceEvent.to_json
-    monkeypatch.setattr(TraceEvent, "to_json", lambda e: serialised.append(e.seq) or to_json(e))
+    trace_line = engine.trace_line
+
+    def counted(t_us, seq, ev, dev, detail):
+        serialised.append(seq)
+        return trace_line(t_us, seq, ev, dev, detail)
+
+    monkeypatch.setattr(engine, "trace_line", counted)
+    monkeypatch.setattr(engine, "TraceEvent", None)  # a streamed run builds none
     monkeypatch.setattr(Trace, "to_jsonl", lambda trace: to_jsonl_calls.append(1) or "")
     caplog.set_level(level, logger="hdpsim")
     trace_path = tmp_path / "trace.jsonl"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import random
 from pathlib import Path
@@ -19,6 +20,7 @@ from hdpsim.engine import (
     Trace,
     TraceEvent,
     UnknownDevice,
+    trace_line,
 )
 from hdpsim.runner import ScenarioRun
 from hdpsim.scenario import load_scenario, validate_scenario
@@ -571,7 +573,7 @@ def test_inquiry_hears_a_device_moved_into_range_and_not_one_moved_out():
 
 
 _text = st.text(alphabet=st.characters(codec="utf-8"), max_size=12) | st.sampled_from(
-    ['"', "\\", "\x00\x1f\x7f", "é€😀", " "]
+    ['"', "\\", "%", "%d%s%%", "\x00\x1f\x7f", "\u2028", "é€😀", " "]
 )
 _json_value = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | _text,
@@ -589,6 +591,16 @@ _json_value = st.recursive(
     detail=st.dictionaries(_text, _json_value, max_size=5),
 )
 def test_trace_line_equals_json_dumps_of_the_event(t_us, seq, ev, dev, detail):
-    event = TraceEvent(t_us, seq, ev, dev, detail)
-    as_dict = {"t_us": t_us, "seq": seq, "ev": ev, "dev": dev, "detail": detail}
-    assert event.to_json() == json.dumps(as_dict, sort_keys=True, separators=(",", ":"))
+    """Kept and streamed events are serialised by ``trace_line`` alone."""
+    def dumped(seq):
+        as_dict = {"t_us": t_us, "seq": seq, "ev": ev, "dev": dev, "detail": detail}
+        return json.dumps(as_dict, sort_keys=True, separators=(",", ":")) + "\n"
+
+    assert trace_line(t_us, seq, ev, dev, detail) == dumped(seq)
+    assert TraceEvent(t_us, seq, ev, dev, detail).to_json() + "\n" == dumped(seq)
+    kept, streamed = Trace(), Trace()
+    streamed.out = io.StringIO()
+    for trace in (kept, streamed):
+        trace.append(t_us, ev, dev, detail)
+    assert streamed.out.getvalue() == kept.to_jsonl() == dumped(0)
+    assert streamed.events == [] and len(streamed) == 1

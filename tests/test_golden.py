@@ -43,18 +43,21 @@ A deliberate trace change re-pins the digests in one declared change:
 
 from __future__ import annotations
 
+import ast
 import functools
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from hdpsim import cli
-from hdpsim.metrics import compute_metrics, metrics_json
+from hdpsim.metrics import MetricsFold, compute_metrics, metrics_json
 from hdpsim.runner import run_scenario
 from hdpsim.scenario import load_scenario
 
@@ -103,7 +106,9 @@ def test_golden_digests(name, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cli_streams_the_golden_bytes(name, seed, tmp_path):
     """``hdpsim simulate`` streams the pinned bytes, and its online metrics
-    fold equals ``compute_metrics`` over the kept trace of an in-memory run."""
+    fold, fed only the events in ``MetricsFold.EVENTS``, writes the bytes of
+    ``compute_metrics`` over the kept trace of an in-memory run, which feeds
+    every event."""
     path = str(GOLDEN / f"{name}.json")
     trace_path, metrics_path = tmp_path / "trace.jsonl", tmp_path / "metrics.json"
     argv = ["simulate", "--scenario", path, "--seed", str(seed)]
@@ -111,6 +116,18 @@ def test_cli_streams_the_golden_bytes(name, seed, tmp_path):
     assert written(trace_path, metrics_path) == pinned()[name][str(seed)]
     trace, _report = run_scenario(load_scenario(path), seed)
     assert metrics_path.read_text(encoding="utf-8") == metrics_json(compute_metrics(trace.events))
+
+
+def test_the_fold_declares_every_event_name_it_branches_on():
+    """The names ``MetricsFold.feed`` compares ``ev`` with are ``EVENTS``;
+    ``admit``, which no golden emits, is covered here alone."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(MetricsFold.feed)))
+    branches = {
+        node.comparators[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "ev"
+    }
+    assert branches == MetricsFold.EVENTS and len(branches) == 16
 
 
 @functools.lru_cache(maxsize=None)

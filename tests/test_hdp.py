@@ -132,6 +132,24 @@ def test_measurement_wire_layout_is_fixed():
     assert raw[14] == METRICS["heart_rate_bpm"][0]  # entries sorted by code
 
 
+def test_measurement_is_an_immutable_value():
+    m = Measurement.build(Specialization.HEART_RATE, 7, 1000, HEART_READINGS)
+    with pytest.raises(AttributeError):
+        m.seq = 8
+    with pytest.raises(AttributeError):
+        m.note = "extra"
+    twin = Measurement.decode(m.encode(), ReadingMemo())
+    assert twin == m and hash(twin) == hash(m) and twin is not m
+    assert m != Measurement.build(Specialization.HEART_RATE, 8, 1000, HEART_READINGS)
+
+
+def test_decoding_an_unknown_specialization_code_raises_value_error():
+    raw = bytearray(Measurement.build(Specialization.HEART_RATE, 7, 1000, HEART_READINGS).encode())
+    raw[12] = 0xEE  # the specialization code
+    with pytest.raises(ValueError, match="^238 is not a valid Specialization$"):
+        Measurement.decode(bytes(raw), ReadingMemo())
+
+
 def test_equal_readings_of_another_class_are_scaled_anew():
     # 0.15 * 10 rounds to 1.5 in floats and so to 2; the exact value of the
     # same float, as a Fraction, is just under 0.15 and scales to 1.

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdpsim.core import DeviceAddress
 from hdpsim.discovery import ConnectabilityMode
 from hdpsim.link import (
     MAX_SLAVES,
     ConnectionParams,
     LinkError,
+    LinkManager,
     LinkState,
     NotConnectable,
     NotDiscovered,
@@ -21,6 +24,8 @@ from hdpsim.link import (
     negotiate_params,
 )
 from hdpsim.params import SimParams
+from hdpsim.runner import HANDLERS, InvariantViolation, ScenarioRun
+from hdpsim.scenario import load_scenario
 
 from conftest import add_device, addr, connect, make_stack, paired_pair
 
@@ -358,3 +363,87 @@ def test_unequal_pins_leave_link_unauthenticated_with_auth_fail():
     fail = [e for e in stack.engine.trace if e.ev == "auth_fail"]
     assert len(fail) == 1
     assert fail[0].detail["key_hash_local"] != fail[0].detail["key_hash_peer"]
+
+
+def test_only_new_links_and_role_switches_count_as_topology_changes():
+    stack = make_stack()
+    a, b, link = paired_pair(stack)
+    assert stack.links.topology_changes == 1
+    stack.links.drop_link(a.address, b.address)
+    stack.links.page(a, b.address)
+    stack.engine.run_until(stack.engine.now + 2_000_000)
+    assert link.state is LinkState.CONNECTED and stack.links.topology_changes == 1
+    stack.links.role_switch(link)
+    assert stack.links.topology_changes == 2
+
+
+WARD_4X7 = Path(__file__).parent / "golden" / "ward_lossy_offsets.json"
+
+
+def logged_run(monkeypatch, corrupt_link: int = 0) -> list[tuple[str, int]]:
+    """Run ward 4x7 (``ward_lossy_offsets``, seed 1) and return, in order,
+    each action ("action"), each new link ("write") and each topology walk
+    ("walk"), with its time. With ``corrupt_link`` n, the n-th new link is
+    also filed under an address that is not its slave's."""
+    log: list[tuple[str, int]] = []
+    run = ScenarioRun(load_scenario(str(WARD_4X7)), 1)
+    engine = run.stack.engine
+    establish, violations = LinkManager._establish, LinkManager.topology_violations
+
+    def logged_establish(links, master, slave, params):
+        before = len(links.links)
+        link = establish(links, master, slave, params)
+        if len(links.links) > before:
+            log.append(("write", engine.now))
+            if len(links.links) == corrupt_link:
+                links.piconets[master.address].links[DeviceAddress(0xBAD)] = link
+        return link
+
+    def logged_walk(links):
+        log.append(("walk", engine.now))
+        return violations(links)
+
+    def logged(handler):
+        def run_action(scenario_run, action):
+            try:
+                handler(scenario_run, action)
+            finally:
+                log.append(("action", engine.now))
+
+        return run_action
+
+    monkeypatch.setattr(LinkManager, "_establish", logged_establish)
+    monkeypatch.setattr(LinkManager, "topology_violations", logged_walk)
+    for name, handler in HANDLERS.items():
+        monkeypatch.setitem(HANDLERS, name, logged(handler))
+    try:
+        run.run()
+    except InvariantViolation as breach:
+        log.append(("breach", breach.t_us))
+    return log
+
+
+def test_the_topology_is_walked_after_an_action_that_follows_a_write_and_at_the_horizon(
+    monkeypatch,
+):
+    log = logged_run(monkeypatch)
+    expected, written = [], False
+    for kind, t_us in log:
+        if kind == "write":
+            written = True
+        elif kind == "action":
+            expected.append(("action", t_us))
+            if written:
+                expected.append(("walk", t_us))
+            written = False
+    expected.append(("walk", 70_000_000))  # the horizon
+    assert [entry for entry in log if entry[0] != "write"] == expected
+    walks = sum(kind == "walk" for kind, _ in log)
+    assert walks == 8 and sum(kind == "action" for kind, _ in log) == 90
+
+
+def test_a_piconet_broken_by_a_new_link_raises_at_the_next_action(monkeypatch):
+    log = logged_run(monkeypatch, corrupt_link=5)
+    fifth_write = [i for i, (kind, _) in enumerate(log) if kind == "write"][4]
+    next_action = next(t_us for kind, t_us in log[fifth_write:] if kind == "action")
+    assert log[-1] == ("breach", next_action) == ("breach", 2_120_000)
