@@ -97,10 +97,10 @@ class Inquiry:
     results: list[DiscoveryResult] = field(default_factory=list)
     done: bool = False
     _seen: set[DeviceAddress] = field(default_factory=set)
+    deadline_us: SimTime = field(init=False)
 
-    @property
-    def deadline_us(self) -> SimTime:
-        return self.started_at + self.duration_us
+    def __post_init__(self):
+        self.deadline_us = self.started_at + self.duration_us
 
 
 def sweep_slots(
@@ -155,9 +155,10 @@ class DiscoveryManager:
     # -- mode configuration
 
     def _state(self, address: DeviceAddress) -> _ModeState:
-        if address not in self._modes:
-            self._modes[address] = _ModeState()
-        return self._modes[address]
+        state = self._modes.get(address)
+        if state is None:
+            state = self._modes[address] = _ModeState()
+        return state
 
     def set_discoverability(
         self,
@@ -198,7 +199,8 @@ class DiscoveryManager:
             elapsed = t - inquiry.started_at
             in_cycle = elapsed % self.params.inquiry_cycle_us
             return (min(in_cycle // self.params.inquiry_slot_us, FREQ_COUNT - 1),)
-        return (self.schedule.frequency_at(device.local_time(t)),)
+        # Standby: the scan frequency at the device's local time.
+        return ((t + device.config.clock_offset_us) // self.schedule.window_us % FREQ_COUNT,)
 
     # -- inquiry
 
@@ -233,8 +235,8 @@ class DiscoveryManager:
             ):
                 slots[slot] = freq
         for slot in sorted(slots):
-            frame = RadioFrame(
-                from_addr=inquirer.address, freq_index=slots[slot], kind=FrameKind.INQUIRY
+            frame = tuple.__new__(
+                RadioFrame, (inquirer.address, slots[slot], FrameKind.INQUIRY, b"", None, None, False)
             )
             if slot == now:
                 self._sweep(inquiry, frame)
@@ -289,17 +291,16 @@ class DiscoveryManager:
         # ignores it, so only the medium's draws are left to make.
         inquiry = self._active.get(frame.from_addr)
         medium = self.engine.medium
-        response = RadioFrame(
-            from_addr=receiver.address,
-            freq_index=frame.freq_index,
-            kind=FrameKind.INQUIRY_RESPONSE,
-            payload=payload,
-            to=frame.from_addr,
-            draw_only=inquiry is not None
+        draw_only = (
+            inquiry is not None
             and not inquiry.done
             and receiver.address in inquiry._seen
-            and now + max(1, medium.propagation_us + medium.jitter_us) < inquiry.deadline_us,
+            and now + max(1, medium.propagation_us + medium.jitter_us) < inquiry.deadline_us
         )
+        response = tuple.__new__(RadioFrame, (
+            receiver.address, frame.freq_index, FrameKind.INQUIRY_RESPONSE, payload,
+            frame.from_addr, None, draw_only,
+        ))
         self.engine.broadcast(response, receiver)
 
     def _on_response(self, receiver: Device, frame: RadioFrame, now: SimTime) -> None:

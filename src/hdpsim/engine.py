@@ -8,22 +8,23 @@ The same seed and the same scheduled inputs produce a byte-identical trace.
 The medium delivers a frame to every registered device that is inside
 min(sender range, receiver range) Euclidean distance and listening on the
 frame's frequency index, both evaluated at transmit time. A frame addressed
-to one device (inquiry responses, pages and link traffic) looks that device
-up in the device table and considers no other. An unaddressed frame (an
-inquiry) visits the sender's neighbour list, the other devices in its range in
-registration order, built on first use; ``add_device`` and ``move_device``,
-the only writers of positions, drop every list. Each candidate delivery is
-independently dropped with the configured loss probability using the
-engine's seeded generator, then delivered after a fixed 1 us propagation
-delay (plus optional uniform jitter). Work whose outcome is already known
-is skipped, though never a random draw: a frame sent on a connected link
-(``on_link``) skips the listen search, since its addressee listens on the
-link's hop frequency by construction; a ``draw_only`` frame (a repeat
-inquiry response) makes its draws and is not queued. A frame whose whole
-exchange is known is not sent at all: the link layer settles a keepalive on
-a lossless, jitter-free medium without frames (see ``hdpsim.link``), keeping
-its delivery's event id from ``reserve_ids``. ``add_medium_hook`` reports
-each ``move_device`` and each replacement of ``medium``, and ``fired`` tells
+to one device (inquiry responses and the page handshake) looks that device
+up in the device table and considers no other; a link frame carries its
+``link``, whose end that is not the sender is the addressee. An unaddressed
+frame (an inquiry) visits the sender's neighbour list, the other devices in
+its range in registration order, built on first use; ``add_device`` and
+``move_device``, the only writers of positions, drop every list. Each
+candidate delivery is independently dropped with the configured loss
+probability using the engine's seeded generator, then delivered after a
+fixed 1 us propagation delay (plus optional uniform jitter). Work whose
+outcome is already known is skipped, though never a random draw: a link
+frame skips the listen search, since its addressee listens on the link's hop
+frequency by construction; a ``draw_only`` frame (a repeat inquiry response)
+makes its draws and is not queued. A frame whose whole exchange is known is
+not sent at all: the link layer settles a keepalive on a lossless,
+jitter-free medium without frames (see ``hdpsim.link``), keeping its
+delivery's event id from ``reserve_ids``. ``add_medium_hook`` reports each
+``move_device`` and each replacement of ``medium``, and ``fired`` tells
 whether the delivery's ``(t, id)`` has passed, so that a change that comes
 first queues the real ``delivery`` under that id with ``schedule_as``.
 
@@ -42,14 +43,14 @@ import enum
 import hashlib
 import heapq
 import json
-import logging
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, TextIO
 
 from .core import DeviceAddress, DeviceConfig, DuplicateAddress, SimTime
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .link import Link
 
 FREQ_COUNT = 32
 
@@ -68,16 +69,21 @@ class FrameKind(enum.Enum):
     PAGE = "page"
     LINK_DATA = "link_data"
 
+    # Members are singletons: hash them by identity in C, not by name in
+    # Enum.__hash__, since every delivery looks its kind's handlers up.
+    __hash__ = object.__hash__
+
 
 class RadioFrame(NamedTuple):
     """One over-the-air transmission.
 
     `to` narrows delivery to a single addressee (page and link traffic);
     broadcast frames leave it None. The payload is the encoded PDU bytes.
-    `on_link` marks a frame sent on a connected link's hop frequency, which
-    its addressee listens on by construction. `draw_only` marks a frame whose
+    `link` is the connected link whose hop frequency a frame is sent on: the
+    addressee is its other end, found with no lookup, and the receiving
+    handlers take the link from the frame. `draw_only` marks a frame whose
     delivery would change nothing: the medium makes its draws and schedules
-    no delivery.
+    no delivery. Hot paths build frames with ``tuple.__new__``.
     """
 
     from_addr: DeviceAddress
@@ -85,7 +91,7 @@ class RadioFrame(NamedTuple):
     kind: FrameKind
     payload: bytes = b""
     to: Optional[DeviceAddress] = None
-    on_link: bool = False
+    link: Optional[Link] = None
     draw_only: bool = False
 
 
@@ -369,11 +375,12 @@ class Engine:
     def broadcast(self, frame: RadioFrame, sender: Device) -> list[tuple[Device, SimTime]]:
         """Offer a frame to the medium; returns the deliveries it drew.
 
-        An addressed frame has one candidate, its addressee, if registered,
-        not the sender and in range; an unaddressed one has the sender's
-        neighbour list. Range and frequency eligibility are evaluated now
-        (transmit time); the loss draw happens per candidate in device
-        registration order. An ``on_link`` frame skips the frequency check.
+        An addressed frame has one candidate, its addressee (a link frame's
+        is its link's other end), if registered, not the sender and in range;
+        an unaddressed one has the sender's neighbour list. Range and
+        frequency eligibility are evaluated now (transmit time); the loss
+        draw happens per candidate in device registration order. A link
+        frame skips the frequency check.
         A ``draw_only`` frame's deliveries are returned but not scheduled.
         A frequency index outside [0, FREQ_COUNT) raises ``ValueError``
         before anything is drawn.
@@ -385,14 +392,18 @@ class Engine:
         if frame.to is None:
             candidates: Iterable[Device] = self._neighbours_of(sender)
         else:
-            addressee = self.devices.get(frame.to)
+            link = frame.link
+            if link is None or (sender is not link.master and sender is not link.slave):
+                addressee = self.devices.get(frame.to)
+            else:  # the link's other end, by identity: the Device at frame.to
+                addressee = link.slave if sender is link.master else link.master
             if addressee is None or addressee is sender or not self.in_range(sender, addressee):
                 return []
             candidates = (addressee,)
         medium, now, freq = self._medium, self.now, frame.freq_index
         deliveries: list[tuple[Device, SimTime]] = []
         for receiver in candidates:
-            if not frame.on_link:
+            if frame.link is None:
                 for provider in self._listen_providers:
                     if freq in provider(receiver, now):
                         break

@@ -46,6 +46,7 @@ error is raised again.
 from __future__ import annotations
 
 import enum
+import logging
 import struct
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
@@ -64,6 +65,8 @@ from .mcap import (
     SendStatus,
 )
 from .params import SimParams
+
+log = logging.getLogger(__name__)
 
 
 class HdpError(Exception):
@@ -334,6 +337,8 @@ class Association:
     memo: ReadingMemo = field(
         default_factory=ReadingMemo, init=False, repr=False, compare=False
     )
+    # The pair's link: it exists before the association and is never replaced.
+    link: Optional[Link] = field(default=None, repr=False, compare=False)
     # The link observer added by associate, and the timers: the request
     # until answered, the re-page while the link is lost. release ends all.
     _on_link: Optional[Callable[[Link], None]] = field(default=None, init=False, repr=False)
@@ -435,6 +440,7 @@ class HdpManager:
             specialization=specialization,
             auto_reconnect=auto_reconnect,
             buffer_capacity=self.params.buffer_capacity,
+            link=link,
         )
         self._next_assoc_id += 1
         self.associations[assoc.assoc_id] = assoc
@@ -443,8 +449,8 @@ class HdpManager:
         assoc._request = Retry(
             self.engine,
             lambda: self._tx(
+                link,
                 assoc.source,
-                assoc.sink,
                 _MSG_ASSOC_REQ,
                 struct.pack(">IB", assoc.assoc_id, specialization.value),
             ),
@@ -461,8 +467,7 @@ class HdpManager:
         )
         self.release(assoc)
 
-    def _tx(self, sender: Device, peer: Device, msg: int, body: bytes) -> None:
-        link = self.links.link_between(sender.address, peer.address)
+    def _tx(self, link: Link, sender: Device, msg: int, body: bytes) -> None:
         try:
             self.links.send_on_link(link, sender, PROTO_HDP, bytes([msg]) + body)
         except LinkError:
@@ -504,22 +509,20 @@ class HdpManager:
         allowed = self._whitelists.get(receiver.address)
         if allowed is not None and assoc.specialization not in allowed:
             self._tx(
+                assoc.link,
                 receiver,
-                assoc.source,
                 _MSG_ASSOC_REJECT,
                 struct.pack(">I", assoc_id),
             )
             return
-        self._tx(receiver, assoc.source, _MSG_ASSOC_RSP, struct.pack(">I", assoc_id))
+        self._tx(assoc.link, receiver, _MSG_ASSOC_RSP, struct.pack(">I", assoc_id))
 
     def _on_assoc_rsp(self, receiver: Device, body: bytes) -> None:
         assoc_id = struct.unpack(">I", body[:4])[0]
         assoc = self._answered(assoc_id)
         if assoc is None:
             return
-        self._tx(
-            assoc.source, assoc.sink, _MSG_ASSOC_CONFIRM, struct.pack(">I", assoc_id)
-        )
+        self._tx(assoc.link, assoc.source, _MSG_ASSOC_CONFIRM, struct.pack(">I", assoc_id))
         self._set_up(assoc)
 
     def _on_assoc_reject(self, receiver: Device, body: bytes) -> None:
@@ -574,6 +577,7 @@ class HdpManager:
                 specialization=assoc.specialization.name.lower(),
                 mdl_id=assoc.reliable_mdl.mdl_id,
             )
+            log.debug("t=%d association %d operating", self.engine.now, assoc.assoc_id)
             # Anything submitted before the association finished goes out now.
             self._flush(assoc)
 
@@ -600,9 +604,7 @@ class HdpManager:
         )
         assoc.next_seq += 1
         op = Op()
-        link = self.links.link_between(assoc.source.address, assoc.sink.address)
-        link_up = link is not None and link.state is LinkState.CONNECTED
-        if link_up and self._channel_up(assoc) and not assoc.buffer:
+        if assoc.link.state is LinkState.CONNECTED and self._channel_up(assoc) and not assoc.buffer:
             self._transmit(assoc, measurement, op)
         else:
             self._buffer(assoc, measurement, op)
@@ -654,7 +656,7 @@ class HdpManager:
     def _on_measurement_frame(
         self, assoc: Association, from_addr: DeviceAddress, payload: bytes, now: SimTime
     ) -> None:
-        if from_addr != assoc.source.address:
+        if from_addr is not assoc.source.address and from_addr != assoc.source.address:
             return
         if assoc.state is AssocState.RELEASED:
             # Teardown is atomic for both ends; a frame still in flight at
@@ -725,7 +727,7 @@ class HdpManager:
         assoc._request.resolve()
         if assoc._repage is not None:
             assoc._repage.resolve()
-        link = self.links.link_between(assoc.source.address, assoc.sink.address)
+        link = assoc.link
         link.off_state_change(assoc._on_link)
         abandoned = len(assoc.buffer)
         for _measurement, op in assoc.buffer:
@@ -749,4 +751,5 @@ class HdpManager:
             assoc_id=assoc.assoc_id,
             abandoned=abandoned,
         )
+        log.debug("t=%d association %d released", self.engine.now, assoc.assoc_id)
         return abandoned

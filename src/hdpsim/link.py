@@ -26,12 +26,16 @@ two sides finish a four-message handshake (page, accept, parameters,
 acknowledgement) on the frequency that worked. A page runs on the engine's
 ``Retry``: one sweep per inquiry cycle, failing with ``Unreachable`` exactly
 ``page_timeout_us`` after it started. ``page`` returns an engine ``Op``
-whose ``result`` is the ``Link``.
+whose ``result`` is the ``Link``. A pair's ``Link`` is made once, in
+``_establish``, and a restore reuses it, so a frame sent on it carries it:
+``send_on_link`` finds the peer by identity, and the medium and the receiving
+handlers take the link from the frame, with no pair lookup.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -47,6 +51,8 @@ from .security import (
     authenticate,
     derive_init_key,
 )
+
+log = logging.getLogger(__name__)
 
 MAX_SLAVES = 7
 
@@ -190,6 +196,8 @@ class Link:
     _observers: list[Callable[["Link"], None]] = field(default_factory=list)
     _hop_slot: int = field(default=-1, compare=False, repr=False)
     _hop_freq: int = field(default=0, compare=False, repr=False)
+    # The pair's mcap control channel, once one is open: its PDUs find it here.
+    control: Optional[object] = field(default=None, compare=False, repr=False)
 
     def frequency_at(self, t: SimTime) -> int:
         """``hop_frequency(self.params, t)``, cached per hop slot; params are fixed."""
@@ -451,6 +459,9 @@ class LinkManager:
             self.engine.emit(
                 "link_restored", link.master.address, peer=str(link.slave.address)
             )
+            log.debug(
+                "t=%d link %s-%s restored", self.engine.now, link.master.address, link.slave.address
+            )
         else:
             piconet = self.piconets.get(master.address)
             if piconet is not None and len(piconet) >= MAX_SLAVES:
@@ -552,7 +563,7 @@ class LinkManager:
             kind=FrameKind.LINK_DATA,
             payload=bytes([PROTO_LINK, _MSG_KEEPALIVE]),
             to=link.slave.address,
-            on_link=True,
+            link=link,
         )
         self.engine.schedule_as(event_id, at, self.engine.delivery(frame, link.slave))
 
@@ -575,6 +586,9 @@ class LinkManager:
             peer=str(link.slave.address),
             reason=reason,
         )
+        log.debug(
+            "t=%d link %s-%s lost: %s", self.engine.now, link.master.address, link.slave.address, reason
+        )
         self._notify(link)
 
     def _notify(self, link: Link) -> None:
@@ -592,15 +606,13 @@ class LinkManager:
     def send_on_link(self, link: Link, sender: Device, proto: int, body: bytes):
         if link.state is not LinkState.CONNECTED:
             raise LinkError("link is down")
-        peer = link.peer_of(sender.address)
-        frame = RadioFrame(
-            from_addr=sender.address,
-            freq_index=link.frequency_at(self.engine.now),
-            kind=FrameKind.LINK_DATA,
-            payload=bytes([proto]) + body,
-            to=peer.address,
-            on_link=True,
-        )
+        peer = link.slave if sender is link.master else link.master
+        if sender is not link.master and sender is not link.slave:
+            peer = link.peer_of(sender.address)
+        frame = tuple.__new__(RadioFrame, (
+            sender.address, link.frequency_at(self.engine.now), FrameKind.LINK_DATA,
+            bytes([proto]) + body, peer.address, link, False,
+        ))
         return self.engine.broadcast(frame, sender)
 
     def _on_link_data(self, receiver: Device, frame: RadioFrame, now: SimTime) -> None:
@@ -621,15 +633,11 @@ class LinkManager:
                 self._on_keepalive_ack(receiver, frame)
             return
         handler = self._protocols.get(proto)
-        if handler is None:
-            return
-        link = self.link_between(receiver.address, frame.from_addr)
-        if link is None:
-            return
-        handler(link, receiver, frame.from_addr, frame.payload[1:], now)
+        if handler is not None and frame.link is not None:
+            handler(frame.link, receiver, frame.from_addr, frame.payload[1:], now)
 
     def _on_keepalive(self, receiver: Device, frame: RadioFrame) -> None:
-        link = self.link_between(receiver.address, frame.from_addr)
+        link = frame.link
         if link is None or link.state is not LinkState.CONNECTED:
             return
         if receiver is link.slave:
@@ -637,7 +645,7 @@ class LinkManager:
             self.send_on_link(link, receiver, PROTO_LINK, bytes([_MSG_KEEPALIVE_ACK]))
 
     def _on_keepalive_ack(self, receiver: Device, frame: RadioFrame) -> None:
-        link = self.link_between(receiver.address, frame.from_addr)
+        link = frame.link
         if link is None or link.state is not LinkState.CONNECTED:
             return
         if receiver is link.master:

@@ -12,7 +12,9 @@ offset with a bounded error.
 
 Payloads on an authenticated link are enciphered with the link key and the
 transmit clock; the clock rides in the data header so the receiver can
-compute the same keystream.
+compute the same keystream. A pair's one control channel sits on its one
+``Link`` (``Link.control``), so a PDU finds it from the link its frame
+carried, with no pair lookup.
 
 Each control exchange runs on the engine's ``Retry``: the request is resent
 every ``retransmit_interval_us`` and the exchange fails with
@@ -202,8 +204,7 @@ class McapManager:
             raise LinkDown(f"no live link between {a.address} and {b.address}")
         if not link.authenticated:
             raise NotAuthenticated(f"link {a.address}<->{b.address} is not authenticated")
-        control = ControlChannel(link=link)
-        self.controls[key] = control
+        control = link.control = self.controls[key] = ControlChannel(link=link)
         link.on_state_change(lambda lk, c=control: self._on_link_state(c, lk))
         self.engine.emit("control_open", a.address, peer=str(b.address))
         return control
@@ -489,11 +490,12 @@ class McapManager:
         they are sent.
         """
         control = channel.control
+        link = control.link
         if channel.state is ChannelState.CLOSED:
             raise ChannelClosed(f"mdl {channel.mdl_id} is closed")
-        if sender.address not in control.pair:
+        if sender is not link.master and sender is not link.slave and sender.address not in link.pair:
             raise McapError(f"{sender.address} is not an endpoint")
-        limit = control.link.params.page_size_bytes
+        limit = link.params.page_size_bytes
         if len(payload) > limit:
             raise McapError(f"payload of {len(payload)} bytes exceeds page size {limit}")
         seq = channel.tx_seq.get(sender.address, 0) + 1
@@ -507,7 +509,7 @@ class McapManager:
             return op
         if (
             channel.state is ChannelState.SUSPENDED
-            or control.link.state is not LinkState.CONNECTED
+            or link.state is not LinkState.CONNECTED
         ):
             reason = "link_down"
         elif self._tx_data(channel, sender, seq, payload, attempts=0):
@@ -676,16 +678,17 @@ class McapManager:
     def _on_pdu(
         self, link: Link, receiver: Device, from_addr: DeviceAddress, body: bytes, now: SimTime
     ) -> None:
-        if not body:
-            return
-        control = self.controls.get(pair_key(receiver.address, from_addr))
-        if control is None:
+        control = link.control
+        if not body or control is None:
             return
         opcode = body[0]
         rest = body[1:]
-        answer = _ANSWERS.get(opcode)
-        if answer is not None:
-            self._answered((control.pair, answer, struct.unpack(">H", rest[:2])[0]))
+        if opcode == _OP_DATA:
+            self._on_data(control, receiver, from_addr, rest, now)
+        elif opcode == _OP_DATA_ACK:
+            self._on_data_ack(control, receiver, rest)
+        elif opcode in _ANSWERS:
+            self._answered((control.pair, _ANSWERS[opcode], struct.unpack(">H", rest[:2])[0]))
         elif opcode == _OP_CREATE_REQ:
             self._on_create_req(control, receiver, rest)
         elif opcode == _OP_CREATE_CONFIG:
@@ -696,10 +699,6 @@ class McapManager:
             self._on_delete_req(control, receiver, rest)
         elif opcode == _OP_ABORT:
             self._on_abort(control, receiver, rest)
-        elif opcode == _OP_DATA:
-            self._on_data(control, receiver, from_addr, rest, now)
-        elif opcode == _OP_DATA_ACK:
-            self._on_data_ack(control, receiver, rest)
         elif opcode == _OP_SYNC_REQ:
             self._on_sync_req(control, receiver, rest)
         elif opcode == _OP_SYNC_RSP:

@@ -20,6 +20,7 @@ and always at the horizon.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional, TextIO
 
@@ -33,6 +34,8 @@ from .metrics import MetricsFold, MetricsReport, compute_metrics  # noqa: F401 (
 from .params import SimParams
 from .scenario import Scenario
 from .security import EmptyPin, NotAuthenticated
+
+log = logging.getLogger(__name__)
 
 _ACTION_ERRORS = (LinkError, McapError, HdpError, NotAuthenticated, EmptyPin, ValueError)
 
@@ -245,11 +248,18 @@ class ScenarioRun:
         horizon = until_us
         if horizon is None:
             horizon = max((a["t_us"] for a in self.scenario.timeline), default=0)
+        log.debug(
+            "run start: %d devices, %d actions, horizon %d us",
+            len(engine.devices), len(self.scenario.timeline), horizon,
+        )
         for action in self.scenario.timeline:
             if action["t_us"] > horizon:
                 break
             engine.schedule(action["t_us"], lambda a=action: self._run_action(a))
         engine.run_until(horizon)
+        log.debug(
+            "run end: %d event ids issued, %d trace events", engine.reserve_ids(0), len(engine.trace)
+        )
         self._check_invariants()
         report = self.metrics.report()
         counters = report.measurements

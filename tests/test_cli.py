@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import tracemalloc
 
 import pytest
@@ -348,3 +349,39 @@ def test_log_level_env_is_honored(scenario_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SIM_LOG_LEVEL", "not-a-level")
     assert cli.main(["validate", "--scenario", str(scenario_file)]) == 0
     capsys.readouterr()
+
+
+def test_debug_logs_run_link_and_association_milestones_and_keeps_the_bytes(tmp_path, caplog):
+    scenario = copy.deepcopy(SCENARIO)
+    scenario["timeline"][-1:] = [
+        {"t_us": 600_000, "action": "drop_link", "a": SOURCE, "b": SINK},
+        {"t_us": 3_000_000, "action": "release", "source": SOURCE, "sink": SINK},
+        {"t_us": 4_000_000, "action": "run_until"},
+    ]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    outputs, logs = [], []
+    for level in (logging.DEBUG, logging.WARNING):
+        caplog.clear()
+        caplog.set_level(level, logger="hdpsim")
+        trace, metrics = tmp_path / f"trace-{level}.jsonl", tmp_path / f"metrics-{level}.json"
+        argv = ["simulate", "--scenario", str(path), "--seed", "5"]
+        assert cli.main(argv + ["--trace", str(trace), "--metrics", str(metrics)]) == 0
+        outputs.append((trace.read_bytes(), metrics.read_bytes()))
+        logs.append([(r.name, r.levelno, r.getMessage()) for r in caplog.records])
+    assert outputs[0] == outputs[1]  # logging changes no byte
+    assert logs[1] == []
+    events = [json.loads(line) for line in outputs[0][0].splitlines()]
+    at = {e["ev"]: e["t_us"] for e in events if e["ev"] in ("assoc", "link_lost", "link_restored")}
+    pair = f"{SINK}-{SOURCE}"  # master, then slave
+    debug = [(name, message) for name, levelno, message in logs[0] if levelno == logging.DEBUG]
+    assert debug[:-1] == [
+        ("hdpsim.runner", "run start: 2 devices, 7 actions, horizon 4000000 us"),
+        ("hdpsim.hdp", f"t={at['assoc']} association 1 operating"),
+        ("hdpsim.link", f"t=600000 link {pair} lost: forced"),
+        ("hdpsim.link", f"t={at['link_restored']} link {pair} restored"),
+        ("hdpsim.hdp", "t=3000000 association 1 released"),
+    ]
+    assert debug[-1][0] == "hdpsim.runner"
+    assert re.fullmatch(rf"run end: \d+ event ids issued, {len(events)} trace events", debug[-1][1])
+    assert at["link_lost"] == 600_000 < at["link_restored"] < 3_000_000

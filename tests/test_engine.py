@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import io
 import json
 import random
@@ -22,6 +23,7 @@ from hdpsim.engine import (
     UnknownDevice,
     trace_line,
 )
+from hdpsim.link import LinkState
 from hdpsim.runner import ScenarioRun
 from hdpsim.scenario import load_scenario, validate_scenario
 
@@ -236,10 +238,37 @@ def test_addressed_frame_draws_one_loss_value_only_when_addressee_can_hear():
 
 def test_radio_frame_is_a_tuple_of_its_fields_with_their_defaults():
     frame = RadioFrame(addr(1), 3, FrameKind.PAGE)
-    assert frame == (addr(1), 3, FrameKind.PAGE, b"", None, False, False)
+    assert frame == (addr(1), 3, FrameKind.PAGE, b"", None, None, False)
     assert RadioFrame._fields == (
-        "from_addr", "freq_index", "kind", "payload", "to", "on_link", "draw_only"
+        "from_addr", "freq_index", "kind", "payload", "to", "link", "draw_only"
     )
+    fields = (addr(1), 3, FrameKind.PAGE, b"x", addr(2), None, True)
+    built = tuple.__new__(RadioFrame, fields)
+    assert type(built) is RadioFrame and built == RadioFrame(*fields) and built.draw_only
+
+
+def test_frame_kinds_dispatch_by_identity_to_added_and_replaced_handlers(monkeypatch):
+    assert FrameKind("inquiry") is FrameKind.INQUIRY
+    assert all(FrameKind(kind.value) is kind for kind in FrameKind)
+    enum_hashes = []
+    enum_hash = enum.Enum.__hash__
+    monkeypatch.setattr(enum.Enum, "__hash__", lambda kind: enum_hashes.append(kind) or enum_hash(kind))
+    engine = Engine()
+    a = engine.add_device(DeviceConfig(addr(1)))
+    b = engine.add_device(DeviceConfig(addr(2), position=(1.0, 0.0)))
+    engine.add_listen_provider(lambda device, t: (5,))
+    seen = []
+    # Replaced before the run, and added after the engine has run.
+    engine._frame_handlers[FrameKind.INQUIRY] = [lambda d, f, now: seen.append(("replaced", d, f))]
+    engine.run_until(10)
+    engine.add_frame_handler(FrameKind.PAGE, lambda d, f, now: seen.append(("added", d, f)))
+    inquiry = RadioFrame(a.address, 5, FrameKind.INQUIRY)
+    page = RadioFrame(a.address, 5, FrameKind.PAGE, to=b.address)
+    engine.broadcast(inquiry, a)
+    engine.broadcast(page, a)
+    engine.run_until(20)
+    assert seen == [("replaced", b, inquiry), ("added", b, page)]
+    assert enum_hashes == []  # neither the engine nor a delivery called Enum.__hash__
 
 
 @pytest.mark.parametrize("freq", [32, -1])
@@ -381,24 +410,32 @@ def _reference_on_inquiry(discovery):
 
 
 def _run_checked(scenario, seed, reference=False):
-    """The scenario's trace, and how many frames carried each flag and how
-    many inquiry frames were sent. Every ``on_link`` frame is checked against
-    the full listen-provider search. The reference broadcasts every sweep
-    slot and schedules every inquiry response."""
+    """The scenario's trace, and how many frames carried a link or the
+    ``draw_only`` flag and how many inquiry frames were sent. Every frame that
+    carries a link is checked when it is offered: the link is the pair's
+    ``link_between``, it is connected, the frame's addressee is the sender's
+    peer on it, and the full listen-provider search agrees that the addressee
+    listens. The reference broadcasts every sweep slot and schedules every
+    inquiry response."""
     run = ScenarioRun(scenario, seed)
     engine = run.stack.engine
     if reference:
         engine._frame_handlers[FrameKind.INQUIRY] = [_reference_on_inquiry(run.stack.discovery)]
         run.stack.discovery._sweep = lambda inquiry, frame: engine.broadcast(frame, inquiry.device)
-    flagged = {"on_link": 0, "draw_only": 0, "inquiry": 0}
+    flagged = {"link": 0, "draw_only": 0, "inquiry": 0}
     broadcast = engine.broadcast
 
     def checked(frame, sender):
-        if frame.on_link:
+        link = frame.link
+        if link is not None:
+            assert link is run.stack.links.link_between(frame.from_addr, frame.to)
+            assert link.state is LinkState.CONNECTED
+            assert frame.from_addr is sender.address
+            assert frame.to is link.peer_of(sender.address).address
             addressee = engine.devices[frame.to]
             providers = engine._listen_providers
             assert any(frame.freq_index in p(addressee, engine.now) for p in providers)
-            flagged["on_link"] += 1
+            flagged["link"] += 1
         flagged["draw_only"] += frame.draw_only
         flagged["inquiry"] += frame.kind is FrameKind.INQUIRY
         return broadcast(frame, sender)
@@ -544,7 +581,7 @@ def test_inquiry_edges_golden_takes_both_shortcuts_with_the_reference_bytes(seed
     trace, flagged = _run_checked(scenario, seed)
     reference, _ = _run_checked(scenario, seed, reference=True)
     assert trace == reference
-    assert flagged["on_link"] > 0 and flagged["draw_only"] > 0
+    assert flagged["link"] > 0 and flagged["draw_only"] > 0
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdpsim.core import DeviceAddress
+from hdpsim import link as link_module
 from hdpsim.discovery import ConnectabilityMode
 from hdpsim.link import (
     MAX_SLAVES,
@@ -25,7 +27,7 @@ from hdpsim.link import (
 )
 from hdpsim.params import SimParams
 from hdpsim.runner import HANDLERS, InvariantViolation, ScenarioRun
-from hdpsim.scenario import load_scenario
+from hdpsim.scenario import load_scenario, validate_scenario
 
 from conftest import add_device, addr, connect, make_stack, paired_pair
 
@@ -447,3 +449,52 @@ def test_a_piconet_broken_by_a_new_link_raises_at_the_next_action(monkeypatch):
     fifth_write = [i for i, (kind, _) in enumerate(log) if kind == "write"][4]
     next_action = next(t_us for kind, t_us in log[fifth_write:] if kind == "action")
     assert log[-1] == ("breach", next_action) == ("breach", 2_120_000)
+
+
+def _pair_lookups(monkeypatch, readings):
+    """``link_between`` and ``pair_key`` calls in a lossless one-pair run that
+    sends ``readings`` readings 100 ms apart; the horizon does not depend on
+    the count. Every module's reference to ``pair_key`` is counted."""
+    calls = {"link_between": 0, "pair_key": 0}
+    link_between, pair_key = LinkManager.link_between, link_module.pair_key
+
+    def counted_link_between(links, a, b):
+        calls["link_between"] += 1
+        return link_between(links, a, b)
+
+    def counted_pair_key(a, b):
+        calls["pair_key"] += 1
+        return pair_key(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LinkManager, "link_between", counted_link_between)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("hdpsim") and getattr(module, "pair_key", None) is pair_key:
+                patch.setattr(module, "pair_key", counted_pair_key)
+        source, sink = "AA:00:00:00:00:01", "AA:00:00:00:00:02"
+        scenario = validate_scenario({
+            "devices": [
+                {"address": source, "pin": "1234", "role": "source"},
+                {"address": sink, "position": [1.0, 0.0], "pin": "1234", "role": "sink"},
+            ],
+            "timeline": [
+                {"t_us": 0, "action": "start_inquiry", "device": sink, "duration_us": 100_000},
+                {"t_us": 200_000, "action": "page", "device": sink, "target": source},
+                {"t_us": 300_000, "action": "associate", "source": source, "sink": sink,
+                 "specialization": "heart_rate"},
+                {"t_us": 1_000_000, "action": "send_measurement", "source": source, "sink": sink,
+                 "count": readings, "interval_us": 100_000,
+                 "readings": {"heart_rate_bpm": 70.0, "filling_duration_ms": 150.0,
+                              "ascending_wave_index_pct": 12.0}},
+                {"t_us": 6_000_000, "action": "run_until"},
+            ],
+        })
+        _trace, report = ScenarioRun(scenario, 3).run()
+    assert report.measurements.delivered == readings
+    return calls
+
+
+def test_no_pair_lookup_is_made_per_reading(monkeypatch):
+    few, many = _pair_lookups(monkeypatch, 20), _pair_lookups(monkeypatch, 40)
+    assert few == many
+    assert few["link_between"] > 0 and few["pair_key"] > 0  # the counters see calls
