@@ -51,7 +51,6 @@ from .link import (
     LinkState,
     NotConnectable,
     NotDiscovered,
-    Piconet,
     PiconetFull,
     Unreachable,
     WouldViolateTopology,

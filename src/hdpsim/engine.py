@@ -100,7 +100,6 @@ class MediumModel:
     """Radio medium parameters. Defaults give lossless, jitter-free delivery."""
 
     loss_probability: float = 0.0
-    rng_seed: int = 0
     propagation_us: int = 1
     jitter_us: int = 0
 
@@ -227,7 +226,7 @@ class Engine:
 
     def __init__(self, medium: MediumModel | None = None, seed: int | None = None):
         self._medium = medium or MediumModel()
-        self.seed = seed if seed is not None else self._medium.rng_seed
+        self.seed = seed if seed is not None else 0
         self.rng = random.Random(self.seed)
         self.now: SimTime = 0
         self.trace = Trace()
@@ -515,8 +514,9 @@ class Retry:
             self.on_timeout()
             return
         self.send()
-        next_at = min(now + self.interval_us, self.deadline_us)
-        self._timer = self.engine.schedule(next_at, self._tick)
+        if not self.done:  # unless send resolved it
+            next_at = min(now + self.interval_us, self.deadline_us)
+            self._timer = self.engine.schedule(next_at, self._tick)
 
     def resolve(self) -> None:
         self.done = True

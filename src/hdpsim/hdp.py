@@ -29,7 +29,7 @@ it started. A request that times out or that the sink rejects emits
 through ``release``: readings buffered meanwhile are abandoned and counted
 in a ``released`` event. The record stays. Set-up then creates the channel
 and syncs the clocks, one step at a time, each waiting on the ``Op`` the
-channel layer returns; a failed step is taken again
+channel layer returns; a failed step is taken again on a timer
 ``reconnect_retry_interval_us`` later. A lost link is re-paged on a second
 ``Retry`` every ``reconnect_retry_interval_us``, from one interval after the
 loss until the link is restored.
@@ -54,7 +54,7 @@ from typing import Callable, Optional
 
 from .core import DeviceAddress, SimTime
 from .engine import Device, Engine, Op, Retry
-from .link import Link, LinkError, LinkManager, LinkState, PROTO_HDP, pair_key
+from .link import Link, LinkError, LinkManager, LinkState, PROTO_HDP
 from .mcap import (
     ChannelState,
     ClockSyncResult,
@@ -340,14 +340,12 @@ class Association:
     # The pair's link: it exists before the association and is never replaced.
     link: Optional[Link] = field(default=None, repr=False, compare=False)
     # The link observer added by associate, and the timers: the request
-    # until answered, the re-page while the link is lost. release ends all.
+    # until answered, the re-page while the link is lost, the pending retry
+    # of a failed set-up step. release ends all.
     _on_link: Optional[Callable[[Link], None]] = field(default=None, init=False, repr=False)
     _request: Optional[Retry] = field(default=None, init=False, repr=False)
     _repage: Optional[Retry] = field(default=None, init=False, repr=False)
-
-    @property
-    def pair(self) -> tuple[DeviceAddress, DeviceAddress]:
-        return pair_key(self.source.address, self.sink.address)
+    _set_up_timer: int = field(default=-1, init=False, repr=False)
 
 
 # Receives (association, decoded measurement, sink timestamp in us).
@@ -419,8 +417,7 @@ class HdpManager:
             raise AuthRequired(
                 f"{source.address} and {sink.address} have no authenticated link"
             )
-        control = self.mcap.controls.get(pair_key(source.address, sink.address))
-        if control is None:
+        if link.control is None:
             raise NoControlChannel(f"{source.address} <-> {sink.address}")
         role = self._roles.get(source.address)
         if role is not None and role != "source":
@@ -534,8 +531,8 @@ class HdpManager:
 
     def _set_up(self, assoc: Association) -> None:
         """Take the next set-up step: the channel, then the clock sync."""
-        control = self.mcap.controls.get(assoc.pair)
-        if control is None or assoc.state is not AssocState.ASSOCIATING:
+        control = assoc.link.control
+        if assoc.state is not AssocState.ASSOCIATING:
             return
         try:
             if assoc.reliable_mdl is None:
@@ -554,7 +551,7 @@ class HdpManager:
             return
         if op.error is not None:
             # Not a Retry: its resends would not wait on the step's Op.
-            self.engine.schedule_in(
+            assoc._set_up_timer = self.engine.schedule_in(
                 self.params.reconnect_retry_interval_us, lambda: self._set_up(assoc)
             )
         elif assoc.reliable_mdl is None:
@@ -727,6 +724,7 @@ class HdpManager:
         assoc._request.resolve()
         if assoc._repage is not None:
             assoc._repage.resolve()
+        self.engine.cancel(assoc._set_up_timer)
         link = assoc.link
         link.off_state_change(assoc._on_link)
         abandoned = len(assoc.buffer)

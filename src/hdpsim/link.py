@@ -3,11 +3,14 @@
 A device that pages a previously discovered target becomes the master of the
 resulting link and of the piconet containing it. A piconet holds at most
 seven slaves; a device masters at most one piconet but may simultaneously be
-a slave in others, and links can swap roles after the fact. The master
-drives a keepalive exchange on one timer per link, whose tick checks both
-sides; three consecutive misses on either side mark the link lost, after
-which the same master may page again to restore the same link object with
-its negotiated parameters intact.
+a slave in others, and links can swap roles after the fact. The links are
+the only record of the topology: ``piconet(master)`` is computed from them,
+as the links ``master`` masters, lost ones included, so a role switch moves
+a link to the other piconet by swapping its ends. The master drives a
+keepalive exchange on one timer per link, whose tick checks both sides;
+three consecutive misses on either side mark the link lost, after which the
+same master may page again to restore the same link object with its
+negotiated parameters intact.
 
 On a lossless, jitter-free medium, with the keepalive interval longer than a
 round trip of 2p (p the propagation delay), a tick at T whose two ends are in
@@ -196,7 +199,7 @@ class Link:
     _observers: list[Callable[["Link"], None]] = field(default_factory=list)
     _hop_slot: int = field(default=-1, compare=False, repr=False)
     _hop_freq: int = field(default=0, compare=False, repr=False)
-    # The pair's mcap control channel, once one is open: its PDUs find it here.
+    # The pair's mcap control channel, once one is open: its only index.
     control: Optional[object] = field(default=None, compare=False, repr=False)
 
     def frequency_at(self, t: SimTime) -> int:
@@ -230,18 +233,6 @@ def pair_key(a: DeviceAddress, b: DeviceAddress) -> tuple[DeviceAddress, DeviceA
 
 
 @dataclass
-class Piconet:
-    """A master and its slaves, capped at seven."""
-
-    master: Device
-    rate_cap_bps: int
-    links: dict[DeviceAddress, Link] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.links)
-
-
-@dataclass
 class _Page:
     """Protocol state of one page in progress."""
 
@@ -263,9 +254,8 @@ class LinkManager:
         self.discovery = discovery
         self.params = params
         self.links: dict[tuple[DeviceAddress, DeviceAddress], Link] = {}
-        self.piconets: dict[DeviceAddress, Piconet] = {}
-        # Writes to links, piconets, a piconet's links or a link's ends: only
-        # _establish (with _new_piconet) and role_switch make them.
+        # Writes to links, _links_of or a link's ends: only _establish and
+        # role_switch make them.
         self.topology_changes = 0
         self._links_of: dict[DeviceAddress, list[Link]] = {}
         self._pages: dict[tuple[DeviceAddress, DeviceAddress], _Page] = {}
@@ -286,9 +276,6 @@ class LinkManager:
         if bps <= 0:
             raise ValueError("rate cap must be positive")
         self._rate_caps[address] = bps
-        piconet = self.piconets.get(address)
-        if piconet is not None:
-            piconet.rate_cap_bps = bps
 
     def register_protocol(self, proto: int, fn: Callable) -> None:
         """fn(link, receiver_device, from_addr, body, now) for one proto id."""
@@ -301,6 +288,15 @@ class LinkManager:
 
     def links_of(self, address: DeviceAddress) -> list[Link]:
         return list(self._links_of.get(address, ()))
+
+    def piconet(self, master: DeviceAddress) -> dict[DeviceAddress, Link]:
+        """The piconet ``master`` masters, lost links included: slave address
+        -> link. Empty when ``master`` masters none."""
+        return {
+            link.slave.address: link
+            for link in self._links_of.get(master, ())
+            if link.master.address == master
+        }
 
     # -- listening ----------------------------------------------------------
 
@@ -339,12 +335,8 @@ class LinkManager:
             raise NotConnectable(str(target))
         if not self.engine.in_range(initiator, target_dev):
             raise Unreachable(f"{target} out of radio range")
-        piconet = self.piconets.get(initiator.address)
-        if (
-            piconet is not None
-            and target not in piconet.links
-            and len(piconet) >= MAX_SLAVES
-        ):
+        piconet = self.piconet(initiator.address)
+        if target not in piconet and len(piconet) >= MAX_SLAVES:
             raise PiconetFull(f"{initiator.address} already has {MAX_SLAVES} slaves")
         pending = self._pages.get(key)
         if pending is not None:
@@ -463,8 +455,7 @@ class LinkManager:
                 "t=%d link %s-%s restored", self.engine.now, link.master.address, link.slave.address
             )
         else:
-            piconet = self.piconets.get(master.address)
-            if piconet is not None and len(piconet) >= MAX_SLAVES:
+            if len(self.piconet(master.address)) >= MAX_SLAVES:
                 # Capacity was taken while the handshake was in flight; give
                 # up silently and let the pager time out.
                 return None
@@ -473,9 +464,6 @@ class LinkManager:
             self.links[key] = link
             self._links_of.setdefault(master.address, []).append(link)
             self._links_of.setdefault(slave.address, []).append(link)
-            if piconet is None:
-                piconet = self._new_piconet(master)
-            piconet.links[slave.address] = link
             self.discovery.note_known(master.address, slave.address)
             self.discovery.note_known(slave.address, master.address)
             self.engine.emit("connected", master.address, peer=str(slave.address))
@@ -484,11 +472,6 @@ class LinkManager:
             self.pair_link(link)
         self._notify(link)
         return link
-
-    def _new_piconet(self, master: Device) -> Piconet:
-        cap = self._rate_caps.get(master.address, self.params.version_rate_cap_bps)
-        piconet = self.piconets[master.address] = Piconet(master=master, rate_cap_bps=cap)
-        return piconet
 
     def _stop_supervision(self, link: Link) -> None:
         self.engine.cancel(link._timer)
@@ -694,27 +677,16 @@ class LinkManager:
     # -- topology operations ------------------------------------------------
 
     def role_switch(self, link: Link) -> Link:
-        """Swap master and slave on a live link, moving it between piconets."""
+        """Swap master and slave on a live link, moving it to the new master's piconet."""
         if link.state is not LinkState.CONNECTED:
             raise LinkError("cannot switch roles on a lost link")
         new_master, new_slave = link.slave, link.master
-        target = self.piconets.get(new_master.address)
-        if (
-            target is not None
-            and new_slave.address not in target.links
-            and len(target) >= MAX_SLAVES
-        ):
+        target = self.piconet(new_master.address)
+        if new_slave.address not in target and len(target) >= MAX_SLAVES:
             raise WouldViolateTopology(
                 f"{new_master.address} piconet already has {MAX_SLAVES} slaves"
             )
         self.topology_changes += 1
-        old = self.piconets[link.master.address]
-        del old.links[link.slave.address]
-        if not old.links:
-            del self.piconets[link.master.address]
-        if target is None:
-            target = self._new_piconet(new_master)
-        target.links[new_slave.address] = link
         # Stopped before the swap: an elided keepalive is queued master to slave.
         self._stop_supervision(link)
         link.master, link.slave = new_master, new_slave
@@ -735,16 +707,16 @@ class LinkManager:
         otherwise each slave gets its proportional share rounded down, so
         the sum of grants never exceeds the cap.
         """
-        piconet = self.piconets.get(master)
-        if piconet is None:
+        piconet = self.piconet(master)
+        if not piconet:
             raise LinkError(f"{master} does not master a piconet")
         for addr, bps in requested.items():
-            if addr not in piconet.links:
+            if addr not in piconet:
                 raise LinkError(f"{addr} is not a slave of {master}")
             if bps < 0:
                 raise ValueError("requested rate must be non-negative")
         total = sum(requested.values())
-        cap = piconet.rate_cap_bps
+        cap = self._rate_caps.get(master, self.params.version_rate_cap_bps)
         if total <= cap:
             granted = dict(requested)
         else:
@@ -763,14 +735,13 @@ class LinkManager:
     def topology_violations(self) -> list[str]:
         """Structural checks; an empty list means the topology is sound."""
         problems = []
-        for master, piconet in self.piconets.items():
-            if len(piconet) > MAX_SLAVES:
-                problems.append(f"piconet of {master} has {len(piconet)} slaves")
-            if piconet.master.address != master:
-                problems.append(f"piconet key {master} does not match its master")
-            for slave, link in piconet.links.items():
-                if link.master.address != master or link.slave.address != slave:
-                    problems.append(f"link {link.pair} misfiled under {master}/{slave}")
+        for address, filed in self._links_of.items():
+            for link in filed:
+                if address != link.master.address and address != link.slave.address:
+                    problems.append(f"link {link.pair} misfiled under {address}")
+            slaves = len(self.piconet(address))
+            if slaves > MAX_SLAVES:
+                problems.append(f"piconet of {address} has {slaves} slaves")
         for (a, b), link in self.links.items():
             if pair_key(link.master.address, link.slave.address) != (a, b):
                 problems.append(f"link endpoints do not match key {(a, b)}")

@@ -13,21 +13,23 @@ offset with a bounded error.
 Payloads on an authenticated link are enciphered with the link key and the
 transmit clock; the clock rides in the data header so the receiver can
 compute the same keystream. A pair's one control channel sits on its one
-``Link`` (``Link.control``), so a PDU finds it from the link its frame
-carried, with no pair lookup.
+``Link`` (``Link.control``), the only index of control channels: a PDU
+finds it from the link its frame carried, with no pair lookup, and
+``open_control_channel`` returns the one the link already has.
 
 Each control exchange runs on the engine's ``Retry``: the request is resent
 every ``retransmit_interval_us`` and the exchange fails with
 ``McapTimeout`` exactly ``handshake_timeout_us`` after it started (clock
 sampling sends once and fails with ``SyncTimeout`` after
-``sync_timeout_us``). One table holds the pending exchanges; each entry
-carries the continuation that runs when the answer arrives, and a repeated
-reconnect or delete of a channel joins the exchange in flight. A reliable
-sender's queue head is resent on one ``Retry`` with no deadline, which its
-ack, a suspend or a close resolves. Channel operations return an engine
-``Op``: ``result`` is the ``DataChannel`` or the ``ClockSyncResult``,
-``error`` the ``McapError``. A payload ``send`` resolves the ``Op`` it is
-given, or a new one, to the payload's ``SendStatus``, and returns it.
+``sync_timeout_us``). A control channel holds its pending exchanges, keyed
+by kind and id; each entry carries the continuation that runs when the
+answer arrives, and a repeated reconnect or delete of a channel joins the
+exchange in flight. A reliable sender's queue head is resent on one
+``Retry`` with no deadline, which its ack, a suspend or a close resolves.
+Channel operations return an engine ``Op``: ``result`` is the
+``DataChannel`` or the ``ClockSyncResult``, ``error`` the ``McapError``. A
+payload ``send`` resolves the ``Op`` it is given, or a new one, to the
+payload's ``SendStatus``, and returns it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable, Container
 
 from .core import DeviceAddress, SimTime
 from .engine import Device, Engine, Op, Retry
-from .link import Link, LinkError, LinkManager, LinkState, PROTO_MCAP, pair_key
+from .link import Link, LinkError, LinkManager, LinkState, PROTO_MCAP
 from .params import SimParams
 from .security import NotAuthenticated, apply_cipher
 
@@ -170,10 +172,8 @@ class ControlChannel:
     next_mdl_id: int = 1
     next_token: int = 1
     channels: dict[int, DataChannel] = field(default_factory=dict)
-
-    @property
-    def pair(self) -> tuple[DeviceAddress, DeviceAddress]:
-        return self.link.pair
+    # (kind, id) -> (retry, continuation run on the answer, op)
+    pending: dict[tuple, tuple[Retry, Callable, Op]] = field(default_factory=dict)
 
 
 class McapManager:
@@ -183,9 +183,6 @@ class McapManager:
         self.engine = engine
         self.links = links
         self.params = params
-        self.controls: dict[tuple[DeviceAddress, DeviceAddress], ControlChannel] = {}
-        # (pair, kind, id) -> (retry, continuation run on the answer, op)
-        self._pending: dict[tuple, tuple[Retry, Callable, Op]] = {}
         links.register_protocol(PROTO_MCAP, self._on_pdu)
 
     # -- control channel ----------------------------------------------------
@@ -195,16 +192,14 @@ class McapManager:
 
         Requires a live, authenticated link between them.
         """
-        key = pair_key(a.address, b.address)
-        existing = self.controls.get(key)
-        if existing is not None:
-            return existing
         link = self.links.link_between(a.address, b.address)
+        if link is not None and link.control is not None:
+            return link.control
         if link is None or link.state is not LinkState.CONNECTED:
             raise LinkDown(f"no live link between {a.address} and {b.address}")
         if not link.authenticated:
             raise NotAuthenticated(f"link {a.address}<->{b.address} is not authenticated")
-        control = link.control = self.controls[key] = ControlChannel(link=link)
+        control = link.control = ControlChannel(link=link)
         link.on_state_change(lambda lk, c=control: self._on_link_state(c, lk))
         self.engine.emit("control_open", a.address, peer=str(b.address))
         return control
@@ -244,6 +239,7 @@ class McapManager:
 
     def _exchange(
         self,
+        control: ControlChannel,
         key: tuple,
         op: Op,
         send: Callable[[], object],
@@ -252,26 +248,26 @@ class McapManager:
         interval_us: int,
         timeout_us: int,
     ) -> Op:
-        """Retry ``send`` until ``_answered(key)`` or the deadline.
+        """Retry ``send`` until ``_answered(control, key)`` or the deadline.
 
         Returns ``op``, or, when ``key`` is already pending, the op of that
         exchange: a repeated request joins the one in flight.
         """
-        pending = self._pending.get(key)
+        pending = control.pending.get(key)
         if pending is not None:
             return pending[2]
 
         def expire() -> None:
-            del self._pending[key]
+            del control.pending[key]
             on_timeout()
 
         retry = Retry(self.engine, send, interval_us, timeout_us, expire)
-        self._pending[key] = (retry, on_answer, op)
+        control.pending[key] = (retry, on_answer, op)
         retry.start()
         return op
 
-    def _answered(self, key: tuple, *answer) -> None:
-        entry = self._pending.pop(key, None)
+    def _answered(self, control: ControlChannel, key: tuple, *answer) -> None:
+        entry = control.pending.pop(key, None)
         if entry is not None:
             retry, on_answer, _op = entry
             retry.resolve()
@@ -289,16 +285,16 @@ class McapManager:
     ) -> Op:
         """``_exchange`` for one ``_HANDSHAKES`` request on ``mdl_id`` (``body``
         defaults to the bare id); ``op`` fails with ``McapTimeout``."""
-        key = (control.pair, kind, mdl_id)
         opcode = _HANDSHAKES[kind][0]
         if body is None:
             body = struct.pack(">H", mdl_id)
         return self._exchange(
-            key,
+            control,
+            (kind, mdl_id),
             op,
             lambda: self._tx(control, initiator, opcode, body),
             on_answer,
-            lambda: op.resolve(error=McapTimeout(str(key))),
+            lambda: op.resolve(error=McapTimeout(str((control.link.pair, kind, mdl_id)))),
             self.params.retransmit_interval_us,
             self.params.handshake_timeout_us,
         )
@@ -659,7 +655,8 @@ class McapManager:
 
         # One request, answered or failed exactly at the sync timeout.
         return self._exchange(
-            (control.pair, "sync", token),
+            control,
+            ("sync", token),
             op,
             lambda: self._tx(control, requester, _OP_SYNC_REQ, struct.pack(">I", token)),
             answered,
@@ -688,7 +685,7 @@ class McapManager:
         elif opcode == _OP_DATA_ACK:
             self._on_data_ack(control, receiver, rest)
         elif opcode in _ANSWERS:
-            self._answered((control.pair, _ANSWERS[opcode], struct.unpack(">H", rest[:2])[0]))
+            self._answered(control, (_ANSWERS[opcode], struct.unpack(">H", rest[:2])[0]))
         elif opcode == _OP_CREATE_REQ:
             self._on_create_req(control, receiver, rest)
         elif opcode == _OP_CREATE_CONFIG:
@@ -703,4 +700,4 @@ class McapManager:
             self._on_sync_req(control, receiver, rest)
         elif opcode == _OP_SYNC_RSP:
             token, t1 = struct.unpack(">Iq", rest[:12])
-            self._answered((control.pair, "sync", token), t1)
+            self._answered(control, ("sync", token), t1)

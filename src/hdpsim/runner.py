@@ -6,8 +6,9 @@ the timeline, and runs to the horizon (the latest timeline time unless
 overridden). Metrics are folded from the events the fold reads as they are
 emitted; given an output, the trace is written to it line by line instead of
 being kept. Validation hands over typed devices and actions with every default
-filled in (see ``scenario.ACTIONS``), so ``HANDLERS`` holds one handler per
-action and nothing here parses a value or repeats a default.
+filled in (see ``scenario.ACTIONS``), so nothing here parses a value or
+repeats a default. ``HANDLERS`` is built from ``ACTIONS``: the handler of
+action ``x`` is ``ScenarioRun._x``.
 Device modes and ``set_mode`` go through one ``_set_modes``. The later sends
 of a ``send_measurement`` are queued one at a time, each under an event id
 reserved when the action ran, so they fire where queuing them all at once
@@ -32,7 +33,7 @@ from .link import LinkError, LinkManager
 from .mcap import McapError, McapManager
 from .metrics import MetricsFold, MetricsReport, compute_metrics  # noqa: F401 (re-exported)
 from .params import SimParams
-from .scenario import Scenario
+from .scenario import ACTIONS, Scenario
 from .security import EmptyPin, NotAuthenticated
 
 log = logging.getLogger(__name__)
@@ -87,7 +88,7 @@ class ScenarioRun:
 
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
-        medium = MediumModel(rng_seed=seed, **scenario.medium)
+        medium = MediumModel(**scenario.medium)
         self.stack = build_stack(medium=medium, seed=seed, params=scenario.params)
         self.metrics = MetricsFold()
         trace = self.stack.engine.trace
@@ -271,18 +272,9 @@ class ScenarioRun:
         return engine.trace, report
 
 
+# ScenarioRun._<action> for each action; one that is missing fails at import.
 HANDLERS: dict[str, Callable[[ScenarioRun, dict], None]] = {
-    "set_mode": ScenarioRun._set_mode,
-    "start_inquiry": ScenarioRun._start_inquiry,
-    "page": ScenarioRun._page,
-    "associate": ScenarioRun._associate,
-    "send_measurement": ScenarioRun._send_measurement,
-    "move_device": ScenarioRun._move_device,
-    "drop_link": ScenarioRun._drop_link,
-    "admit_traffic": ScenarioRun._admit_traffic,
-    "release": ScenarioRun._release,
-    "request_channel": ScenarioRun._request_channel,
-    "run_until": ScenarioRun._run_until,
+    kind: getattr(ScenarioRun, "_" + kind) for kind in ACTIONS
 }
 
 

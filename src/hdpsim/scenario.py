@@ -8,8 +8,10 @@ default. One loop, ``_fields``, applies a table: it rejects keys the table
 does not list, checks each field present, and fills each absent one (or
 ``null``) with its default. Checks return typed values: addresses as
 ``DeviceAddress``, modes, specializations and channel kinds as their enums,
-PINs as ``Pin``. The runner therefore parses nothing again. The few rules
-that span fields keep one small hook each (the limited window in
+PINs as ``Pin``. The runner therefore parses nothing again. The tables also
+shape the records: ``ScenarioDevice`` has one field per ``DEVICE_FIELDS``
+key, and the runner's ``HANDLERS`` one entry per ``ACTIONS`` key. The few
+rules that span fields keep one small hook each (the limited window in
 ``_validate_device``, and ``_ACTION_RULES``). Rules owned by a constructor
 (``SimParams``, ``DeviceName``, ``Pin``) are checked by building the value.
 Every error names the offending field and rule; JSON syntax errors surface
@@ -21,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -304,22 +307,10 @@ _ACTION_RULES: dict[str, Callable[[dict[str, Any], str, set[DeviceAddress]], Non
 # -- documents ----------------------------------------------------------------------
 
 
-@dataclass
-class ScenarioDevice:
-    """One device entry, typed as ``DEVICE_FIELDS`` checks it."""
+class ScenarioDevice(namedtuple("ScenarioDevice", DEVICE_FIELDS)):
+    """One device entry, typed as ``DEVICE_FIELDS`` checks it, in table order."""
 
-    address: DeviceAddress
-    name: str
-    position: tuple[float, float]
-    radio_range_m: float
-    clock_offset_us: int
-    discoverability: DiscoverabilityMode
-    limited_window_us: Optional[int]
-    connectability: ConnectabilityMode
-    pin: Optional[Pin]
-    role: Optional[str]
-    sink_whitelist: Optional[frozenset[Specialization]]
-    rate_cap_bps: Optional[int]
+    __slots__ = ()
 
 
 @dataclass

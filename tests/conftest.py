@@ -26,7 +26,6 @@ def make_stack(
 ):
     medium = MediumModel(
         loss_probability=loss,
-        rng_seed=seed,
         propagation_us=propagation_us,
         jitter_us=jitter_us,
     )

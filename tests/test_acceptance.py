@@ -25,7 +25,7 @@ from hdpsim.hdp import (
     Specialization,
     validate_channel_kind,
 )
-from hdpsim.link import PiconetFull, pair_key
+from hdpsim.link import PiconetFull
 from hdpsim.mcap import ChannelState, NotAuthenticated, SendStatus
 from hdpsim.runner import run_scenario
 from hdpsim.scenario import validate_scenario
@@ -254,7 +254,7 @@ def test_criterion_05_security_gates():
 def test_criterion_06_reconnect_efficiency():
     stack = make_stack()
     source, sink = sensor_pair(stack)
-    control = stack.mcap.controls[pair_key(source.address, sink.address)]
+    control = stack.links.link_between(source.address, sink.address).control
 
     before = mcap_tx_count(stack)
     op = stack.mcap.create_data_channel(control, source, reliable=True)
@@ -300,7 +300,7 @@ def test_criterion_07_exactly_once_telemetry():
         # Session is up; now run telemetry over a lossy, mobile schedule.
         loss = rng.uniform(0.0, 0.35)
         stack.engine.medium = MediumModel(
-            loss_probability=loss, rng_seed=trial, propagation_us=1, jitter_us=0
+            loss_probability=loss, propagation_us=1, jitter_us=0
         )
         start = stack.engine.now
         out_at = start + rng.randrange(1_000_000, 6_000_000)
@@ -352,7 +352,7 @@ def test_criterion_08_clock_sync():
     # Zero jitter: a +1500 us skew is recovered exactly.
     stack = make_stack()
     source, sink = sensor_pair(stack, source_offset_us=1500)
-    control = stack.mcap.controls[pair_key(source.address, sink.address)]
+    control = stack.links.link_between(source.address, sink.address).control
     op = stack.mcap.sync_clocks(control, sink)
     run_while(stack, lambda: not op.done, 2_000_000, step_us=1_000)
     assert op.error is None
@@ -363,7 +363,7 @@ def test_criterion_08_clock_sync():
     # 99% of 1000 exchanges.
     stack = make_stack(jitter_us=50)
     source, sink = sensor_pair(stack, source_offset_us=1500)
-    control = stack.mcap.controls[pair_key(source.address, sink.address)]
+    control = stack.links.link_between(source.address, sink.address).control
     within = 0
     for _ in range(1000):
         op = stack.mcap.sync_clocks(control, sink)

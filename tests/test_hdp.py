@@ -595,10 +595,10 @@ SEND_STEPS = ("send", "send", "send", "drop", "out", "back", "wait")
     release=st.booleans(),
 )
 def test_every_reading_handle_finishes(capacity, loss, seed, steps, release):
-    stack = make_stack(buffer_capacity=capacity)
+    stack = make_stack(seed=seed, buffer_capacity=capacity)
     source, sink = sensor_pair(stack)
     assoc = operating_assoc(stack, source, sink)
-    stack.engine.medium = MediumModel(loss_probability=loss, rng_seed=seed)
+    stack.engine.medium = MediumModel(loss_probability=loss)
     link = stack.links.link_between(source.address, sink.address)
     ops = []
     for step in steps:

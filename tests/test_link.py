@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdpsim.core import DeviceAddress
@@ -157,7 +157,7 @@ def test_piconet_caps_at_seven_slaves():
     for i in range(1, 8):
         slave = add_device(stack, i, position=(1.0, float(i)))
         connect(stack, master, slave)
-    assert len(stack.links.piconets[master.address]) == MAX_SLAVES
+    assert len(stack.links.piconet(master.address)) == MAX_SLAVES
     eighth = add_device(stack, 8, position=(1.0, 8.0))
     stack.discovery.note_known(master.address, eighth.address)
     with pytest.raises(PiconetFull):
@@ -226,11 +226,62 @@ def test_role_switch_swaps_endpoints_and_piconets():
     link, _ = connect(stack, a, b)
     switched = stack.links.role_switch(link)
     assert switched.master is b and switched.slave is a
-    assert a.address not in stack.links.piconets
-    assert b.address in stack.links.piconets
+    assert stack.links.piconet(a.address) == {}
+    assert stack.links.piconet(b.address) == {a.address: link}
     assert stack.links.topology_violations() == []
     events = [e for e in stack.engine.trace if e.ev == "role_switch"]
     assert len(events) == 1
+
+
+# Device 0 is the hub, 1-8 are spokes and 9 is a shared slave. (pager,
+# target): the hub pages every spoke, one more than its piconet holds, and
+# the shared slave, which spoke 1 pages too; spoke 8 pages the hub, so a
+# role switch can find the hub's piconet full.
+TOPOLOGY_PAIRS = [(0, i) for i in range(1, 10)] + [(1, 9), (8, 0)]
+TOPOLOGY_STEPS = st.tuples(st.sampled_from(["page", "page", "switch", "drop"]), st.sampled_from(TOPOLOGY_PAIRS))
+
+
+@settings(max_examples=40, deadline=None)
+@example(
+    [("page", (0, i)) for i in range(1, 8)]
+    + [("page", (0, 9)), ("page", (8, 0)), ("switch", (8, 0)), ("drop", (0, 1)), ("page", (0, 9))]
+    + [("switch", (0, 2)), ("page", (0, 9)), ("switch", (8, 0)), ("page", (1, 9)), ("page", (0, 1))]
+)
+@given(st.lists(TOPOLOGY_STEPS, min_size=1, max_size=20))
+def test_the_piconet_view_is_the_links_each_device_masters(steps):
+    stack = make_stack()
+    links = stack.links
+    devices = [add_device(stack, i, position=(float(i % 3), float(i // 3))) for i in range(10)]
+    for kind, (i, j) in steps:
+        pager, target = devices[i], devices[j]
+        link = links.link_between(pager.address, target.address)
+        live = link is not None and link.state is LinkState.CONNECTED
+        if kind == "page":
+            view = links.piconet(pager.address)
+            stack.discovery.note_known(pager.address, target.address)
+            if live:
+                assert links.page(pager, target.address).result is link
+            elif len(view) >= MAX_SLAVES and target.address not in view:
+                with pytest.raises(PiconetFull):
+                    links.page(pager, target.address)
+            else:
+                connect(stack, pager, target)
+        elif not live:
+            continue
+        elif kind == "drop":
+            links.drop_link(pager.address, target.address)
+        else:
+            view = links.piconet(link.slave.address)
+            if len(view) >= MAX_SLAVES and link.master.address not in view:
+                with pytest.raises(WouldViolateTopology):
+                    links.role_switch(link)
+            else:
+                links.role_switch(link)
+        assert links.topology_violations() == []
+        for device in devices:
+            assert links.piconet(device.address) == {
+                lk.slave.address: lk for lk in links.links.values() if lk.master is device
+            }
 
 
 def supervision_timers(stack):
@@ -386,7 +437,7 @@ def logged_run(monkeypatch, corrupt_link: int = 0) -> list[tuple[str, int]]:
     """Run ward 4x7 (``ward_lossy_offsets``, seed 1) and return, in order,
     each action ("action"), each new link ("write") and each topology walk
     ("walk"), with its time. With ``corrupt_link`` n, the n-th new link is
-    also filed under an address that is not its slave's."""
+    also filed in ``_links_of`` under an address that is neither of its ends."""
     log: list[tuple[str, int]] = []
     run = ScenarioRun(load_scenario(str(WARD_4X7)), 1)
     engine = run.stack.engine
@@ -398,7 +449,7 @@ def logged_run(monkeypatch, corrupt_link: int = 0) -> list[tuple[str, int]]:
         if len(links.links) > before:
             log.append(("write", engine.now))
             if len(links.links) == corrupt_link:
-                links.piconets[master.address].links[DeviceAddress(0xBAD)] = link
+                links._links_of.setdefault(DeviceAddress(0xBAD), []).append(link)
         return link
 
     def logged_walk(links):

@@ -10,14 +10,15 @@ from hdpsim import hdp
 from hdpsim.engine import Engine, Op, Retry
 from hdpsim.hdp import _MSG_ASSOC_REQ, AssocState, Specialization
 from hdpsim.link import PROTO_HDP, Unreachable
-from hdpsim.mcap import ChannelState, McapTimeout, SendStatus, SyncTimeout
+from hdpsim.mcap import ChannelState, LinkDown, McapTimeout, SendStatus, SyncTimeout
 
 from conftest import add_device, connect, make_stack, paired_pair, run_while
 
 
 def assert_nothing_pending(stack):
     assert stack.links._pages == {}
-    assert stack.mcap._pending == {}
+    controls = [link.control for link in stack.links.links.values() if link.control is not None]
+    assert all(control.pending == {} for control in controls)
     # An association's request stops once answered, timed out or released;
     # its re-page once the link is back or the association is released.
     for assoc in stack.hdp.associations.values():
@@ -25,7 +26,7 @@ def assert_nothing_pending(stack):
         assert assoc._repage is None or assoc._repage.done
     # A retransmit Retry lives only while its channel is active and its
     # sender's queue holds the payload it resends.
-    for control in stack.mcap.controls.values():
+    for control in controls:
         for channel in control.channels.values():
             if channel.state is not ChannelState.ACTIVE or not any(channel.queue.values()):
                 assert channel._retx == {}
@@ -97,6 +98,22 @@ def test_resolving_a_delayed_retry_before_its_first_tick_sends_nothing():
     assert retry.done and engine.pending_events == 0
     engine.run_until(5000)
     assert sends == []
+
+
+@pytest.mark.parametrize("timeout_us", [None, 50])
+def test_a_send_that_resolves_its_retry_is_its_last(timeout_us):
+    engine = Engine()
+    sends, timeouts = [], []
+
+    def send():
+        sends.append(engine.now)
+        retry.resolve()
+
+    retry = Retry(engine, send, 10, timeout_us, lambda: timeouts.append(engine.now))
+    retry.start()
+    engine.run_until(100)
+    assert sends == [0] and timeouts == []
+    assert retry.done and engine.pending_events == 0
 
 
 def test_op_resolves_once_and_runs_late_callbacks_at_once():
@@ -379,6 +396,34 @@ def test_hdp_defers_only_its_set_up_step_outside_retry():
     source = inspect.getsource(hdp)
     assert source.count("schedule_in(") == 1
     assert "schedule_in(" in inspect.getsource(hdp.HdpManager._set_up_done)
+
+
+def hdp_events(stack):
+    """Queued events whose callback the profile layer scheduled."""
+    return [e[0] for e in stack.engine._entries.values() if e[2].__module__ == "hdpsim.hdp"]
+
+
+def test_release_cancels_the_retry_of_a_failed_set_up_step(monkeypatch):
+    stack = make_stack()
+    a, b, _, _ = control_pair(stack)
+    create = stack.mcap.create_data_channel
+    failed_at = []
+
+    def fail_once(control, initiator, reliable):
+        if not failed_at:
+            failed_at.append(stack.engine.now)
+            raise LinkDown("injected")
+        return create(control, initiator, reliable)
+
+    monkeypatch.setattr(stack.mcap, "create_data_channel", fail_once)
+    assoc = stack.hdp.associate(a, b, Specialization.HEART_RATE)
+    run_while(stack, lambda: not failed_at, 1_000_000, step_us=1_000)
+    assert hdp_events(stack) == [failed_at[0] + stack.params.reconnect_retry_interval_us]
+    stack.hdp.release(assoc)
+    assert hdp_events(stack) == []
+    stack.engine.run_until(stack.engine.now + 3 * stack.params.reconnect_retry_interval_us)
+    assert len(failed_at) == 1
+    assert_nothing_pending(stack)
 
 
 def test_rejected_association_is_released_once_and_removes_its_observer():
