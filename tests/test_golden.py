@@ -28,6 +28,12 @@ without any other test noticing:
   scan frequency is heard on, a non-discoverable one is made discoverable
   1 us after a slot it hears, and a second inquiry starts 1 us after the
   first deadline with a response still in flight;
+- ``inquiry_settled``: at 20 % loss without jitter, one phone runs a 3 s
+  inquiry that finds a sensor at once and a ``limited`` one whose window
+  closes 1 s in, a non-discoverable sensor made discoverable at 1.5 s and
+  one that walks into range at 2 s, so quiet cycles between those changes
+  still make their loss draws; a page, an association and three readings
+  follow;
 - ``keepalive_edges``: lossless with 100 us propagation (p), one pair whose
   sensor walks out p/2, exactly p and p + 1 us after a master keepalive tick
   (the keepalive lands; its ack is lost in the first two cases and delivered
