@@ -25,12 +25,27 @@ deadline, ``_on_inquiry`` is the only inquiry handler and every device in the
 inquirer's range is in ``_seen``: each delivery would end in such a response,
 so only event ids are saved. An unseen neighbour blocks this even when it is
 non-discoverable, since its mode is read when the frame lands.
+
+A cycle event settles a run of cycles inline when jitter is 0, each slot's
+deliveries land before the next slot (the next cycle's first included),
+``_on_inquiry`` is the only inquiry handler and every device in range is in
+``_seen`` or cannot answer (non-discoverable, or limited with its window
+closed when the first frame lands). The run stops short of the deadline and
+of ``Engine.settle_limit``: the first queued event or the ``run_until``
+bound. Its listen checks and loss draws are made early but in the plain
+path's order: per unquiet slot, the inquiry's per neighbour in registration
+order, then a repeat response's per delivered copy. It sets aside the ids
+of the events it replaces and queues the first cycle it does not settle, so
+trace, event ids and generator state are unchanged. An unseen
+non-discoverable neighbour no longer keeps a settled run sending, though it
+still keeps its slots from being quiet.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .core import DeviceAddress, DeviceName, decode_name, encode_name
 from .engine import FREQ_COUNT, Device, Engine, FrameKind, RadioFrame, SimTime
@@ -142,7 +157,8 @@ class DiscoveryManager:
         self.schedule = ScanSchedule(params.scan_window_us)
         self._modes: dict[DeviceAddress, _ModeState] = {}
         self._known: dict[DeviceAddress, set[DeviceAddress]] = {}
-        self._active: dict[DeviceAddress, Inquiry] = {}
+        # inquirer -> its running inquiry; a finished one is removed
+        self._active: dict[Device, Inquiry] = {}
         # device -> its inquiry response payload (address, name); the config
         # it is built from is frozen
         self._responses: dict[Device, bytes] = {}
@@ -193,8 +209,8 @@ class DiscoveryManager:
     # -- listening
 
     def _listening(self, device: Device, t: SimTime) -> tuple[int]:
-        inquiry = self._active.get(device.address)
-        if inquiry is not None and not inquiry.done:
+        inquiry = self._active.get(device)
+        if inquiry is not None:
             # While inquiring, listen where we are currently transmitting.
             elapsed = t - inquiry.started_at
             in_cycle = elapsed % self.params.inquiry_cycle_us
@@ -207,21 +223,19 @@ class DiscoveryManager:
     def start_inquiry(self, device: Device, duration_us: int) -> Inquiry:
         if duration_us <= 0:
             raise ValueError("duration_us must be positive")
-        existing = self._active.get(device.address)
-        if existing is not None and not existing.done:
+        if device in self._active:
             raise InquiryInProgress(str(device.address))
         now = self.engine.now
         inquiry = Inquiry(device=device, started_at=now, duration_us=duration_us)
-        self._active[device.address] = inquiry
+        self._active[device] = inquiry
         self.engine.emit("inquiry_start", device.address, duration_us=duration_us)
         self.engine.schedule(now, lambda: self._cycle(inquiry))
         self.engine.schedule(inquiry.deadline_us, lambda: self._finish(inquiry))
         return inquiry
 
-    def _cycle(self, inquiry: Inquiry) -> None:
-        now = self.engine.now
-        if inquiry.done or now >= inquiry.deadline_us:
-            return
+    def _slots(self, inquiry: Inquiry, start: SimTime) -> list[tuple[SimTime, int]]:
+        """The (time, frequency) sweep slots of the cycle at ``start`` that
+        some other device's scan hears, in time order."""
         inquirer = inquiry.device
         count, offsets = self._offsets.get(inquirer, (-1, None))
         if count != len(self.engine.devices):
@@ -231,12 +245,22 @@ class DiscoveryManager:
         slots: dict[SimTime, int] = {}
         for offset in offsets:
             for slot, freq in sweep_slots(
-                self.params, self.schedule, offset, now, inquiry.deadline_us
+                self.params, self.schedule, offset, start, inquiry.deadline_us
             ):
                 slots[slot] = freq
-        for slot in sorted(slots):
+        return sorted(slots.items())
+
+    def _cycle(self, inquiry: Inquiry) -> None:
+        now = self.engine.now
+        if inquiry.done or now >= inquiry.deadline_us:
+            return
+        slots = self._slots(inquiry, now)
+        if self._settle(inquiry, slots):
+            return
+        inquirer = inquiry.device
+        for slot, freq in slots:
             frame = tuple.__new__(
-                RadioFrame, (inquirer.address, slots[slot], FrameKind.INQUIRY, b"", None, None, False)
+                RadioFrame, (inquirer.address, freq, FrameKind.INQUIRY, b"", None, None, False)
             )
             if slot == now:
                 self._sweep(inquiry, frame)
@@ -248,25 +272,117 @@ class DiscoveryManager:
 
     def _sweep(self, inquiry: Inquiry, frame: RadioFrame) -> None:
         """Broadcast one sweep slot's frame, unless the slot is quiet."""
+        if not self._quiet(inquiry, self.engine.now):
+            self.engine.broadcast(frame, inquiry.device)
+
+    def _settle(self, inquiry: Inquiry, slots: list[tuple[SimTime, int]]) -> bool:
+        """Settle the run of cycles from now, whose first has ``slots``, inline
+        when the guards in the module docstring hold; whether it settled any."""
         engine = self.engine
         medium = engine.medium
+        now, p, inquirer = engine.now, medium.propagation_us, inquiry.device
+        limit = min(engine.settle_limit(), inquiry.deadline_us)
+        if now + 2 * p >= limit:
+            return False
+        cycle_us, slot_us = self.params.inquiry_cycle_us, self.params.inquiry_slot_us
+        # The least time from a slot to the next, the next cycle's first included.
+        gap = min(slot_us, cycle_us - min(FREQ_COUNT - 1, (cycle_us - 1) // slot_us) * slot_us)
+        first = now + p  # the earliest delivery
         if (
+            medium.jitter_us
+            or p >= gap
+            or len(engine._frame_handlers[FrameKind.INQUIRY]) != 1  # _on_inquiry
+            or not self._ignores(
+                inquiry, [d for d in engine._neighbours_of(inquirer) if self._answers(d, first)],
+                first,
+            )
+        ):
+            return False
+        # Only the time part of _quiet varies, and every settled slot meets it.
+        quiet = self._quiet(inquiry, now)
+        ids = 0  # of the cycle, slot and delivery events the run replaces
+        start, stable = now, 0
+        while start < limit and not (slots and slots[-1][0] + 2 * p >= limit):
+            ids += start > now  # this cycle's event; the first one is firing
+            for slot, freq in slots:
+                # A slot at its cycle's start is swept by the cycle event itself.
+                ids += (slot > start) + (0 if quiet else self._settle_slot(inquiry, slot, freq))
+            start += cycle_us
+            if start + cycle_us <= stable:  # no scan window changes: shift the slots
+                slots = [(slot + cycle_us, freq) for slot, freq in slots]
+            else:
+                slots = self._slots(inquiry, start)
+                # Until a listener next changes its scan window, or the deadline.
+                window, offsets = self.schedule.window_us, self._offsets[inquirer][1]
+                hops = [(start + o) // window * window + window - o for o in offsets]
+                stable = min(hops + [inquiry.deadline_us])
+        if start == now:
+            return False
+        # The replaced events are never queued and every queued id lies
+        # outside their block, so the next cycle's id may come last.
+        engine.reserve_ids(ids)
+        engine.schedule(start, lambda: self._cycle(inquiry))
+        return True
+
+    def _settle_slot(self, inquiry: Inquiry, slot: SimTime, freq: int) -> int:
+        """The listen checks and draws of the unquiet sweep slot at ``slot``
+        and of its repeat responses; returns how many copies it delivers."""
+        engine = self.engine
+        providers, rng = engine._listen_providers, engine.rng
+        loss = engine.medium.loss_probability
+        inquirer, at = inquiry.device, slot + engine.medium.propagation_us
+        delivered = []
+        for device in engine._neighbours_of(inquirer):
+            for listening in providers:
+                if freq in listening(device, slot):
+                    if loss == 0.0 or rng.random() >= loss:
+                        delivered.append(device)
+                    break
+        for device in delivered:
+            if self._answers(device, at):
+                for listening in providers:
+                    if freq in listening(inquirer, at):
+                        if loss > 0.0:
+                            rng.random()
+                        break
+        return len(delivered)
+
+    def _quiet(self, inquiry: Inquiry, t: SimTime) -> bool:
+        """Whether the sweep slot at ``t`` can go unsent: the medium draws
+        nothing, discovery's handler is the only inquiry handler, and every
+        device in range would send a response the inquiry ignores."""
+        engine = self.engine
+        medium = engine.medium
+        at = t + medium.propagation_us
+        return (
             medium.loss_probability == 0.0
             and medium.jitter_us == 0
-            and engine.now + 2 * medium.propagation_us < inquiry.deadline_us
             and len(engine._frame_handlers[FrameKind.INQUIRY]) == 1  # _on_inquiry
-            and all(d.address in inquiry._seen for d in engine._neighbours_of(inquiry.device))
-        ):
-            return
-        engine.broadcast(frame, inquiry.device)
+            and self._ignores(inquiry, engine._neighbours_of(inquiry.device), at)
+        )
+
+    def _answers(self, device: Device, t: SimTime) -> bool:
+        """Whether the device answers an inquiry frame that lands at ``t``."""
+        state = self._modes.get(device.address)
+        return state is None or state.discoverability is DiscoverabilityMode.DISCOVERABLE or (
+            state.discoverability is DiscoverabilityMode.LIMITED and t < state.limited_until_us
+        )
+
+    def _ignores(self, inquiry: Inquiry, devices: Iterable[Device], t: SimTime) -> bool:
+        """Whether the inquiry ignores the responses the devices send at ``t``:
+        they land before its deadline, and it has found every device."""
+        medium = self.engine.medium  # propagation_us >= 1: they land after t
+        return t + medium.propagation_us + medium.jitter_us < inquiry.deadline_us and all(
+            d.address in inquiry._seen for d in devices
+        )
 
     def _finish(self, inquiry: Inquiry) -> None:
         if inquiry.done:
             return
         inquiry.done = True
         inquiry.results.sort(key=lambda r: (r.discovered_at, r.address))
-        if self._active.get(inquiry.device.address) is inquiry:
-            del self._active[inquiry.device.address]
+        if self._active.get(inquiry.device) is inquiry:
+            del self._active[inquiry.device]
         self.engine.emit(
             "inquiry_done",
             inquiry.device.address,
@@ -276,11 +392,7 @@ class DiscoveryManager:
     # -- frame handlers
 
     def _on_inquiry(self, receiver: Device, frame: RadioFrame, now: SimTime) -> None:
-        state = self._state(receiver.address)
-        mode = state.discoverability
-        if mode is DiscoverabilityMode.NON_DISCOVERABLE:
-            return
-        if mode is DiscoverabilityMode.LIMITED and now >= state.limited_until_us:
+        if not self._answers(receiver, now):
             return
         payload = self._responses.get(receiver)
         if payload is None:
@@ -289,14 +401,8 @@ class DiscoveryManager:
         # The inquiry active now is the one the response reaches if it lands
         # before that inquiry's deadline; one that has seen the responder
         # ignores it, so only the medium's draws are left to make.
-        inquiry = self._active.get(frame.from_addr)
-        medium = self.engine.medium
-        draw_only = (
-            inquiry is not None
-            and not inquiry.done
-            and receiver.address in inquiry._seen
-            and now + max(1, medium.propagation_us + medium.jitter_us) < inquiry.deadline_us
-        )
+        inquiry = self._active.get(self.engine.devices.get(frame.from_addr))
+        draw_only = inquiry is not None and self._ignores(inquiry, (receiver,), now)
         response = tuple.__new__(RadioFrame, (
             receiver.address, frame.freq_index, FrameKind.INQUIRY_RESPONSE, payload,
             frame.from_addr, None, draw_only,
@@ -304,10 +410,12 @@ class DiscoveryManager:
         self.engine.broadcast(response, receiver)
 
     def _on_response(self, receiver: Device, frame: RadioFrame, now: SimTime) -> None:
-        inquiry = self._active.get(receiver.address)
-        if inquiry is None or inquiry.done:
+        inquiry = self._active.get(receiver)
+        if inquiry is None:
             return
-        address = DeviceAddress.from_bytes(frame.payload[:6])
+        # The responder's registered address, which the payload repeats: set
+        # and dict lookups of it then match by identity.
+        address = frame.from_addr
         if address in inquiry._seen:
             return
         inquiry._seen.add(address)

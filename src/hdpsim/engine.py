@@ -27,6 +27,10 @@ delivery's event id from ``reserve_ids``. ``add_medium_hook`` reports each
 ``move_device`` and each replacement of ``medium``, and ``fired`` tells
 whether the delivery's ``(t, id)`` has passed, so that a change that comes
 first queues the real ``delivery`` under that id with ``schedule_as``.
+Discovery settles a run of inquiry cycles in one event the same way (see
+``hdpsim.discovery``); ``settle_limit`` bounds such a run by the first queued
+event and the bound of the running ``run_until``, and outside ``run_until``
+allows nothing, since API calls between runs queue no event.
 
 Every protocol exchange that waits for an answer runs on one ``Retry``: it
 sends at once, resends every interval, and fails exactly at its deadline,
@@ -236,6 +240,7 @@ class Engine:
         self._next_seq = 0
         self._entries: dict[int, list] = {}
         self._firing: int | float = _IDLE  # see fired
+        self._until: SimTime | float = -_IDLE  # run_until's bound; -inf outside it
         # kind -> [fn(receiver_device, frame, now)]
         self._frame_handlers: dict[FrameKind, list[Callable]] = {k: [] for k in FrameKind}
         # fn(device, t) -> iterable of frequency indices the device listens on
@@ -310,6 +315,13 @@ class Engine:
         in the total order; outside ``run_until``, whether ``at <= now``."""
         return (at, event_id) < (self.now, self._firing)
 
+    def settle_limit(self) -> SimTime | float:
+        """The time before which an event may settle later work inline: the
+        earlier of the first queued event's time and the bound of the
+        ``run_until`` now running. Outside ``run_until`` it allows nothing,
+        since API calls between runs change inputs without queuing an event."""
+        return min(self._heap[0][0], self._until) if self._heap else self._until
+
     def cancel(self, event_id: int) -> None:
         entry = self._entries.pop(event_id, None)
         if entry is not None:
@@ -319,6 +331,7 @@ class Engine:
         """Process every event with time <= t in total order; now becomes t."""
         if t < self.now:
             raise SchedulingInPast(f"cannot run to {t}, now is {self.now}")
+        self._until = t
         try:
             while self._heap and self._heap[0][0] <= t:
                 at, event_id, fn = heapq.heappop(self._heap)
@@ -330,6 +343,7 @@ class Engine:
                 fn()
         finally:
             self._firing = _IDLE
+            self._until = -_IDLE
         self.now = t
 
     @property

@@ -24,6 +24,7 @@ from hdpsim.engine import (
     trace_line,
 )
 from hdpsim.link import LinkState
+from hdpsim.metrics import metrics_json
 from hdpsim.runner import ScenarioRun
 from hdpsim.scenario import load_scenario, validate_scenario
 
@@ -409,16 +410,25 @@ def _reference_on_inquiry(discovery):
     return on_inquiry
 
 
-def _run_checked(scenario, seed, reference=False):
+def _settle_off(discovery):
+    """Make the discovery manager's settle step decline, so that every
+    inquiry cycle takes the plain path."""
+    discovery._settle = lambda inquiry, slots: False
+
+
+def _run_checked(scenario, seed, reference=False, settle=True):
     """The scenario's trace, and how many frames carried a link or the
     ``draw_only`` flag and how many inquiry frames were sent. Every frame that
     carries a link is checked when it is offered: the link is the pair's
     ``link_between``, it is connected, the frame's addressee is the sender's
     peer on it, and the full listen-provider search agrees that the addressee
     listens. The reference broadcasts every sweep slot and schedules every
-    inquiry response."""
+    inquiry response. With ``settle`` False no run of inquiry cycles is
+    settled inline, so the frame counts cover every cycle."""
     run = ScenarioRun(scenario, seed)
     engine = run.stack.engine
+    if not settle:
+        _settle_off(run.stack.discovery)
     if reference:
         engine._frame_handlers[FrameKind.INQUIRY] = [_reference_on_inquiry(run.stack.discovery)]
         run.stack.discovery._sweep = lambda inquiry, frame: engine.broadcast(frame, inquiry.device)
@@ -468,10 +478,10 @@ def _edges_scenario(
         timeline.append({"t_us": t_us, "action": "move_device",
                          "device": devices[1 + index % len(sensors)]["address"],
                          "position": [x, 1.0]})
-    for t_us, index, mode in modes:
+    for t_us, index, mode, *window in modes:  # a limited mode carries its window
         timeline.append({"t_us": t_us, "action": "set_mode",
                          "device": devices[1 + index % len(sensors)]["address"],
-                         "discoverability": mode})
+                         "discoverability": mode, **{"window_us": w for w in window}})
     timeline += [
         {"t_us": 100_000, "action": "page", "device": phone, "target": source},
         {"t_us": 1_000_000, "action": "associate", "source": source, "sink": phone,
@@ -561,8 +571,8 @@ def test_skipped_work_keeps_the_trace_bytes():
         scenario = _edges_scenario(
             loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves, modes
         )
-        trace, flagged = _run_checked(scenario, seed)
-        reference, full = _run_checked(scenario, seed, reference=True)
+        trace, flagged = _run_checked(scenario, seed, settle=False)
+        reference, full = _run_checked(scenario, seed, reference=True, settle=False)
         assert trace == reference
         assert full["draw_only"] == 0
         assert flagged["inquiry"] <= full["inquiry"]
@@ -578,8 +588,8 @@ def test_skipped_work_keeps_the_trace_bytes():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_inquiry_edges_golden_takes_both_shortcuts_with_the_reference_bytes(seed):
     scenario = load_scenario(str(Path(__file__).parent / "golden" / "inquiry_edges.json"))
-    trace, flagged = _run_checked(scenario, seed)
-    reference, _ = _run_checked(scenario, seed, reference=True)
+    trace, flagged = _run_checked(scenario, seed, settle=False)
+    reference, _ = _run_checked(scenario, seed, reference=True, settle=False)
     assert trace == reference
     assert flagged["link"] > 0 and flagged["draw_only"] > 0
 
@@ -587,10 +597,161 @@ def test_inquiry_edges_golden_takes_both_shortcuts_with_the_reference_bytes(seed
 @pytest.mark.parametrize("seed", [1, 2])
 def test_inquiry_quiet_golden_skips_sweep_slots_with_the_reference_bytes(seed):
     scenario = load_scenario(str(Path(__file__).parent / "golden" / "inquiry_quiet.json"))
-    trace, flagged = _run_checked(scenario, seed)
-    reference, full = _run_checked(scenario, seed, reference=True)
+    trace, flagged = _run_checked(scenario, seed, settle=False)
+    reference, full = _run_checked(scenario, seed, reference=True, settle=False)
     assert trace == reference
     assert 0 < flagged["inquiry"] < full["inquiry"]
+
+
+# -- runs of inquiry cycles settled inline -------------------------------------
+
+
+def _outcome(scenario, seed, settle=True):
+    """A run's trace and metrics bytes, how many event ids it issued and its
+    final RNG state; and how many runs of inquiry cycles it settled."""
+    run = ScenarioRun(scenario, seed)
+    discovery = run.stack.discovery
+    settled = []
+    if settle:
+        step = discovery._settle
+        discovery._settle = lambda inquiry, slots: settled.append(step(inquiry, slots)) or settled[-1]
+    else:
+        _settle_off(discovery)
+    trace, report = run.run()
+    engine = run.stack.engine
+    outcome = (trace.to_jsonl(), metrics_json(report), engine.reserve_ids(0), engine.rng.getstate())
+    return outcome, sum(settled)
+
+
+def test_settled_inquiry_cycles_keep_the_bytes_ids_and_draws():
+    settled = []  # (loss, runs settled) per example
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        loss=st.sampled_from([0.0, 0.05, 0.3]),
+        jitter=st.just(0) | st.integers(0, 4),
+        # From 157 us a round trip outlasts a 313 us slot; from 297 us a
+        # slot's deliveries can land after the next cycle's first slot.
+        propagation=st.integers(1, 3) | st.integers(1, 400),
+        sensors=st.lists(
+            st.tuples(
+                st.floats(0.5, 12.0),
+                st.sampled_from([0, 300, 39_700_000, 1_281_000, 10_240_000, 20_480_000]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        first_us=st.integers(1, 150_000) | _near_slot(3, st.integers(1, 6)),
+        gap_us=st.integers(1, 4),
+        second_us=st.integers(1, 60_000),
+        moves=st.lists(
+            st.tuples(
+                st.integers(0, 200_000) | _near_slot(12, st.integers(-3, 3)),
+                st.integers(0, 3),
+                st.sampled_from([2.0, 40.0]),
+            ),
+            max_size=3,
+        ),
+        modes=st.lists(
+            st.tuples(
+                st.integers(0, 200_000) | _near_slot(12, st.integers(0, 4)),
+                st.integers(0, 3),
+                st.sampled_from(["discoverable", "non_discoverable"]),
+            )
+            | st.tuples(
+                st.integers(0, 100_000),
+                st.integers(0, 3),
+                st.just("limited"),
+                st.integers(1, 100_000),
+            ),
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @example(  # a lossy second inquiry of 3 us, 2 us after a first one of 1 us
+        loss=0.05, jitter=0, propagation=1, sensors=[(1.0, 0)],
+        first_us=1, gap_us=1, second_us=3, moves=[], modes=[], seed=0,
+    )
+    @example(  # lossy, with deliveries 200 us after their slot
+        loss=0.3, jitter=0, propagation=200, sensors=[(1.0, 0), (2.0, 20_480_000)],
+        first_us=90_000, gap_us=1, second_us=30_000, moves=[],
+        modes=[(0, 1, "non_discoverable")], seed=3,
+    )
+    @example(  # lossless: an unseen hidden sensor's slots are settled, not quiet,
+        # until it is shown 40 ms in
+        loss=0.0, jitter=0, propagation=2, sensors=_QUIET[:3],
+        first_us=95_000, gap_us=1, second_us=1, moves=[],
+        modes=[(0, 2, "non_discoverable"), (40_000, 2, "discoverable")], seed=0,
+    )
+    @example(  # inside a settled run, a limited window closes as the frame of
+        # the 60 ms slot lands
+        loss=0.3, jitter=0, propagation=1, sensors=[(1.0, 0), (1.5, 10_240_000)],
+        first_us=95_000, gap_us=1, second_us=1, moves=[],
+        modes=[(0, 0, "limited", 60_001)], seed=0,
+    )
+    def check(loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves, modes, seed):
+        scenario = _edges_scenario(
+            loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves, modes
+        )
+        settled_on, runs = _outcome(scenario, seed)
+        plain, _ = _outcome(scenario, seed, settle=False)
+        assert settled_on == plain
+        settled.append((loss, runs))
+
+    check()
+    assert any(runs for loss, runs in settled if loss > 0.0)
+    assert any(runs for loss, runs in settled if loss == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    loss=st.sampled_from([0.0, 0.05, 0.3]),
+    slices=st.lists(
+        st.tuples(
+            st.integers(1, 40_000),
+            st.sampled_from(["move", "hide", "show", "limit", "medium"]),
+            st.integers(0, 2),
+        ),
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_api_changes_between_run_until_slices_reach_the_inquiry(loss, slices, seed):
+    """Nothing is settled past the bound of the ``run_until`` running, since
+    a change made between two calls queues no event."""
+
+    def run(settle):
+        stack = make_stack(loss=loss, seed=seed)
+        if not settle:
+            _settle_off(stack.discovery)
+        engine, discovery = stack.engine, stack.discovery
+        inquirer = add_device(stack, 9)
+        sensors = [
+            add_device(stack, 1 + i, position=(1.0 + i, 1.0), clock_offset_us=offset)
+            for i, offset in enumerate((0, 5_120_000, 10_240_000))
+        ]
+        discovery.set_discoverability(sensors[2], DiscoverabilityMode.NON_DISCOVERABLE)
+        discovery.start_inquiry(inquirer, 200_000)
+        for step, change, index in slices:
+            engine.run_until(engine.now + step)
+            sensor = sensors[index]
+            if change == "move":
+                x = 40.0 if sensor.position[0] < 20.0 else 1.0 + index
+                engine.move_device(sensor.address, (x, 1.0))
+            elif change == "medium":
+                lossy = engine.medium.loss_probability == 0.0
+                engine.medium = MediumModel(loss_probability=0.3 if lossy else 0.0)
+            else:
+                mode = {
+                    "hide": DiscoverabilityMode.NON_DISCOVERABLE,
+                    "show": DiscoverabilityMode.DISCOVERABLE,
+                    "limit": DiscoverabilityMode.LIMITED,
+                }[change]
+                discovery.set_discoverability(sensor, mode, 15_000)
+        engine.run_until(300_000)
+        return engine.trace.to_jsonl(), engine.reserve_ids(0), engine.rng.getstate()
+
+    assert run(True) == run(False)
 
 
 def test_inquiry_hears_a_device_moved_into_range_and_not_one_moved_out():

@@ -63,8 +63,9 @@ from pathlib import Path
 import pytest
 
 from hdpsim import cli
+from hdpsim.discovery import DiscoveryManager
 from hdpsim.metrics import MetricsFold, compute_metrics, metrics_json
-from hdpsim.runner import run_scenario
+from hdpsim.runner import ScenarioRun, run_scenario
 from hdpsim.scenario import load_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,12 +77,20 @@ def scenario_names() -> list[str]:
     return sorted(p.stem for p in GOLDEN.glob("*.json") if p != PINS_FILE)
 
 
-def digests(name: str, seed: int) -> dict[str, str]:
-    trace, report = run_scenario(load_scenario(str(GOLDEN / f"{name}.json")), seed)
-    return {
+def outcome(name: str, seed: int) -> tuple[dict[str, str], int, tuple]:
+    """A golden run's digests, how many event ids it issued and its final
+    RNG state."""
+    run = ScenarioRun(load_scenario(str(GOLDEN / f"{name}.json")), seed)
+    trace, report = run.run()
+    digests = {
         "trace": hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest(),
         "metrics": hashlib.sha256(metrics_json(report).encode("utf-8")).hexdigest(),
     }
+    return digests, run.stack.engine.reserve_ids(0), run.stack.engine.rng.getstate()
+
+
+def digests(name: str, seed: int) -> dict[str, str]:
+    return outcome(name, seed)[0]
 
 
 def written(trace_path: Path, metrics_path: Path) -> dict[str, str]:
@@ -106,6 +115,40 @@ def test_every_scenario_is_pinned_at_every_seed():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_golden_digests(name, seed):
     assert digests(name, seed) == pinned()[name][str(seed)]
+
+
+@pytest.mark.parametrize("name", scenario_names())
+@pytest.mark.parametrize("seed", SEEDS)
+def test_settling_off_gives_the_pinned_bytes_ids_and_draws(name, seed, monkeypatch):
+    """With no run of inquiry cycles settled inline, every golden gives its
+    pinned digests, issues as many event ids and ends in the same RNG state."""
+    settled = outcome(name, seed)
+    monkeypatch.setattr(DiscoveryManager, "_settle", lambda self, inquiry, slots: False)
+    plain = outcome(name, seed)
+    assert plain[0] == pinned()[name][str(seed)]
+    assert plain == settled
+
+
+def test_found_addresses_are_the_registered_objects(monkeypatch):
+    """An inquiry keeps the responder's registered ``Device.address`` in
+    ``_seen``, its results and the known addresses, so lookups of them match
+    by identity."""
+    inquiries = []
+    start = DiscoveryManager.start_inquiry
+
+    def recorded(self, device, duration_us):
+        inquiries.append(start(self, device, duration_us))
+        return inquiries[-1]
+
+    monkeypatch.setattr(DiscoveryManager, "start_inquiry", recorded)
+    run = ScenarioRun(load_scenario(str(GOLDEN / "inquiry_quiet.json")), 1)
+    run.run()
+    registered = [d.address for d in run.stack.engine.devices.values()]
+    found = [a for inquiry in inquiries for a in inquiry._seen]
+    found += [r.address for inquiry in inquiries for r in inquiry.results]
+    found += [a for peers in run.stack.discovery._known.values() for a in peers]
+    assert [len(inquiry._seen) for inquiry in inquiries] == [4, 4]
+    assert all(any(a is r for r in registered) for a in found)
 
 
 @pytest.mark.parametrize("name", scenario_names())
