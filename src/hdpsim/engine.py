@@ -149,7 +149,9 @@ else:
 
 def trace_line(t_us: SimTime, seq: int, ev: str, dev: str, detail: dict) -> str:
     """An event's trace line: ``_TRACE_ENCODER``'s text of the event as a
-    dict, keys in sorted order, and a newline. Every line is made here."""
+    dict, keys in sorted order, and a newline. Every line is made here but
+    the streamed lines of ``TYPED_EVENTS``, which their ``TypedEvent``
+    templates make, byte for byte the same."""
     return '{"detail":%s,"dev":%s,"ev":%s,"seq":%d,"t_us":%d}\n' % (
         _encode_detail(detail),
         _encode_str(dev),
@@ -157,6 +159,58 @@ def trace_line(t_us: SimTime, seq: int, ev: str, dev: str, detail: dict) -> str:
         seq,
         t_us,
     )
+
+
+# The per-reading events: event -> its detail fields in sorted key order,
+# each with its kind, int or bool. Emitted with ``Engine.emit_typed``, which
+# takes the values in this order.
+TYPED_EVENTS: dict[str, tuple[tuple[str, type], ...]] = {
+    "mdl_send": (("bytes", int), ("mdl_id", int), ("retx", int), ("seq", int)),
+    "mdl_rx": (("bytes", int), ("mdl_id", int), ("reliable", bool), ("seq", int)),
+    "mdl_ack": (("mdl_id", int), ("seq", int)),
+    "measurement_tx": (("assoc_id", int), ("seq", int)),
+    "measurement_rx": (("assoc_id", int), ("seq", int), ("sink_timestamp_us", int)),
+    "buffered": (("assoc_id", int), ("depth", int), ("seq", int)),
+    "evicted": (("assoc_id", int), ("seq", int)),
+}
+
+
+class TypedEvent:
+    """One ``TYPED_EVENTS`` entry with its line templates, built at import.
+
+    A template is ``trace_line``'s text with ``%d`` for each int, ``%s`` for
+    the device text (an address, which needs no escaping), the seq and the
+    time. An event with a bool field (at most one) has a template for each
+    value, indexed by it, whose ``%.0s`` takes the bool and prints nothing.
+    """
+
+    __slots__ = ("ev", "fields", "flag", "templates")
+
+    def __init__(self, ev: str, fields: tuple[tuple[str, type], ...]):
+        self.ev = ev
+        self.fields = tuple(name for name, _kind in fields)
+        flags = [i for i, (_name, kind) in enumerate(fields) if kind is bool]
+        if len(flags) > 1:
+            raise ValueError(f"{ev}: at most one bool field")
+        self.flag = flags[0] if flags else None
+
+        slots = {int: ("%d", "%d"), bool: ("false%.0s", "true%.0s")}  # by kind, then flag
+
+        def template(flag: bool) -> str:
+            detail = ",".join(_encode_str(name) + ":" + slots[kind][flag] for name, kind in fields)
+            return '{"detail":{%s},"dev":"%%s","ev":%s,"seq":%%d,"t_us":%%d}\n' % (
+                detail, _encode_str(ev)
+            )
+
+        self.templates = (template(False), template(True))
+
+    def line(self, values: tuple, dev: str, seq: int, t_us: SimTime) -> str:
+        """The event's trace line."""
+        flag = self.flag
+        return self.templates[0 if flag is None else values[flag]] % (*values, dev, seq, t_us)
+
+
+TYPED = {ev: TypedEvent(ev, fields) for ev, fields in TYPED_EVENTS.items()}
 
 
 class TraceEvent(NamedTuple):
@@ -177,11 +231,13 @@ class Trace:
     ``append`` checks the time and numbers the event. Without an output it
     keeps the event as a ``TraceEvent`` in ``events``, and ``to_jsonl`` and
     ``sha256`` describe them. With an output (a text file set as ``out``
-    before the first event), it writes the event's ``trace_line`` and keeps
-    nothing, so ``events`` stays empty and memory does not grow with the
-    run. Either way ``feed``, when set, receives ``(t_us, ev, dev, detail)``
-    of each event whose name is in ``feed_events``, and ``len`` counts every
-    event.
+    before the first event), it writes the event's line and keeps nothing,
+    so ``events`` stays empty and memory does not grow with the run. Either
+    way ``feed``, when set, receives ``(t_us, ev, dev, detail)`` of each
+    event whose name is in ``feed_events``, and ``len`` counts every event.
+    A typed event (``typed`` given, ``detail`` its values in field order)
+    is written from its template, and its detail dict is built only to be
+    kept or fed.
     """
 
     def __init__(self):
@@ -192,16 +248,27 @@ class Trace:
         self._count = 0
         self._last_t_us: SimTime = 0
 
-    def append(self, t_us: SimTime, ev: str, dev: str, detail: dict) -> None:
+    def append(
+        self, t_us: SimTime, ev: str, dev: str, detail, typed: Optional[TypedEvent] = None
+    ) -> None:
         if t_us < self._last_t_us:
             raise ValueError(f"trace time went backwards: {t_us} < {self._last_t_us}")
         seq = self._count
         self._count = seq + 1
         self._last_t_us = t_us
-        if self.out is None:
+        out = self.out
+        if typed is not None:
+            if out is not None:
+                out.write(typed.line(detail, dev, seq, t_us))
+                if ev not in self.feed_events:
+                    return
+            # A display, not dict(), which takes new memory, not a dict from
+            # the free list; the free list then fills with what it frees.
+            detail = {name: value for name, value in zip(typed.fields, detail)}
+        if out is None:
             self.events.append(TraceEvent(t_us, seq, ev, dev, detail))
-        else:
-            self.out.write(trace_line(t_us, seq, ev, dev, detail))
+        elif typed is None:
+            out.write(trace_line(t_us, seq, ev, dev, detail))
         if ev in self.feed_events:
             self.feed(t_us, ev, dev, detail)
 
@@ -357,6 +424,11 @@ class Engine:
         for none), with ``detail`` as its fields."""
         self.trace.append(self.now, ev, "" if dev is None else dev._text or str(dev), detail)
 
+    def emit_typed(self, typed: TypedEvent, dev: DeviceAddress, *values) -> None:
+        """Append the typed event ``typed.ev`` at ``now``, about the device at
+        ``dev``, with ``values`` its fields in ``typed.fields`` order."""
+        self.trace.append(self.now, typed.ev, dev._text or str(dev), values, typed)
+
     # -- medium -------------------------------------------------------------
 
     def add_frame_handler(self, kind: FrameKind, fn: Callable) -> None:
@@ -393,30 +465,37 @@ class Engine:
         an unaddressed one has the sender's neighbour list. Range and
         frequency eligibility are evaluated now (transmit time); the loss
         draw happens per candidate in device registration order. A link
-        frame skips the frequency check.
+        frame sent by an end of its link skips the registration and
+        frequency checks.
         A ``draw_only`` frame's deliveries are returned but not scheduled.
         A frequency index outside [0, FREQ_COUNT) raises ``ValueError``
         before anything is drawn.
         """
         if not 0 <= frame.freq_index < FREQ_COUNT:
             raise ValueError(f"freq_index out of [0,{FREQ_COUNT - 1}]: {frame.freq_index}")
-        if sender.address not in self.devices:
+        link = frame.link
+        if link is not None and (sender is link.master or sender is link.slave):
+            # A link's ends are registered; the addressee is the other end,
+            # found by identity: the Device at frame.to.
+            addressee = link.slave if sender is link.master else link.master
+        elif sender.address not in self.devices:
             raise UnknownDevice(str(sender.address))
-        if frame.to is None:
-            candidates: Iterable[Device] = self._neighbours_of(sender)
+        elif frame.to is None:
+            addressee = None
         else:
-            link = frame.link
-            if link is None or (sender is not link.master and sender is not link.slave):
-                addressee = self.devices.get(frame.to)
-            else:  # the link's other end, by identity: the Device at frame.to
-                addressee = link.slave if sender is link.master else link.master
-            if addressee is None or addressee is sender or not self.in_range(sender, addressee):
+            addressee = self.devices.get(frame.to)
+            if addressee is None or addressee is sender:
                 return []
+        if addressee is None:
+            candidates: Iterable[Device] = self._neighbours_of(sender)
+        elif self.in_range(sender, addressee):
             candidates = (addressee,)
+        else:
+            return []
         medium, now, freq = self._medium, self.now, frame.freq_index
         deliveries: list[tuple[Device, SimTime]] = []
         for receiver in candidates:
-            if frame.link is None:
+            if link is None:
                 for provider in self._listen_providers:
                     if freq in provider(receiver, now):
                         break

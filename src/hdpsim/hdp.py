@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import DeviceAddress, SimTime
-from .engine import Device, Engine, Op, Retry
+from .engine import TYPED, Device, Engine, Op, Retry
 from .link import Link, LinkError, LinkManager, LinkState, PROTO_HDP
 from .mcap import (
     ChannelState,
@@ -351,6 +351,9 @@ class Association:
 # Receives (association, decoded measurement, sink timestamp in us).
 SinkCallback = Callable[[Association, Measurement, SimTime], None]
 
+_MEASUREMENT_TX, _MEASUREMENT_RX = TYPED["measurement_tx"], TYPED["measurement_rx"]
+_BUFFERED, _EVICTED = TYPED["buffered"], TYPED["evicted"]
+
 _MSG_ASSOC_REQ = 1
 _MSG_ASSOC_RSP = 2
 _MSG_ASSOC_REJECT = 3
@@ -617,30 +620,18 @@ class HdpManager:
 
     def _transmit(self, assoc: Association, measurement: Measurement, op: Op) -> None:
         self.mcap.send(assoc.reliable_mdl, assoc.source, measurement.encode(assoc.memo), op)
-        self.engine.emit(
-            "measurement_tx",
-            assoc.source.address,
-            assoc_id=assoc.assoc_id,
-            seq=measurement.seq,
+        self.engine.emit_typed(
+            _MEASUREMENT_TX, assoc.source.address, assoc.assoc_id, measurement.seq
         )
 
     def _buffer(self, assoc: Association, measurement: Measurement, op: Op) -> None:
         evicted = None
         if len(assoc.buffer) >= assoc.buffer_capacity:
             evicted_m, evicted = assoc.buffer.popleft()
-            self.engine.emit(
-                "evicted",
-                assoc.source.address,
-                assoc_id=assoc.assoc_id,
-                seq=evicted_m.seq,
-            )
+            self.engine.emit_typed(_EVICTED, assoc.source.address, assoc.assoc_id, evicted_m.seq)
         assoc.buffer.append((measurement, op))
-        self.engine.emit(
-            "buffered",
-            assoc.source.address,
-            assoc_id=assoc.assoc_id,
-            seq=measurement.seq,
-            depth=len(assoc.buffer),
+        self.engine.emit_typed(
+            _BUFFERED, assoc.source.address, assoc.assoc_id, len(assoc.buffer), measurement.seq
         )
         if evicted is not None:  # last, so its callbacks see the buffer as it is
             evicted.resolve(SendStatus.EVICTED)
@@ -663,12 +654,8 @@ class HdpManager:
         measurement = Measurement.decode(payload, assoc.memo)
         offset = assoc.clock_map.offset_us if assoc.clock_map is not None else 0
         sink_ts = measurement.source_timestamp_us - offset
-        self.engine.emit(
-            "measurement_rx",
-            assoc.sink.address,
-            assoc_id=assoc.assoc_id,
-            seq=measurement.seq,
-            sink_timestamp_us=sink_ts,
+        self.engine.emit_typed(
+            _MEASUREMENT_RX, assoc.sink.address, assoc.assoc_id, measurement.seq, sink_ts
         )
         on_reading = self._sink_callbacks.get(assoc.sink.address)
         if on_reading is not None:
@@ -737,7 +724,7 @@ class HdpManager:
             # Queued items carry channel seqs, which skip evicted readings,
             # so the sink's receive watermark on the channel tells which
             # of them arrived.
-            received = channel.rx_last.get(assoc.source.address, 0)
+            received = channel.sender(assoc.source.address).rx_last
             abandoned += self.mcap.abandon_pending(
                 channel, assoc.source.address, range(1, received + 1)
             )

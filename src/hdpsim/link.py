@@ -315,12 +315,14 @@ class LinkManager:
     # -- paging -------------------------------------------------------------
 
     def page(self, initiator: Device, target: DeviceAddress) -> Op:
-        """Connect to a discovered device; initiator becomes the master.
+        """Connect to a discovered device; initiator becomes the master of a
+        new link. A lost link is restored with its master unchanged.
 
         Raises immediately when the page cannot succeed: the target is
         unknown or undiscovered, refuses connections, is out of radio
-        range, or the initiator's piconet is full. Paging an endpoint of an
-        existing live link returns an op already resolved to that link.
+        range, or the page would add a slave to the initiator's full
+        piconet. Paging an endpoint of an existing live link returns an op
+        already resolved to that link.
         """
         target_dev = self.engine.device(target)
         if target == initiator.address:
@@ -335,8 +337,9 @@ class LinkManager:
             raise NotConnectable(str(target))
         if not self.engine.in_range(initiator, target_dev):
             raise Unreachable(f"{target} out of radio range")
-        piconet = self.piconet(initiator.address)
-        if target not in piconet and len(piconet) >= MAX_SLAVES:
+        # A lost link is restored with its master unchanged, so re-paging it
+        # adds no slave to the pager's piconet, whichever end pages.
+        if existing is None and len(self.piconet(initiator.address)) >= MAX_SLAVES:
             raise PiconetFull(f"{initiator.address} already has {MAX_SLAVES} slaves")
         pending = self._pages.get(key)
         if pending is not None:

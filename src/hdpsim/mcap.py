@@ -38,10 +38,10 @@ import enum
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Container
+from typing import Callable, Container, Optional
 
 from .core import DeviceAddress, SimTime
-from .engine import Device, Engine, Op, Retry
+from .engine import TYPED, Device, Engine, Op, Retry
 from .link import Link, LinkError, LinkManager, LinkState, PROTO_MCAP
 from .params import SimParams
 from .security import NotAuthenticated, apply_cipher
@@ -103,6 +103,8 @@ _HANDSHAKES = {
 }
 _ANSWERS = {answer: kind for kind, (_request, answer) in _HANDSHAKES.items()}
 
+_MDL_SEND, _MDL_RX, _MDL_ACK = TYPED["mdl_send"], TYPED["mdl_rx"], TYPED["mdl_ack"]
+
 _DATA_HEADER = struct.Struct(">HIBq")
 _FLAG_RELIABLE = 1
 _FLAG_ENCRYPTED = 2
@@ -142,26 +144,49 @@ class ClockSyncResult:
     rtt_us: int
 
 
+class SenderState:
+    """One sender's side of a data channel: the seq of its last payload, its
+    queue of unacknowledged payloads (reliable channels), the ``Retry``
+    resending the queue head while the channel is active, and the receiver's
+    watermark, the last seq it took in order from this sender."""
+
+    __slots__ = ("tx_seq", "queue", "retx", "rx_last")
+
+    def __init__(self):
+        self.tx_seq = 0
+        self.queue: deque[_QueuedItem] = deque()
+        self.retx: Optional[Retry] = None
+        self.rx_last = 0
+
+
 @dataclass
 class DataChannel:
-    """One logical data pipe between a pair; shared by both endpoints."""
+    """One logical data pipe between a pair; shared by both endpoints.
+
+    ``senders`` holds one ``SenderState`` per sending address, so each
+    payload, ack and receipt looks its sender up once.
+    """
 
     control: "ControlChannel"
     mdl_id: int
     reliable: bool
     state: ChannelState = ChannelState.ACTIVE
-    tx_seq: dict[DeviceAddress, int] = field(default_factory=dict)
-    rx_last: dict[DeviceAddress, int] = field(default_factory=dict)
-    queue: dict[DeviceAddress, deque] = field(default_factory=dict)
-    # sender -> the Retry resending its queue head, while the channel is active
-    _retx: dict[DeviceAddress, Retry] = field(default_factory=dict)
+    senders: dict[DeviceAddress, SenderState] = field(default_factory=dict)
     _receivers: list[Callable] = field(default_factory=list)
 
     def on_receive(self, fn: Callable[["DataChannel", DeviceAddress, bytes, SimTime], None]) -> None:
         self._receivers.append(fn)
 
+    def sender(self, address: DeviceAddress) -> SenderState:
+        """The state of ``address``'s side, made on first use."""
+        state = self.senders.get(address)
+        if state is None:
+            state = self.senders[address] = SenderState()
+        return state
+
     def pending_count(self, sender: DeviceAddress) -> int:
-        return len(self.queue.get(sender, ()))
+        state = self.senders.get(sender)
+        return 0 if state is None else len(state.queue)
 
 
 @dataclass
@@ -217,9 +242,10 @@ class McapManager:
                     )
 
     def _halt_retx(self, channel: DataChannel) -> None:
-        for retry in channel._retx.values():
-            retry.resolve()
-        channel._retx.clear()
+        for state in channel.senders.values():
+            if state.retx is not None:
+                state.retx.resolve()
+                state.retx = None
 
     # -- wire helpers -------------------------------------------------------
 
@@ -378,7 +404,7 @@ class McapManager:
                 pending=channel.pending_count(initiator.address),
             )
             op.resolve(channel)
-            self._pump(channel, initiator)
+            self._pump(channel, initiator, channel.sender(initiator.address))
 
         return self._handshake(control, initiator, "reconnect", mdl_id, op, complete)
 
@@ -390,7 +416,7 @@ class McapManager:
         if channel.state is ChannelState.SUSPENDED:
             channel.state = ChannelState.ACTIVE
         self._tx(control, receiver, _OP_RECONNECT_ACCEPT, struct.pack(">H", mdl_id))
-        self._pump(channel, receiver)
+        self._pump(channel, receiver, channel.sender(receiver.address))
 
     # -- close --------------------------------------------------------------
 
@@ -430,10 +456,13 @@ class McapManager:
         (the peer already has them); the rest are abandoned. Returns the
         abandoned count.
         """
-        items = channel.queue.pop(sender, ())
-        retry = channel._retx.pop(sender, None)
-        if retry is not None:
-            retry.resolve()
+        state = channel.senders.get(sender)
+        if state is None:
+            return 0
+        items, state.queue = state.queue, deque()
+        if state.retx is not None:
+            state.retx.resolve()
+            state.retx = None
         abandoned = 0
         for item in items:
             if item.seq in delivered_seqs:
@@ -448,8 +477,10 @@ class McapManager:
             return
         channel.state = ChannelState.CLOSED
         self._halt_retx(channel)
-        items = [item for queue in channel.queue.values() for item in queue]
-        channel.queue.clear()
+        items = []
+        for state in channel.senders.values():
+            items += state.queue
+            state.queue.clear()
         self.engine.emit(
             "mdl_close", by, mdl_id=channel.mdl_id, mode=mode, abandoned=len(items)
         )
@@ -494,14 +525,13 @@ class McapManager:
         limit = link.params.page_size_bytes
         if len(payload) > limit:
             raise McapError(f"payload of {len(payload)} bytes exceeds page size {limit}")
-        seq = channel.tx_seq.get(sender.address, 0) + 1
-        channel.tx_seq[sender.address] = seq
+        state = channel.sender(sender.address)
+        seq = state.tx_seq = state.tx_seq + 1
         if op is None:
             op = Op()
         if channel.reliable:
-            queue = channel.queue.setdefault(sender.address, deque())
-            queue.append(_QueuedItem(seq=seq, payload=payload, op=op))
-            self._pump(channel, sender)
+            state.queue.append(_QueuedItem(seq=seq, payload=payload, op=op))
+            self._pump(channel, sender, state)
             return op
         if (
             channel.state is ChannelState.SUSPENDED
@@ -537,31 +567,23 @@ class McapManager:
             )
         except LinkError:
             return False
-        self.engine.emit(
-            "mdl_send",
-            sender.address,
-            mdl_id=channel.mdl_id,
-            seq=seq,
-            retx=attempts,
-            bytes=len(payload),
+        self.engine.emit_typed(
+            _MDL_SEND, sender.address, len(payload), channel.mdl_id, attempts, seq
         )
         return bool(deliveries)
 
-    def _pump(self, channel: DataChannel, sender: Device) -> None:
-        """Start resending the sender's queue head, unless one is in flight."""
-        addr = sender.address
-        if channel.state is not ChannelState.ACTIVE or addr in channel._retx:
+    def _pump(self, channel: DataChannel, sender: Device, state: SenderState) -> None:
+        """Start resending the sender's queue head, unless one is in flight;
+        ``state`` is the sender's side of the channel."""
+        if channel.state is not ChannelState.ACTIVE or state.retx is not None or not state.queue:
             return
-        queue = channel.queue.get(addr)
-        if not queue:
-            return
-        item = queue[0]
+        item = state.queue[0]
 
         def send() -> None:
             self._tx_data(channel, sender, item.seq, item.payload, item.attempts)
             item.attempts += 1
 
-        channel._retx[addr] = Retry(self.engine, send, self.params.retransmit_interval_us).start()
+        state.retx = Retry(self.engine, send, self.params.retransmit_interval_us).start()
 
     def _on_data(
         self, control: ControlChannel, receiver: Device, from_addr: DeviceAddress, body: bytes, now: SimTime
@@ -576,8 +598,10 @@ class McapManager:
             if link.link_key is None:
                 return
             payload = apply_cipher(link.link_key, clock, payload)
-        if flags & _FLAG_RELIABLE:
-            last = channel.rx_last.get(from_addr, 0)
+        reliable = bool(flags & _FLAG_RELIABLE)
+        if reliable:
+            state = channel.sender(from_addr)
+            last = state.rx_last
             if seq <= last:
                 self._tx(
                     control, receiver, _OP_DATA_ACK, struct.pack(">HI", mdl_id, seq)
@@ -585,16 +609,9 @@ class McapManager:
                 return
             if seq != last + 1:
                 return
-            channel.rx_last[from_addr] = seq
+            state.rx_last = seq
             self._tx(control, receiver, _OP_DATA_ACK, struct.pack(">HI", mdl_id, seq))
-        self.engine.emit(
-            "mdl_rx",
-            receiver.address,
-            mdl_id=mdl_id,
-            seq=seq,
-            bytes=len(payload),
-            reliable=bool(flags & _FLAG_RELIABLE),
-        )
+        self.engine.emit_typed(_MDL_RX, receiver.address, len(payload), mdl_id, reliable, seq)
         for fn in list(channel._receivers):
             fn(channel, from_addr, payload, now)
 
@@ -603,19 +620,18 @@ class McapManager:
         channel = control.channels.get(mdl_id)
         if channel is None:
             return
-        addr = receiver.address
-        retry = channel._retx.get(addr)
+        state = channel.senders.get(receiver.address)
         # An ack with no live retry (the channel was suspended or settled
         # meanwhile) or for an older seq is ignored; the queue is non-empty
         # while its retry lives.
-        if retry is None or channel.queue[addr][0].seq != seq:
+        if state is None or state.retx is None or state.queue[0].seq != seq:
             return
-        del channel._retx[addr]
-        retry.resolve()
-        item = channel.queue[addr].popleft()
-        self.engine.emit("mdl_ack", addr, mdl_id=mdl_id, seq=seq)
+        state.retx.resolve()
+        state.retx = None
+        item = state.queue.popleft()
+        self.engine.emit_typed(_MDL_ACK, receiver.address, mdl_id, seq)
         item.op.resolve(SendStatus.DELIVERED)
-        self._pump(channel, receiver)
+        self._pump(channel, receiver, state)
 
     # -- clock sync ---------------------------------------------------------
 

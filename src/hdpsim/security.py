@@ -11,8 +11,12 @@ link key and clock so that both ends compute the same stream.
 
 Every keyed computation runs through one PRF that copies HMAC-SHA256 state
 keyed once (RFC 2104's inner and outer hashes after the padded key). A
-``LinkKey`` keys its state when made and reuses it for every keystream block;
-the state lives and dies with the key.
+``LinkKey`` keys its state when made and reuses it for every keystream block.
+It also caches its last cipher call as ``(clock, output, input)``: XOR with
+one stream is its own inverse, so the receiver of a payload, deciphering the
+sender's output at the sender's clock, gets the sender's input back without
+making the stream again. The cache compares the whole output, so it answers
+exactly. Both live and die with the key.
 """
 
 from __future__ import annotations
@@ -67,10 +71,10 @@ class LinkKey:
     def __post_init__(self):
         if len(self.value) != KEY_LEN:
             raise ValueError(f"link key must be {KEY_LEN} bytes")
-        # Keyed PRF state for the keystream and the last stream made with it,
-        # (clock_us, length, stream); attributes, not fields.
+        # Keyed PRF state for the keystream and the last cipher call made
+        # with it, (clock_us, output, input); attributes, not fields.
         object.__setattr__(self, "_state", _keyed_state(self.value))
-        object.__setattr__(self, "_last_stream", (None, 0, b""))
+        object.__setattr__(self, "_last_cipher", (None, b"", b""))
 
     def hash8(self) -> str:
         """Short correlation tag for traces; never the key itself."""
@@ -148,24 +152,24 @@ def authenticate(
 
 
 def keystream(key: LinkKey, clock_us: SimTime, length: int) -> bytes:
-    """Deterministic cipher stream for one payload at one clock value.
-
-    The key keeps the last stream it made, so the receiver of a payload,
-    deciphering at the sender's clock, reuses the sender's stream.
-    """
-    last_clock, last_length, stream = key._last_stream
-    if last_clock == clock_us and last_length == length:
-        return stream
-    seed = _CIPHER_PREFIX + clock_us.to_bytes(8, "big", signed=True)
-    blocks = -(-length // KEY_LEN)
-    stream = b"".join(_prf(key._state, seed + i.to_bytes(4, "big")) for i in range(blocks))
-    stream = stream[:length]
-    object.__setattr__(key, "_last_stream", (clock_us, length, stream))
-    return stream
+    """Deterministic cipher stream for one payload at one clock value."""
+    return apply_cipher(key, clock_us, bytes(length))
 
 
 def apply_cipher(key: LinkKey, clock_us: SimTime, payload: bytes) -> bytes:
-    """XOR the payload with the link keystream; applying twice restores it."""
+    """XOR the payload with the link keystream; applying twice restores it.
+
+    The stream is the PRF of the clock and a block counter, one 16-byte
+    block at a time. The payload that the key's last call output at the
+    same clock is answered from the key's cache (see the module docstring).
+    """
+    last_clock, last_output, last_input = key._last_cipher
+    if last_clock == clock_us and last_output == payload:
+        return last_input
     n = len(payload)
-    stream = keystream(key, clock_us, n)
-    return (int.from_bytes(payload, "big") ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
+    seed = _CIPHER_PREFIX + clock_us.to_bytes(8, "big", signed=True)
+    blocks = range(-(-n // KEY_LEN))
+    stream = b"".join([_prf(key._state, seed + i.to_bytes(4, "big")) for i in blocks])[:n]
+    output = (int.from_bytes(payload, "big") ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
+    object.__setattr__(key, "_last_cipher", (clock_us, output, payload))
+    return output

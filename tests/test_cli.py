@@ -125,13 +125,19 @@ def test_simulate_writes_trace_and_metrics(scenario_file, tmp_path, capsys):
 @pytest.mark.parametrize("level", [logging.WARNING, logging.INFO], ids=["warn", "info"])
 def test_simulate_serialises_the_trace_once(scenario_file, tmp_path, monkeypatch, caplog, level):
     serialised, to_jsonl_calls = [], []
-    trace_line = engine.trace_line
+    trace_line, typed_line = engine.trace_line, engine.TypedEvent.line
 
     def counted(t_us, seq, ev, dev, detail):
         serialised.append(seq)
         return trace_line(t_us, seq, ev, dev, detail)
 
+    def counted_typed(typed, values, dev, seq, t_us):
+        serialised.append(seq)
+        return typed_line(typed, values, dev, seq, t_us)
+
+    # A line is made by trace_line or, for a typed event, by its template.
     monkeypatch.setattr(engine, "trace_line", counted)
+    monkeypatch.setattr(engine.TypedEvent, "line", counted_typed)
     monkeypatch.setattr(engine, "TraceEvent", None)  # a streamed run builds none
     monkeypatch.setattr(Trace, "to_jsonl", lambda trace: to_jsonl_calls.append(1) or "")
     caplog.set_level(level, logger="hdpsim")

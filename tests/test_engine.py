@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdpsim.core import DeviceConfig, encode_name
+from hdpsim.core import MAX_ADDRESS, DeviceAddress, DeviceConfig, encode_name
 from hdpsim.discovery import DiscoverabilityMode, sweep_slots
 from hdpsim.engine import (
     Engine,
@@ -18,6 +18,8 @@ from hdpsim.engine import (
     MediumModel,
     RadioFrame,
     SchedulingInPast,
+    TYPED,
+    TYPED_EVENTS,
     Trace,
     TraceEvent,
     UnknownDevice,
@@ -802,3 +804,38 @@ def test_trace_line_equals_json_dumps_of_the_event(t_us, seq, ev, dev, detail):
         trace.append(t_us, ev, dev, detail)
     assert streamed.out.getvalue() == kept.to_jsonl() == dumped(0)
     assert streamed.events == [] and len(streamed) == 1
+
+
+_TYPED_VALUES = {
+    int: st.integers() | st.sampled_from([0, -1, 2**53, 2**53 + 1, -(2**63), 2**64 + 7]),
+    bool: st.booleans(),
+}
+
+
+@settings(max_examples=300)
+@given(
+    data=st.data(),
+    ev=st.sampled_from(sorted(TYPED_EVENTS)),
+    t_us=st.integers(0, 2**62),
+    seq=st.integers(0, 2**40),
+    dev=st.integers(0, MAX_ADDRESS).map(lambda v: str(DeviceAddress(v))),
+    fed=st.booleans(),
+)
+def test_typed_lines_equal_trace_line_of_the_event(data, ev, t_us, seq, dev, fed):
+    """A typed event's template writes ``trace_line``'s bytes, and a kept or
+    fed typed event carries the detail dict of its values."""
+    kinds = TYPED_EVENTS[ev]
+    values = tuple(data.draw(_TYPED_VALUES[kind], label=name) for name, kind in kinds)
+    detail = {name: value for (name, _kind), value in zip(kinds, values)}
+    assert list(detail) == sorted(detail)
+    assert TYPED[ev].line(values, dev, seq, t_us) == trace_line(t_us, seq, ev, dev, detail)
+    fed_events = []
+    kept, streamed = Trace(), Trace()
+    streamed.out = io.StringIO()
+    for trace in (kept, streamed):
+        trace.feed = lambda *event: fed_events.append(event)
+        trace.feed_events = frozenset({ev} if fed else ())
+        trace.append(t_us, ev, dev, values, TYPED[ev])
+    assert streamed.out.getvalue() == kept.to_jsonl() == trace_line(t_us, 0, ev, dev, detail)
+    assert kept.events == [TraceEvent(t_us, 0, ev, dev, detail)] and streamed.events == []
+    assert fed_events == ([(t_us, ev, dev, detail)] * 2 if fed else [])

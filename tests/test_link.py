@@ -247,6 +247,7 @@ TOPOLOGY_STEPS = st.tuples(st.sampled_from(["page", "page", "switch", "drop"]), 
     + [("page", (0, 9)), ("page", (8, 0)), ("switch", (8, 0)), ("drop", (0, 1)), ("page", (0, 9))]
     + [("switch", (0, 2)), ("page", (0, 9)), ("switch", (8, 0)), ("page", (1, 9)), ("page", (0, 1))]
 )
+@example([("page", (0, i)) for i in range(1, 8)] + [("page", (8, 0)), ("drop", (8, 0)), ("page", (0, 8))])
 @given(st.lists(TOPOLOGY_STEPS, min_size=1, max_size=20))
 def test_the_piconet_view_is_the_links_each_device_masters(steps):
     stack = make_stack()
@@ -261,7 +262,9 @@ def test_the_piconet_view_is_the_links_each_device_masters(steps):
             stack.discovery.note_known(pager.address, target.address)
             if live:
                 assert links.page(pager, target.address).result is link
-            elif len(view) >= MAX_SLAVES and target.address not in view:
+            elif link is None and len(view) >= MAX_SLAVES:
+                # Only a new link adds a slave: a lost one is restored with
+                # its master unchanged, whichever end pages.
                 with pytest.raises(PiconetFull):
                     links.page(pager, target.address)
             else:
@@ -282,6 +285,22 @@ def test_the_piconet_view_is_the_links_each_device_masters(steps):
             assert links.piconet(device.address) == {
                 lk.slave.address: lk for lk in links.links.values() if lk.master is device
             }
+
+
+def test_a_full_master_re_pages_a_lost_link_it_is_the_slave_of():
+    stack = make_stack()
+    hub = add_device(stack, 0)
+    for i in range(1, MAX_SLAVES + 1):
+        connect(stack, hub, add_device(stack, i, position=(float(i % 3), float(i // 3))))
+    eighth = add_device(stack, MAX_SLAVES + 1, position=(1.0, 1.0))
+    link, _ = connect(stack, eighth, hub)
+    assert len(stack.links.piconet(hub.address)) == MAX_SLAVES
+    stack.links.drop_link(hub.address, eighth.address)
+    restored, attempt = connect(stack, hub, eighth)
+    assert restored is link and attempt.result is link
+    assert link.state is LinkState.CONNECTED and link.master is eighth
+    assert len(stack.links.piconet(hub.address)) == MAX_SLAVES
+    assert stack.links.topology_violations() == []
 
 
 def supervision_timers(stack):

@@ -180,6 +180,42 @@ def test_streaming_send_drops_while_link_down():
     assert drops[-1].detail["reason"] == "link_down"
 
 
+def test_streamed_bytes_of_streaming_and_reliable_channels_equal_the_kept_trace():
+    # The goldens never stream a payload, so "reliable":false lines and
+    # mdl_drop are covered here: a streamed, fed run writes the kept bytes.
+    import io
+
+    from hdpsim.engine import MediumModel
+    from hdpsim.metrics import MetricsFold, compute_metrics, metrics_json
+
+    def run(out):
+        stack = make_stack(seed=7)
+        trace = stack.engine.trace
+        fold = MetricsFold()
+        trace.out, trace.feed, trace.feed_events = out, fold.feed, MetricsFold.EVENTS
+        a, b, _, control = control_pair(stack)
+        streaming = open_channel(stack, control, a, reliable=False)
+        reliable = open_channel(stack, control, b)
+        stack.engine.medium = MediumModel(loss_probability=0.4)
+        for i in range(30):
+            stack.mcap.send(streaming, a, b"s%d" % i)
+            stack.mcap.send(reliable, b, b"r%d" % i)
+            stack.engine.run_until(stack.engine.now + 30_000)
+        stack.links.drop_link(a.address, b.address)
+        stack.mcap.send(streaming, a, b"after the drop")
+        return trace, fold.report()
+
+    streamed = io.StringIO()
+    _trace, streamed_report = run(streamed)
+    kept, kept_report = run(None)
+    text = streamed.getvalue()
+    assert text == kept.to_jsonl()
+    assert metrics_json(streamed_report) == metrics_json(compute_metrics(kept.events))
+    assert '"reliable":false' in text and '"reliable":true' in text
+    assert '"reason":"loss"' in text and '"reason":"link_down"' in text
+    assert '"ev":"mdl_ack"' in text and '"retx":1' in text
+
+
 def test_reliable_queue_survives_link_loss_and_resumes():
     stack = make_stack()
     a, b, _, control = control_pair(stack)

@@ -15,6 +15,16 @@ from hdpsim.mcap import ChannelState, LinkDown, McapTimeout, SendStatus, SyncTim
 from conftest import add_device, connect, make_stack, paired_pair, run_while
 
 
+def queues(channel):
+    """Sender -> its queue of unacknowledged payloads."""
+    return {address: state.queue for address, state in channel.senders.items()}
+
+
+def retries(channel):
+    """Sender -> the Retry resending its queue head, for each that has one."""
+    return {a: state.retx for a, state in channel.senders.items() if state.retx is not None}
+
+
 def assert_nothing_pending(stack):
     assert stack.links._pages == {}
     controls = [link.control for link in stack.links.links.values() if link.control is not None]
@@ -28,10 +38,10 @@ def assert_nothing_pending(stack):
     # sender's queue holds the payload it resends.
     for control in controls:
         for channel in control.channels.values():
-            if channel.state is not ChannelState.ACTIVE or not any(channel.queue.values()):
-                assert channel._retx == {}
-            for sender in channel._retx:
-                assert channel.queue.get(sender)
+            if channel.state is not ChannelState.ACTIVE or not any(queues(channel).values()):
+                assert retries(channel) == {}
+            for sender in retries(channel):
+                assert queues(channel).get(sender)
 
 
 def control_pair(stack):
@@ -182,7 +192,7 @@ def test_unacknowledged_head_is_resent_every_retransmit_interval(monkeypatch):
     op = stack.mcap.send(channel, a, b"head")
     stack.engine.run_until(t + 250_000)
     assert sends_of(stack) == [(t, 0), (t + 100_000, 1), (t + 200_000, 2)]
-    assert not op.done and list(channel._retx) == [a.address]
+    assert not op.done and list(retries(channel)) == [a.address]
     assert_nothing_pending(stack)
 
 
@@ -195,7 +205,7 @@ def test_suspended_channel_resends_nothing_until_reconnect(monkeypatch):
     op = stack.mcap.send(channel, a, b"head")
     stack.engine.run_until(t + 150_000)
     stack.links.drop_link(a.address, b.address)
-    assert channel.state is ChannelState.SUSPENDED and channel._retx == {}
+    assert channel.state is ChannelState.SUSPENDED and retries(channel) == {}
     assert_nothing_pending(stack)
     stack.engine.run_until(t + 2_000_000)
     assert sends_of(stack) == [(t, 0), (t + 100_000, 1)]
@@ -243,7 +253,7 @@ def test_a_reading_has_one_op_from_submit_to_the_channel_queue():
     op = stack.hdp.send_measurement(
         assoc, {"heart_rate_bpm": 61, "filling_duration_ms": 300, "ascending_wave_index_pct": 40}
     )
-    (item,) = assoc.reliable_mdl.queue[a.address]
+    (item,) = queues(assoc.reliable_mdl)[a.address]
     assert item.op is op and op._callbacks is None
     stack.engine.run_until(stack.engine.now + 20_000)
     assert op.result is SendStatus.DELIVERED

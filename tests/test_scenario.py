@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hdpsim.core import DeviceAddress
 from hdpsim.discovery import ConnectabilityMode, DiscoverabilityMode
+from hdpsim.engine import TYPED_EVENTS
 from hdpsim.hdp import ChannelKind, Specialization
 from hdpsim.metrics import compute_metrics, emit_metrics, metrics_json
 from hdpsim.runner import HANDLERS, ScenarioRun, run_scenario
@@ -346,6 +347,14 @@ def test_readme_device_fields_match_the_schema():
         assert rule.startswith("required") == spec.required, name
         if spec.default is not None:
             assert default == f"`{_json_default(spec.default)}`", name
+
+
+def test_readme_per_reading_events_match_the_typed_event_table():
+    rows = _readme_table("event")
+    assert set(rows) == set(TYPED_EVENTS)
+    for ev, fields in TYPED_EVENTS.items():
+        documented = re.findall(r"`([a-z_]+)` \((int|bool)\)", rows[ev][0])
+        assert documented == [(name, kind.__name__) for name, kind in fields], ev
 
 
 def test_readme_python_blocks_run(tmp_path, monkeypatch):

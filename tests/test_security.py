@@ -165,6 +165,23 @@ def test_interleaved_ciphers_over_two_keys_equal_the_uncached_keystream(calls):
         )
 
 
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0, 1, 777]), st.binary(max_size=40), st.booleans()),
+        max_size=30,
+    )
+)
+def test_cached_cipher_answers_equal_the_reference(calls):
+    # Each call ciphers a fresh payload or the last output, which at the last
+    # clock the key answers from its cache: the receiver of a frame.
+    key = LinkKey(bytes.fromhex("f32e31cff3cd1ad29727b6e70ca2d439"))
+    last = b""
+    for clock, payload, decipher_last in calls:
+        data = last if decipher_last else payload
+        last = apply_cipher(key, clock, data)
+        assert last == _reference_cipher(key, clock, data)
+
+
 @given(st.binary(max_size=100), st.binary(max_size=100))
 def test_keyed_prf_equals_hmac_for_any_key_length(key, msg):
     # Keys longer than the 64-byte SHA-256 block are hashed first (RFC 2104).
