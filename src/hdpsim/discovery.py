@@ -16,27 +16,28 @@ depends only on its clock offset, so the slots are computed once per distinct
 offset among the other devices, not once per device. Each inquirer's set of
 offsets is kept until the device count changes: devices are never removed
 and offsets are frozen config. A response from a device the inquiry has
-already found still makes its loss and jitter draws, but it is not queued
-when it must land before the deadline, where the inquiry would ignore it.
+already found is queued like any other and ignored when it lands.
 
 A sweep slot is not broadcast at all when, at its own time, the medium draws
 nothing (no loss, no jitter), ``now + 2 * propagation_us`` is before the
-deadline, ``_on_inquiry`` is the only inquiry handler and every device in the
-inquirer's range is in ``_seen``: each delivery would end in such a response,
-so only event ids are saved. An unseen neighbour blocks this even when it is
-non-discoverable, since its mode is read when the frame lands.
+deadline, discovery's handlers are the only inquiry and response handlers
+and every device in the inquirer's range is in ``_seen``: each delivery
+would end in a response that draws nothing and is ignored, so only events
+are saved. An unseen neighbour blocks this even when it is non-discoverable,
+since its mode is read when the frame lands.
 
 A cycle event settles a run of cycles inline when jitter is 0, each slot's
 deliveries land before the next slot (the next cycle's first included),
-``_on_inquiry`` is the only inquiry handler and every device in range is in
-``_seen`` or cannot answer (non-discoverable, or limited with its window
-closed when the first frame lands). The run stops short of the deadline and
-of ``Engine.settle_limit``: the first queued event or the ``run_until``
-bound. Its listen checks and loss draws are made early but in the plain
+discovery's handlers are the only inquiry and response handlers and every
+device in range is in ``_seen`` or cannot answer (non-discoverable, or
+limited with its window closed when the first frame lands). The run stops
+short of the deadline and of ``Engine.settle_limit``: the first queued event
+or the ``run_until`` bound. Its listen checks and loss draws are made early but in the plain
 path's order: per unquiet slot, the inquiry's per neighbour in registration
 order, then a repeat response's per delivered copy. It sets aside the ids
-of the events it replaces and queues the first cycle it does not settle, so
-trace, event ids and generator state are unchanged. An unseen
+of the events it replaces (cycles, slots, and the deliveries of inquiry
+frames and of repeat responses) and queues the first cycle it does not
+settle, so trace, event ids and generator state are unchanged. An unseen
 non-discoverable neighbour no longer keeps a settled run sending, though it
 still keeps its slots from being quiet.
 """
@@ -159,9 +160,6 @@ class DiscoveryManager:
         self._known: dict[DeviceAddress, set[DeviceAddress]] = {}
         # inquirer -> its running inquiry; a finished one is removed
         self._active: dict[Device, Inquiry] = {}
-        # device -> its inquiry response payload (address, name); the config
-        # it is built from is frozen
-        self._responses: dict[Device, bytes] = {}
         # inquirer -> (engine device count, clock offsets of the other devices)
         self._offsets: dict[Device, tuple[int, set[int]]] = {}
         engine.add_frame_handler(FrameKind.INQUIRY, self._on_inquiry)
@@ -260,7 +258,7 @@ class DiscoveryManager:
         inquirer = inquiry.device
         for slot, freq in slots:
             frame = tuple.__new__(
-                RadioFrame, (inquirer.address, freq, FrameKind.INQUIRY, b"", None, None, False)
+                RadioFrame, (inquirer.address, freq, FrameKind.INQUIRY, b"", None, None)
             )
             if slot == now:
                 self._sweep(inquiry, frame)
@@ -291,7 +289,6 @@ class DiscoveryManager:
         if (
             medium.jitter_us
             or p >= gap
-            or len(engine._frame_handlers[FrameKind.INQUIRY]) != 1  # _on_inquiry
             or not self._ignores(
                 inquiry, [d for d in engine._neighbours_of(inquirer) if self._answers(d, first)],
                 first,
@@ -300,7 +297,7 @@ class DiscoveryManager:
             return False
         # Only the time part of _quiet varies, and every settled slot meets it.
         quiet = self._quiet(inquiry, now)
-        ids = 0  # of the cycle, slot and delivery events the run replaces
+        ids = 0  # of the cycle, slot, delivery and response events the run replaces
         start, stable = now, 0
         while start < limit and not (slots and slots[-1][0] + 2 * p >= limit):
             ids += start > now  # this cycle's event; the first one is firing
@@ -326,7 +323,7 @@ class DiscoveryManager:
 
     def _settle_slot(self, inquiry: Inquiry, slot: SimTime, freq: int) -> int:
         """The listen checks and draws of the unquiet sweep slot at ``slot``
-        and of its repeat responses; returns how many copies it delivers."""
+        and of its repeat responses; returns how many deliveries they make."""
         engine = self.engine
         providers, rng = engine._listen_providers, engine.rng
         loss = engine.medium.loss_probability
@@ -338,26 +335,25 @@ class DiscoveryManager:
                     if loss == 0.0 or rng.random() >= loss:
                         delivered.append(device)
                     break
+        responses = 0
         for device in delivered:
             if self._answers(device, at):
                 for listening in providers:
                     if freq in listening(inquirer, at):
-                        if loss > 0.0:
-                            rng.random()
+                        responses += loss == 0.0 or rng.random() >= loss
                         break
-        return len(delivered)
+        return len(delivered) + responses
 
     def _quiet(self, inquiry: Inquiry, t: SimTime) -> bool:
         """Whether the sweep slot at ``t`` can go unsent: the medium draws
-        nothing, discovery's handler is the only inquiry handler, and every
-        device in range would send a response the inquiry ignores."""
+        nothing, and every device in range would send a response that
+        changes nothing (``_ignores``)."""
         engine = self.engine
         medium = engine.medium
         at = t + medium.propagation_us
         return (
             medium.loss_probability == 0.0
             and medium.jitter_us == 0
-            and len(engine._frame_handlers[FrameKind.INQUIRY]) == 1  # _on_inquiry
             and self._ignores(inquiry, engine._neighbours_of(inquiry.device), at)
         )
 
@@ -369,11 +365,15 @@ class DiscoveryManager:
         )
 
     def _ignores(self, inquiry: Inquiry, devices: Iterable[Device], t: SimTime) -> bool:
-        """Whether the inquiry ignores the responses the devices send at ``t``:
-        they land before its deadline, and it has found every device."""
-        medium = self.engine.medium  # propagation_us >= 1: they land after t
-        return t + medium.propagation_us + medium.jitter_us < inquiry.deadline_us and all(
-            d.address in inquiry._seen for d in devices
+        """Whether the responses the devices send at ``t`` change nothing: they
+        land before the inquiry's deadline, it has found every device, and
+        ``_on_inquiry`` and ``_on_response`` are the only handlers of inquiry
+        frames and responses, so a skipped delivery reaches no other."""
+        medium, handlers = self.engine.medium, self.engine._frame_handlers
+        return (  # propagation_us >= 1: the responses land after t
+            t + medium.propagation_us + medium.jitter_us < inquiry.deadline_us
+            and len(handlers[FrameKind.INQUIRY]) == len(handlers[FrameKind.INQUIRY_RESPONSE]) == 1
+            and all(d.address in inquiry._seen for d in devices)
         )
 
     def _finish(self, inquiry: Inquiry) -> None:
@@ -394,18 +394,10 @@ class DiscoveryManager:
     def _on_inquiry(self, receiver: Device, frame: RadioFrame, now: SimTime) -> None:
         if not self._answers(receiver, now):
             return
-        payload = self._responses.get(receiver)
-        if payload is None:
-            payload = receiver.address.to_bytes() + encode_name(receiver.config.name)
-            self._responses[receiver] = payload
-        # The inquiry active now is the one the response reaches if it lands
-        # before that inquiry's deadline; one that has seen the responder
-        # ignores it, so only the medium's draws are left to make.
-        inquiry = self._active.get(self.engine.devices.get(frame.from_addr))
-        draw_only = inquiry is not None and self._ignores(inquiry, (receiver,), now)
+        payload = receiver.address.to_bytes() + encode_name(receiver.config.name)
         response = tuple.__new__(RadioFrame, (
             receiver.address, frame.freq_index, FrameKind.INQUIRY_RESPONSE, payload,
-            frame.from_addr, None, draw_only,
+            frame.from_addr, None,
         ))
         self.engine.broadcast(response, receiver)
 

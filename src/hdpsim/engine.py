@@ -19,11 +19,11 @@ probability using the engine's seeded generator, then delivered after a
 fixed 1 us propagation delay (plus optional uniform jitter). Work whose
 outcome is already known is skipped, though never a random draw: a link
 frame skips the listen search, since its addressee listens on the link's hop
-frequency by construction; a ``draw_only`` frame (a repeat inquiry response)
-makes its draws and is not queued. A frame whose whole exchange is known is
-not sent at all: the link layer settles a keepalive on a lossless,
-jitter-free medium without frames (see ``hdpsim.link``), keeping its
-delivery's event id from ``reserve_ids``. ``add_medium_hook`` reports each
+frequency by construction. Every delivery drawn is queued, a repeat inquiry
+response too, which discovery ignores on arrival. A frame whose whole
+exchange is known is not sent at all: the link layer settles a keepalive on
+a lossless, jitter-free medium without frames (see ``hdpsim.link``), keeping
+its delivery's event id from ``reserve_ids``. ``add_medium_hook`` reports each
 ``move_device`` and each replacement of ``medium``, and ``fired`` tells
 whether the delivery's ``(t, id)`` has passed, so that a change that comes
 first queues the real ``delivery`` under that id with ``schedule_as``.
@@ -85,9 +85,8 @@ class RadioFrame(NamedTuple):
     broadcast frames leave it None. The payload is the encoded PDU bytes.
     `link` is the connected link whose hop frequency a frame is sent on: the
     addressee is its other end, found with no lookup, and the receiving
-    handlers take the link from the frame. `draw_only` marks a frame whose
-    delivery would change nothing: the medium makes its draws and schedules
-    no delivery. Hot paths build frames with ``tuple.__new__``.
+    handlers take the link from the frame. Hot paths build frames with
+    ``tuple.__new__``.
     """
 
     from_addr: DeviceAddress
@@ -96,7 +95,6 @@ class RadioFrame(NamedTuple):
     payload: bytes = b""
     to: Optional[DeviceAddress] = None
     link: Optional[Link] = None
-    draw_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -466,10 +464,9 @@ class Engine:
         frequency eligibility are evaluated now (transmit time); the loss
         draw happens per candidate in device registration order. A link
         frame sent by an end of its link skips the registration and
-        frequency checks.
-        A ``draw_only`` frame's deliveries are returned but not scheduled.
-        A frequency index outside [0, FREQ_COUNT) raises ``ValueError``
-        before anything is drawn.
+        frequency checks. Each delivery drawn is scheduled. A frequency
+        index outside [0, FREQ_COUNT) raises ``ValueError`` before anything
+        is drawn.
         """
         if not 0 <= frame.freq_index < FREQ_COUNT:
             raise ValueError(f"freq_index out of [0,{FREQ_COUNT - 1}]: {frame.freq_index}")
@@ -507,8 +504,7 @@ class Engine:
             if medium.jitter_us > 0:
                 delay = max(1, delay + self.rng.randint(-medium.jitter_us, medium.jitter_us))
             deliver_at = now + delay
-            if not frame.draw_only:
-                self.schedule(deliver_at, self.delivery(frame, receiver))
+            self.schedule(deliver_at, self.delivery(frame, receiver))
             deliveries.append((receiver, deliver_at))
         return deliveries
 

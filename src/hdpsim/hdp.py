@@ -153,7 +153,10 @@ _METRIC_ENTRY = struct.Struct(">Bi")
 
 
 def scale_value(value: float) -> int:
-    scaled = round(value * SCALE_FACTOR)
+    try:
+        scaled = round(value * SCALE_FACTOR)
+    except (ValueError, OverflowError):  # NaN, infinity
+        raise InvalidMeasurement(f"value {value} is not finite") from None
     if not _I32_MIN <= scaled <= _I32_MAX:
         raise InvalidMeasurement(f"scaled value {scaled} exceeds 32-bit range")
     return int(scaled)

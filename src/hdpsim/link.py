@@ -597,7 +597,7 @@ class LinkManager:
             peer = link.peer_of(sender.address)
         frame = tuple.__new__(RadioFrame, (
             sender.address, link.frequency_at(self.engine.now), FrameKind.LINK_DATA,
-            bytes([proto]) + body, peer.address, link, False,
+            bytes([proto]) + body, peer.address, link,
         ))
         return self.engine.broadcast(frame, sender)
 

@@ -65,11 +65,11 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int(low: Optional[int] = None) -> Callable[[Any, str], int]:
-    rule = "must be an integer" if low is None else f"must be an integer of at least {low}"
+def _int(low: int) -> Callable[[Any, str], int]:
+    rule = f"must be an integer of at least {low}"
 
     def check(value: Any, fld: str) -> int:
-        _require(_is_int(value) and (low is None or value >= low), fld, rule)
+        _require(_is_int(value) and value >= low, fld, rule)
         return value
 
     return check
@@ -111,12 +111,14 @@ def _pin(value: Any, fld: str) -> Pin:
 
 
 def _number(value: Any, fld: str, rule: str, low=-math.inf, high=math.inf) -> float:
-    _require(isinstance(value, (int, float)), fld, rule)
+    """A JSON number that fits a float, so not ``true``/``false`` and not the
+    ``NaN`` or ``Infinity`` that ``json.loads`` also takes."""
+    _require(_is_int(value) or isinstance(value, float), fld, rule)
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.nan
-    _require(low <= number <= high, fld, rule)
+    _require(math.isfinite(number) and low <= number <= high, fld, rule)
     return number
 
 
@@ -131,6 +133,13 @@ def _probability(value: Any, fld: str) -> float:
 def _position(value: Any, fld: str) -> tuple[float, float]:
     _require(isinstance(value, list) and len(value) == 2, fld, "must be [x, y]")
     return tuple(_number(v, fld, "must be [x, y]") for v in value)
+
+
+def _clock_offset(value: Any, fld: str) -> int:
+    """A local time is packed in signed 64-bit fields (hdp's header, mcap's
+    sync response); an offset of at most 2^62 us leaves 2^62 us of run."""
+    _require(_is_int(value) and abs(value) <= 2**62, fld, "must be an integer in [-2^62, 2^62]")
+    return value
 
 
 def _bool(value: Any, fld: str) -> bool:
@@ -151,13 +160,9 @@ def _whitelist(value: Any, fld: str) -> frozenset[Specialization]:
 
 
 def _readings(value: Any, fld: str) -> dict[str, float]:
-    _require(
-        isinstance(value, dict)
-        and value
-        and all(isinstance(v, (int, float)) for v in value.values()),
-        fld,
-        "must be a non-empty object of numbers",
-    )
+    _require(isinstance(value, dict) and value, fld, "must be a non-empty object of numbers")
+    for name, reading in value.items():
+        _number(reading, f"{fld}[{name}]", "must be a finite number")
     return value
 
 
@@ -190,7 +195,7 @@ DEVICE_FIELDS: dict[str, Field] = {
     "name": Field(_name),  # defaults to the address text, see _validate_device
     "position": Field(_position, default=(0.0, 0.0)),
     "radio_range_m": Field(_range_m, default=10.0),
-    "clock_offset_us": Field(_int(), default=0),
+    "clock_offset_us": Field(_clock_offset, default=0),
     "discoverability": Field(_discoverability, default=DiscoverabilityMode.DISCOVERABLE),
     "limited_window_us": Field(_positive),
     "connectability": Field(_connectability, default=ConnectabilityMode.CONNECTABLE),

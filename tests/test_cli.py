@@ -7,6 +7,7 @@ import logging
 import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +86,24 @@ def test_validate_schema_violation_exits_2(tmp_path, capsys):
     diag = stderr_json(capsys)
     assert diag["error"] == "ValidationError"
     assert "devices" in diag["detail"]
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_an_infinite_reading_exits_2_naming_the_field(command, tmp_path, capsys):
+    """A pulsemeter copy whose first reading is ``Infinity``, which
+    ``json.loads`` takes, fails validation before anything runs."""
+    pulsemeter = Path(cli.__file__).parent / "scenarios" / "pulsemeter.json"
+    doc = json.loads(pulsemeter.read_text(encoding="utf-8"))
+    index, send = next((i, a) for i, a in enumerate(doc["timeline"]) if "readings" in a)
+    send["readings"]["heart_rate_bpm"] = float("inf")
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(doc))
+    outputs = ["--seed", "1", "--trace", str(tmp_path / "t"), "--metrics", str(tmp_path / "m")]
+    argv = [command, "--scenario", str(path)] + (outputs if command == "simulate" else [])
+    assert cli.main(argv) == 2
+    diag = stderr_json(capsys)
+    assert diag["error"] == "ValidationError"
+    assert f"timeline[{index}].readings[heart_rate_bpm]" in diag["detail"]
 
 
 def test_missing_scenario_file_exits_4(tmp_path, capsys):

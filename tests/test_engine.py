@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import enum
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdpsim.core import MAX_ADDRESS, DeviceAddress, DeviceConfig, encode_name
+from hdpsim.core import MAX_ADDRESS, DeviceAddress, DeviceConfig
 from hdpsim.discovery import DiscoverabilityMode, sweep_slots
 from hdpsim.engine import (
     Engine,
@@ -30,6 +31,7 @@ from hdpsim.metrics import metrics_json
 from hdpsim.runner import ScenarioRun
 from hdpsim.scenario import load_scenario, validate_scenario
 
+import fastpaths
 from conftest import add_device, addr, make_stack
 
 
@@ -241,13 +243,11 @@ def test_addressed_frame_draws_one_loss_value_only_when_addressee_can_hear():
 
 def test_radio_frame_is_a_tuple_of_its_fields_with_their_defaults():
     frame = RadioFrame(addr(1), 3, FrameKind.PAGE)
-    assert frame == (addr(1), 3, FrameKind.PAGE, b"", None, None, False)
-    assert RadioFrame._fields == (
-        "from_addr", "freq_index", "kind", "payload", "to", "link", "draw_only"
-    )
-    fields = (addr(1), 3, FrameKind.PAGE, b"x", addr(2), None, True)
+    assert frame == (addr(1), 3, FrameKind.PAGE, b"", None, None)
+    assert RadioFrame._fields == ("from_addr", "freq_index", "kind", "payload", "to", "link")
+    fields = (addr(1), 3, FrameKind.PAGE, b"x", addr(2), None)
     built = tuple.__new__(RadioFrame, fields)
-    assert type(built) is RadioFrame and built == RadioFrame(*fields) and built.draw_only
+    assert type(built) is RadioFrame and built == RadioFrame(*fields) and built.to == addr(2)
 
 
 def test_frame_kinds_dispatch_by_identity_to_added_and_replaced_handlers(monkeypatch):
@@ -386,74 +386,39 @@ def test_unaddressed_broadcast_matches_a_scan_of_every_device(steps, loss, jitte
             assert engine.rng.getstate() == reference.getstate()
 
 
-# -- frames whose outcome is known: link frames and repeat inquiry responses -----
+# -- frames whose outcome is known: link frames and quiet sweep slots ----------
 
 
-def _reference_on_inquiry(discovery):
-    """``DiscoveryManager._on_inquiry`` as it was before draw-only frames: it
-    schedules every response, a repeat one included."""
+def _run_checked(scenario, seed, reference=False):
+    """The scenario's trace, and how many frames carried a link and how many
+    inquiry frames were sent. Every frame that carries a link is checked when
+    it is offered: the link is the pair's ``link_between``, it is connected,
+    the frame's addressee is the sender's peer on it, and the full
+    listen-provider search agrees that the addressee listens. No run of
+    inquiry cycles is settled inline, so the frame counts cover every cycle;
+    the reference also broadcasts every quiet sweep slot."""
+    with fastpaths.off("settle", "quiet_slots") if reference else fastpaths.off("settle"):
+        run = ScenarioRun(scenario, seed)
+        engine = run.stack.engine
+        flagged = {"link": 0, "inquiry": 0}
+        broadcast = engine.broadcast
 
-    def on_inquiry(receiver, frame, now):
-        state = discovery._state(receiver.address)
-        if state.discoverability is DiscoverabilityMode.NON_DISCOVERABLE:
-            return
-        if state.discoverability is DiscoverabilityMode.LIMITED and now >= state.limited_until_us:
-            return
-        payload = receiver.address.to_bytes() + encode_name(receiver.config.name)
-        response = RadioFrame(
-            from_addr=receiver.address,
-            freq_index=frame.freq_index,
-            kind=FrameKind.INQUIRY_RESPONSE,
-            payload=payload,
-            to=frame.from_addr,
-        )
-        discovery.engine.broadcast(response, receiver)
+        def checked(frame, sender):
+            link = frame.link
+            if link is not None:
+                assert link is run.stack.links.link_between(frame.from_addr, frame.to)
+                assert link.state is LinkState.CONNECTED
+                assert frame.from_addr is sender.address
+                assert frame.to is link.peer_of(sender.address).address
+                addressee = engine.devices[frame.to]
+                providers = engine._listen_providers
+                assert any(frame.freq_index in p(addressee, engine.now) for p in providers)
+                flagged["link"] += 1
+            flagged["inquiry"] += frame.kind is FrameKind.INQUIRY
+            return broadcast(frame, sender)
 
-    return on_inquiry
-
-
-def _settle_off(discovery):
-    """Make the discovery manager's settle step decline, so that every
-    inquiry cycle takes the plain path."""
-    discovery._settle = lambda inquiry, slots: False
-
-
-def _run_checked(scenario, seed, reference=False, settle=True):
-    """The scenario's trace, and how many frames carried a link or the
-    ``draw_only`` flag and how many inquiry frames were sent. Every frame that
-    carries a link is checked when it is offered: the link is the pair's
-    ``link_between``, it is connected, the frame's addressee is the sender's
-    peer on it, and the full listen-provider search agrees that the addressee
-    listens. The reference broadcasts every sweep slot and schedules every
-    inquiry response. With ``settle`` False no run of inquiry cycles is
-    settled inline, so the frame counts cover every cycle."""
-    run = ScenarioRun(scenario, seed)
-    engine = run.stack.engine
-    if not settle:
-        _settle_off(run.stack.discovery)
-    if reference:
-        engine._frame_handlers[FrameKind.INQUIRY] = [_reference_on_inquiry(run.stack.discovery)]
-        run.stack.discovery._sweep = lambda inquiry, frame: engine.broadcast(frame, inquiry.device)
-    flagged = {"link": 0, "draw_only": 0, "inquiry": 0}
-    broadcast = engine.broadcast
-
-    def checked(frame, sender):
-        link = frame.link
-        if link is not None:
-            assert link is run.stack.links.link_between(frame.from_addr, frame.to)
-            assert link.state is LinkState.CONNECTED
-            assert frame.from_addr is sender.address
-            assert frame.to is link.peer_of(sender.address).address
-            addressee = engine.devices[frame.to]
-            providers = engine._listen_providers
-            assert any(frame.freq_index in p(addressee, engine.now) for p in providers)
-            flagged["link"] += 1
-        flagged["draw_only"] += frame.draw_only
-        flagged["inquiry"] += frame.kind is FrameKind.INQUIRY
-        return broadcast(frame, sender)
-
-    engine.broadcast = checked
-    trace, _ = run.run()
+        engine.broadcast = checked
+        trace, _ = run.run()
     return trace.to_jsonl(), flagged
 
 
@@ -573,10 +538,9 @@ def test_skipped_work_keeps_the_trace_bytes():
         scenario = _edges_scenario(
             loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves, modes
         )
-        trace, flagged = _run_checked(scenario, seed, settle=False)
-        reference, full = _run_checked(scenario, seed, reference=True, settle=False)
+        trace, flagged = _run_checked(scenario, seed)
+        reference, full = _run_checked(scenario, seed, reference=True)
         assert trace == reference
-        assert full["draw_only"] == 0
         assert flagged["inquiry"] <= full["inquiry"]
         if loss == 0.0 and jitter == 0:
             skipped.append(full["inquiry"] - flagged["inquiry"])
@@ -588,21 +552,45 @@ def test_skipped_work_keeps_the_trace_bytes():
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_inquiry_edges_golden_takes_both_shortcuts_with_the_reference_bytes(seed):
+def test_inquiry_edges_golden_routes_link_frames_with_the_reference_bytes(seed):
     scenario = load_scenario(str(Path(__file__).parent / "golden" / "inquiry_edges.json"))
-    trace, flagged = _run_checked(scenario, seed, settle=False)
-    reference, _ = _run_checked(scenario, seed, reference=True, settle=False)
+    trace, flagged = _run_checked(scenario, seed)
+    reference, _ = _run_checked(scenario, seed, reference=True)
     assert trace == reference
-    assert flagged["link"] > 0 and flagged["draw_only"] > 0
+    assert flagged["link"] > 0
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_inquiry_quiet_golden_skips_sweep_slots_with_the_reference_bytes(seed):
     scenario = load_scenario(str(Path(__file__).parent / "golden" / "inquiry_quiet.json"))
-    trace, flagged = _run_checked(scenario, seed, settle=False)
-    reference, full = _run_checked(scenario, seed, reference=True, settle=False)
+    trace, flagged = _run_checked(scenario, seed)
+    reference, full = _run_checked(scenario, seed, reference=True)
     assert trace == reference
     assert 0 < flagged["inquiry"] < full["inquiry"]
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+def test_another_response_handler_gets_every_repeat_response(loss):
+    """Quiet slots and settled runs skip repeat responses only when no other
+    handler would be handed them."""
+
+    def run():
+        stack = make_stack(loss=loss)
+        inquirer = add_device(stack, 9)
+        for i, offset in enumerate((0, 5_120_000)):
+            add_device(stack, 1 + i, position=(1.0 + i, 1.0), clock_offset_us=offset)
+        seen = []
+        stack.engine.add_frame_handler(
+            FrameKind.INQUIRY_RESPONSE, lambda d, f, now: seen.append((now, f.from_addr))
+        )
+        stack.discovery.start_inquiry(inquirer, 100_000)
+        stack.engine.run_until(200_000)
+        return seen, stack.engine.reserve_ids(0), stack.engine.rng.getstate()
+
+    fast = run()
+    with fastpaths.off():
+        assert run() == fast
+    assert len(fast[0]) > 2  # repeat responses reached the tap
 
 
 # -- runs of inquiry cycles settled inline -------------------------------------
@@ -611,15 +599,13 @@ def test_inquiry_quiet_golden_skips_sweep_slots_with_the_reference_bytes(seed):
 def _outcome(scenario, seed, settle=True):
     """A run's trace and metrics bytes, how many event ids it issued and its
     final RNG state; and how many runs of inquiry cycles it settled."""
-    run = ScenarioRun(scenario, seed)
-    discovery = run.stack.discovery
-    settled = []
-    if settle:
+    with contextlib.nullcontext() if settle else fastpaths.off("settle"):
+        run = ScenarioRun(scenario, seed)
+        discovery = run.stack.discovery
+        settled = []
         step = discovery._settle
         discovery._settle = lambda inquiry, slots: settled.append(step(inquiry, slots)) or settled[-1]
-    else:
-        _settle_off(discovery)
-    trace, report = run.run()
+        trace, report = run.run()
     engine = run.stack.engine
     outcome = (trace.to_jsonl(), metrics_json(report), engine.reserve_ids(0), engine.rng.getstate())
     return outcome, sum(settled)
@@ -723,35 +709,34 @@ def test_api_changes_between_run_until_slices_reach_the_inquiry(loss, slices, se
     a change made between two calls queues no event."""
 
     def run(settle):
-        stack = make_stack(loss=loss, seed=seed)
-        if not settle:
-            _settle_off(stack.discovery)
-        engine, discovery = stack.engine, stack.discovery
-        inquirer = add_device(stack, 9)
-        sensors = [
-            add_device(stack, 1 + i, position=(1.0 + i, 1.0), clock_offset_us=offset)
-            for i, offset in enumerate((0, 5_120_000, 10_240_000))
-        ]
-        discovery.set_discoverability(sensors[2], DiscoverabilityMode.NON_DISCOVERABLE)
-        discovery.start_inquiry(inquirer, 200_000)
-        for step, change, index in slices:
-            engine.run_until(engine.now + step)
-            sensor = sensors[index]
-            if change == "move":
-                x = 40.0 if sensor.position[0] < 20.0 else 1.0 + index
-                engine.move_device(sensor.address, (x, 1.0))
-            elif change == "medium":
-                lossy = engine.medium.loss_probability == 0.0
-                engine.medium = MediumModel(loss_probability=0.3 if lossy else 0.0)
-            else:
-                mode = {
-                    "hide": DiscoverabilityMode.NON_DISCOVERABLE,
-                    "show": DiscoverabilityMode.DISCOVERABLE,
-                    "limit": DiscoverabilityMode.LIMITED,
-                }[change]
-                discovery.set_discoverability(sensor, mode, 15_000)
-        engine.run_until(300_000)
-        return engine.trace.to_jsonl(), engine.reserve_ids(0), engine.rng.getstate()
+        with contextlib.nullcontext() if settle else fastpaths.off("settle"):
+            stack = make_stack(loss=loss, seed=seed)
+            engine, discovery = stack.engine, stack.discovery
+            inquirer = add_device(stack, 9)
+            sensors = [
+                add_device(stack, 1 + i, position=(1.0 + i, 1.0), clock_offset_us=offset)
+                for i, offset in enumerate((0, 5_120_000, 10_240_000))
+            ]
+            discovery.set_discoverability(sensors[2], DiscoverabilityMode.NON_DISCOVERABLE)
+            discovery.start_inquiry(inquirer, 200_000)
+            for step, change, index in slices:
+                engine.run_until(engine.now + step)
+                sensor = sensors[index]
+                if change == "move":
+                    x = 40.0 if sensor.position[0] < 20.0 else 1.0 + index
+                    engine.move_device(sensor.address, (x, 1.0))
+                elif change == "medium":
+                    lossy = engine.medium.loss_probability == 0.0
+                    engine.medium = MediumModel(loss_probability=0.3 if lossy else 0.0)
+                else:
+                    mode = {
+                        "hide": DiscoverabilityMode.NON_DISCOVERABLE,
+                        "show": DiscoverabilityMode.DISCOVERABLE,
+                        "limit": DiscoverabilityMode.LIMITED,
+                    }[change]
+                    discovery.set_discoverability(sensor, mode, 15_000)
+            engine.run_until(300_000)
+            return engine.trace.to_jsonl(), engine.reserve_ids(0), engine.rng.getstate()
 
     assert run(True) == run(False)
 

@@ -68,6 +68,8 @@ from hdpsim.metrics import MetricsFold, compute_metrics, metrics_json
 from hdpsim.runner import ScenarioRun, run_scenario
 from hdpsim.scenario import load_scenario
 
+import fastpaths
+
 GOLDEN = Path(__file__).parent / "golden"
 PINS_FILE = GOLDEN / "digests.json"
 SEEDS = (1, 2)
@@ -117,16 +119,39 @@ def test_golden_digests(name, seed):
     assert digests(name, seed) == pinned()[name][str(seed)]
 
 
+# Each fast path off alone, then all of them off at once.
+SWITCHES = [(name,) for name in fastpaths.FAST_PATHS] + [()]
+
+
 @pytest.mark.parametrize("name", scenario_names())
 @pytest.mark.parametrize("seed", SEEDS)
-def test_settling_off_gives_the_pinned_bytes_ids_and_draws(name, seed, monkeypatch):
-    """With no run of inquiry cycles settled inline, every golden gives its
-    pinned digests, issues as many event ids and ends in the same RNG state."""
-    settled = outcome(name, seed)
-    monkeypatch.setattr(DiscoveryManager, "_settle", lambda self, inquiry, slots: False)
-    plain = outcome(name, seed)
-    assert plain[0] == pinned()[name][str(seed)]
-    assert plain == settled
+def test_settling_off_gives_the_pinned_bytes_ids_and_draws(name, seed):
+    """With any one fast path of ``fastpaths.FAST_PATHS`` off, and with all
+    of them off, every golden gives its pinned digests and ends in the same
+    RNG state. With no run of inquiry cycles settled inline it also issues
+    as many event ids; quiet slots and elided keepalives save ids by design.
+    The switches are a loop, not a parameter, so that each golden and seed
+    keeps one test."""
+    fast = outcome(name, seed)
+    for switches in SWITCHES:
+        with fastpaths.off(*switches):
+            plain = outcome(name, seed)
+        assert plain[0] == pinned()[name][str(seed)], switches or "all"
+        assert plain[2] == fast[2], switches or "all"
+        if switches == ("settle",):
+            assert plain == fast
+
+
+@pytest.mark.parametrize("name", sorted(fastpaths.FAST_PATHS))
+def test_each_fast_path_switch_patches_a_method_that_exists(name):
+    """A switch whose method was renamed or removed would turn nothing off."""
+    owner, method, stand_in = fastpaths.FAST_PATHS[name]
+    fast = vars(owner).get(method)
+    assert callable(fast), f"{owner.__name__}.{method} no longer exists"
+    assert list(inspect.signature(stand_in).parameters) == list(inspect.signature(fast).parameters)
+    with fastpaths.off(name):
+        assert getattr(owner, method) is stand_in
+    assert getattr(owner, method) is fast
 
 
 def test_found_addresses_are_the_registered_objects(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import struct
 from fractions import Fraction
 from pathlib import Path
@@ -77,6 +78,12 @@ def test_scale_value_rounds_to_tenths():
 def test_scale_value_rejects_out_of_range():
     with pytest.raises(InvalidMeasurement):
         scale_value(2.2e8)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_scale_value_rejects_non_finite_values(value):
+    with pytest.raises(InvalidMeasurement, match="not finite"):
+        scale_value(value)
 
 
 def test_measurement_requires_known_metrics():

@@ -3,7 +3,7 @@
 On a lossless, jitter-free medium a master tick settles its keepalive
 exchange without sending it (see ``hdpsim.link``). These tests run each
 generated case twice, once as is and once with the elision switched off
-(``_elides_keepalive`` returns False), and require the same trace bytes and
+(``fastpaths.off("keepalive_elision")``), and require the same trace bytes and
 the same supervision fields after every tick. Moves, drops, re-pages, role
 switches and medium swaps land at offsets of 0, 1, p-1, p, p+1 and 2p from
 the real tick times, queued either before the tick (so they fire first at
@@ -11,6 +11,8 @@ equal times) or by the tick itself (so they fire after its keepalive).
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -20,6 +22,8 @@ from hdpsim.engine import MediumModel
 from hdpsim.link import LinkError, LinkState
 from hdpsim.runner import ScenarioRun
 from hdpsim.scenario import validate_scenario
+
+import fastpaths
 
 P = 100  # propagation_us of the base medium
 K = 1_000_000  # keepalive_interval_us
@@ -115,50 +119,50 @@ def perturb(run: ScenarioRun, kind: str, master_end: bool, swap: int) -> None:
 
 
 def run_case(base: str, seed: int, steps: list, elide: bool, fired: dict):
-    """Trace bytes and per-tick supervision fields of one run; with ``elide``,
-    ``fired`` counts the elided keepalives by the medium they were elided on."""
-    run = ScenarioRun(validate_scenario(pair_scenario(BASES[base])), seed)
-    engine, links = run.stack.engine, run.stack.links
-    supervise, elides = links._supervise, links._elides_keepalive
-    ticks: list[tuple] = []
+    """Trace bytes and per-tick supervision fields of one run, with the
+    elision switched off unless ``elide``; ``fired`` counts the elided
+    keepalives by the medium they were elided on."""
+    with contextlib.nullcontext() if elide else fastpaths.off("keepalive_elision"):
+        run = ScenarioRun(validate_scenario(pair_scenario(BASES[base])), seed)
+        engine, links = run.stack.engine, run.stack.links
+        supervise, elides = links._supervise, links._elides_keepalive
+        ticks: list[tuple] = []
 
-    def queue(tick: int, late: bool, at_base: int) -> None:
-        for index, offset, step_late, kind, master_end, swap in steps:
-            if index == tick and step_late == late:
-                engine.schedule(
-                    at_base + offset,
-                    lambda k=kind, m=master_end, s=swap: perturb(run, k, m, s),
+        def queue(tick: int, late: bool, at_base: int) -> None:
+            for index, offset, step_late, kind, master_end, swap in steps:
+                if index == tick and step_late == late:
+                    engine.schedule(
+                        at_base + offset,
+                        lambda k=kind, m=master_end, s=swap: perturb(run, k, m, s),
+                    )
+
+        def traced_supervise(link) -> None:
+            tick, now = len(ticks), engine.now
+            queue(tick + 1, False, now + K)  # before the next tick's own events
+            supervise(link)
+            ticks.append(
+                (
+                    now,
+                    link.state.value,
+                    str(link.master.address),
+                    link.ka_pending,
+                    link.ka_misses,
+                    link.slave_heard,
+                    link.slave_misses,
                 )
-
-    def traced_supervise(link) -> None:
-        tick, now = len(ticks), engine.now
-        queue(tick + 1, False, now + K)  # before the next tick's own events
-        supervise(link)
-        ticks.append(
-            (
-                now,
-                link.state.value,
-                str(link.master.address),
-                link.ka_pending,
-                link.ka_misses,
-                link.slave_heard,
-                link.slave_misses,
             )
-        )
-        queue(tick, True, now)  # after this tick's keepalive
+            queue(tick, True, now)  # after this tick's keepalive
 
-    def traced_elides(link) -> bool:
-        if not elide:
-            return False
-        result = elides(link)
-        medium = engine.medium
-        kind = "lossy" if medium.loss_probability or medium.jitter_us else "lossless"
-        fired[kind] += result
-        return result
+        def traced_elides(link) -> bool:
+            result = elides(link)
+            medium = engine.medium
+            kind = "lossy" if medium.loss_probability or medium.jitter_us else "lossless"
+            fired[kind] += result
+            return result
 
-    links._supervise = traced_supervise
-    links._elides_keepalive = traced_elides
-    trace, _report = run.run()
+        links._supervise = traced_supervise
+        links._elides_keepalive = traced_elides
+        trace, _report = run.run()
     return trace.to_jsonl(), ticks
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import importlib
 import json
+import math
 import pathlib
 import re
 
@@ -232,6 +233,54 @@ ACTION_EXAMPLES = {
     "request_channel": {"source": SOURCE, "sink": SINK, "kind": "data"},
     "run_until": {},
 }
+
+
+def _with_reading(doc, value):
+    """Append a ``send_measurement`` whose heart rate reading is ``value``."""
+    action = dict(ACTION_EXAMPLES["send_measurement"], t_us=0, action="send_measurement")
+    action["readings"] = dict(READINGS, heart_rate_bpm=value)
+    doc["timeline"].append(action)
+
+
+# One field of each kind the README calls a number -> how to set it.
+NUMBER_FIELDS = {
+    "devices[0].position": lambda d, v: d["devices"][0].update(position=[0.0, v]),
+    "devices[0].radio_range_m": lambda d, v: d["devices"][0].update(radio_range_m=v),
+    "medium.loss_probability": lambda d, v: d.update(medium={"loss_probability": v}),
+    "timeline[0].readings[heart_rate_bpm]": _with_reading,
+}
+
+
+@pytest.mark.parametrize("value", [True, False, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_json_booleans_and_non_finite_values_are_not_numbers(field, value):
+    doc = minimal_scenario()
+    NUMBER_FIELDS[field](doc, value)
+    with pytest.raises(ValidationError) as info:
+        validate_scenario(doc)
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("offset", [2**62 + 1, -(2**62) - 1, 2**63])
+def test_clock_offsets_beyond_2_62_us_are_rejected(offset):
+    doc = minimal_scenario()
+    doc["devices"][0]["clock_offset_us"] = offset
+    with pytest.raises(ValidationError) as info:
+        validate_scenario(doc)
+    assert info.value.field == "devices[0].clock_offset_us"
+    assert info.value.rule == "must be an integer in [-2^62, 2^62]"
+
+
+@pytest.mark.parametrize("offset", [2**62, -(2**62)])
+def test_a_clock_offset_of_2_62_us_packs_into_the_local_time_fields(offset):
+    """hdp's header and mcap's sync response carry a device's local time in
+    signed 64-bit fields."""
+    doc = minimal_scenario(timeline=telemetry_timeline(2))
+    doc["devices"][0]["clock_offset_us"] = offset
+    trace, report = run_scenario(validate_scenario(doc), 1)
+    assert report.measurements.delivered == 2
+    assert report.sync == {"offset_us": offset, "accuracy_us": 1}
+    assert not [e for e in trace.events if e.ev == "error"]
 
 
 def test_action_examples_set_every_field_of_the_table():
