@@ -32,12 +32,13 @@ discovery's handlers are the only inquiry and response handlers and every
 device in range is in ``_seen`` or cannot answer (non-discoverable, or
 limited with its window closed when the first frame lands). The run stops
 short of the deadline and of ``Engine.settle_limit``: the first queued event
-or the ``run_until`` bound. Its listen checks and loss draws are made early but in the plain
-path's order: per unquiet slot, the inquiry's per neighbour in registration
-order, then a repeat response's per delivered copy. It sets aside the ids
-of the events it replaces (cycles, slots, and the deliveries of inquiry
-frames and of repeat responses) and queues the first cycle it does not
-settle, so trace, event ids and generator state are unchanged. An unseen
+or the ``run_until`` bound. It draws early, through ``Engine.draw`` as
+``broadcast`` does but scheduling nothing, in the plain path's order: per
+unquiet slot, the inquiry to the inquirer's neighbours, then one repeat
+response per delivered copy that answers. It sets aside the ids of the
+events it replaces (cycles, slots, and the deliveries of inquiry frames and
+of repeat responses) and queues the first cycle it does not settle, so
+trace, event ids and generator state are unchanged. An unseen
 non-discoverable neighbour no longer keeps a settled run sending, though it
 still keeps its slots from being quiet.
 """
@@ -290,7 +291,7 @@ class DiscoveryManager:
             medium.jitter_us
             or p >= gap
             or not self._ignores(
-                inquiry, [d for d in engine._neighbours_of(inquirer) if self._answers(d, first)],
+                inquiry, [d for d in engine.neighbours(inquirer) if self._answers(d, first)],
                 first,
             )
         ):
@@ -303,7 +304,11 @@ class DiscoveryManager:
             ids += start > now  # this cycle's event; the first one is firing
             for slot, freq in slots:
                 # A slot at its cycle's start is swept by the cycle event itself.
-                ids += (slot > start) + (0 if quiet else self._settle_slot(inquiry, slot, freq))
+                ids += slot > start
+                if not quiet:  # the slot's inquiry deliveries, then its repeat responses
+                    sent = engine.draw(freq, None, engine.neighbours(inquirer), slot)
+                    answers = [inquirer for d, _ in sent if self._answers(d, slot + p)]
+                    ids += len(sent) + len(engine.draw(freq, None, answers, slot + p))
             start += cycle_us
             if start + cycle_us <= stable:  # no scan window changes: shift the slots
                 slots = [(slot + cycle_us, freq) for slot, freq in slots]
@@ -321,29 +326,6 @@ class DiscoveryManager:
         engine.schedule(start, lambda: self._cycle(inquiry))
         return True
 
-    def _settle_slot(self, inquiry: Inquiry, slot: SimTime, freq: int) -> int:
-        """The listen checks and draws of the unquiet sweep slot at ``slot``
-        and of its repeat responses; returns how many deliveries they make."""
-        engine = self.engine
-        providers, rng = engine._listen_providers, engine.rng
-        loss = engine.medium.loss_probability
-        inquirer, at = inquiry.device, slot + engine.medium.propagation_us
-        delivered = []
-        for device in engine._neighbours_of(inquirer):
-            for listening in providers:
-                if freq in listening(device, slot):
-                    if loss == 0.0 or rng.random() >= loss:
-                        delivered.append(device)
-                    break
-        responses = 0
-        for device in delivered:
-            if self._answers(device, at):
-                for listening in providers:
-                    if freq in listening(inquirer, at):
-                        responses += loss == 0.0 or rng.random() >= loss
-                        break
-        return len(delivered) + responses
-
     def _quiet(self, inquiry: Inquiry, t: SimTime) -> bool:
         """Whether the sweep slot at ``t`` can go unsent: the medium draws
         nothing, and every device in range would send a response that
@@ -354,7 +336,7 @@ class DiscoveryManager:
         return (
             medium.loss_probability == 0.0
             and medium.jitter_us == 0
-            and self._ignores(inquiry, engine._neighbours_of(inquiry.device), at)
+            and self._ignores(inquiry, engine.neighbours(inquiry.device), at)
         )
 
     def _answers(self, device: Device, t: SimTime) -> bool:

@@ -16,21 +16,24 @@ its range in registration order, built on first use; ``add_device`` and
 ``move_device``, the only writers of positions, drop every list. Each
 candidate delivery is independently dropped with the configured loss
 probability using the engine's seeded generator, then delivered after a
-fixed 1 us propagation delay (plus optional uniform jitter). Work whose
-outcome is already known is skipped, though never a random draw: a link
-frame skips the listen search, since its addressee listens on the link's hop
-frequency by construction. Every delivery drawn is queued, a repeat inquiry
-response too, which discovery ignores on arrival. A frame whose whole
-exchange is known is not sent at all: the link layer settles a keepalive on
-a lossless, jitter-free medium without frames (see ``hdpsim.link``), keeping
-its delivery's event id from ``reserve_ids``. ``add_medium_hook`` reports each
-``move_device`` and each replacement of ``medium``, and ``fired`` tells
-whether the delivery's ``(t, id)`` has passed, so that a change that comes
-first queues the real ``delivery`` under that id with ``schedule_as``.
-Discovery settles a run of inquiry cycles in one event the same way (see
-``hdpsim.discovery``); ``settle_limit`` bounds such a run by the first queued
-event and the bound of the running ``run_until``, and outside ``run_until``
-allows nothing, since API calls between runs queue no event.
+fixed 1 us propagation delay (plus optional uniform jitter). ``draw`` makes
+these listen checks and draws, and ``broadcast`` schedules what it returns.
+Work whose outcome is already known is skipped, though never a random draw:
+a link frame skips the listen search, since its addressee listens on the
+link's hop frequency by construction. Every delivery ``broadcast`` draws is
+queued, a repeat inquiry response too, which discovery ignores on arrival. A
+frame whose whole exchange is known is not sent at all: the link layer
+settles a keepalive on a lossless, jitter-free medium without frames (see
+``hdpsim.link``), keeping its delivery's event id from ``reserve_ids``.
+``add_medium_hook`` reports each ``move_device`` and each replacement of
+``medium``, and ``fired`` tells whether the delivery's ``(t, id)`` has
+passed, so that a change that comes first queues the real ``delivery`` under
+that id with ``schedule_as``. Discovery settles a run of inquiry cycles in
+one event the same way (see ``hdpsim.discovery``), drawing its frames'
+deliveries through ``draw`` without scheduling them; ``settle_limit`` bounds
+such a run by the first queued event and the bound of the running
+``run_until``, and outside ``run_until`` allows nothing, since API calls
+between runs queue no event.
 
 Every protocol exchange that waits for an answer runs on one ``Retry``: it
 sends at once, resends every interval, and fails exactly at its deadline,
@@ -300,7 +303,7 @@ class Engine:
         self.now: SimTime = 0
         self.trace = Trace()
         self.devices: dict[DeviceAddress, Device] = {}
-        self._neighbours: dict[Device, list[Device]] = {}  # see _neighbours_of
+        self._neighbours: dict[Device, list[Device]] = {}  # see neighbours
         self._heap: list[list] = []
         self._next_seq = 0
         self._entries: dict[int, list] = {}
@@ -446,7 +449,7 @@ class Engine:
         limit = min(a.config.radio_range_m, b.config.radio_range_m)
         return dx * dx + dy * dy <= limit * limit
 
-    def _neighbours_of(self, sender: Device) -> list[Device]:
+    def neighbours(self, sender: Device) -> list[Device]:
         """The other devices in the sender's range, in registration order."""
         found = self._neighbours.get(sender)
         if found is None:
@@ -460,13 +463,12 @@ class Engine:
 
         An addressed frame has one candidate, its addressee (a link frame's
         is its link's other end), if registered, not the sender and in range;
-        an unaddressed one has the sender's neighbour list. Range and
-        frequency eligibility are evaluated now (transmit time); the loss
-        draw happens per candidate in device registration order. A link
-        frame sent by an end of its link skips the registration and
-        frequency checks. Each delivery drawn is scheduled. A frequency
-        index outside [0, FREQ_COUNT) raises ``ValueError`` before anything
-        is drawn.
+        an unaddressed one has the sender's neighbour list. Range is
+        evaluated now (transmit time), and ``draw`` makes the listen checks
+        and draws of the candidates in order; each delivery drawn is
+        scheduled. A link frame sent by an end of its link skips the
+        registration check. A frequency index outside [0, FREQ_COUNT)
+        raises ``ValueError`` before anything is drawn.
         """
         if not 0 <= frame.freq_index < FREQ_COUNT:
             raise ValueError(f"freq_index out of [0,{FREQ_COUNT - 1}]: {frame.freq_index}")
@@ -484,28 +486,43 @@ class Engine:
             if addressee is None or addressee is sender:
                 return []
         if addressee is None:
-            candidates: Iterable[Device] = self._neighbours_of(sender)
+            candidates: Iterable[Device] = self.neighbours(sender)
         elif self.in_range(sender, addressee):
             candidates = (addressee,)
         else:
             return []
-        medium, now, freq = self._medium, self.now, frame.freq_index
+        deliveries = self.draw(frame.freq_index, link, candidates, self.now)
+        for receiver, deliver_at in deliveries:
+            self.schedule(deliver_at, self.delivery(frame, receiver))
+        return deliveries
+
+    def draw(
+        self, freq: int, link: Optional[Link], candidates: Iterable[Device], t: SimTime
+    ) -> list[tuple[Device, SimTime]]:
+        """The ``(receiver, deliver_at)`` deliveries of a frame sent at ``t``
+        on ``freq`` (on ``link``, if not None) to the candidates, in their
+        order; nothing is scheduled. A candidate must listen on ``freq`` at
+        ``t``, unless the frame is on a link, whose addressee listens on its
+        hop frequency by construction; each one that does is dropped with the
+        loss probability and otherwise lands after the propagation delay
+        plus a jitter draw. This is the medium's one delivery rule: the
+        settled inquiry runs of ``hdpsim.discovery`` draw through it too."""
+        medium = self._medium
+        loss, jitter = medium.loss_probability, medium.jitter_us
         deliveries: list[tuple[Device, SimTime]] = []
         for receiver in candidates:
             if link is None:
                 for provider in self._listen_providers:
-                    if freq in provider(receiver, now):
+                    if freq in provider(receiver, t):
                         break
                 else:
                     continue  # not listening on the frame's frequency
-            if medium.loss_probability > 0.0 and self.rng.random() < medium.loss_probability:
+            if loss > 0.0 and self.rng.random() < loss:
                 continue
             delay = medium.propagation_us
-            if medium.jitter_us > 0:
-                delay = max(1, delay + self.rng.randint(-medium.jitter_us, medium.jitter_us))
-            deliver_at = now + delay
-            self.schedule(deliver_at, self.delivery(frame, receiver))
-            deliveries.append((receiver, deliver_at))
+            if jitter > 0:
+                delay = max(1, delay + self.rng.randint(-jitter, jitter))
+            deliveries.append((receiver, t + delay))
         return deliveries
 
     def delivery(self, frame: RadioFrame, receiver: Device) -> Callable[[], None]:

@@ -723,14 +723,9 @@ class HdpManager:
         assoc.buffer.clear()
         channel = assoc.reliable_mdl
         if channel is not None and channel.state is not ChannelState.CLOSED:
-            # Settle the channel queue now so nothing sends after release.
-            # Queued items carry channel seqs, which skip evicted readings,
-            # so the sink's receive watermark on the channel tells which
-            # of them arrived.
-            received = channel.sender(assoc.source.address).rx_last
-            abandoned += self.mcap.abandon_pending(
-                channel, assoc.source.address, range(1, received + 1)
-            )
+            # Settle the channel queue now so nothing sends after release;
+            # the sink's receive watermark tells which items arrived.
+            abandoned += self.mcap.abandon_pending(channel, assoc.source.address)
             use_abort = link.state is not LinkState.CONNECTED
             self.mcap.close_channel(channel, assoc.source, abort=use_abort)
         self.engine.emit(

@@ -38,7 +38,7 @@ import enum
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Container, Optional
+from typing import Callable, Optional
 
 from .core import DeviceAddress, SimTime
 from .engine import TYPED, Device, Engine, Op, Retry
@@ -444,17 +444,12 @@ class McapManager:
 
         return self._handshake(control, initiator, "delete", mdl_id, op, complete)
 
-    def abandon_pending(
-        self,
-        channel: DataChannel,
-        sender: DeviceAddress,
-        delivered_seqs: Container[int],
-    ) -> int:
+    def abandon_pending(self, channel: DataChannel, sender: DeviceAddress) -> int:
         """Settle a sender's queue without transmitting further.
 
-        Items whose channel seq is in ``delivered_seqs`` are marked delivered
-        (the peer already has them); the rest are abandoned. Returns the
-        abandoned count.
+        Items whose channel seq is at most the receiver's watermark
+        (``SenderState.rx_last``) are marked delivered, since the peer took
+        them in order; the rest are abandoned. Returns the abandoned count.
         """
         state = channel.senders.get(sender)
         if state is None:
@@ -465,7 +460,7 @@ class McapManager:
             state.retx = None
         abandoned = 0
         for item in items:
-            if item.seq in delivered_seqs:
+            if item.seq <= state.rx_last:
                 item.op.resolve(SendStatus.DELIVERED)
             else:
                 item.op.resolve(SendStatus.ABANDONED)

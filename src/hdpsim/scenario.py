@@ -286,7 +286,7 @@ def _limited_window(mode: Optional[DiscoverabilityMode], window: Optional[int], 
     )
 
 
-def _set_mode_rules(values: dict[str, Any], where: str, known: set[DeviceAddress]) -> None:
+def _set_mode_rules(values: dict[str, Any], where: str) -> None:
     _require(
         values["discoverability"] is not None or values["connectability"] is not None,
         where,
@@ -295,18 +295,7 @@ def _set_mode_rules(values: dict[str, Any], where: str, known: set[DeviceAddress
     _limited_window(values["discoverability"], values["window_us"], f"{where}.window_us")
 
 
-def _admit_traffic_rules(values: dict[str, Any], where: str, known: set[DeviceAddress]) -> None:
-    for address in values["requested"]:
-        if address not in known:
-            raise ValidationError(
-                f"{where}.requested[{address}]", f"references undefined device {address}"
-            )
-
-
-_ACTION_RULES: dict[str, Callable[[dict[str, Any], str, set[DeviceAddress]], None]] = {
-    "set_mode": _set_mode_rules,
-    "admit_traffic": _admit_traffic_rules,
-}
+_ACTION_RULES: dict[str, Callable[[dict[str, Any], str], None]] = {"set_mode": _set_mode_rules}
 
 
 # -- documents ----------------------------------------------------------------------
@@ -350,11 +339,14 @@ def _validate_action(index: int, raw: Any, known: set[DeviceAddress]) -> dict[st
     )
     values = _fields(_ACTION_TABLES[kind], raw, where)
     for key, value in values.items():
+        if isinstance(value, dict):  # its first undefined address key, as key[address]
+            value = next((a for a in value if isinstance(a, DeviceAddress) and a not in known), None)
+            key = f"{key}[{value}]"
         if isinstance(value, DeviceAddress) and value not in known:
             raise ValidationError(f"{where}.{key}", f"references undefined device {value}")
     rules = _ACTION_RULES.get(kind)
     if rules is not None:
-        rules(values, where, known)
+        rules(values, where)
     return values
 
 

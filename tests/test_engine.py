@@ -386,6 +386,39 @@ def test_unaddressed_broadcast_matches_a_scan_of_every_device(steps, loss, jitte
             assert engine.rng.getstate() == reference.getstate()
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_draw_returns_the_deliveries_broadcast_schedules_and_queues_nothing(seed):
+    """On two engines in the same state, ``draw`` over the sender's
+    neighbours draws what ``broadcast`` of an inquiry frame schedules, the
+    same deliveries at the same times with the same generator state after,
+    and queues no event."""
+
+    def build():
+        engine = Engine(MediumModel(loss_probability=0.3, jitter_us=2), seed=seed)
+        engine.add_listen_provider(lambda d, t: [f for f in range(3) if f != d.address.value % 3])
+        for n in range(1, 12):
+            engine.add_device(DeviceConfig(address=addr(n), position=(float(n % 4), float(n // 4))))
+        landed = []
+        engine.add_frame_handler(FrameKind.INQUIRY, lambda d, _f, now: landed.append((d.address, now)))
+        engine.run_until(7)
+        return engine, landed
+
+    sent, landed = build()
+    drawn, _ = build()
+    sender, freq = sent.device(addr(1)), seed % 3
+    frame = RadioFrame(from_addr=sender.address, freq_index=freq, kind=FrameKind.INQUIRY)
+    scheduled = sent.broadcast(frame, sender)
+    deliveries = drawn.draw(freq, None, drawn.neighbours(drawn.device(addr(1))), drawn.now)
+    assert scheduled and [(d.address, at) for d, at in deliveries] == [
+        (d.address, at) for d, at in scheduled
+    ]
+    assert drawn.rng.getstate() == sent.rng.getstate()
+    assert drawn.pending_events == 0 and drawn.reserve_ids(0) == 0
+    assert sent.pending_events == len(scheduled)
+    sent.run_until(20)
+    assert sorted(landed) == sorted((d.address, at) for d, at in scheduled)
+
+
 # -- frames whose outcome is known: link frames and quiet sweep slots ----------
 
 

@@ -91,8 +91,12 @@ def outcome(name: str, seed: int) -> tuple[dict[str, str], int, tuple]:
     return digests, run.stack.engine.reserve_ids(0), run.stack.engine.rng.getstate()
 
 
-def digests(name: str, seed: int) -> dict[str, str]:
-    return outcome(name, seed)[0]
+@functools.lru_cache(maxsize=None)
+def all_on(name: str, seed: int) -> tuple[dict[str, str], int, tuple]:
+    """``outcome`` with every fast path on, run once per golden and seed.
+    Never call it inside ``fastpaths.off``: a cached result there would stand
+    in for the run that the switch must change."""
+    return outcome(name, seed)
 
 
 def written(trace_path: Path, metrics_path: Path) -> dict[str, str]:
@@ -116,7 +120,7 @@ def test_every_scenario_is_pinned_at_every_seed():
 @pytest.mark.parametrize("name", scenario_names())
 @pytest.mark.parametrize("seed", SEEDS)
 def test_golden_digests(name, seed):
-    assert digests(name, seed) == pinned()[name][str(seed)]
+    assert all_on(name, seed)[0] == pinned()[name][str(seed)]
 
 
 # Each fast path off alone, then all of them off at once.
@@ -125,14 +129,14 @@ SWITCHES = [(name,) for name in fastpaths.FAST_PATHS] + [()]
 
 @pytest.mark.parametrize("name", scenario_names())
 @pytest.mark.parametrize("seed", SEEDS)
-def test_settling_off_gives_the_pinned_bytes_ids_and_draws(name, seed):
+def test_each_fast_path_off_gives_the_pinned_bytes_and_draws(name, seed):
     """With any one fast path of ``fastpaths.FAST_PATHS`` off, and with all
     of them off, every golden gives its pinned digests and ends in the same
     RNG state. With no run of inquiry cycles settled inline it also issues
     as many event ids; quiet slots and elided keepalives save ids by design.
     The switches are a loop, not a parameter, so that each golden and seed
     keeps one test."""
-    fast = outcome(name, seed)
+    fast = all_on(name, seed)
     for switches in SWITCHES:
         with fastpaths.off(*switches):
             plain = outcome(name, seed)
@@ -226,5 +230,5 @@ def test_trace_bytes_do_not_depend_on_the_hash_seed(name, hash_seed):
 
 
 if __name__ == "__main__":
-    pins = {name: {str(s): digests(name, s) for s in SEEDS} for name in scenario_names()}
+    pins = {name: {str(s): all_on(name, s)[0] for s in SEEDS} for name in scenario_names()}
     print(json.dumps(pins, indent=2, sort_keys=True))

@@ -268,8 +268,9 @@ def test_abandon_pending_honors_delivery_evidence():
     channel = open_channel(stack, control, a)
     stack.links.drop_link(a.address, b.address)
     ops = [stack.mcap.send(channel, a, b"p%d" % i) for i in range(3)]
-    # A sender's channel seqs count from 1 in send order.
-    abandoned = stack.mcap.abandon_pending(channel, a.address, {1})
+    # A sender's channel seqs count from 1 in send order; the peer took seq 1.
+    channel.sender(a.address).rx_last = 1
+    abandoned = stack.mcap.abandon_pending(channel, a.address)
     assert abandoned == 2
     assert [op.result for op in ops] == [
         SendStatus.DELIVERED,

@@ -162,6 +162,20 @@ def test_parse_error_reports_line_and_column(tmp_path):
         (lambda d: d.update(params={"freq_high": 40}), "params.freq_high", "31"),
         (lambda d: d["devices"][0].update(name="x" * 249), "devices[0].name", "248"),
         (lambda d: d["devices"][0].update(position=[10**400, 0]), "devices[0].position", "[x, y]"),
+        (
+            lambda d: d.update(
+                timeline=[
+                    {
+                        "t_us": 0,
+                        "action": "admit_traffic",
+                        "master": SINK,
+                        "requested": {SOURCE: 1000, "AA:00:00:00:00:99": 1000},
+                    }
+                ]
+            ),
+            "timeline[0].requested[AA:00:00:00:00:99]",
+            "references undefined device",
+        ),
     ],
 )
 def test_validation_error_names_field_and_rule(mutate, field_part, rule_part):
