@@ -47,18 +47,20 @@ class SimParams:
     buffer_capacity: int = 1024
 
     def __post_init__(self):
-        for f in fields(self):
-            floor = 0 if f.name == "freq_low" else 1
-            if getattr(self, f.name) < floor:
-                raise ParamError(f.name, f"must be at least {floor}")
+        for name in PARAM_NAMES:
+            floor = 0 if name == "freq_low" else 1
+            if getattr(self, name) < floor:
+                raise ParamError(name, f"must be at least {floor}")
         # The same band ConnectionParams accepts.
         if not self.freq_low <= self.freq_high <= 31:
             raise ParamError("freq_high", "must be from freq_low to 31")
 
     @classmethod
     def with_overrides(cls, overrides: dict) -> "SimParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(overrides) - known
+        unknown = overrides.keys() - PARAM_NAMES
         if unknown:
             raise ValueError(f"unknown override(s): {sorted(unknown)}")
         return cls(**overrides)
+
+
+PARAM_NAMES = tuple(f.name for f in fields(SimParams))  # in declaration order

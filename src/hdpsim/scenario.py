@@ -15,22 +15,25 @@ rules that span fields keep one small hook each (the limited window in
 ``_validate_device``, and ``_ACTION_RULES``). Rules owned by a constructor
 (``SimParams``, ``DeviceName``, ``Pin``) are checked by building the value.
 Every error names the offending field and rule; JSON syntax errors surface
-with line and column.
+with line and column. A check names a failure relative to its value, and each
+enclosing object or list puts its key or index in front on the way out, so a
+valid document builds no error text. Each declared address text is parsed
+once per document: a reference that repeats it takes the device's address
+from a table that the one ``validate_scenario`` call builds and drops.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .core import DeviceAddress, DeviceName, MalformedAddress, parse_address
 from .discovery import ConnectabilityMode, DiscoverabilityMode
 from .hdp import ChannelKind, Specialization
-from .params import ParamError, SimParams
+from .params import PARAM_NAMES, ParamError, SimParams
 from .security import Pin
 
 
@@ -52,12 +55,12 @@ class ValidationError(Exception):
         self.rule = rule
 
 
-def _require(condition: bool, fld: str, rule: str) -> None:
+def _require(condition: bool, rule: str, fld: str = "") -> None:
     if not condition:
         raise ValidationError(fld, rule)
 
 
-# -- field checks: (JSON value, field path) -> typed value --------------------
+# -- field checks: JSON value -> typed value; a failure names the value as "" ---
 
 
 def _is_int(value: Any) -> bool:
@@ -65,85 +68,85 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int(low: int) -> Callable[[Any, str], int]:
+def _int(low: int) -> Callable[[Any], int]:
     rule = f"must be an integer of at least {low}"
 
-    def check(value: Any, fld: str) -> int:
-        _require(_is_int(value) and value >= low, fld, rule)
+    def check(value: Any) -> int:
+        _require(_is_int(value) and value >= low, rule)
         return value
 
     return check
 
 
-def _choice(options: dict[str, Any]) -> Callable[[Any, str], Any]:
+def _choice(options: dict[str, Any]) -> Callable[[Any], Any]:
     rule = f"must be one of {tuple(options)}"
 
-    def check(value: Any, fld: str) -> Any:
-        _require(isinstance(value, str) and value in options, fld, rule)
+    def check(value: Any) -> Any:
+        _require(isinstance(value, str) and value in options, rule)
         return options[value]
 
     return check
 
 
-def _address(value: Any, fld: str) -> DeviceAddress:
+def _address(value: Any) -> DeviceAddress:
     try:
         return parse_address(value)
     except MalformedAddress as exc:
-        raise ValidationError(fld, f"not a valid address: {exc}") from exc
+        raise ValidationError("", f"not a valid address: {exc}") from exc
 
 
-def _built(make: Callable[[str], Any], value: Any, fld: str) -> Any:
+def _built(make: Callable[[str], Any], value: Any) -> Any:
     """``make(value)`` for a string whose rule ``make`` owns; its ValueError
     becomes the rule."""
-    _require(isinstance(value, str), fld, "must be a string")
+    _require(isinstance(value, str), "must be a string")
     try:
         return make(value)
     except ValueError as exc:
-        raise ValidationError(fld, str(exc)) from exc
+        raise ValidationError("", str(exc)) from exc
 
 
-def _name(value: Any, fld: str) -> str:
-    return _built(DeviceName, value, fld).text
+def _name(value: Any) -> str:
+    return _built(DeviceName, value).text
 
 
-def _pin(value: Any, fld: str) -> Pin:
-    return _built(Pin.from_text, value, fld)
+def _pin(value: Any) -> Pin:
+    return _built(Pin.from_text, value)
 
 
-def _number(value: Any, fld: str, rule: str, low=-math.inf, high=math.inf) -> float:
+def _number(value: Any, rule: str, low=-math.inf, high=math.inf) -> float:
     """A JSON number that fits a float, so not ``true``/``false`` and not the
     ``NaN`` or ``Infinity`` that ``json.loads`` also takes."""
-    _require(_is_int(value) or isinstance(value, float), fld, rule)
+    _require(_is_int(value) or isinstance(value, float), rule)
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.nan
-    _require(math.isfinite(number) and low <= number <= high, fld, rule)
+    _require(math.isfinite(number) and low <= number <= high, rule)
     return number
 
 
-def _range_m(value: Any, fld: str) -> float:
-    return _number(value, fld, "must be a non-negative number", low=0.0)
+def _range_m(value: Any) -> float:
+    return _number(value, "must be a non-negative number", low=0.0)
 
 
-def _probability(value: Any, fld: str) -> float:
-    return _number(value, fld, "must be in [0, 1]", 0.0, 1.0)
+def _probability(value: Any) -> float:
+    return _number(value, "must be in [0, 1]", 0.0, 1.0)
 
 
-def _position(value: Any, fld: str) -> tuple[float, float]:
-    _require(isinstance(value, list) and len(value) == 2, fld, "must be [x, y]")
-    return tuple(_number(v, fld, "must be [x, y]") for v in value)
+def _position(value: Any) -> tuple[float, float]:
+    _require(isinstance(value, list) and len(value) == 2, "must be [x, y]")
+    return tuple(_number(v, "must be [x, y]") for v in value)
 
 
-def _clock_offset(value: Any, fld: str) -> int:
+def _clock_offset(value: Any) -> int:
     """A local time is packed in signed 64-bit fields (hdp's header, mcap's
     sync response); an offset of at most 2^62 us leaves 2^62 us of run."""
-    _require(_is_int(value) and abs(value) <= 2**62, fld, "must be an integer in [-2^62, 2^62]")
+    _require(_is_int(value) and abs(value) <= 2**62, "must be an integer in [-2^62, 2^62]")
     return value
 
 
-def _bool(value: Any, fld: str) -> bool:
-    _require(isinstance(value, bool), fld, "must be true or false")
+def _bool(value: Any) -> bool:
+    _require(isinstance(value, bool), "must be true or false")
     return value
 
 
@@ -154,26 +157,36 @@ _non_negative = _int(0)
 _positive = _int(1)
 
 
-def _whitelist(value: Any, fld: str) -> frozenset[Specialization]:
-    _require(isinstance(value, list), fld, "must be a list of specialization names")
-    return frozenset(_specialization(v, f"{fld}[{i}]") for i, v in enumerate(value))
+def _each(name: str, validate: Callable[..., Any], items: Iterable, *args: Any) -> list[Any]:
+    """``validate(item, *args)`` for each ``(index, item)`` pair of ``items``;
+    a failure is named under ``name[index]``."""
+    out = []
+    try:
+        for index, item in items:
+            out.append(validate(item, *args))
+    except ValidationError as exc:
+        raise ValidationError(f"{name}[{index}]{exc.field}", exc.rule) from exc.__cause__
+    return out
 
 
-def _readings(value: Any, fld: str) -> dict[str, float]:
-    _require(isinstance(value, dict) and value, fld, "must be a non-empty object of numbers")
-    for name, reading in value.items():
-        _number(reading, f"{fld}[{name}]", "must be a finite number")
+def _whitelist(value: Any) -> frozenset[Specialization]:
+    _require(isinstance(value, list), "must be a list of specialization names")
+    return frozenset(_each("", _specialization, enumerate(value)))
+
+
+def _readings(value: Any) -> dict[str, float]:
+    _require(isinstance(value, dict) and value, "must be a non-empty object of numbers")
+    _each("", _number, value.items(), "must be a finite number")
     return value
 
 
-def _rates(value: Any, fld: str) -> dict[DeviceAddress, int]:
-    _require(
-        isinstance(value, dict) and value, fld, "must be a non-empty object of address -> bps"
-    )
-    return {
-        _address(key, f"{fld}[{key}]"): _non_negative(bps, f"{fld}[{key}]")
-        for key, bps in value.items()
-    }
+def _rate(entry: tuple[Any, Any]) -> tuple[DeviceAddress, int]:
+    return _address(entry[0]), _non_negative(entry[1])
+
+
+def _rates(value: Any) -> dict[DeviceAddress, int]:
+    _require(isinstance(value, dict) and value, "must be a non-empty object of address -> bps")
+    return dict(_each("", _rate, zip(value, value.items())))  # each named by its key
 
 
 # -- the schema -----------------------------------------------------------------
@@ -183,7 +196,7 @@ def _rates(value: Any, fld: str) -> dict[DeviceAddress, int]:
 class Field:
     """One schema field: its check, whether it is required, and its default."""
 
-    check: Callable[[Any, str], Any]
+    check: Callable[[Any], Any]
     required: bool = False
     default: Any = None
 
@@ -254,24 +267,31 @@ _ACTION_TABLES = {kind: {**_TIMED, **fields} for kind, fields in ACTIONS.items()
 
 _TOP_KEYS = {"name", "devices", "medium", "params", "timeline"}
 
-_PARAM_NAMES = {f.name for f in dataclasses.fields(SimParams)}
+_UNKNOWN_ACTION = f"unknown action; must be one of {sorted(ACTIONS)}"
 
 
-def _fields(table: dict[str, Field], raw: Any, where: str) -> dict[str, Any]:
-    """Apply one schema table to a JSON object; ``null`` counts as absent."""
-    _require(isinstance(raw, dict), where, "must be an object")
-    for key in raw:
-        if key not in table:
-            raise ValidationError(f"{where}.{key}", "unknown key")
+def _fields(
+    table: dict[str, Field], raw: Any, declared: dict[str, DeviceAddress]
+) -> dict[str, Any]:
+    """Apply one schema table to a JSON object; ``null`` counts as absent. An
+    address field whose text is a key of ``declared`` takes its address from
+    there. A failure is named relative to the object, as ``.key``."""
+    _require(isinstance(raw, dict), "must be an object")
+    if not raw.keys() <= table.keys():
+        raise ValidationError(f".{next(k for k in raw if k not in table)}", "unknown key")
     out = {}
-    for key, spec in table.items():
-        value = raw.get(key)
-        if value is not None:
-            out[key] = spec.check(value, f"{where}.{key}")
-        elif spec.required:
-            raise ValidationError(f"{where}.{key}", "is required")
-        else:
-            out[key] = spec.default
+    try:
+        for key, spec in table.items():
+            value = raw.get(key)
+            if value is None:
+                _require(not spec.required, "is required")
+                out[key] = spec.default
+            elif spec is _ADDRESS and isinstance(value, str) and value in declared:
+                out[key] = declared[value]
+            else:
+                out[key] = spec.check(value)
+    except ValidationError as exc:
+        raise ValidationError(f".{key}{exc.field}", exc.rule) from exc.__cause__
     return out
 
 
@@ -281,21 +301,20 @@ def _fields(table: dict[str, Field], raw: Any, where: str) -> dict[str, Any]:
 def _limited_window(mode: Optional[DiscoverabilityMode], window: Optional[int], fld: str) -> None:
     _require(
         mode is not DiscoverabilityMode.LIMITED or window is not None,
-        fld,
         "limited discoverability requires a positive window",
+        fld,
     )
 
 
-def _set_mode_rules(values: dict[str, Any], where: str) -> None:
+def _set_mode_rules(values: dict[str, Any]) -> None:
     _require(
         values["discoverability"] is not None or values["connectability"] is not None,
-        where,
         "set_mode needs discoverability and/or connectability",
     )
-    _limited_window(values["discoverability"], values["window_us"], f"{where}.window_us")
+    _limited_window(values["discoverability"], values["window_us"], ".window_us")
 
 
-_ACTION_RULES: dict[str, Callable[[dict[str, Any], str], None]] = {"set_mode": _set_mode_rules}
+_ACTION_RULES: dict[str, Callable[[dict[str, Any]], None]] = {"set_mode": _set_mode_rules}
 
 
 # -- documents ----------------------------------------------------------------------
@@ -316,45 +335,40 @@ class Scenario:
     timeline: list[dict[str, Any]]  # one ACTIONS table each, plus t_us and action
 
 
-def _validate_device(index: int, raw: Any) -> ScenarioDevice:
-    where = f"devices[{index}]"
-    values = _fields(DEVICE_FIELDS, raw, where)
-    _limited_window(
-        values["discoverability"], values["limited_window_us"], f"{where}.limited_window_us"
-    )
+def _validate_device(raw: Any) -> ScenarioDevice:
+    values = _fields(DEVICE_FIELDS, raw, {})
+    _limited_window(values["discoverability"], values["limited_window_us"], ".limited_window_us")
     if values["name"] is None:
         values["name"] = str(values["address"])
     return ScenarioDevice(**values)
 
 
-def _validate_action(index: int, raw: Any, known: set[DeviceAddress]) -> dict[str, Any]:
-    where = f"timeline[{index}]"
-    _require(isinstance(raw, dict), where, "must be an object")
-    _require("action" in raw, f"{where}.action", "is required")
+def _validate_action(
+    raw: Any, known: set[DeviceAddress], declared: dict[str, DeviceAddress]
+) -> dict[str, Any]:
+    _require(isinstance(raw, dict), "must be an object")
+    _require("action" in raw, "is required", ".action")
     kind = raw["action"]
-    _require(
-        isinstance(kind, str) and kind in ACTIONS,
-        f"{where}.action",
-        f"unknown action; must be one of {sorted(ACTIONS)}",
-    )
-    values = _fields(_ACTION_TABLES[kind], raw, where)
+    _require(isinstance(kind, str) and kind in ACTIONS, _UNKNOWN_ACTION, ".action")
+    values = _fields(_ACTION_TABLES[kind], raw, declared)
     for key, value in values.items():
-        if isinstance(value, dict):  # its first undefined address key, as key[address]
-            value = next((a for a in value if isinstance(a, DeviceAddress) and a not in known), None)
-            key = f"{key}[{value}]"
-        if isinstance(value, DeviceAddress) and value not in known:
-            raise ValidationError(f"{where}.{key}", f"references undefined device {value}")
+        for address in value if isinstance(value, dict) else (value,):  # of a dict, its keys
+            if isinstance(address, DeviceAddress) and address not in known:
+                at = f".{key}" if address is value else f".{key}[{address}]"
+                raise ValidationError(at, f"references undefined device {address}")
     rules = _ACTION_RULES.get(kind)
     if rules is not None:
-        rules(values, where)
+        rules(values)
     return values
 
 
 def _validate_params(raw: Any) -> SimParams:
-    _require(isinstance(raw, dict), "params", "must be an object")
+    _require(isinstance(raw, dict), "must be an object", "params")
     for key, value in raw.items():
-        _require(key in _PARAM_NAMES, f"params.{key}", "unknown parameter")
-        _require(_is_int(value), f"params.{key}", "must be an integer")
+        if key not in PARAM_NAMES:
+            raise ValidationError(f"params.{key}", "unknown parameter")
+        if not _is_int(value):
+            raise ValidationError(f"params.{key}", "must be an integer")
     try:
         return SimParams.with_overrides(raw)
     except ParamError as exc:
@@ -363,41 +377,36 @@ def _validate_params(raw: Any) -> SimParams:
 
 def validate_scenario(raw: Any) -> Scenario:
     """Validate a decoded JSON document into a Scenario."""
-    _require(isinstance(raw, dict), "scenario", "top level must be an object")
-    unknown = set(raw) - _TOP_KEYS
-    _require(not unknown, "scenario", f"unknown key(s): {sorted(unknown)}")
+    _require(isinstance(raw, dict), "top level must be an object", "scenario")
+    if not raw.keys() <= _TOP_KEYS:
+        raise ValidationError("scenario", f"unknown key(s): {sorted(raw.keys() - _TOP_KEYS)}")
     name = raw.get("name", "unnamed")
-    _require(isinstance(name, str), "name", "must be a string")
+    _require(isinstance(name, str), "must be a string", "name")
     _require(
         isinstance(raw.get("devices"), list) and raw["devices"],
-        "devices",
         "must be a non-empty list",
+        "devices",
     )
-    devices = [_validate_device(i, d) for i, d in enumerate(raw["devices"])]
-    seen: set[DeviceAddress] = set()
-    for i, dev in enumerate(devices):
-        _require(
-            dev.address not in seen,
-            f"devices[{i}].address",
-            f"duplicate address {dev.address}",
-        )
-        seen.add(dev.address)
-    medium = _fields(MEDIUM_FIELDS, raw.get("medium", {}), "medium")
+    devices = _each("devices", _validate_device, enumerate(raw["devices"]))
+    addresses = [dev.address for dev in devices]
+    known = set(addresses)
+    if len(known) < len(addresses):
+        i = next(i for i, a in enumerate(addresses) if a in addresses[:i])
+        raise ValidationError(f"devices[{i}].address", f"duplicate address {addresses[i]}")
+    # Each declared address text -> its address, so that references skip the parse.
+    declared = dict(zip((d["address"] for d in raw["devices"]), addresses))
+    try:
+        medium = _fields(MEDIUM_FIELDS, raw.get("medium", {}), {})
+    except ValidationError as exc:
+        raise ValidationError(f"medium{exc.field}", exc.rule) from exc.__cause__
     params = _validate_params(raw.get("params", {}))
     timeline_raw = raw.get("timeline", [])
-    _require(isinstance(timeline_raw, list), "timeline", "must be a list")
-    timeline = [_validate_action(i, a, seen) for i, a in enumerate(timeline_raw)]
-    last_t = 0
-    for i, action in enumerate(timeline):
-        _require(
-            action["t_us"] >= last_t,
-            f"timeline[{i}].t_us",
-            "timeline not sorted",
-        )
-        last_t = action["t_us"]
-    return Scenario(
-        name=name, devices=devices, medium=medium, params=params, timeline=timeline
-    )
+    _require(isinstance(timeline_raw, list), "must be a list", "timeline")
+    timeline = _each("timeline", _validate_action, enumerate(timeline_raw), known, declared)
+    for i in range(1, len(timeline)):
+        if timeline[i]["t_us"] < timeline[i - 1]["t_us"]:
+            raise ValidationError(f"timeline[{i}].t_us", "timeline not sorted")
+    return Scenario(name=name, devices=devices, medium=medium, params=params, timeline=timeline)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -20,6 +20,7 @@ from hdpsim.runner import HANDLERS, ScenarioRun, run_scenario
 from hdpsim.scenario import (
     ACTIONS,
     DEVICE_FIELDS,
+    MEDIUM_FIELDS,
     ParseError,
     ValidationError,
     load_scenario,
@@ -354,6 +355,69 @@ def test_validation_returns_typed_values_with_defaults_filled():
     assert by_kind["move_device"]["position"] == (0.5, 0.0)
     assert by_kind["admit_traffic"]["requested"] == {DeviceAddress.parse(SOURCE): 1_000}
     assert by_kind["request_channel"]["kind"] is ChannelKind.DATA
+
+
+# The 65 device, medium and action fields (``t_us`` and ``action`` included),
+# as (the path of its object, the action it belongs to, its key).
+SCHEMA_FIELDS = [
+    *(("devices[0]", None, key) for key in DEVICE_FIELDS),
+    *(("medium", None, key) for key in MEDIUM_FIELDS),
+    *(
+        ("timeline[0]", kind, key)
+        for kind, fields in ACTIONS.items()
+        for key in ("t_us", "action", *fields)
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "where, kind, key",
+    SCHEMA_FIELDS,
+    ids=[f"{kind or where}.{key}" for where, kind, key in SCHEMA_FIELDS],
+)
+def test_every_field_rejects_an_unhashable_value_by_its_own_path(where, kind, key):
+    """``[[]]`` cannot be a key of any lookup table: each field must reject it
+    with a ValidationError at its own path, never with a TypeError."""
+    doc = minimal_scenario(medium={})
+    if where == "devices[0]":
+        obj = doc["devices"][0]
+    elif where == "medium":
+        obj = doc["medium"]
+    else:
+        obj = {"t_us": 0, "action": kind, **copy.deepcopy(ACTION_EXAMPLES[kind])}
+        doc["timeline"].append(obj)
+    obj[key] = [[]]
+    with pytest.raises(ValidationError) as info:
+        validate_scenario(doc)
+    nested = "[0]" if key == "sink_whitelist" else ""  # the list's first element
+    assert info.value.field == f"{where}.{key}{nested}"
+
+
+def _named_in_lower_case(doc):
+    """``doc`` with every address its timeline names written in lower case."""
+    doc = copy.deepcopy(doc)
+    for action in doc["timeline"]:
+        for key, value in action.items():
+            if value in (SOURCE, SINK):
+                action[key] = value.lower()
+    return doc
+
+
+def test_a_declared_address_named_in_lower_case_runs_as_its_upper_case_twin():
+    upper = minimal_scenario(timeline=telemetry_timeline(5))
+    lower = _named_in_lower_case(upper)
+    assert "aa:00:00:00:00:01" in json.dumps(lower["timeline"])
+    runs = [run_scenario(validate_scenario(doc), seed=5) for doc in (upper, lower)]
+    (trace_upper, report_upper), (trace_lower, report_lower) = runs
+    assert trace_lower.to_jsonl() == trace_upper.to_jsonl()
+    assert metrics_json(report_lower) == metrics_json(report_upper)
+
+
+def test_an_undeclared_address_in_lower_case_is_named_in_upper_case():
+    page = {"t_us": 0, "action": "page", "device": SINK, "target": "aa:00:00:00:00:99"}
+    with pytest.raises(ValidationError) as info:
+        validate_scenario(minimal_scenario(timeline=[page]))
+    assert str(info.value) == "timeline[0].target: references undefined device AA:00:00:00:00:99"
 
 
 # -- the README documents the tables ------------------------------------------------
