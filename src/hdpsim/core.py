@@ -121,9 +121,6 @@ class DeviceConfig:
         if self.radio_range_m < 0:
             raise ValueError("radio_range_m must be >= 0")
 
-    def local_time(self, now: SimTime) -> int:
-        return now + self.clock_offset_us
-
 
 def encode_name(name: DeviceName) -> bytes:
     raw = name.text.encode("utf-8")

@@ -336,7 +336,6 @@ class Association:
     auto_reconnect: bool = True
     next_seq: int = 1
     buffer: deque[tuple[Measurement, Op]] = field(default_factory=deque)
-    buffer_capacity: int = 1024
     memo: ReadingMemo = field(
         default_factory=ReadingMemo, init=False, repr=False, compare=False
     )
@@ -419,7 +418,7 @@ class HdpManager:
         whitelist excludes the specialization, or misassigned roles.
         """
         link = self.links.link_between(source.address, sink.address)
-        if link is None or not link.authenticated:
+        if link is None or link.link_key is None:
             raise AuthRequired(
                 f"{source.address} and {sink.address} have no authenticated link"
             )
@@ -442,7 +441,6 @@ class HdpManager:
             sink=sink,
             specialization=specialization,
             auto_reconnect=auto_reconnect,
-            buffer_capacity=self.params.buffer_capacity,
             link=link,
         )
         self._next_assoc_id += 1
@@ -629,7 +627,7 @@ class HdpManager:
 
     def _buffer(self, assoc: Association, measurement: Measurement, op: Op) -> None:
         evicted = None
-        if len(assoc.buffer) >= assoc.buffer_capacity:
+        if len(assoc.buffer) >= self.params.buffer_capacity:
             evicted_m, evicted = assoc.buffer.popleft()
             self.engine.emit_typed(_EVICTED, assoc.source.address, assoc.assoc_id, evicted_m.seq)
         assoc.buffer.append((measurement, op))

@@ -186,8 +186,7 @@ class Link:
     slave: Device
     params: ConnectionParams
     state: LinkState = LinkState.CONNECTED
-    authenticated: bool = False
-    link_key: Optional[LinkKey] = None
+    link_key: Optional[LinkKey] = None  # set once pairing authenticates the link
     # Keepalive bookkeeping, master side then slave side.
     ka_pending: bool = False
     ka_misses: int = 0
@@ -214,12 +213,12 @@ class Link:
     def pair(self) -> tuple[DeviceAddress, DeviceAddress]:
         return pair_key(self.master.address, self.slave.address)
 
-    def peer_of(self, address: DeviceAddress) -> Device:
-        if address == self.master.address:
+    def peer_of(self, device: Device) -> Device:
+        if device is self.master:
             return self.slave
-        if address == self.slave.address:
+        if device is self.slave:
             return self.master
-        raise LinkError(f"{address} is not an endpoint of this link")
+        raise LinkError(f"{device.address} is not an endpoint of this link")
 
     def on_state_change(self, fn: Callable[["Link"], None]) -> None:
         self._observers.append(fn)
@@ -471,7 +470,7 @@ class LinkManager:
             self.discovery.note_known(slave.address, master.address)
             self.engine.emit("connected", master.address, peer=str(slave.address))
         self._start_supervision(link)
-        if not link.authenticated:
+        if link.link_key is None:
             self.pair_link(link)
         self._notify(link)
         return link
@@ -592,9 +591,7 @@ class LinkManager:
     def send_on_link(self, link: Link, sender: Device, proto: int, body: bytes):
         if link.state is not LinkState.CONNECTED:
             raise LinkError("link is down")
-        peer = link.slave if sender is link.master else link.master
-        if sender is not link.master and sender is not link.slave:
-            peer = link.peer_of(sender.address)
+        peer = link.peer_of(sender)
         frame = tuple.__new__(RadioFrame, (
             sender.address, link.frequency_at(self.engine.now), FrameKind.LINK_DATA,
             bytes([proto]) + body, peer.address, link,
@@ -659,7 +656,6 @@ class LinkManager:
             key_m, key_s, link.master.address, link.slave.address, self.engine.rng
         )
         if outcome is AuthOutcome.SUCCESS:
-            link.authenticated = True
             link.link_key = key_m
             self.engine.emit(
                 "auth_ok",

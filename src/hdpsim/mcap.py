@@ -10,6 +10,12 @@ attempt, dropped on loss, never queued). The control channel also provides
 two-way clock sampling from which the requester estimates the peer's clock
 offset with a bounded error.
 
+Both ends of a pair share its one ``ControlChannel`` and one ``DataChannel``
+record per data channel, so a request's handler does the pair's work once,
+and an abort's frame changes nothing where it lands: the aborting end has
+closed the shared channel already. A closed channel's queues are settled by
+the receiver's watermark, as ``abandon_pending`` settles them.
+
 Payloads on an authenticated link are enciphered with the link key and the
 transmit clock; the clock rides in the data header so the receiver can
 compute the same keystream. A pair's one control channel sits on its one
@@ -222,7 +228,7 @@ class McapManager:
             return link.control
         if link is None or link.state is not LinkState.CONNECTED:
             raise LinkDown(f"no live link between {a.address} and {b.address}")
-        if not link.authenticated:
+        if link.link_key is None:
             raise NotAuthenticated(f"link {a.address}<->{b.address} is not authenticated")
         control = link.control = ControlChannel(link=link)
         link.on_state_change(lambda lk, c=control: self._on_link_state(c, lk))
@@ -337,16 +343,12 @@ class McapManager:
         """
         if control.link.state is not LinkState.CONNECTED:
             raise LinkDown("cannot create a channel while the link is down")
-        peer = control.link.peer_of(initiator.address)
+        peer = control.link.peer_of(initiator)
         mdl_id = control.next_mdl_id
         control.next_mdl_id += 1
         op = Op()
 
         def confirmed() -> None:
-            channel = control.channels.get(mdl_id)
-            if channel is None:
-                channel = DataChannel(control=control, mdl_id=mdl_id, reliable=reliable)
-                control.channels[mdl_id] = channel
             self.engine.emit(
                 "mdl_create",
                 initiator.address,
@@ -354,7 +356,7 @@ class McapManager:
                 reliable=reliable,
                 peer=str(peer.address),
             )
-            op.resolve(channel)
+            op.resolve(control.channels[mdl_id])
 
         def accepted() -> None:
             self._handshake(control, initiator, "config", mdl_id, op, confirmed)
@@ -364,22 +366,11 @@ class McapManager:
 
     def _on_create_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         mdl_id, flags = struct.unpack(">HB", body[:3])
-        channel = control.channels.get(mdl_id)
-        if channel is None:
-            channel = DataChannel(
+        if mdl_id not in control.channels:
+            control.channels[mdl_id] = DataChannel(
                 control=control, mdl_id=mdl_id, reliable=bool(flags & _FLAG_RELIABLE)
             )
-            control.channels[mdl_id] = channel
-            if mdl_id >= control.next_mdl_id:
-                control.next_mdl_id = mdl_id + 1
         self._tx(control, receiver, _OP_CREATE_ACCEPT, struct.pack(">H", mdl_id))
-
-    def _on_create_config(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
-        mdl_id = struct.unpack(">H", body[:2])[0]
-        channel = control.channels.get(mdl_id)
-        if channel is None:
-            return
-        self._tx(control, receiver, _OP_CREATE_CONFIRM, struct.pack(">H", mdl_id))
 
     # -- reconnect ----------------------------------------------------------
 
@@ -425,24 +416,22 @@ class McapManager:
     ) -> Op:
         """Delete a channel; ``abort`` tears it down without waiting.
 
-        Undelivered queued payloads are abandoned on both sides.
+        The delete request's handler closes the shared channel before its
+        ack; an abort closes it here, and its frame changes nothing where it
+        lands. Each queue is settled as ``abandon_pending`` settles it.
         """
         control = channel.control
         if channel.state is ChannelState.CLOSED:
             return Op.resolved(channel)
         mdl_id = channel.mdl_id
         if abort:
-            if control.link.state is LinkState.CONNECTED:
-                self._tx(control, initiator, _OP_ABORT, struct.pack(">H", mdl_id))
+            self._tx(control, initiator, _OP_ABORT, struct.pack(">H", mdl_id))  # dropped on a down link
             self._close_local(channel, initiator.address, "abort")
             return Op.resolved(channel)
         op = Op()
-
-        def complete() -> None:
-            self._close_local(channel, initiator.address, "delete")
-            op.resolve(channel)
-
-        return self._handshake(control, initiator, "delete", mdl_id, op, complete)
+        return self._handshake(
+            control, initiator, "delete", mdl_id, op, lambda: op.resolve(channel)
+        )
 
     def abandon_pending(self, channel: DataChannel, sender: DeviceAddress) -> int:
         """Settle a sender's queue without transmitting further.
@@ -471,16 +460,8 @@ class McapManager:
         if channel.state is ChannelState.CLOSED:
             return
         channel.state = ChannelState.CLOSED
-        self._halt_retx(channel)
-        items = []
-        for state in channel.senders.values():
-            items += state.queue
-            state.queue.clear()
-        self.engine.emit(
-            "mdl_close", by, mdl_id=channel.mdl_id, mode=mode, abandoned=len(items)
-        )
-        for item in items:
-            item.op.resolve(SendStatus.ABANDONED)
+        abandoned = sum(self.abandon_pending(channel, sender) for sender in list(channel.senders))
+        self.engine.emit("mdl_close", by, mdl_id=channel.mdl_id, mode=mode, abandoned=abandoned)
 
     def _on_delete_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         mdl_id = struct.unpack(">H", body[:2])[0]
@@ -488,12 +469,6 @@ class McapManager:
         if channel is not None:
             self._close_local(channel, receiver.address, "delete")
         self._tx(control, receiver, _OP_DELETE_ACK, struct.pack(">H", mdl_id))
-
-    def _on_abort(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
-        mdl_id = struct.unpack(">H", body[:2])[0]
-        channel = control.channels.get(mdl_id)
-        if channel is not None:
-            self._close_local(channel, receiver.address, "abort")
 
     # -- data plane ---------------------------------------------------------
 
@@ -515,7 +490,7 @@ class McapManager:
         link = control.link
         if channel.state is ChannelState.CLOSED:
             raise ChannelClosed(f"mdl {channel.mdl_id} is closed")
-        if sender is not link.master and sender is not link.slave and sender.address not in link.pair:
+        if sender is not link.master and sender is not link.slave:
             raise McapError(f"{sender.address} is not an endpoint")
         limit = link.params.page_size_bytes
         if len(payload) > limit:
@@ -552,7 +527,7 @@ class McapManager:
         flags = _FLAG_RELIABLE if channel.reliable else 0
         clock = self.engine.now
         body = payload
-        if link.authenticated and link.link_key is not None:
+        if link.link_key is not None:
             body = apply_cipher(link.link_key, clock, payload)
             flags |= _FLAG_ENCRYPTED
         header = _DATA_HEADER.pack(channel.mdl_id, seq, flags, clock)
@@ -588,24 +563,18 @@ class McapManager:
         if channel is None or channel.state is ChannelState.CLOSED:
             return
         payload = body[_DATA_HEADER.size :]
-        link = control.link
         if flags & _FLAG_ENCRYPTED:
-            if link.link_key is None:
-                return
-            payload = apply_cipher(link.link_key, clock, payload)
+            payload = apply_cipher(control.link.link_key, clock, payload)
         reliable = bool(flags & _FLAG_RELIABLE)
         if reliable:
             state = channel.sender(from_addr)
             last = state.rx_last
-            if seq <= last:
-                self._tx(
-                    control, receiver, _OP_DATA_ACK, struct.pack(">HI", mdl_id, seq)
-                )
-                return
-            if seq != last + 1:
-                return
-            state.rx_last = seq
+            if seq > last + 1:
+                return  # out of order: not taken
             self._tx(control, receiver, _OP_DATA_ACK, struct.pack(">HI", mdl_id, seq))
+            if seq <= last:
+                return  # a duplicate, acked again
+            state.rx_last = seq
         self.engine.emit_typed(_MDL_RX, receiver.address, len(payload), mdl_id, reliable, seq)
         for fn in list(channel._receivers):
             fn(channel, from_addr, payload, now)
@@ -649,7 +618,7 @@ class McapManager:
             rtt = t2 - t0
             offset = t1 - (t0 + t2) // 2
             accuracy = (rtt + 1) // 2
-            peer = control.link.peer_of(requester.address)
+            peer = control.link.peer_of(requester)
             self.engine.emit(
                 "clock_sync",
                 requester.address,
@@ -699,14 +668,12 @@ class McapManager:
             self._answered(control, (_ANSWERS[opcode], struct.unpack(">H", rest[:2])[0]))
         elif opcode == _OP_CREATE_REQ:
             self._on_create_req(control, receiver, rest)
-        elif opcode == _OP_CREATE_CONFIG:
-            self._on_create_config(control, receiver, rest)
+        elif opcode == _OP_CREATE_CONFIG:  # the channel exists since the accept
+            self._tx(control, receiver, _OP_CREATE_CONFIRM, rest[:2])
         elif opcode == _OP_RECONNECT_REQ:
             self._on_reconnect_req(control, receiver, rest)
         elif opcode == _OP_DELETE_REQ:
             self._on_delete_req(control, receiver, rest)
-        elif opcode == _OP_ABORT:
-            self._on_abort(control, receiver, rest)
         elif opcode == _OP_SYNC_REQ:
             self._on_sync_req(control, receiver, rest)
         elif opcode == _OP_SYNC_RSP:

@@ -18,7 +18,7 @@ from hdpsim.core import (
     format_address,
     parse_address,
 )
-from hdpsim.engine import Engine
+from hdpsim.engine import Device, Engine
 
 
 @given(st.integers(min_value=0, max_value=2**48 - 1))
@@ -132,8 +132,9 @@ def test_local_time_applies_clock_offset():
         radio_range_m=10.0,
         clock_offset_us=1500,
     )
-    assert config.local_time(0) == 1500
-    assert config.local_time(100) == 1600
+    device = Device(config)
+    assert device.local_time(0) == 1500
+    assert device.local_time(100) == 1600
 
 
 def test_registry_rejects_duplicate_address():

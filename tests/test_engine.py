@@ -442,7 +442,7 @@ def _run_checked(scenario, seed, reference=False):
                 assert link is run.stack.links.link_between(frame.from_addr, frame.to)
                 assert link.state is LinkState.CONNECTED
                 assert frame.from_addr is sender.address
-                assert frame.to is link.peer_of(sender.address).address
+                assert frame.to is link.peer_of(sender).address
                 addressee = engine.devices[frame.to]
                 providers = engine._listen_providers
                 assert any(frame.freq_index in p(addressee, engine.now) for p in providers)

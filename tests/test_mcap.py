@@ -3,11 +3,13 @@ from __future__ import annotations
 import pytest
 
 from hdpsim.engine import Op
+from hdpsim.link import PROTO_MCAP, LinkError
 from hdpsim.mcap import (
     ChannelClosed,
     ChannelState,
     ClockSyncResult,
     LinkDown,
+    McapError,
     SendStatus,
     SyncTimeout,
 )
@@ -262,6 +264,59 @@ def test_close_abandons_undelivered_queue():
     assert closed[-1].detail["abandoned"] == 4
 
 
+@pytest.mark.parametrize("abort", [True, False])
+def test_close_settles_the_queue_by_the_receivers_watermark(abort):
+    # Three payloads queued on a live link; the peer takes the first before
+    # the channel closes, so it is delivered and only the other two are
+    # abandoned, whichever end's close settles the queue.
+    stack = make_stack(propagation_us=1000)
+    a, b, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    mark = len(stack.engine.trace.events)
+    ops = [stack.mcap.send(channel, a, b"w%d" % i) for i in range(3)]
+    if abort:
+        # Abort once the first payload has landed, before its ack does.
+        def landed():
+            return any(e.ev == "mdl_rx" for e in stack.engine.trace.events[mark:])
+
+        run_while(stack, lambda: not landed(), 100_000, step_us=100)
+        assert landed()
+        stack.mcap.close_channel(channel, a, abort=True)
+    else:
+        # The delete request is sent after the first payload, so it lands
+        # just after it.
+        stack.mcap.close_channel(channel, a)
+    stack.engine.run_until(stack.engine.now + 100_000)
+    events = stack.engine.trace.events[mark:]
+    closes = [
+        (e.dev, e.detail["mode"], e.detail["abandoned"]) for e in events if e.ev == "mdl_close"
+    ]
+    closer = a if abort else b
+    assert closes == [(str(closer.address), "abort" if abort else "delete", 2)]
+    sent = [e.detail["op"] for e in events if e.ev == "mcap_tx"]
+    assert sent == (["abort"] if abort else ["delete_req", "delete_ack"])
+    assert [op.result for op in ops] == [
+        SendStatus.DELIVERED,
+        SendStatus.ABANDONED,
+        SendStatus.ABANDONED,
+    ]
+    assert channel.state is ChannelState.CLOSED
+
+
+def test_a_sender_off_the_link_is_refused_by_identity():
+    stack = make_stack()
+    a, b, link, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    third = add_device(stack, 3, position=(0.5, 0.5))
+    with pytest.raises(LinkError):
+        stack.links.send_on_link(link, third, PROTO_MCAP, b"x")
+    with pytest.raises(McapError):
+        stack.mcap.send(channel, third, b"x")
+    with pytest.raises(LinkError, match=str(third.address)):
+        link.peer_of(third)
+    assert link.peer_of(a) is b and link.peer_of(b) is a
+
+
 def test_abandon_pending_honors_delivery_evidence():
     stack = make_stack()
     a, b, _, control = control_pair(stack)
@@ -281,8 +336,6 @@ def test_abandon_pending_honors_delivery_evidence():
 
 
 def test_payload_size_capped_by_link_page_size():
-    from hdpsim.mcap import McapError
-
     stack = make_stack(page_size_bytes=64)
     a, _, _, control = control_pair(stack)
     channel = open_channel(stack, control, a)

@@ -804,3 +804,70 @@ def test_compute_metrics_on_empty_trace():
     assert report.measurements.sent == 0
     assert report.discovery_latency_us == []
     assert report.sync is None
+
+
+def test_admit_traffic_and_request_channel_run_from_a_scenario():
+    # A sink pages two sources: the first rate request fits the piconet's
+    # cap, the second is scaled down to it; a data channel request opens the
+    # control channel and creates a streaming channel, an audio one fails.
+    near, far = "AA:00:00:00:00:03", "AA:00:00:00:00:04"
+    doc = {
+        "devices": [
+            {"address": SINK, "pin": "1234", "role": "sink"},
+            {"address": near, "position": [1.0, 0.0], "pin": "1234", "role": "source"},
+            {"address": far, "position": [1.5, 0.0], "pin": "1234", "role": "source"},
+        ],
+        "timeline": [
+            {"t_us": 0, "action": "start_inquiry", "device": SINK, "duration_us": 2_000_000},
+            {"t_us": 2_100_000, "action": "page", "device": SINK, "target": near},
+            {"t_us": 2_200_000, "action": "page", "device": SINK, "target": far},
+            {
+                "t_us": 3_000_000,
+                "action": "admit_traffic",
+                "master": SINK,
+                "requested": {near: 400_000, far: 500_000},
+            },
+            {
+                "t_us": 3_100_000,
+                "action": "admit_traffic",
+                "master": SINK,
+                "requested": {near: 600_000, far: 900_000},
+            },
+            {
+                "t_us": 3_200_000,
+                "action": "request_channel",
+                "source": near,
+                "sink": SINK,
+                "kind": "data",
+            },
+            {
+                "t_us": 3_300_000,
+                "action": "request_channel",
+                "source": far,
+                "sink": SINK,
+                "kind": "audio",
+            },
+            {"t_us": 4_000_000, "action": "run_until"},
+        ],
+    }
+    trace, report = run_scenario(validate_scenario(doc), seed=1)
+    admits = [e.detail for e in trace if e.ev == "admit"]
+    assert [(a["requested_bps"], a["cap_bps"], a["granted"]) for a in admits] == [
+        (900_000, 1_000_000, {near: 400_000, far: 500_000}),
+        (1_500_000, 1_000_000, {near: 400_000, far: 600_000}),
+    ]
+    assert report.granted_bps == {SINK: {near: 400_000, far: 600_000}}
+    channel_events = [
+        (e.ev, e.detail.get("op")) for e in trace if e.t_us >= 3_200_000 and e.ev != "error"
+    ]
+    assert channel_events == [
+        ("control_open", None),
+        ("mcap_tx", "create_req"),
+        ("mcap_tx", "create_accept"),
+        ("mcap_tx", "create_config"),
+        ("mcap_tx", "create_confirm"),
+        ("mdl_create", None),
+    ]
+    created = [e.detail for e in trace if e.ev == "mdl_create"]
+    assert created == [{"mdl_id": 1, "peer": SINK, "reliable": False}]
+    assert [e.detail["error"] for e in trace if e.ev == "error"] == ["AudioNotSupported"]
