@@ -237,13 +237,13 @@ class Trace:
     way ``feed``, when set, receives ``(t_us, ev, dev, detail)`` of each
     event whose name is in ``feed_events``, and ``len`` counts every event.
     A typed event (``typed`` given, ``detail`` its values in field order)
-    is written from its template, and its detail dict is built only to be
-    kept or fed.
+    is written from its template and fed those values, kept or streamed;
+    its detail dict is built only to be kept.
     """
 
     def __init__(self):
         self.out: Optional[TextIO] = None
-        self.feed: Optional[Callable[[SimTime, str, str, dict], None]] = None
+        self.feed: Optional[Callable[[SimTime, str, str, dict | tuple], None]] = None
         self.feed_events: frozenset[str] = frozenset()
         self.events: list[TraceEvent] = []
         self._count = 0
@@ -258,18 +258,16 @@ class Trace:
         self._count = seq + 1
         self._last_t_us = t_us
         out = self.out
-        if typed is not None:
-            if out is not None:
-                out.write(typed.line(detail, dev, seq, t_us))
-                if ev not in self.feed_events:
-                    return
+        if out is not None:
+            out.write(trace_line(t_us, seq, ev, dev, detail) if typed is None
+                      else typed.line(detail, dev, seq, t_us))
+        elif typed is None:
+            self.events.append(TraceEvent(t_us, seq, ev, dev, detail))
+        else:
             # A display, not dict(), which takes new memory, not a dict from
             # the free list; the free list then fills with what it frees.
-            detail = {name: value for name, value in zip(typed.fields, detail)}
-        if out is None:
-            self.events.append(TraceEvent(t_us, seq, ev, dev, detail))
-        elif typed is None:
-            out.write(trace_line(t_us, seq, ev, dev, detail))
+            kept = {name: value for name, value in zip(typed.fields, detail)}
+            self.events.append(TraceEvent(t_us, seq, ev, dev, kept))
         if ev in self.feed_events:
             self.feed(t_us, ev, dev, detail)
 

@@ -4,7 +4,9 @@ Deriving every counter from the trace (rather than from live objects) keeps
 the report a pure function of the run's observable record: identical traces
 always produce identical metrics bytes. ``MetricsFold`` takes the events one
 at a time as they are emitted, so a run need not keep its trace to report on
-it; ``compute_metrics`` folds a kept trace the same way.
+it; ``compute_metrics`` folds a kept trace the same way. A per-reading event
+of ``hdpsim.engine.TYPED_EVENTS`` is fed as its values in field order: a trace
+builds its dict only to keep it, and ``compute_metrics`` feeds it as values.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
-from .engine import TraceEvent
+from .engine import TYPED, TraceEvent
 
 
 @dataclass
@@ -58,7 +60,9 @@ class MetricsFold:
 
     ``feed`` takes each event whose name is in ``EVENTS``, the names it
     branches on, as it is emitted, and ignores any other; ``report`` returns
-    the report of everything fed so far. The fold keeps per-inquiry and
+    the report of everything fed so far. An event's detail is its dict, a
+    typed event's its values, which ``feed`` unpacks by position in
+    ``TYPED_EVENTS`` field order. The fold keeps per-inquiry and
     per-channel state, never the events themselves. Of the readings it keeps
     only those in flight, by association: the seqs in the source buffer
     (``buffered`` until ``evicted`` or flushed by ``measurement_tx``) and
@@ -83,38 +87,42 @@ class MetricsFold:
         self._on_channel: defaultdict[int, set[int]] = defaultdict(set)
         self._assoc_mdls: set[int] = set()
 
-    def feed(self, t_us: int, ev: str, dev: str, detail: dict) -> None:
+    def feed(self, t_us: int, ev: str, dev: str, detail: dict | tuple) -> None:
         """Fold one event, given as its fields."""
-        d = detail
         report = self._report
         if ev == "measurement_tx":
-            in_buffer = self._in_buffer[d["assoc_id"]]
-            if d["seq"] in in_buffer:
-                in_buffer.remove(d["seq"])
+            assoc_id, seq = detail
+            in_buffer = self._in_buffer[assoc_id]
+            if seq in in_buffer:
+                in_buffer.remove(seq)
             else:
                 report.measurements.sent += 1
-            self._on_channel[d["assoc_id"]].add(d["seq"])
+            self._on_channel[assoc_id].add(seq)
         elif ev == "measurement_rx":
-            on_channel = self._on_channel[d["assoc_id"]]
-            if d["seq"] in on_channel:
-                on_channel.remove(d["seq"])
+            assoc_id, seq, _sink_timestamp_us = detail
+            on_channel = self._on_channel[assoc_id]
+            if seq in on_channel:
+                on_channel.remove(seq)
                 report.measurements.delivered += 1
         elif ev == "mdl_ack":
-            if d.get("mdl_id") in self._assoc_mdls:
+            mdl_id, _seq = detail
+            if mdl_id in self._assoc_mdls:
                 report.measurements.acked += 1
         elif ev == "buffered":
-            in_buffer = self._in_buffer[d["assoc_id"]]
-            if d["seq"] not in in_buffer:
-                in_buffer.add(d["seq"])
+            assoc_id, _depth, seq = detail
+            in_buffer = self._in_buffer[assoc_id]
+            if seq not in in_buffer:
+                in_buffer.add(seq)
                 report.measurements.sent += 1
                 report.measurements.buffered += 1
         elif ev == "evicted":
+            assoc_id, seq = detail
             report.measurements.evicted += 1
-            self._in_buffer[d["assoc_id"]].discard(d["seq"])
+            self._in_buffer[assoc_id].discard(seq)
         elif ev == "released":
-            report.measurements.abandoned += d.get("abandoned", 0)
-            self._in_buffer.pop(d["assoc_id"], None)
-            self._on_channel.pop(d["assoc_id"], None)
+            report.measurements.abandoned += detail.get("abandoned", 0)
+            self._in_buffer.pop(detail["assoc_id"], None)
+            self._on_channel.pop(detail["assoc_id"], None)
         elif ev == "inquiry_start":
             self._open_inquiry[dev] = len(self._inquiries)
             self._inquiries.append((dev, t_us, None))
@@ -126,29 +134,24 @@ class MetricsFold:
         elif ev == "inquiry_done":
             self._open_inquiry.pop(dev, None)
         elif ev == "mcap_tx":
-            op = d.get("op")
-            mdl = d.get("mdl_id", 0)
+            op = detail.get("op")
+            mdl = detail.get("mdl_id", 0)
             if op in _CREATE_OPS:
                 self._create_counts[mdl] = self._create_counts.get(mdl, 0) + 1
             elif op in _RECONNECT_OPS:
                 self._reconnect_counts[mdl] = self._reconnect_counts.get(mdl, 0) + 1
         elif ev == "mdl_create":
-            report.create_handshake_msgs.append(self._create_counts.pop(d["mdl_id"], 0))
+            report.create_handshake_msgs.append(self._create_counts.pop(detail["mdl_id"], 0))
         elif ev == "mdl_reconnect":
-            report.reconnect_handshake_msgs.append(
-                self._reconnect_counts.pop(d["mdl_id"], 0)
-            )
+            report.reconnect_handshake_msgs.append(self._reconnect_counts.pop(detail["mdl_id"], 0))
         elif ev == "assoc":
-            self._assoc_mdls.add(d["mdl_id"])
+            self._assoc_mdls.add(detail["mdl_id"])
         elif ev == "clock_sync":
-            report.sync = {
-                "offset_us": d["offset_us"],
-                "accuracy_us": d["accuracy_us"],
-            }
+            report.sync = {"offset_us": detail["offset_us"], "accuracy_us": detail["accuracy_us"]}
         elif ev == "admit":
-            report.granted_bps[dev] = dict(d.get("granted", {}))
+            report.granted_bps[dev] = dict(detail.get("granted", {}))
         elif ev == "error":
-            kind = d.get("error", "unknown")
+            kind = detail.get("error", "unknown")
             report.errors[kind] = report.errors.get(kind, 0) + 1
 
     def report(self) -> MetricsReport:
@@ -161,6 +164,8 @@ def compute_metrics(events: Iterable[TraceEvent]) -> MetricsReport:
     """Fold a whole kept trace into a MetricsReport, feeding every event."""
     fold = MetricsFold()
     for t_us, _seq, ev, dev, detail in events:
+        if ev in TYPED:
+            detail = tuple(detail[name] for name in TYPED[ev].fields)
         fold.feed(t_us, ev, dev, detail)
     return fold.report()
 

@@ -840,8 +840,9 @@ _TYPED_VALUES = {
     fed=st.booleans(),
 )
 def test_typed_lines_equal_trace_line_of_the_event(data, ev, t_us, seq, dev, fed):
-    """A typed event's template writes ``trace_line``'s bytes, and a kept or
-    fed typed event carries the detail dict of its values."""
+    """A typed event's template writes ``trace_line``'s bytes; a kept typed
+    event carries the detail dict of its values, and a kept or streamed one is
+    fed the values themselves."""
     kinds = TYPED_EVENTS[ev]
     values = tuple(data.draw(_TYPED_VALUES[kind], label=name) for name, kind in kinds)
     detail = {name: value for (name, _kind), value in zip(kinds, values)}
@@ -856,4 +857,4 @@ def test_typed_lines_equal_trace_line_of_the_event(data, ev, t_us, seq, dev, fed
         trace.append(t_us, ev, dev, values, TYPED[ev])
     assert streamed.out.getvalue() == kept.to_jsonl() == trace_line(t_us, 0, ev, dev, detail)
     assert kept.events == [TraceEvent(t_us, 0, ev, dev, detail)] and streamed.events == []
-    assert fed_events == ([(t_us, ev, dev, detail)] * 2 if fed else [])
+    assert fed_events == ([(t_us, ev, dev, values)] * 2 if fed else [])

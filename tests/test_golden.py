@@ -64,6 +64,7 @@ import pytest
 
 from hdpsim import cli
 from hdpsim.discovery import DiscoveryManager
+from hdpsim.engine import TYPED_EVENTS
 from hdpsim.metrics import MetricsFold, compute_metrics, metrics_json
 from hdpsim.runner import ScenarioRun, run_scenario
 from hdpsim.scenario import load_scenario
@@ -206,6 +207,43 @@ def test_the_fold_declares_every_event_name_it_branches_on():
         if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "ev"
     }
     assert branches == MetricsFold.EVENTS and len(branches) == 16
+
+
+def test_no_emit_call_names_a_typed_event():
+    """A typed event goes through ``Engine.emit_typed``: through ``emit`` it
+    would feed the fold its dict, which the fold would unpack into the key
+    names."""
+    emitted = {
+        node.args[0].value
+        for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "emit"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+    assert "mcap_tx" in emitted and not emitted & TYPED_EVENTS.keys()
+
+
+def test_the_fold_unpacks_each_typed_event_into_its_field_names():
+    """``MetricsFold.feed`` unpacks each typed event it reads by position, into
+    names that, a leading ``_`` aside, are its ``TYPED_EVENTS`` fields."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(MetricsFold.feed)))
+    unpacked = {}
+    for node in ast.walk(tree):
+        test = getattr(node, "test", None)
+        if isinstance(test, ast.Compare) and getattr(test.left, "id", None) == "ev":
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.Assign)
+                    and isinstance(stmt.targets[0], ast.Tuple)
+                    and getattr(stmt.value, "id", None) == "detail"
+                ):
+                    names = tuple(name.id.lstrip("_") for name in stmt.targets[0].elts)
+                    unpacked[test.comparators[0].value] = names
+    typed = MetricsFold.EVENTS & TYPED_EVENTS.keys()
+    assert len(typed) == 5
+    assert unpacked == {ev: tuple(name for name, _kind in TYPED_EVENTS[ev]) for ev in typed}
 
 
 @functools.lru_cache(maxsize=None)

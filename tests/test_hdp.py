@@ -29,9 +29,9 @@ from hdpsim.hdp import (
     UnknownMetric,
     validate_channel_kind,
 )
-from hdpsim.link import LinkState
-from hdpsim.mcap import SendStatus
-from hdpsim.metrics import compute_metrics
+from hdpsim.link import PROTO_MCAP, LinkState
+from hdpsim.mcap import _OP_DATA, SendStatus
+from hdpsim.metrics import MetricsFold, compute_metrics
 from hdpsim.params import SimParams
 from hdpsim.runner import run_scenario
 from hdpsim.scenario import load_scenario
@@ -89,6 +89,14 @@ def test_scale_value_rejects_non_finite_values(value):
 def test_measurement_requires_known_metrics():
     with pytest.raises(UnknownMetric):
         Measurement.build(Specialization.SCALE, 1, 0, {"bogus_metric": 1.0})
+
+
+def test_a_measurement_names_the_unit_of_a_known_metric():
+    measurement = Measurement.build(Specialization.HEART_RATE, 1, 0, HEART_READINGS)
+    assert measurement.unit("heart_rate_bpm") == "bpm"
+    assert measurement.unit("ascending_wave_index_pct") == "percent"
+    with pytest.raises(UnknownMetric):
+        measurement.unit("bogus_metric")
 
 
 def test_heart_rate_requires_its_exact_metric_set():
@@ -430,6 +438,60 @@ def test_release_settles_the_channel_queue_by_channel_seq():
     counts = compute_metrics(stack.engine.trace.events).measurements
     assert (counts.sent, counts.delivered, counts.evicted, counts.abandoned) == (6, 2, 3, 1)
     assert counts.in_flight == 0
+
+
+# -- the receive path -------------------------------------------------------
+
+
+def test_a_reliable_payload_past_the_next_seq_is_not_taken(monkeypatch):
+    """A reliable payload whose seq is above the receipt watermark + 1 is
+    dropped where it lands: no ack frame, no ``mdl_rx``, no ``measurement_rx``
+    fed to the fold, and the watermark stays."""
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    assoc = operating_assoc(stack, source, sink)
+    first = stack.hdp.send_measurement(assoc, HEART_READINGS)
+    run_while(stack, lambda: not first.done, 1_000_000)
+    channel = assoc.reliable_mdl
+    state = channel.sender(source.address)
+    last = state.rx_last
+    assert last == 1
+    frames = []
+    send_on_link = stack.links.send_on_link
+
+    def recording(link, sender, proto, body):
+        if proto == PROTO_MCAP:
+            frames.append((sender, body[0]))
+        return send_on_link(link, sender, proto, body)
+
+    monkeypatch.setattr(stack.links, "send_on_link", recording)
+    fed = []
+    trace = stack.engine.trace
+    trace.feed, trace.feed_events = (lambda *event: fed.append(event)), MetricsFold.EVENTS
+    mark = len(trace.events)
+    reading = Measurement.build(Specialization.HEART_RATE, assoc.next_seq, 0, HEART_READINGS)
+    stack.mcap._tx_data(channel, source, last + 2, reading.encode(), attempts=0)
+    stack.engine.run_until(stack.engine.now + 100_000)
+    assert [e.ev for e in trace.events[mark:]] == ["mdl_send"]
+    assert frames == [(source, _OP_DATA)]
+    assert not any(ev == "measurement_rx" for _t, ev, _dev, _detail in fed)
+    assert state.rx_last == last
+
+
+def test_a_payload_the_sink_sends_on_the_reliable_channel_is_no_reading():
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    assoc = operating_assoc(stack, source, sink)
+    received = record_readings(stack, sink)
+    mark = len(stack.engine.trace.events)
+    reading = Measurement.build(Specialization.HEART_RATE, assoc.next_seq, 0, HEART_READINGS)
+    op = stack.mcap.send(assoc.reliable_mdl, sink, reading.encode())
+    run_while(stack, lambda: not op.done, 1_000_000)
+    assert op.result is SendStatus.DELIVERED
+    events = [(e.ev, e.dev) for e in stack.engine.trace.events[mark:]]
+    assert ("mdl_rx", str(source.address)) in events
+    assert not any(ev == "measurement_rx" for ev, _dev in events)
+    assert received == []
 
 
 def test_sink_learns_of_link_loss_within_supervision_budget():

@@ -16,6 +16,7 @@ from hdpsim.discovery import ConnectabilityMode, DiscoverabilityMode
 from hdpsim.engine import TYPED_EVENTS
 from hdpsim.hdp import ChannelKind, Specialization
 from hdpsim.metrics import compute_metrics, emit_metrics, metrics_json
+from hdpsim.params import SimParams
 from hdpsim.runner import HANDLERS, ScenarioRun, run_scenario
 from hdpsim.scenario import (
     ACTIONS,
@@ -186,6 +187,12 @@ def test_validation_error_names_field_and_rule(mutate, field_part, rule_part):
         validate_scenario(doc)
     assert field_part in info.value.field
     assert rule_part in info.value.rule
+
+
+def test_params_with_an_unknown_override_raise_value_error():
+    with pytest.raises(ValueError, match=r"unknown override\(s\): \['tyop', 'warp_speed'\]"):
+        SimParams.with_overrides({"warp_speed": 9, "buffer_capacity": 4, "tyop": 1})
+    assert SimParams.with_overrides({"buffer_capacity": 4}).buffer_capacity == 4
 
 
 @pytest.mark.parametrize(
