@@ -4,6 +4,10 @@ One engine instance per simulation, single-threaded by contract. Events are
 totally ordered by (time, event id). Ids follow scheduling order, except that
 ``reserve_ids`` sets ids aside for events that ``schedule_as`` queues later.
 The same seed and the same scheduled inputs produce a byte-identical trace.
+The queue is a heap of int keys ``at << 64 | event_id``, which order as
+``(at, event_id)`` does; ``_entries`` maps each pending key to its callback.
+``schedule`` returns the key and ``cancel`` drops it from ``_entries``, so a
+cancelled key stays in the heap until it reaches the top and is skipped.
 
 The medium delivers a frame to every registered device that is inside
 min(sender range, receiver range) Euclidean distance and listening on the
@@ -37,8 +41,9 @@ between runs queue no event.
 
 Every protocol exchange that waits for an answer runs on one ``Retry``: it
 sends at once, resends every interval, and fails exactly at its deadline,
-the last wait being clamped to it. A ``Retry`` without a deadline (a
-reliable channel's queue head) resends until it is resolved. Every
+the last wait being clamped to it. A ``Retry`` without a deadline resends
+until it is resolved, and may then be started again: a reliable sender
+keeps one and restarts it for each queue head. Every
 asynchronous operation returns one ``Op`` handle: ``done`` turns true once,
 when ``result`` (on success) or ``error`` (on failure) is set and the
 ``on_complete`` callbacks run.
@@ -284,9 +289,10 @@ class Trace:
         return iter(self.events)
 
 
-# Heap entries are [at, seq, callback]; a cancelled entry has callback None.
-_CANCELLED = None
-# The id of "the event now firing" outside run_until: every queued event at
+# An event's key is ``at << _ID_BITS | event_id``: ordering keys orders
+# events by time, then id.
+_ID_BITS = 64
+# The key of "the event now firing" outside run_until: every queued event at
 # or before ``now`` has fired.
 _IDLE = float("inf")
 
@@ -302,10 +308,10 @@ class Engine:
         self.trace = Trace()
         self.devices: dict[DeviceAddress, Device] = {}
         self._neighbours: dict[Device, list[Device]] = {}  # see neighbours
-        self._heap: list[list] = []
+        self._heap: list[int] = []  # event keys, cancelled ones included
         self._next_seq = 0
-        self._entries: dict[int, list] = {}
-        self._firing: int | float = _IDLE  # see fired
+        self._entries: dict[int, Callable[[], None]] = {}  # pending key -> callback
+        self._firing: int | float = _IDLE  # the key now firing; see fired
         self._until: SimTime | float = -_IDLE  # run_until's bound; -inf outside it
         # kind -> [fn(receiver_device, frame, now)]
         self._frame_handlers: dict[FrameKind, list[Callable]] = {k: [] for k in FrameKind}
@@ -350,14 +356,15 @@ class Engine:
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, at: SimTime, fn: Callable[[], None]) -> int:
+        """Queue ``fn`` to run at ``at`` under the next event id; returns the
+        event's key, ``at << 64 | event_id``, which ``cancel`` takes."""
         if at < self.now:
             raise SchedulingInPast(f"cannot schedule at {at}, now is {self.now}")
-        event_id = self._next_seq
+        key = at << _ID_BITS | self._next_seq
         self._next_seq += 1
-        entry = [at, event_id, fn]
-        self._entries[event_id] = entry
-        heapq.heappush(self._heap, entry)
-        return event_id
+        self._entries[key] = fn
+        heapq.heappush(self._heap, key)
+        return key
 
     def schedule_in(self, delay_us: int, fn: Callable[[], None]) -> int:
         return self.schedule(self.now + delay_us, fn)
@@ -379,33 +386,38 @@ class Engine:
     def fired(self, at: SimTime, event_id: int) -> bool:
         """Whether the event ``(at, event_id)`` comes before the one now firing
         in the total order; outside ``run_until``, whether ``at <= now``."""
-        return (at, event_id) < (self.now, self._firing)
+        if self._firing is _IDLE:
+            return at <= self.now
+        return (at << _ID_BITS | event_id) < self._firing
 
     def settle_limit(self) -> SimTime | float:
         """The time before which an event may settle later work inline: the
         earlier of the first queued event's time and the bound of the
         ``run_until`` now running. Outside ``run_until`` it allows nothing,
-        since API calls between runs change inputs without queuing an event."""
-        return min(self._heap[0][0], self._until) if self._heap else self._until
+        since API calls between runs change inputs without queuing an event.
+        A cancelled key at the top of the heap still bounds it."""
+        return min(self._heap[0] >> _ID_BITS, self._until) if self._heap else self._until
 
-    def cancel(self, event_id: int) -> None:
-        entry = self._entries.pop(event_id, None)
-        if entry is not None:
-            entry[2] = _CANCELLED
+    def cancel(self, key: int) -> None:
+        """Drop the pending event ``key`` (as ``schedule`` returned it); a key
+        that has fired, was cancelled or was never issued is ignored."""
+        self._entries.pop(key, None)
 
     def run_until(self, t: SimTime) -> None:
         """Process every event with time <= t in total order; now becomes t."""
         if t < self.now:
             raise SchedulingInPast(f"cannot run to {t}, now is {self.now}")
         self._until = t
+        heap, entries, pop = self._heap, self._entries, heapq.heappop
+        limit = (t + 1) << _ID_BITS  # the first key past t
         try:
-            while self._heap and self._heap[0][0] <= t:
-                at, event_id, fn = heapq.heappop(self._heap)
-                self._entries.pop(event_id, None)
-                if fn is _CANCELLED:
+            while heap and heap[0] < limit:
+                key = pop(heap)
+                fn = entries.pop(key, None)
+                if fn is None:  # cancelled
                     continue
-                self.now = at
-                self._firing = event_id
+                self.now = key >> _ID_BITS
+                self._firing = key
                 fn()
         finally:
             self._firing = _IDLE
@@ -414,7 +426,7 @@ class Engine:
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for e in self._heap if e[2] is not _CANCELLED)
+        return len(self._entries)
 
     # -- trace --------------------------------------------------------------
 
@@ -584,6 +596,10 @@ class Retry:
     ``timeout_us`` None the deadline is infinite: the retry resends until it
     is resolved. ``resolve`` stops the retry on an answer, or when its owner
     ends, and cancels its pending tick.
+
+    ``done`` is false only while a run is live, from ``start`` to ``resolve``
+    or the timeout. A finished retry may be started again, keeping its
+    deadline, with one pending tick; starting a live one raises RuntimeError.
     """
 
     __slots__ = ("engine", "send", "interval_us", "on_timeout", "deadline_us", "done", "_timer")
@@ -601,10 +617,13 @@ class Retry:
         self.interval_us = interval_us
         self.deadline_us = float("inf") if timeout_us is None else engine.now + timeout_us
         self.on_timeout = on_timeout
-        self.done = False
-        self._timer = -1
+        self.done = True  # no run is live until start
+        self._timer = -1  # the pending tick's event key
 
     def start(self, delay_us: int = 0) -> "Retry":
+        if not self.done:
+            raise RuntimeError("the retry is already running")
+        self.done = False
         if delay_us:
             self._timer = self.engine.schedule_in(delay_us, self._tick)
         else:
@@ -617,8 +636,9 @@ class Retry:
             self.done = True
             self.on_timeout()
             return
+        timer = self._timer
         self.send()
-        if not self.done:  # unless send resolved it
+        if not self.done and self._timer == timer:  # unless send resolved or restarted it
             next_at = min(now + self.interval_us, self.deadline_us)
             self._timer = self.engine.schedule(next_at, self._tick)
 

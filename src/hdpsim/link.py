@@ -97,27 +97,35 @@ class WouldViolateTopology(LinkError):
     """Role switch refused: the prospective master's piconet is full."""
 
 
+def _mix_round(h: int, v: int) -> int:
+    """One ``_mix64`` round: ``v`` folded into the state ``h``."""
+    h = (h + (v & _MASK64) + 0x9E3779B97F4A7C15) & _MASK64
+    h ^= h >> 30
+    h = (h * 0xBF58476D1CE4E5B9) & _MASK64
+    h ^= h >> 27
+    h = (h * 0x94D049BB133111EB) & _MASK64
+    h ^= h >> 31
+    return h
+
+
 def _mix64(*values: int) -> int:
     h = 0x243F6A8885A308D3
     for v in values:
-        h = (h + (v & _MASK64) + 0x9E3779B97F4A7C15) & _MASK64
-        h ^= h >> 30
-        h = (h * 0xBF58476D1CE4E5B9) & _MASK64
-        h ^= h >> 27
-        h = (h * 0x94D049BB133111EB) & _MASK64
-        h ^= h >> 31
+        h = _mix_round(h, v)
     return h
 
 
 @dataclass(frozen=True)
 class ConnectionParams:
-    """Master-chosen link schedule and segmentation settings."""
+    """Master-chosen link schedule and segmentation settings. ``hop_state``,
+    ``_mix64(hop_seed)`` made once, is derived: not encoded, compared or shown."""
 
     hop_seed: int
     freq_low: int
     freq_high: int
     hop_interval_us: int
     page_size_bytes: int
+    hop_state: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.hop_seed <= _MASK64:
@@ -128,6 +136,7 @@ class ConnectionParams:
             raise ValueError("hop_interval_us must be positive")
         if self.page_size_bytes <= 0:
             raise ValueError("page_size_bytes must be positive")
+        object.__setattr__(self, "hop_state", _mix64(self.hop_seed))
 
     def encode(self) -> bytes:
         return _PARAMS_STRUCT.pack(
@@ -167,10 +176,12 @@ def negotiate_params(
 
 
 def hop_frequency(params: ConnectionParams, t: SimTime) -> int:
-    """Frequency both endpoints of a link use during the slot containing t."""
+    """Frequency both endpoints of a link use during the slot containing t:
+    ``_mix64(hop_seed, slot)`` into the range, of which only the slot's
+    round is run, from the pre-mixed ``params.hop_state``."""
     span = params.freq_high - params.freq_low + 1
     slot = t // params.hop_interval_us
-    return params.freq_low + _mix64(params.hop_seed, slot) % span
+    return params.freq_low + _mix_round(params.hop_state, slot) % span
 
 
 class LinkState(enum.Enum):

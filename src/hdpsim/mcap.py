@@ -30,8 +30,10 @@ sampling sends once and fails with ``SyncTimeout`` after
 ``sync_timeout_us``). A control channel holds its pending exchanges, keyed
 by kind and id; each entry carries the continuation that runs when the
 answer arrives, and a repeated reconnect or delete of a channel joins the
-exchange in flight. A reliable sender's queue head is resent on one
-``Retry`` with no deadline, which its ack, a suspend or a close resolves.
+exchange in flight. Each reliable sender keeps one ``Retry`` with no
+deadline, made at its first payload: it resends the queue head until the
+head's ack, a suspend or a close resolves it, and is started again for each
+new head, after a reconnect too.
 Channel operations return an engine ``Op``: ``result`` is the
 ``DataChannel`` or the ``ClockSyncResult``, ``error`` the ``McapError``. A
 payload ``send`` resolves the ``Op`` it is given, or a new one, to the
@@ -152,9 +154,10 @@ class ClockSyncResult:
 
 class SenderState:
     """One sender's side of a data channel: the seq of its last payload, its
-    queue of unacknowledged payloads (reliable channels), the ``Retry``
-    resending the queue head while the channel is active, and the receiver's
-    watermark, the last seq it took in order from this sender."""
+    queue of unacknowledged payloads (reliable channels), its one ``Retry``
+    (made at its first reliable payload, and running while it resends the
+    queue head on an active channel), and the receiver's watermark, the last
+    seq it took in order from this sender."""
 
     __slots__ = ("tx_seq", "queue", "retx", "rx_last")
 
@@ -251,7 +254,6 @@ class McapManager:
         for state in channel.senders.values():
             if state.retx is not None:
                 state.retx.resolve()
-                state.retx = None
 
     # -- wire helpers -------------------------------------------------------
 
@@ -446,7 +448,6 @@ class McapManager:
         items, state.queue = state.queue, deque()
         if state.retx is not None:
             state.retx.resolve()
-            state.retx = None
         abandoned = 0
         for item in items:
             if item.seq <= state.rx_last:
@@ -543,17 +544,22 @@ class McapManager:
         return bool(deliveries)
 
     def _pump(self, channel: DataChannel, sender: Device, state: SenderState) -> None:
-        """Start resending the sender's queue head, unless one is in flight;
-        ``state`` is the sender's side of the channel."""
-        if channel.state is not ChannelState.ACTIVE or state.retx is not None or not state.queue:
+        """Start the sender's ``Retry`` on its queue head, unless one is in
+        flight; ``state`` is the sender's side of the channel."""
+        if channel.state is not ChannelState.ACTIVE or not state.queue:
             return
-        item = state.queue[0]
+        retx = state.retx
+        if retx is None:
 
-        def send() -> None:
-            self._tx_data(channel, sender, item.seq, item.payload, item.attempts)
-            item.attempts += 1
+            def send() -> None:
+                item = state.queue[0]
+                self._tx_data(channel, sender, item.seq, item.payload, item.attempts)
+                item.attempts += 1
 
-        state.retx = Retry(self.engine, send, self.params.retransmit_interval_us).start()
+            retx = state.retx = Retry(self.engine, send, self.params.retransmit_interval_us)
+        elif not retx.done:
+            return
+        retx.start()
 
     def _on_data(
         self, control: ControlChannel, receiver: Device, from_addr: DeviceAddress, body: bytes, now: SimTime
@@ -585,13 +591,12 @@ class McapManager:
         if channel is None:
             return
         state = channel.senders.get(receiver.address)
-        # An ack with no live retry (the channel was suspended or settled
+        # An ack with no running retry (the channel was suspended or settled
         # meanwhile) or for an older seq is ignored; the queue is non-empty
-        # while its retry lives.
-        if state is None or state.retx is None or state.queue[0].seq != seq:
+        # while its retry runs.
+        if state is None or state.retx is None or state.retx.done or state.queue[0].seq != seq:
             return
         state.retx.resolve()
-        state.retx = None
         item = state.queue.popleft()
         self.engine.emit_typed(_MDL_ACK, receiver.address, mdl_id, seq)
         item.op.resolve(SendStatus.DELIVERED)

@@ -74,6 +74,84 @@ def test_run_until_does_not_execute_later_events():
     assert seen == ["later"]
 
 
+# -- the queue's contract: int keys ``at << 64 | event_id`` -------------------
+
+
+def test_ties_fire_in_id_order_a_reserved_id_ahead_of_those_queued_first():
+    engine = Engine()
+    seen = []
+    reserved = engine.reserve_ids(1)
+    first = engine.schedule(10, lambda: seen.append("first queued"))
+    engine.schedule(10, lambda: seen.append("second queued"))
+    engine.schedule(9, lambda: seen.append("earlier"))
+    key = engine.schedule_as(reserved, 10, lambda: seen.append("reserved"))
+    assert key == 10 << 64 | reserved and first == 10 << 64 | reserved + 1
+    assert engine.reserve_ids(0) == reserved + 4  # schedule_as issued no new id
+    engine.run_until(10)
+    assert seen == ["earlier", "reserved", "first queued", "second queued"]
+
+
+def test_cancel_of_a_fired_cancelled_or_never_issued_key_changes_nothing():
+    engine = Engine()
+    seen = []
+    fired = engine.schedule(1, lambda: seen.append("fired"))
+    engine.run_until(1)
+    engine.schedule(5, lambda: seen.append("kept"))
+    dropped = engine.schedule(5, lambda: seen.append("dropped"))
+    engine.cancel(dropped)
+    assert engine.pending_events == 1
+    for key in (fired, dropped, dropped, 5 << 64 | 99, -1):
+        engine.cancel(key)
+        assert engine.pending_events == 1
+    engine.run_until(5)
+    assert seen == ["fired", "kept"] and engine.pending_events == 0
+
+
+def test_settle_limit_counts_a_cancelled_key_at_the_top_of_the_heap():
+    engine = Engine()
+    limits = []
+    engine.schedule(10, lambda: limits.append(engine.settle_limit()))
+    cancelled = engine.schedule(20, lambda: None)
+    engine.schedule(30, lambda: limits.append(engine.settle_limit()))
+    engine.cancel(cancelled)
+    assert engine.settle_limit() == float("-inf")  # outside run_until
+    engine.run_until(100)
+    # At 30 the heap is empty and the run's bound is the limit.
+    assert limits == [20, 100]
+
+
+@pytest.mark.parametrize("t", [0, 2**62 + 3])
+def test_an_event_at_t_fires_in_run_until_t_but_not_before(t):
+    engine = Engine()
+    seen = []
+    engine.reserve_ids(1000)
+    engine.schedule(t + 1, lambda: seen.append(t + 1))
+    engine.schedule(t, lambda: seen.append(t))
+    if t == 0:
+        with pytest.raises(SchedulingInPast):
+            engine.run_until(t - 1)
+    else:
+        engine.run_until(t - 1)
+        assert engine.now == t - 1
+    assert seen == [] and engine.pending_events == 2
+    engine.run_until(t)
+    assert seen == [t] and engine.now == t and engine.pending_events == 1
+    engine.run_until(t + 1)
+    assert seen == [t, t + 1] and engine.pending_events == 0
+
+
+def test_fired_compares_with_the_event_now_firing_then_with_now():
+    engine = Engine()
+    seen = []
+    engine.reserve_ids(5)  # ids 0..4 for the probes below
+    engine.schedule(
+        10, lambda: seen.append([engine.fired(*e) for e in ((9, 99), (10, 4), (10, 5), (10, 6), (11, 0))])
+    )
+    engine.run_until(10)
+    assert seen == [[True, True, False, False, False]]
+    assert engine.fired(10, 99) and not engine.fired(11, 0)
+
+
 def test_trace_rejects_time_going_backwards():
     trace = Trace()
     trace.append(5, "ev", "dev", {})

@@ -90,6 +90,25 @@ def test_hop_frequency_constant_within_slot():
     assert hop_frequency(params, 0) == hop_frequency(params, 624)
 
 
+@settings(max_examples=50)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    t=st.integers(min_value=0, max_value=2**62),
+)
+@example(seed=0, t=0)
+@example(seed=2**64 - 1, t=2**62)
+def test_hop_frequency_from_the_pre_mixed_seed_equals_the_two_round_mix(seed, t):
+    params = ConnectionParams(
+        hop_seed=seed, freq_low=2, freq_high=30, hop_interval_us=625, page_size_bytes=64
+    )
+    slot = t // 625
+    assert hop_frequency(params, t) == 2 + link_module._mix64(seed, slot) % 29
+    # The pre-mixed state is derived: not encoded, compared or shown.
+    assert ConnectionParams.decode(params.encode()) == params
+    assert "hop_state" not in repr(params)
+    assert dataclasses.replace(params, hop_interval_us=1250).hop_state == params.hop_state
+
+
 @settings(max_examples=25, deadline=None)
 @given(times=st.lists(st.integers(min_value=0, max_value=10**9), max_size=30))
 def test_link_hop_cache_equals_hop_frequency_and_stays_out_of_eq_and_repr(times):
@@ -305,7 +324,7 @@ def test_a_full_master_re_pages_a_lost_link_it_is_the_slave_of():
 
 def supervision_timers(stack):
     """Pending events whose callback the link layer scheduled."""
-    return [e[1] for e in stack.engine._entries.values() if e[2].__module__ == "hdpsim.link"]
+    return [key for key, fn in stack.engine._entries.items() if fn.__module__ == "hdpsim.link"]
 
 
 def test_idle_link_schedules_one_supervision_event_per_keepalive_interval(monkeypatch):

@@ -113,6 +113,29 @@ def test_reconnect_of_active_channel_is_a_no_op():
     assert op.done and op.result is channel
 
 
+def test_reconnect_of_a_closed_channel_is_refused():
+    stack = make_stack()
+    a, _, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    stack.mcap.close_channel(channel, a, abort=True)
+    assert channel.state is ChannelState.CLOSED
+    with pytest.raises(ChannelClosed):
+        stack.mcap.reconnect_data_channel(channel, a)
+    assert channel.state is ChannelState.CLOSED
+
+
+def test_reconnect_on_a_down_link_is_refused_and_leaves_the_channel_suspended():
+    stack = make_stack()
+    a, b, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    stack.links.drop_link(a.address, b.address)
+    mark = len(stack.engine.trace.events)
+    with pytest.raises(LinkDown):
+        stack.mcap.reconnect_data_channel(channel, a)
+    assert channel.state is ChannelState.SUSPENDED
+    assert control.pending == {} and mcap_tx_count(stack, mark) == 0
+
+
 def test_reliable_send_delivers_and_acks():
     stack = make_stack()
     a, b, _, control = control_pair(stack)
@@ -402,3 +425,12 @@ def test_clock_sync_times_out_when_link_dies_midway():
     assert op.done and isinstance(op.error, SyncTimeout)
     failures = [e for e in stack.engine.trace if e.ev == "sync_fail"]
     assert len(failures) == 1
+
+
+def test_clock_sync_on_a_down_link_is_refused_and_takes_no_token():
+    stack = make_stack()
+    a, b, _, control = control_pair(stack)
+    stack.links.drop_link(a.address, b.address)
+    with pytest.raises(LinkDown):
+        stack.mcap.sync_clocks(control, a)
+    assert control.next_token == 1 and control.pending == {}

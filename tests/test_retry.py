@@ -9,7 +9,7 @@ import pytest
 from hdpsim import hdp
 from hdpsim.engine import Engine, Op, Retry
 from hdpsim.hdp import _MSG_ASSOC_REQ, AssocState, Specialization
-from hdpsim.link import PROTO_HDP, Unreachable
+from hdpsim.link import PROTO_HDP, LinkState, Unreachable
 from hdpsim.mcap import ChannelState, LinkDown, McapTimeout, SendStatus, SyncTimeout
 
 from conftest import add_device, connect, make_stack, paired_pair, run_while
@@ -21,8 +21,11 @@ def queues(channel):
 
 
 def retries(channel):
-    """Sender -> the Retry resending its queue head, for each that has one."""
-    return {a: state.retx for a, state in channel.senders.items() if state.retx is not None}
+    """Sender -> its Retry, for each whose Retry is resending its queue head."""
+    return {
+        a: state.retx for a, state in channel.senders.items()
+        if state.retx is not None and not state.retx.done
+    }
 
 
 def assert_nothing_pending(stack):
@@ -34,7 +37,7 @@ def assert_nothing_pending(stack):
     for assoc in stack.hdp.associations.values():
         assert assoc._request.done
         assert assoc._repage is None or assoc._repage.done
-    # A retransmit Retry lives only while its channel is active and its
+    # A retransmit Retry runs only while its channel is active and its
     # sender's queue holds the payload it resends.
     for control in controls:
         for channel in control.channels.values():
@@ -124,6 +127,48 @@ def test_a_send_that_resolves_its_retry_is_its_last(timeout_us):
     engine.run_until(100)
     assert sends == [0] and timeouts == []
     assert retry.done and engine.pending_events == 0
+
+
+def test_a_resolved_retry_restarts_with_a_send_at_once_and_one_pending_tick():
+    engine = Engine()
+    sends = []
+    retry = Retry(engine, lambda: sends.append(engine.now), 100).start()
+    engine.run_until(150)
+    retry.resolve()
+    assert retry.done and engine.pending_events == 0
+    assert retry.start() is retry
+    assert sends == [0, 100, 150] and not retry.done and engine.pending_events == 1
+    engine.run_until(400)
+    assert sends == [0, 100, 150, 250, 350] and engine.pending_events == 1
+
+
+def test_a_send_that_restarts_its_own_retry_leaves_one_pending_tick():
+    engine = Engine()
+    sends = []
+
+    def send():
+        sends.append(engine.now)
+        if len(sends) == 2:
+            retry.resolve()
+            retry.start()
+
+    retry = Retry(engine, send, 100).start()
+    engine.run_until(100)
+    assert sends == [0, 100, 100] and engine.pending_events == 1
+    engine.run_until(250)
+    assert sends == [0, 100, 100, 200]
+
+
+@pytest.mark.parametrize("delay_us", [0, 50])
+def test_starting_a_live_retry_is_refused(delay_us):
+    engine = Engine()
+    sends = []
+    retry = Retry(engine, lambda: sends.append(engine.now), 100).start(delay_us)
+    with pytest.raises(RuntimeError):
+        retry.start()
+    assert engine.pending_events == 1 and not retry.done
+    engine.run_until(delay_us + 150)
+    assert sends == [delay_us, delay_us + 100]
 
 
 def test_op_resolves_once_and_runs_late_callbacks_at_once():
@@ -242,6 +287,62 @@ def test_ack_landing_after_the_suspend_is_ignored():
     # The resend is a duplicate to the peer, which acks it without a second rx.
     assert op.result is SendStatus.DELIVERED and received == [b"head"]
     assert [retx for _, retx in sends_of(stack)] == [0, 1]
+    assert_nothing_pending(stack)
+
+
+def test_a_reliable_sender_keeps_one_retry_across_payloads_a_suspend_and_a_reconnect(monkeypatch):
+    stack = make_stack()
+    a, b, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    held = []
+    for payload in (b"one", b"two", b"three"):
+        op = stack.mcap.send(channel, a, payload)
+        held.append(channel.senders[a.address].retx)
+        run_while(stack, lambda: not op.done, 1_000_000)
+        assert op.result is SendStatus.DELIVERED
+    retry = held[0]
+    assert all(r is retry for r in held) and retry.done
+    lose_acks(monkeypatch, stack)
+    op = stack.mcap.send(channel, a, b"four")
+    stack.engine.run_until(stack.engine.now + 150_000)
+    assert not retry.done
+    stack.links.drop_link(a.address, b.address)
+    assert retry.done and retries(channel) == {}
+    monkeypatch.undo()
+    connect(stack, a, b)
+    stack.mcap.reconnect_data_channel(channel, a)
+    run_while(stack, lambda: not op.done, 1_000_000)
+    assert op.result is SendStatus.DELIVERED
+    assert channel.senders[a.address].retx is retry and retry.done
+    assert_nothing_pending(stack)
+
+
+def test_a_payload_sent_as_its_link_drops_waits_for_the_reconnect():
+    """An observer that runs before mcap's sees the link lost and the channel
+    still active: the payload's first try finds the link down and carries
+    nothing, and the suspend then halts its retry."""
+    stack = make_stack()
+    a, b, link = paired_pair(stack)
+    ops = []
+
+    def send_on_loss(lk):
+        if lk.state is LinkState.LOST:
+            assert channel.state is ChannelState.ACTIVE
+            ops.append(stack.mcap.send(channel, a, b"late"))
+
+    link.on_state_change(send_on_loss)
+    control = stack.mcap.open_control_channel(a, b)
+    channel = open_channel(stack, control, a)
+    stack.links.drop_link(a.address, b.address)
+    (op,) = ops
+    assert not op.done and channel.state is ChannelState.SUSPENDED and retries(channel) == {}
+    assert sends_of(stack) == []
+    connect(stack, a, b)
+    stack.mcap.reconnect_data_channel(channel, a)
+    run_while(stack, lambda: not op.done, 1_000_000)
+    assert op.result is SendStatus.DELIVERED
+    # The try that carried nothing counts as an attempt.
+    assert [retx for _, retx in sends_of(stack)] == [1]
     assert_nothing_pending(stack)
 
 
@@ -409,8 +510,8 @@ def test_hdp_defers_only_its_set_up_step_outside_retry():
 
 
 def hdp_events(stack):
-    """Queued events whose callback the profile layer scheduled."""
-    return [e[0] for e in stack.engine._entries.values() if e[2].__module__ == "hdpsim.hdp"]
+    """The times of queued events whose callback the profile layer scheduled."""
+    return [key >> 64 for key, fn in stack.engine._entries.items() if fn.__module__ == "hdpsim.hdp"]
 
 
 def test_release_cancels_the_retry_of_a_failed_set_up_step(monkeypatch):
