@@ -156,8 +156,8 @@ else:
 def trace_line(t_us: SimTime, seq: int, ev: str, dev: str, detail: dict) -> str:
     """An event's trace line: ``_TRACE_ENCODER``'s text of the event as a
     dict, keys in sorted order, and a newline. Every line is made here but
-    the streamed lines of ``TYPED_EVENTS``, which their ``TypedEvent``
-    templates make, byte for byte the same."""
+    the lines of ``TYPED_EVENTS``, which their ``TypedEvent`` templates make,
+    byte for byte the same."""
     return '{"detail":%s,"dev":%s,"ev":%s,"seq":%d,"t_us":%d}\n' % (
         _encode_detail(detail),
         _encode_str(dev),
@@ -234,23 +234,22 @@ class TraceEvent(NamedTuple):
 class Trace:
     """Append-only, time-monotonic record of a run.
 
-    ``append`` checks the time and numbers the event. Without an output it
-    keeps the event as a ``TraceEvent`` in ``events``, and ``to_jsonl`` and
-    ``sha256`` describe them. With an output (a text file set as ``out``
-    before the first event), it writes the event's line and keeps nothing,
-    so ``events`` stays empty and memory does not grow with the run. Either
-    way ``feed``, when set, receives ``(t_us, ev, dev, detail)`` of each
-    event whose name is in ``feed_events``, and ``len`` counts every event.
-    A typed event (``typed`` given, ``detail`` its values in field order)
-    is written from its template and fed those values, kept or streamed;
-    its detail dict is built only to be kept.
+    ``append`` checks the time, numbers the event and makes its line once,
+    from a typed event's template (``typed`` given, ``detail`` its values in
+    field order) or else with ``trace_line``. It writes the line to ``out``,
+    a text file set before the first event, or else keeps it: ``to_jsonl``
+    joins the kept lines, ``sha256`` hashes them, and ``events`` parses each
+    into a ``TraceEvent`` on first read, its detail as the line reads (lists,
+    not tuples). ``feed``, when set, receives ``(t_us, ev, dev, detail)`` of
+    each event whose name is in ``feed_events``; ``len`` counts every event.
     """
 
     def __init__(self):
         self.out: Optional[TextIO] = None
         self.feed: Optional[Callable[[SimTime, str, str, dict | tuple], None]] = None
         self.feed_events: frozenset[str] = frozenset()
-        self.events: list[TraceEvent] = []
+        self._lines: list[str] = []
+        self._events: list[TraceEvent] = []  # _lines[:len(_events)], parsed
         self._count = 0
         self._last_t_us: SimTime = 0
 
@@ -262,22 +261,24 @@ class Trace:
         seq = self._count
         self._count = seq + 1
         self._last_t_us = t_us
+        line = (trace_line(t_us, seq, ev, dev, detail) if typed is None
+                else typed.line(detail, dev, seq, t_us))
         out = self.out
-        if out is not None:
-            out.write(trace_line(t_us, seq, ev, dev, detail) if typed is None
-                      else typed.line(detail, dev, seq, t_us))
-        elif typed is None:
-            self.events.append(TraceEvent(t_us, seq, ev, dev, detail))
+        if out is None:
+            self._lines.append(line)
         else:
-            # A display, not dict(), which takes new memory, not a dict from
-            # the free list; the free list then fills with what it frees.
-            kept = {name: value for name, value in zip(typed.fields, detail)}
-            self.events.append(TraceEvent(t_us, seq, ev, dev, kept))
+            out.write(line)
         if ev in self.feed_events:
             self.feed(t_us, ev, dev, detail)
 
+    @property
+    def events(self) -> list[TraceEvent]:
+        events = self._events
+        events += (TraceEvent(**json.loads(line)) for line in self._lines[len(events):])
+        return events
+
     def to_jsonl(self) -> str:
-        return "".join(trace_line(*e) for e in self.events)
+        return "".join(self._lines)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()

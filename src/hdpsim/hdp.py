@@ -487,12 +487,10 @@ class HdpManager:
     def _on_pdu(
         self, link: Link, receiver: Device, from_addr: DeviceAddress, body: bytes, now: SimTime
     ) -> None:
-        if not body:
-            return
-        msg = body[0]
+        msg = body[0]  # every hdp PDU is _tx's: a message byte, then its body
         rest = body[1:]
         if msg == _MSG_ASSOC_REQ:
-            self._on_assoc_req(receiver, from_addr, rest)
+            self._on_assoc_req(receiver, rest)
         elif msg == _MSG_ASSOC_RSP:
             self._on_assoc_rsp(receiver, rest)
         elif msg == _MSG_ASSOC_REJECT:
@@ -500,23 +498,15 @@ class HdpManager:
         elif msg == _MSG_ASSOC_CONFIRM:
             pass  # sink treats the association as live from its response
 
-    def _on_assoc_req(
-        self, receiver: Device, from_addr: DeviceAddress, body: bytes
-    ) -> None:
-        assoc_id, spec_code = struct.unpack(">IB", body[:5])
-        assoc = self.associations.get(assoc_id)
-        if assoc is None or assoc.sink.address != receiver.address:
-            return
+    def _on_assoc_req(self, receiver: Device, body: bytes) -> None:
+        # The request's association is registered (and records are never
+        # removed) before it is sent, by its source on the link to its sink.
+        assoc_id = struct.unpack(">I", body[:4])[0]
+        assoc = self.associations[assoc_id]
         allowed = self._whitelists.get(receiver.address)
-        if allowed is not None and assoc.specialization not in allowed:
-            self._tx(
-                assoc.link,
-                receiver,
-                _MSG_ASSOC_REJECT,
-                struct.pack(">I", assoc_id),
-            )
-            return
-        self._tx(assoc.link, receiver, _MSG_ASSOC_RSP, struct.pack(">I", assoc_id))
+        rejected = allowed is not None and assoc.specialization not in allowed
+        msg = _MSG_ASSOC_REJECT if rejected else _MSG_ASSOC_RSP
+        self._tx(assoc.link, receiver, msg, struct.pack(">I", assoc_id))
 
     def _on_assoc_rsp(self, receiver: Device, body: bytes) -> None:
         assoc_id = struct.unpack(">I", body[:4])[0]
@@ -534,10 +524,11 @@ class HdpManager:
     # -- channel and sync ----------------------------------------------------
 
     def _set_up(self, assoc: Association) -> None:
-        """Take the next set-up step: the channel, then the clock sync."""
+        """Take the next set-up step: the channel, then the clock sync. The
+        association is associating: a step is taken on the answer to a live
+        request, after a step done while associating, or by a retry timer
+        that release cancels."""
         control = assoc.link.control
-        if assoc.state is not AssocState.ASSOCIATING:
-            return
         try:
             if assoc.reliable_mdl is None:
                 op = self.mcap.create_data_channel(control, assoc.source, reliable=True)
@@ -551,7 +542,7 @@ class HdpManager:
         op.on_complete(lambda o, a=assoc: self._set_up_done(a, o))
 
     def _set_up_done(self, assoc: Association, op: Op) -> None:
-        if assoc.state is not AssocState.ASSOCIATING:
+        if assoc.state is not AssocState.ASSOCIATING:  # released while the step ran
             return
         if op.error is not None:
             # Not a Retry: its resends would not wait on the step's Op.

@@ -5,8 +5,8 @@ the report a pure function of the run's observable record: identical traces
 always produce identical metrics bytes. ``MetricsFold`` takes the events one
 at a time as they are emitted, so a run need not keep its trace to report on
 it; ``compute_metrics`` folds a kept trace the same way. A per-reading event
-of ``hdpsim.engine.TYPED_EVENTS`` is fed as its values in field order: a trace
-builds its dict only to keep it, and ``compute_metrics`` feeds it as values.
+of ``hdpsim.engine.TYPED_EVENTS`` is fed as its values in field order, which
+is how it is emitted; ``compute_metrics`` takes them from its parsed detail.
 """
 
 from __future__ import annotations

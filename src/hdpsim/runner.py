@@ -242,7 +242,7 @@ class ScenarioRun:
         """Run to the horizon; the metrics are folded as events are emitted.
 
         With ``out``, each trace line is written to it as the event happens
-        and the returned ``Trace`` keeps no events; without, it keeps them all.
+        and kept nowhere; without, the returned ``Trace`` keeps the lines.
         """
         engine = self.stack.engine
         engine.trace.out = out

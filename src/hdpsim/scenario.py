@@ -265,6 +265,10 @@ _TIMED = {
 }
 _ACTION_TABLES = {kind: {**_TIMED, **fields} for kind, fields in ACTIONS.items()}
 
+# action name -> its fields that hold addresses, in table order; requested's are its keys
+_ADDRESS_KEYS = {kind: [key for key, spec in fields.items() if spec.check in (_address, _rates)]
+                 for kind, fields in ACTIONS.items()}
+
 _TOP_KEYS = {"name", "devices", "medium", "params", "timeline"}
 
 _UNKNOWN_ACTION = f"unknown action; must be one of {sorted(ACTIONS)}"
@@ -351,9 +355,10 @@ def _validate_action(
     kind = raw["action"]
     _require(isinstance(kind, str) and kind in ACTIONS, _UNKNOWN_ACTION, ".action")
     values = _fields(_ACTION_TABLES[kind], raw, declared)
-    for key, value in values.items():
+    for key in _ADDRESS_KEYS[kind]:
+        value = values[key]
         for address in value if isinstance(value, dict) else (value,):  # of a dict, its keys
-            if isinstance(address, DeviceAddress) and address not in known:
+            if address not in known:
                 at = f".{key}" if address is value else f".{key}[{address}]"
                 raise ValidationError(at, f"references undefined device {address}")
     rules = _ACTION_RULES.get(kind)

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hdpsim import engine as engine_module
+from hdpsim.cli import demo_scenario
 from hdpsim.core import MAX_ADDRESS, DeviceAddress, DeviceConfig
 from hdpsim.discovery import DiscoverabilityMode, sweep_slots
 from hdpsim.engine import (
@@ -28,7 +30,7 @@ from hdpsim.engine import (
 )
 from hdpsim.link import LinkState
 from hdpsim.metrics import metrics_json
-from hdpsim.runner import ScenarioRun
+from hdpsim.runner import ScenarioRun, run_scenario
 from hdpsim.scenario import load_scenario, validate_scenario
 
 import fastpaths
@@ -900,6 +902,35 @@ def test_trace_line_equals_json_dumps_of_the_event(t_us, seq, ev, dev, detail):
         trace.append(t_us, ev, dev, detail)
     assert streamed.out.getvalue() == kept.to_jsonl() == dumped(0)
     assert streamed.events == [] and len(streamed) == 1
+
+
+def test_a_kept_run_parses_its_events_on_read_and_each_line_once(monkeypatch):
+    """A kept run builds no ``TraceEvent`` until ``events`` is read; a later
+    read extends the same list with the lines appended since."""
+    monkeypatch.setattr(engine_module, "TraceEvent", None)
+    trace, _report = run_scenario(demo_scenario("pulsemeter"), seed=42)
+    built = []
+
+    def counted(**fields):
+        built.append(fields["seq"])
+        return TraceEvent(**fields)
+
+    monkeypatch.setattr(engine_module, "TraceEvent", counted)
+    lines = trace.to_jsonl().splitlines(keepends=True)
+    events = trace.events
+    assert built == list(range(len(lines))) and len(trace) == len(events) == len(lines)
+    assert [e.to_json() + "\n" for e in events] == lines
+
+    t_us, seq, dev = events[-1].t_us, len(lines), events[-1].dev
+    trace.append(t_us, "note", dev, {"pair": (1, 2)})  # a tuple reads back as a list
+    trace.append(t_us + 1, "mdl_ack", dev, (1, 7), TYPED["mdl_ack"])
+    assert trace.events is events and len(trace) == len(events) == seq + 2
+    assert built == list(range(seq + 2))
+    assert events[seq:] == [
+        TraceEvent(t_us, seq, "note", dev, {"pair": [1, 2]}),
+        TraceEvent(t_us + 1, seq + 1, "mdl_ack", dev, {"mdl_id": 1, "seq": 7}),
+    ]
+    assert trace.events is events and len(built) == len(events)
 
 
 _TYPED_VALUES = {

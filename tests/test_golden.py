@@ -184,16 +184,17 @@ def test_found_addresses_are_the_registered_objects(monkeypatch):
 @pytest.mark.parametrize("name", scenario_names())
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cli_streams_the_golden_bytes(name, seed, tmp_path):
-    """``hdpsim simulate`` streams the pinned bytes, and its online metrics
-    fold, fed only the events in ``MetricsFold.EVENTS``, writes the bytes of
-    ``compute_metrics`` over the kept trace of an in-memory run, which feeds
-    every event."""
+    """``hdpsim simulate`` streams the pinned bytes, which an in-memory run
+    keeps as they are, and its online metrics fold, fed only the events in
+    ``MetricsFold.EVENTS``, writes the bytes of ``compute_metrics`` over the
+    kept trace, which feeds every event."""
     path = str(GOLDEN / f"{name}.json")
     trace_path, metrics_path = tmp_path / "trace.jsonl", tmp_path / "metrics.json"
     argv = ["simulate", "--scenario", path, "--seed", str(seed)]
     assert cli.main(argv + ["--trace", str(trace_path), "--metrics", str(metrics_path)]) == 0
     assert written(trace_path, metrics_path) == pinned()[name][str(seed)]
     trace, _report = run_scenario(load_scenario(path), seed)
+    assert trace.to_jsonl().encode("utf-8") == trace_path.read_bytes()
     assert metrics_path.read_text(encoding="utf-8") == metrics_json(compute_metrics(trace.events))
 
 

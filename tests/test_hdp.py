@@ -634,6 +634,32 @@ def test_a_readings_dict_changed_between_sends_is_sent_as_changed():
     assert [dict(m.values)["heart_rate_bpm"] for _a, m, _ts, _at in received] == [720, 950, 950]
 
 
+@pytest.mark.parametrize("step", ["create_data_channel", "sync_clocks"])
+def test_a_set_up_step_that_ends_after_release_is_ignored(monkeypatch, step):
+    """A set-up step's Op that resolves after release neither takes the next
+    step nor makes the association operating."""
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    ops = []
+    take_step = getattr(stack.mcap, step)
+
+    def take_then_release(*args, **kwargs):
+        ops.append(take_step(*args, **kwargs))
+        stack.engine.schedule(stack.engine.now, lambda: stack.hdp.release(assoc))
+        return ops[-1]
+
+    monkeypatch.setattr(stack.mcap, step, take_then_release)
+    assoc = stack.hdp.associate(source, sink, Specialization.HEART_RATE)
+    stack.engine.run_until(stack.engine.now + 10_000_000)
+    assert len(ops) == 1 and ops[0].done and ops[0].error is None
+    assert assoc.state is AssocState.RELEASED and assoc.clock_map is None
+    assert (assoc.reliable_mdl is None) == (step == "create_data_channel")
+    assert assoc._set_up_timer == -1
+    assert [e.ev for e in stack.engine.trace if e.ev.startswith(("assoc", "released"))] == [
+        "released"
+    ]
+
+
 def test_readings_buffered_before_a_failed_association_are_abandoned():
     stack = make_stack()
     source, sink = sensor_pair(stack)
