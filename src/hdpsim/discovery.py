@@ -251,7 +251,7 @@ class DiscoveryManager:
 
     def _cycle(self, inquiry: Inquiry) -> None:
         now = self.engine.now
-        if inquiry.done or now >= inquiry.deadline_us:
+        if now >= inquiry.deadline_us:
             return
         slots = self._slots(inquiry, now)
         if self._settle(inquiry, slots):
@@ -281,7 +281,7 @@ class DiscoveryManager:
         medium = engine.medium
         now, p, inquirer = engine.now, medium.propagation_us, inquiry.device
         limit = min(engine.settle_limit(), inquiry.deadline_us)
-        if now + 2 * p >= limit:
+        if now + 2 * p >= limit:  # an early out: settling would end as the plain cycle does
             return False
         cycle_us, slot_us = self.params.inquiry_cycle_us, self.params.inquiry_slot_us
         # The least time from a slot to the next, the next cycle's first included.
@@ -359,12 +359,10 @@ class DiscoveryManager:
         )
 
     def _finish(self, inquiry: Inquiry) -> None:
-        if inquiry.done:
-            return
+        """Queued once per inquiry, at its deadline; the only writer of ``done``."""
         inquiry.done = True
         inquiry.results.sort(key=lambda r: (r.discovered_at, r.address))
-        if self._active.get(inquiry.device) is inquiry:
-            del self._active[inquiry.device]
+        del self._active[inquiry.device]
         self.engine.emit(
             "inquiry_done",
             inquiry.device.address,

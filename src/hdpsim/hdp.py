@@ -60,7 +60,6 @@ from .mcap import (
     ClockSyncResult,
     DataChannel,
     LinkDown,
-    McapError,
     McapManager,
     SendStatus,
 )
@@ -476,8 +475,8 @@ class HdpManager:
 
     def _answered(self, assoc_id: int) -> Optional[Association]:
         """The association, if its request was unanswered until now."""
-        assoc = self.associations.get(assoc_id)
-        if assoc is None or assoc._request.done:
+        assoc = self.associations[assoc_id]  # a source is answered only on ids it sent
+        if assoc._request.done:
             return None
         assoc._request.resolve()
         return assoc
@@ -543,6 +542,9 @@ class HdpManager:
 
     def _set_up_done(self, assoc: Association, op: Op) -> None:
         if assoc.state is not AssocState.ASSOCIATING:  # released while the step ran
+            if op.error is None and assoc.reliable_mdl is None:  # a channel release missed
+                link_down = assoc.link.state is not LinkState.CONNECTED
+                self.mcap.close_channel(op.result, assoc.source, abort=link_down)
             return
         if op.error is not None:
             # Not a Retry: its resends would not wait on the step's Op.
@@ -675,18 +677,12 @@ class HdpManager:
             pass
 
     def _reconnect_channel(self, assoc: Association) -> None:
+        """On a restored link: the link is up, and an active channel's op is
+        resolved at once."""
         channel = assoc.reliable_mdl
-        if channel is None or assoc.state is AssocState.RELEASED:
+        if channel is None or channel.state is ChannelState.CLOSED:
             return
-        if channel.state is ChannelState.ACTIVE:
-            self._flush(assoc)
-            return
-        if channel.state is ChannelState.CLOSED:
-            return
-        try:
-            op = self.mcap.reconnect_data_channel(channel, assoc.source)
-        except McapError:
-            return
+        op = self.mcap.reconnect_data_channel(channel, assoc.source)
         op.on_complete(lambda o, a=assoc: self._flush(a) if o.error is None else None)
 
     # -- release -------------------------------------------------------------

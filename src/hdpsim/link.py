@@ -503,9 +503,8 @@ class LinkManager:
         )
 
     def _supervise(self, link: Link) -> None:
-        """Master miss check and keepalive, slave miss check, next tick."""
-        if link.state is not LinkState.CONNECTED:
-            return
+        """Master miss check and keepalive, slave miss check, next tick. It
+        runs on live links only: ``_lose`` cancels the tick."""
         if link._ka_elided is not None:
             # The last tick's elided exchange has landed, ack included.
             link._ka_elided = None
@@ -610,8 +609,8 @@ class LinkManager:
         return self.engine.broadcast(frame, sender)
 
     def _on_link_data(self, receiver: Device, frame: RadioFrame, now: SimTime) -> None:
-        if not frame.payload:
-            return
+        # Built here or by send_on_link: a protocol byte first, and each
+        # frame of another protocol carries its link.
         proto = frame.payload[0]
         if proto == PROTO_LINK:
             msg = frame.payload[1]
@@ -627,21 +626,20 @@ class LinkManager:
                 self._on_keepalive_ack(receiver, frame)
             return
         handler = self._protocols.get(proto)
-        if handler is not None and frame.link is not None:
+        if handler is not None:
             handler(frame.link, receiver, frame.from_addr, frame.payload[1:], now)
 
     def _on_keepalive(self, receiver: Device, frame: RadioFrame) -> None:
         link = frame.link
-        if link is None or link.state is not LinkState.CONNECTED:
+        if link.state is not LinkState.CONNECTED:
             return
         if receiver is link.slave:
             link.slave_heard = True
             self.send_on_link(link, receiver, PROTO_LINK, bytes([_MSG_KEEPALIVE_ACK]))
 
     def _on_keepalive_ack(self, receiver: Device, frame: RadioFrame) -> None:
+        # On a lost link this writes the values _stop_supervision wrote.
         link = frame.link
-        if link is None or link.state is not LinkState.CONNECTED:
-            return
         if receiver is link.master:
             link.ka_pending = False
             link.ka_misses = 0

@@ -11,7 +11,8 @@ two-way clock sampling from which the requester estimates the peer's clock
 offset with a bounded error.
 
 Both ends of a pair share its one ``ControlChannel`` and one ``DataChannel``
-record per data channel, so a request's handler does the pair's work once,
+record per data channel, never removed, so a PDU's id always finds its
+record and a request's handler does the pair's work once,
 and an abort's frame changes nothing where it lands: the aborting end has
 closed the shared channel already. A closed channel's queues are settled by
 the receiver's watermark, as ``abandon_pending`` settles them.
@@ -403,8 +404,8 @@ class McapManager:
 
     def _on_reconnect_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         mdl_id = struct.unpack(">H", body[:2])[0]
-        channel = control.channels.get(mdl_id)
-        if channel is None or channel.state is ChannelState.CLOSED:
+        channel = control.channels[mdl_id]
+        if channel.state is ChannelState.CLOSED:
             return
         if channel.state is ChannelState.SUSPENDED:
             channel.state = ChannelState.ACTIVE
@@ -466,9 +467,7 @@ class McapManager:
 
     def _on_delete_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         mdl_id = struct.unpack(">H", body[:2])[0]
-        channel = control.channels.get(mdl_id)
-        if channel is not None:
-            self._close_local(channel, receiver.address, "delete")
+        self._close_local(control.channels[mdl_id], receiver.address, "delete")
         self._tx(control, receiver, _OP_DELETE_ACK, struct.pack(">H", mdl_id))
 
     # -- data plane ---------------------------------------------------------
@@ -565,8 +564,8 @@ class McapManager:
         self, control: ControlChannel, receiver: Device, from_addr: DeviceAddress, body: bytes, now: SimTime
     ) -> None:
         mdl_id, seq, flags, clock = _DATA_HEADER.unpack_from(body, 0)
-        channel = control.channels.get(mdl_id)
-        if channel is None or channel.state is ChannelState.CLOSED:
+        channel = control.channels[mdl_id]
+        if channel.state is ChannelState.CLOSED:
             return
         payload = body[_DATA_HEADER.size :]
         if flags & _FLAG_ENCRYPTED:
@@ -587,9 +586,7 @@ class McapManager:
 
     def _on_data_ack(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
         mdl_id, seq = struct.unpack(">HI", body[:6])
-        channel = control.channels.get(mdl_id)
-        if channel is None:
-            return
+        channel = control.channels[mdl_id]
         state = channel.senders.get(receiver.address)
         # An ack with no running retry (the channel was suspended or settled
         # meanwhile) or for an older seq is ignored; the queue is non-empty
@@ -660,9 +657,7 @@ class McapManager:
     def _on_pdu(
         self, link: Link, receiver: Device, from_addr: DeviceAddress, body: bytes, now: SimTime
     ) -> None:
-        control = link.control
-        if not body or control is None:
-            return
+        control = link.control  # _tx and _tx_data send an opcode, on control.link only
         opcode = body[0]
         rest = body[1:]
         if opcode == _OP_DATA:

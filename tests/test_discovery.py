@@ -160,3 +160,17 @@ def test_inquiry_trace_events_have_counts():
     done = [e for e in stack.engine.trace if e.ev == "inquiry_done"]
     assert done and done[0].detail["found"] == 1
     assert done[0].dev == str(addr(2))
+
+
+@pytest.mark.parametrize("neighbours", [0, 1])
+def test_an_inquiry_past_its_deadline_stops_cycling(neighbours):
+    """The cycle event that falls at or after the deadline queues no next
+    cycle, so nothing of the inquiry is pending once it is done."""
+    stack = make_stack()
+    inquirer = add_device(stack, 1)
+    for i in range(neighbours):
+        add_device(stack, 2 + i, position=(1.0, 0.0))
+    inquiry = stack.discovery.start_inquiry(inquirer, 25_000)  # cycles at 0, 10 and 20 ms
+    stack.engine.run_until(1_000_000)
+    assert inquiry.done and len(inquiry.results) == neighbours
+    assert stack.engine.pending_events == 0

@@ -30,7 +30,7 @@ from hdpsim.hdp import (
     validate_channel_kind,
 )
 from hdpsim.link import PROTO_MCAP, LinkState
-from hdpsim.mcap import _OP_DATA, SendStatus
+from hdpsim.mcap import _OP_DATA, ChannelState, SendStatus
 from hdpsim.metrics import MetricsFold, compute_metrics
 from hdpsim.params import SimParams
 from hdpsim.runner import run_scenario
@@ -718,3 +718,79 @@ def test_every_reading_handle_finishes(capacity, loss, seed, steps, release):
         e.detail["abandoned"] for e in events if e.ev == "released"
     )
     assert compute_metrics(events).measurements.in_flight == 0
+
+
+def test_a_channel_created_for_an_association_released_meanwhile_is_closed(monkeypatch):
+    """Release at the instant the channel create starts: the channel it
+    makes is closed once it is made, not left active for the rest of the run."""
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    ops = []
+    create = stack.mcap.create_data_channel
+
+    def create_then_release(*args, **kwargs):
+        ops.append(create(*args, **kwargs))
+        stack.engine.schedule(stack.engine.now, lambda: stack.hdp.release(assoc))
+        return ops[-1]
+
+    monkeypatch.setattr(stack.mcap, "create_data_channel", create_then_release)
+    assoc = stack.hdp.associate(source, sink, Specialization.HEART_RATE)
+    stack.engine.run_until(stack.engine.now + 60_000_000)
+    channel = ops[0].result
+    assert assoc.state is AssocState.RELEASED and assoc.reliable_mdl is None
+    assert channel.mdl_id == 1 and channel.state is ChannelState.CLOSED
+    closes = [e for e in stack.engine.trace if e.ev == "mdl_close"]
+    assert [(e.detail["mdl_id"], e.detail["mode"]) for e in closes] == [(1, "delete")]
+
+
+def test_an_answer_landing_after_release_takes_no_set_up_step():
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    stack.engine.medium = MediumModel(propagation_us=200_000)
+    assoc = stack.hdp.associate(source, sink, Specialization.HEART_RATE)
+    stack.engine.run_until(stack.engine.now + 10)
+    stack.hdp.release(assoc)
+    stack.engine.run_until(stack.engine.now + 2_000_000)
+    events = [e.ev for e in stack.engine.trace]
+    after = stack.engine.trace.events[events.index("released"):]
+    assert [e.detail["op"] for e in after if e.ev == "mcap_tx"] == []
+    assert assoc.state is AssocState.RELEASED and assoc.reliable_mdl is None
+
+
+def test_an_association_released_by_an_earlier_link_observer_ignores_the_loss():
+    """An observer registered before the association's releases it while the
+    link loss is being notified; the association's own observer, called in
+    the same notify, then starts no re-page."""
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    link = stack.links.link_between(source.address, sink.address)
+    link.on_state_change(
+        lambda lk: stack.hdp.release(assoc) if lk.state is LinkState.LOST else None
+    )
+    assoc = operating_assoc(stack, source, sink)
+    mark = len(stack.engine.trace.events)
+    stack.links.drop_link(source.address, sink.address)
+    stack.engine.run_until(stack.engine.now + 5_000_000)
+    assert assoc.state is AssocState.RELEASED and assoc._repage is None
+    assert link.state is LinkState.LOST
+    assert [e.ev for e in stack.engine.trace.events[mark:] if e.ev in ("page", "released")] == [
+        "released"
+    ]
+
+
+def test_a_restored_link_leaves_the_closed_channel_of_its_association_closed():
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    assoc = operating_assoc(stack, source, sink)
+    channel = assoc.reliable_mdl
+    closing = stack.mcap.close_channel(channel, source)
+    run_while(stack, lambda: not closing.done, 1_000_000)
+    link = assoc.link
+    mark = len(stack.engine.trace.events)
+    stack.links.drop_link(source.address, sink.address)
+    run_while(stack, lambda: link.state is LinkState.LOST, 10_000_000)
+    stack.engine.run_until(stack.engine.now + 1_000_000)
+    assert link.state is LinkState.CONNECTED and channel.state is ChannelState.CLOSED
+    events = stack.engine.trace.events[mark:]
+    assert "link_restored" in [e.ev for e in events]
+    assert [e.detail["op"] for e in events if e.ev == "mcap_tx"] == []

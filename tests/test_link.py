@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from hdpsim.core import DeviceAddress
 from hdpsim import link as link_module
-from hdpsim.discovery import ConnectabilityMode
+from hdpsim.discovery import ConnectabilityMode, sweep_slots
+from hdpsim.engine import FrameKind
 from hdpsim.link import (
     MAX_SLAVES,
     ConnectionParams,
@@ -151,7 +152,8 @@ def test_page_rejects_out_of_range_target():
 def test_page_self_is_an_error():
     stack = make_stack()
     a = add_device(stack, 1)
-    with pytest.raises(LinkError):
+    stack.discovery.note_known(a.address, a.address)  # so only the self check refuses
+    with pytest.raises(LinkError, match="cannot page self"):
         stack.links.page(a, a.address)
 
 
@@ -587,3 +589,121 @@ def test_no_pair_lookup_is_made_per_reading(monkeypatch):
     few, many = _pair_lookups(monkeypatch, 20), _pair_lookups(monkeypatch, 40)
     assert few == many
     assert few["link_between"] > 0 and few["pair_key"] > 0  # the counters see calls
+
+
+# -- handler guards ---------------------------------------------------------
+
+
+def _frames_sent_by(stack, monkeypatch, device):
+    """The (kind, payload) of each frame ``device`` broadcasts from now on."""
+    sent = []
+    broadcast = stack.engine.broadcast
+
+    def recording(frame, sender):
+        if sender is device:
+            sent.append((frame.kind, frame.payload))
+        return broadcast(frame, sender)
+
+    monkeypatch.setattr(stack.engine, "broadcast", recording)
+    return sent
+
+
+def test_a_second_page_of_a_pair_in_flight_returns_the_first_op():
+    stack = make_stack()
+    a = add_device(stack, 1)
+    b = add_device(stack, 2, position=(1.0, 0.0))
+    stack.discovery.note_known(a.address, b.address)
+    first = stack.links.page(a, b.address)
+    assert stack.links.page(a, b.address) is first
+    stack.engine.run_until(6_000_000)
+    assert first.done and first.error is None
+    assert [e.ev for e in stack.engine.trace if e.ev in ("page", "connected")] == [
+        "page",
+        "connected",
+    ]
+
+
+def test_a_page_done_on_its_first_sweep_hit_sends_nothing_on_the_second(monkeypatch):
+    """The target's scan window changes 100 us into the first cycle, so the
+    cycle has two hits: the page completes on the first, 313 us before the
+    second."""
+    stack = make_stack()
+    a = add_device(stack, 1)
+    b = add_device(stack, 2, position=(1.0, 0.0), clock_offset_us=1_280_000 - 100)
+    hits = sweep_slots(stack.params, stack.discovery.schedule, b.config.clock_offset_us, 0, 10_000)
+    assert [slot for slot, _freq in hits] == [0, 313]
+    stack.discovery.note_known(a.address, b.address)
+    sent = _frames_sent_by(stack, monkeypatch, a)
+    op = stack.links.page(a, b.address)
+    stack.engine.run_until(1_000)
+    assert op.done and op.error is None
+    assert [kind for kind, _payload in sent] == [FrameKind.PAGE, FrameKind.LINK_DATA]
+
+
+def test_a_repeated_or_stale_page_accept_changes_nothing(monkeypatch):
+    stack = make_stack()
+    a = add_device(stack, 1)
+    b = add_device(stack, 2, position=(1.0, 0.0))
+    stack.discovery.note_known(a.address, b.address)
+    accept = stack.links._on_page_accept
+    accepts = []
+
+    def twice(receiver, frame, now):
+        accepts.append((receiver, frame, now))
+        accept(receiver, frame, now)
+        accept(receiver, frame, now)  # a repeat, while the params are in flight
+
+    monkeypatch.setattr(stack.links, "_on_page_accept", twice)
+    sent = _frames_sent_by(stack, monkeypatch, a)
+    op = stack.links.page(a, b.address)
+    stack.engine.run_until(20_000)
+    assert op.done and op.error is None and len(accepts) == 1
+    accept(*accepts[0])  # stale: the page is over
+    stack.engine.run_until(30_000)
+    assert [kind for kind, _payload in sent] == [FrameKind.PAGE, FrameKind.LINK_DATA]
+
+
+def test_a_piconet_filled_while_a_handshake_is_in_flight_fails_the_late_page():
+    stack = make_stack()
+    master = add_device(stack, 99)
+    for i in range(1, MAX_SLAVES):
+        connect(stack, master, add_device(stack, i, position=(1.0, float(i))))
+    late = [add_device(stack, i, position=(1.0, float(i))) for i in (7, 8)]
+    ops = []
+    for target in late:
+        stack.discovery.note_known(master.address, target.address)
+        ops.append(stack.links.page(master, target.address))  # six slaves: both allowed
+    stack.engine.run_until(stack.engine.now + 6_000_000)
+    assert sorted(op.error is None for op in ops) == [False, True]
+    assert all(isinstance(op.error, Unreachable) for op in ops if op.error is not None)
+    assert len(stack.links.piconet(master.address)) == MAX_SLAVES
+    assert stack.links.topology_violations() == []
+    assert sum(e.ev == "page_failed" for e in stack.engine.trace) == 1
+
+
+def test_dropping_a_lost_link_again_gives_one_loss():
+    stack = make_stack()
+    a, b, link = paired_pair(stack)
+    seen = []
+    link.on_state_change(lambda lk: seen.append(lk.state))
+    stack.links.drop_link(a.address, b.address)
+    stack.links.drop_link(b.address, a.address)
+    assert [e.ev for e in stack.engine.trace if e.ev == "link_lost"] == ["link_lost"]
+    assert seen == [LinkState.LOST]
+
+
+def test_topology_violations_name_a_full_piconet_and_a_link_filed_under_another_key():
+    stack = make_stack()
+    master = add_device(stack, 99)
+    for i in range(1, 8):
+        connect(stack, master, add_device(stack, i, position=(1.0, float(i))))
+    assert stack.links.topology_violations() == []
+    links, eighth = stack.links, add_device(stack, 8, position=(1.0, 8.0))
+    first = links.links_of(master.address)[0]
+    links._links_of[master.address].append(dataclasses.replace(first, slave=eighth))
+    a, b = next(iter(links.links))
+    links.links[(b, a)] = links.links.pop((a, b))  # filed under its key reversed
+    assert links.topology_violations() == [
+        f"piconet of {master.address} has 8 slaves",
+        f"link endpoints do not match key {(b, a)}",
+    ]

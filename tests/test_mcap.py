@@ -10,6 +10,7 @@ from hdpsim.mcap import (
     ClockSyncResult,
     LinkDown,
     McapError,
+    McapTimeout,
     SendStatus,
     SyncTimeout,
 )
@@ -434,3 +435,70 @@ def test_clock_sync_on_a_down_link_is_refused_and_takes_no_token():
     with pytest.raises(LinkDown):
         stack.mcap.sync_clocks(control, a)
     assert control.next_token == 1 and control.pending == {}
+
+
+# -- frames that land on a closed channel, and repeated closes ---------------
+
+
+def test_a_reconnect_request_landing_on_a_channel_closed_meanwhile_is_not_answered():
+    stack = make_stack()
+    a, b, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    stack.links.drop_link(a.address, b.address)
+    connect(stack, a, b)  # restore the link
+    mark = len(stack.engine.trace.events)
+    op = stack.mcap.reconnect_data_channel(channel, a)
+    stack.mcap.close_channel(channel, a, abort=True)  # before the request lands
+    stack.engine.run_until(stack.engine.now + 6_000_000)
+    assert isinstance(op.error, McapTimeout)
+    assert channel.state is ChannelState.CLOSED
+    events = stack.engine.trace.events[mark:]
+    assert "reconnect_accept" not in [e.detail["op"] for e in events if e.ev == "mcap_tx"]
+    assert not [e for e in events if e.ev == "mdl_reconnect"]
+
+
+def test_a_payload_landing_on_a_channel_closed_meanwhile_is_not_received():
+    stack = make_stack()
+    a, _, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    received = []
+    channel.on_receive(lambda ch, from_addr, payload, now: received.append(payload))
+    mark = len(stack.engine.trace.events)
+    op = stack.mcap.send(channel, a, b"late")
+    stack.mcap.close_channel(channel, a, abort=True)  # before the payload lands
+    stack.engine.run_until(stack.engine.now + 1_000_000)
+    assert op.result is SendStatus.ABANDONED and received == []
+    assert [e.ev for e in stack.engine.trace.events[mark:] if e.ev.startswith("mdl_")] == [
+        "mdl_send",
+        "mdl_close",
+    ]
+
+
+@pytest.mark.parametrize("abort", [True, False])
+def test_closing_a_closed_channel_sends_no_frame(abort):
+    stack = make_stack()
+    a, _, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    first = stack.mcap.close_channel(channel, a)
+    run_while(stack, lambda: not first.done, 1_000_000)
+    mark = len(stack.engine.trace.events)
+    again = stack.mcap.close_channel(channel, a, abort=abort)
+    stack.engine.run_until(stack.engine.now + 1_000_000)
+    assert again.done and again.result is channel
+    assert stack.engine.trace.events[mark:] == []
+
+
+def test_a_repeated_delete_request_closes_the_channel_once():
+    """With a 1 us resend interval and 1 us propagation, the delete request
+    is sent again before the first one's ack lands, and the repeat lands on
+    the closed channel."""
+    stack = make_stack(retransmit_interval_us=1)
+    a, _, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    mark = len(stack.engine.trace.events)
+    op = stack.mcap.close_channel(channel, a)
+    stack.engine.run_until(stack.engine.now + 1_000)
+    assert op.done and op.result is channel
+    events = stack.engine.trace.events[mark:]
+    assert [e.detail["op"] for e in events if e.ev == "mcap_tx"].count("delete_req") == 2
+    assert [e.ev for e in events if e.ev == "mdl_close"] == ["mdl_close"]

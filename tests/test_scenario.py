@@ -17,7 +17,7 @@ from hdpsim.engine import TYPED_EVENTS
 from hdpsim.hdp import ChannelKind, Specialization
 from hdpsim.metrics import compute_metrics, emit_metrics, metrics_json
 from hdpsim.params import SimParams
-from hdpsim.runner import HANDLERS, ScenarioRun, run_scenario
+from hdpsim.runner import HANDLERS, InvariantViolation, ScenarioRun, run_scenario
 from hdpsim.scenario import (
     ACTIONS,
     DEVICE_FIELDS,
@@ -704,6 +704,32 @@ def test_drop_link_action_forces_reconnect_cycle():
     assert any(e.ev == "link_restored" for e in trace)
     assert report.reconnect_handshake_msgs == [2]
     assert report.measurements.delivered == report.measurements.sent == 5
+
+
+def test_a_send_series_of_one_sends_one_reading():
+    # The horizon, at 2 s, is well past the series' start plus its interval.
+    scenario = validate_scenario(minimal_scenario(timeline=telemetry_timeline(count=1)))
+    trace, report = run_scenario(scenario, seed=7)
+    assert report.measurements.sent == report.measurements.delivered == 1
+    assert sum(e.ev == "measurement_tx" for e in trace) == 1
+
+
+@pytest.mark.parametrize("counter", ["delivered", "abandoned"])
+def test_a_fold_that_settles_more_readings_than_were_sent_raises(counter):
+    """One reading too many delivered (more than sent), or abandoned (a
+    negative number in flight), breaks the accounting at the horizon."""
+    run = ScenarioRun(validate_scenario(minimal_scenario(timeline=telemetry_timeline(2))), 7)
+    report = run.metrics.report
+
+    def miscounted():
+        counted = report()
+        setattr(counted.measurements, counter, getattr(counted.measurements, counter) + 1)
+        return counted
+
+    run.metrics.report = miscounted
+    with pytest.raises(InvariantViolation, match="measurement accounting") as breach:
+        run.run()
+    assert breach.value.t_us == 2_000_000
 
 
 @pytest.mark.parametrize("auto_reconnect", [True, False])

@@ -5,7 +5,7 @@ import hmac
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hdpsim.core import DeviceAddress
@@ -183,6 +183,12 @@ def test_cached_cipher_answers_equal_the_reference(calls):
 
 
 @given(st.binary(max_size=100), st.binary(max_size=100))
+@example(bytes(0), b"m")
+@example(bytes(range(16)), b"m")
+@example(bytes(range(64)), b"m")
+@example(bytes(range(65)), b"m")  # the first key length that is hashed first
+@example(bytes(range(100)), b"m")
 def test_keyed_prf_equals_hmac_for_any_key_length(key, msg):
     # Keys longer than the 64-byte SHA-256 block are hashed first (RFC 2104).
     assert keyed_prf(key, msg) == hmac.new(key, msg, hashlib.sha256).digest()[:16]
+
