@@ -13,13 +13,16 @@ source-side buffer (oldest evicted on overflow) and flush in order once the
 channel reconnects, ahead of any newer reading. Audio transport is refused
 unconditionally, whatever the specialization.
 
-The profile keeps a reading only while it is in flight, in the source
-buffer or the channel queue; both hold the one engine ``Op`` that
-``send_measurement`` returns, which resolves to a ``SendStatus``: DELIVERED
-on the sink's acknowledgement, EVICTED when the full source buffer drops
-it, ABANDONED when the association ends first. A sink callback
-(``set_sink_callback``) sees each reading the sink receives. ``release``
-settles the channel queue by the sink's receive watermark on the channel.
+A reading is scaled, checked, time-stamped and encoded when it is
+submitted, and the profile keeps it as its wire bytes only while it is in
+flight, in the source buffer or the channel queue; both hold the one engine
+``Op`` that ``send_measurement`` returns, which resolves to a
+``SendStatus``: DELIVERED on the sink's acknowledgement, EVICTED when the
+full source buffer drops it, ABANDONED when the association ends first.
+The sink reads the seq and timestamp from a frame's header; it decodes a
+``Measurement`` only for a sink callback (``set_sink_callback``), which
+sees each reading the sink receives. ``release`` settles the channel queue
+by the sink's receive watermark on the channel.
 
 An association owns its timers, and ``release`` stops them all. The
 request runs on the engine's ``Retry``: resent every
@@ -34,13 +37,11 @@ channel layer returns; a failed step is taken again on a timer
 ``Retry`` every ``reconnect_retry_interval_us``, from one interval after the
 loss until the link is restored.
 
-A send series repeats one readings object, so each association keeps a
-``ReadingMemo``: for each of a reading's pure steps (scaling, the values
-check, the packed metric entries, and their decoding at the sink) a one-entry
-memo, the last key with its result. A series does that work once, not per
-reading, even when many associations interleave, and memory stays bounded
-however long the run. A memo keeps only results that succeeded, so every
-error is raised again.
+A send series repeats one readings object, so each association keeps its
+last readings with their packed metric entries, and a repeat packs only the
+header: a series scales and checks its readings once, not per reading, even
+when many associations interleave. Readings that fail raise before a seq is
+taken and are not kept, so every error is raised again.
 """
 
 from __future__ import annotations
@@ -139,7 +140,6 @@ METRICS: dict[str, tuple[int, str]] = {
 }
 
 _METRIC_BY_CODE = {code: name for name, (code, _unit) in METRICS.items()}
-_SPECIALIZATION_BY_CODE = {s.value: s for s in Specialization}
 
 HEART_RATE_METRICS = frozenset(
     {"heart_rate_bpm", "filling_duration_ms", "ascending_wave_index_pct"}
@@ -147,6 +147,7 @@ HEART_RATE_METRICS = frozenset(
 
 SCALE_FACTOR = 10
 _I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
+_SEQ_MAX = 0xFFFFFFFF
 _HEADER = struct.Struct(">IqBB")
 _METRIC_ENTRY = struct.Struct(">Bi")
 
@@ -180,12 +181,19 @@ def _check_values(specialization: Specialization, values: tuple[tuple[str, int],
         )
 
 
+def _entries(values: tuple[tuple[str, int], ...]) -> bytes:
+    """The packed metric entries of scaled ``values``, ordered by code."""
+    return b"".join(
+        _METRIC_ENTRY.pack(code, scaled)
+        for code, scaled in sorted((METRICS[name][0], scaled) for name, scaled in values)
+    )
+
+
 class Measurement(namedtuple("Measurement", "specialization seq source_timestamp_us values")):
     """One typed reading; ``values`` maps metric name to a x10-scaled int.
 
     An immutable tuple of its four fields, checked and then built in one
-    ``tuple.__new__``. A ``memo`` skips the values check for the values it
-    last passed.
+    ``tuple.__new__``.
     """
 
     __slots__ = ()
@@ -196,14 +204,10 @@ class Measurement(namedtuple("Measurement", "specialization seq source_timestamp
         seq: int,
         source_timestamp_us: SimTime,
         values: tuple[tuple[str, int], ...],
-        memo: Optional[ReadingMemo] = None,
     ) -> "Measurement":
-        if not 0 <= seq <= 0xFFFFFFFF:
+        if not 0 <= seq <= _SEQ_MAX:
             raise InvalidMeasurement("seq must fit in 32 bits")
-        if memo is None or memo.valid[0] is not specialization or memo.valid[1] != values:
-            _check_values(specialization, values)
-            if memo is not None:
-                memo.valid = (specialization, values)
+        _check_values(specialization, values)
         return tuple.__new__(cls, (specialization, seq, source_timestamp_us, values))
 
     @classmethod
@@ -213,24 +217,10 @@ class Measurement(namedtuple("Measurement", "specialization seq source_timestamp
         seq: int,
         source_timestamp_us: SimTime,
         readings: dict[str, float],
-        memo: Optional[ReadingMemo] = None,
     ) -> "Measurement":
-        """Scale ``readings`` (name -> value) into a measurement.
-
-        With a ``memo``, readings equal to its last ones, name by name and
-        of the same classes, reuse their scaled values: a float and the
-        Fraction of its exact value are equal but can round apart.
-        """
-        if memo is not None:
-            key = [(name, v.__class__, v) for name, v in readings.items()]
-            last, values = memo.scaled
-            if key == last:
-                return cls(specialization, seq, source_timestamp_us, values, memo)
+        """Scale ``readings`` (name -> value) into a measurement."""
         values = tuple(sorted((name, scale_value(v)) for name, v in readings.items()))
-        measurement = cls(specialization, seq, source_timestamp_us, values, memo)
-        if memo is not None:
-            memo.scaled = (key, values)
-        return measurement
+        return cls(specialization, seq, source_timestamp_us, values)
 
     def value(self, name: str) -> float:
         for metric, scaled in self.values:
@@ -243,76 +233,29 @@ class Measurement(namedtuple("Measurement", "specialization seq source_timestamp
             raise UnknownMetric(name)
         return METRICS[name][1]
 
-    def encode(self, memo: Optional[ReadingMemo] = None) -> bytes:
+    def encode(self) -> bytes:
         """Fixed wire format, metrics ordered by code.
 
         4-byte big-endian seq, 8-byte big-endian source timestamp, 1-byte
         specialization code, 1-byte metric count, then per metric a 1-byte
-        code and a 4-byte big-endian signed scaled value. A ``memo`` reuses
-        the entries of its last values, by identity: equal values of another
-        class (a float for an int) must still fail to pack.
+        code and a 4-byte big-endian signed scaled value.
         """
-        values, entries = memo.packed if memo is not None else (None, b"")
-        if self.values is not values:
-            entries = b"".join(
-                _METRIC_ENTRY.pack(code, scaled)
-                for code, scaled in sorted(
-                    (METRICS[name][0], scaled) for name, scaled in self.values
-                )
-            )
-            if memo is not None:
-                memo.packed = (self.values, entries)
         header = _HEADER.pack(
-            self.seq,
-            self.source_timestamp_us,
-            self.specialization.value,
-            len(self.values),
+            self.seq, self.source_timestamp_us, self.specialization.value, len(self.values)
         )
-        return header + entries
+        return header + _entries(self.values)
 
     @classmethod
-    def decode(cls, raw: bytes, memo: Optional[ReadingMemo] = None) -> "Measurement":
-        """Inverse of ``encode``. A ``memo`` reuses the values of its last
-        count byte and metric entries."""
+    def decode(cls, raw: bytes) -> "Measurement":
+        """Inverse of ``encode``."""
         seq, timestamp, spec_code, count = _HEADER.unpack_from(raw, 0)
-        offset = _HEADER.size
-        entries = raw[offset - 1 : offset + count * _METRIC_ENTRY.size]
-        last, values = memo.decoded if memo is not None else (None, ())
-        if entries != last:
-            parsed = []
-            for _ in range(count):
-                code, scaled = _METRIC_ENTRY.unpack_from(raw, offset)
-                offset += _METRIC_ENTRY.size
-                name = _METRIC_BY_CODE.get(code)
-                if name is None:
-                    raise UnknownMetric(f"code {code}")
-                parsed.append((name, scaled))
-            values = tuple(sorted(parsed))
-            if memo is not None:
-                memo.decoded = (entries, values)
-        specialization = _SPECIALIZATION_BY_CODE.get(spec_code)
-        if specialization is None:
-            raise ValueError(f"{spec_code} is not a valid Specialization")
-        return cls(specialization, seq, timestamp, values, memo)
-
-
-class ReadingMemo:
-    """One association's last reading at each step (see the module docstring).
-
-    Each slot holds one entry, the last key with its result: ``scaled`` the
-    readings as ``(name, class, value)`` in order -> values, ``valid`` the
-    last ``(specialization, values)`` that passed the values check,
-    ``packed`` the values (by identity) -> wire entries, and ``decoded`` the
-    wire count byte and entries -> values.
-    """
-
-    __slots__ = ("scaled", "valid", "packed", "decoded")
-
-    def __init__(self):
-        self.scaled: tuple = (None, ())
-        self.valid: tuple = (object(), ())  # no specialization is this object
-        self.packed: tuple = (None, b"")
-        self.decoded: tuple = (None, ())
+        values = []
+        for i in range(count):
+            code, scaled = _METRIC_ENTRY.unpack_from(raw, _HEADER.size + i * _METRIC_ENTRY.size)
+            if code not in _METRIC_BY_CODE:
+                raise UnknownMetric(f"code {code}")
+            values.append((_METRIC_BY_CODE[code], scaled))
+        return cls(Specialization(spec_code), seq, timestamp, tuple(sorted(values)))
 
 
 class AssocState(enum.Enum):
@@ -334,10 +277,11 @@ class Association:
     clock_map: Optional[ClockSyncResult] = None
     auto_reconnect: bool = True
     next_seq: int = 1
-    buffer: deque[tuple[Measurement, Op]] = field(default_factory=deque)
-    memo: ReadingMemo = field(
-        default_factory=ReadingMemo, init=False, repr=False, compare=False
-    )
+    # Readings waiting for the channel, each as (seq, wire bytes, its Op).
+    buffer: deque[tuple[int, bytes, Op]] = field(default_factory=deque)
+    # The last readings encoded, as (name, class, value) in order, with their
+    # metric count and packed entries.
+    last_readings: tuple = field(default=(None, 0, b""), init=False, repr=False, compare=False)
     # The pair's link: it exists before the association and is never replaced.
     link: Optional[Link] = field(default=None, repr=False, compare=False)
     # The link observer added by associate, and the timers: the request
@@ -589,20 +533,32 @@ class HdpManager:
         """
         if assoc.state is AssocState.RELEASED:
             raise Released(f"association {assoc.assoc_id} is released")
-        measurement = Measurement.build(
-            assoc.specialization,
-            assoc.next_seq,
-            assoc.source.local_time(self.engine.now),
-            readings,
-            assoc.memo,
-        )
-        assoc.next_seq += 1
+        seq = assoc.next_seq
+        raw = self._encode(assoc, seq, assoc.source.local_time(self.engine.now), readings)
+        assoc.next_seq = seq + 1
         op = Op()
         if assoc.link.state is LinkState.CONNECTED and self._channel_up(assoc) and not assoc.buffer:
-            self._transmit(assoc, measurement, op)
+            self._transmit(assoc, seq, raw, op)
         else:
-            self._buffer(assoc, measurement, op)
+            self._buffer(assoc, seq, raw, op)
         return op
+
+    def _encode(
+        self, assoc: Association, seq: int, local_us: SimTime, readings: dict[str, float]
+    ) -> bytes:
+        """The bytes of ``Measurement.build(...).encode()``. A send series
+        repeats one readings object, so a repeat of the association's last
+        readings, name by name and of the same classes, packs only a header
+        in front of their entries: a float and the Fraction of its exact
+        value are equal but can round apart."""
+        key = [(name, v.__class__, v) for name, v in readings.items()]
+        if key != assoc.last_readings[0]:
+            values = Measurement.build(assoc.specialization, seq, local_us, readings).values
+            assoc.last_readings = (key, len(values), _entries(values))
+        elif not 0 <= seq <= _SEQ_MAX:
+            raise InvalidMeasurement("seq must fit in 32 bits")
+        _key, count, entries = assoc.last_readings
+        return _HEADER.pack(seq, local_us, assoc.specialization.value, count) + entries
 
     def _channel_up(self, assoc: Association) -> bool:
         channel = assoc.reliable_mdl
@@ -612,20 +568,18 @@ class HdpManager:
             and channel.state is ChannelState.ACTIVE
         )
 
-    def _transmit(self, assoc: Association, measurement: Measurement, op: Op) -> None:
-        self.mcap.send(assoc.reliable_mdl, assoc.source, measurement.encode(assoc.memo), op)
-        self.engine.emit_typed(
-            _MEASUREMENT_TX, assoc.source.address, assoc.assoc_id, measurement.seq
-        )
+    def _transmit(self, assoc: Association, seq: int, raw: bytes, op: Op) -> None:
+        self.mcap.send(assoc.reliable_mdl, assoc.source, raw, op)
+        self.engine.emit_typed(_MEASUREMENT_TX, assoc.source.address, assoc.assoc_id, seq)
 
-    def _buffer(self, assoc: Association, measurement: Measurement, op: Op) -> None:
+    def _buffer(self, assoc: Association, seq: int, raw: bytes, op: Op) -> None:
         evicted = None
         if len(assoc.buffer) >= self.params.buffer_capacity:
-            evicted_m, evicted = assoc.buffer.popleft()
-            self.engine.emit_typed(_EVICTED, assoc.source.address, assoc.assoc_id, evicted_m.seq)
-        assoc.buffer.append((measurement, op))
+            evicted_seq, _raw, evicted = assoc.buffer.popleft()
+            self.engine.emit_typed(_EVICTED, assoc.source.address, assoc.assoc_id, evicted_seq)
+        assoc.buffer.append((seq, raw, op))
         self.engine.emit_typed(
-            _BUFFERED, assoc.source.address, assoc.assoc_id, len(assoc.buffer), measurement.seq
+            _BUFFERED, assoc.source.address, assoc.assoc_id, len(assoc.buffer), seq
         )
         if evicted is not None:  # last, so its callbacks see the buffer as it is
             evicted.resolve(SendStatus.EVICTED)
@@ -645,15 +599,13 @@ class HdpManager:
             # release time was already settled as abandoned, so logging it
             # here would double-count it.
             return
-        measurement = Measurement.decode(payload, assoc.memo)
+        seq, source_ts, _spec, _count = _HEADER.unpack_from(payload)
         offset = assoc.clock_map.offset_us if assoc.clock_map is not None else 0
-        sink_ts = measurement.source_timestamp_us - offset
-        self.engine.emit_typed(
-            _MEASUREMENT_RX, assoc.sink.address, assoc.assoc_id, measurement.seq, sink_ts
-        )
+        sink_ts = source_ts - offset
+        self.engine.emit_typed(_MEASUREMENT_RX, assoc.sink.address, assoc.assoc_id, seq, sink_ts)
         on_reading = self._sink_callbacks.get(assoc.sink.address)
         if on_reading is not None:
-            on_reading(assoc, measurement, sink_ts)
+            on_reading(assoc, Measurement.decode(payload), sink_ts)
 
     # -- link loss and recovery ----------------------------------------------
 
@@ -703,7 +655,7 @@ class HdpManager:
         link = assoc.link
         link.off_state_change(assoc._on_link)
         abandoned = len(assoc.buffer)
-        for _measurement, op in assoc.buffer:
+        for _seq, _raw, op in assoc.buffer:
             op.resolve(SendStatus.ABANDONED)
         assoc.buffer.clear()
         channel = assoc.reliable_mdl

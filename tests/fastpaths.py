@@ -2,15 +2,17 @@
 
 Each fast path skips work whose outcome is known, and must leave the trace
 bytes and the generator state as the plain path leaves them. An entry names
-the method that decides whether the fast path is taken and a stand-in that
-always declines it:
+the method that decides whether the fast path is taken, or that takes it,
+and a stand-in that always declines it:
 
 - ``settle``: ``DiscoveryManager._settle`` declines, so every inquiry cycle
   runs as events;
 - ``quiet_slots``: ``DiscoveryManager._quiet`` is False, so every sweep slot
   is broadcast;
 - ``keepalive_elision``: ``LinkManager._elides_keepalive`` is False, so every
-  keepalive is sent as a frame.
+  keepalive is sent as a frame;
+- ``reading_memo``: ``HdpManager._encode`` builds and encodes a
+  ``Measurement`` for every reading, so no readings are reused.
 
 ``off`` patches the classes, so it reaches every stack used inside it.
 """
@@ -21,6 +23,7 @@ import contextlib
 from typing import Callable, Iterator
 
 from hdpsim.discovery import DiscoveryManager
+from hdpsim.hdp import HdpManager, Measurement
 from hdpsim.link import LinkManager
 
 # name -> (class, method, the stand-in that declines the fast path)
@@ -28,6 +31,13 @@ FAST_PATHS: dict[str, tuple[type, str, Callable]] = {
     "settle": (DiscoveryManager, "_settle", lambda self, inquiry, slots: False),
     "quiet_slots": (DiscoveryManager, "_quiet", lambda self, inquiry, t: False),
     "keepalive_elision": (LinkManager, "_elides_keepalive", lambda self, link: False),
+    "reading_memo": (
+        HdpManager,
+        "_encode",
+        lambda self, assoc, seq, local_us, readings: Measurement.build(
+            assoc.specialization, seq, local_us, readings
+        ).encode(),
+    ),
 }
 
 

@@ -67,7 +67,7 @@ from hdpsim.discovery import DiscoveryManager
 from hdpsim.engine import TYPED_EVENTS
 from hdpsim.metrics import MetricsFold, compute_metrics, metrics_json
 from hdpsim.runner import ScenarioRun, run_scenario
-from hdpsim.scenario import load_scenario
+from hdpsim.scenario import load_scenario, validate_scenario
 
 import fastpaths
 
@@ -98,6 +98,12 @@ def all_on(name: str, seed: int) -> tuple[dict[str, str], int, tuple]:
     Never call it inside ``fastpaths.off``: a cached result there would stand
     in for the run that the switch must change."""
     return outcome(name, seed)
+
+
+@functools.lru_cache(maxsize=None)
+def kept_trace(name: str, seed: int):
+    """A golden's kept trace, run once per golden and seed."""
+    return run_scenario(load_scenario(str(GOLDEN / f"{name}.json")), seed)[0]
 
 
 def written(trace_path: Path, metrics_path: Path) -> dict[str, str]:
@@ -193,9 +199,39 @@ def test_cli_streams_the_golden_bytes(name, seed, tmp_path):
     argv = ["simulate", "--scenario", path, "--seed", str(seed)]
     assert cli.main(argv + ["--trace", str(trace_path), "--metrics", str(metrics_path)]) == 0
     assert written(trace_path, metrics_path) == pinned()[name][str(seed)]
-    trace, _report = run_scenario(load_scenario(path), seed)
+    trace = kept_trace(name, seed)
     assert trace.to_jsonl().encode("utf-8") == trace_path.read_bytes()
     assert metrics_path.read_text(encoding="utf-8") == metrics_json(compute_metrics(trace.events))
+
+
+@pytest.mark.parametrize("name", scenario_names())
+@pytest.mark.parametrize("seed", SEEDS)
+def test_each_association_receives_rising_seqs(name, seed):
+    """Per association, the sink's ``measurement_rx`` seqs strictly increase:
+    the source buffer flushes in order, ahead of anything newer."""
+    seqs = {}
+    for e in kept_trace(name, seed):
+        if e.ev == "measurement_rx":
+            seqs.setdefault(e.detail["assoc_id"], []).append(e.detail["seq"])
+    for assoc_id, received in seqs.items():
+        assert all(a < b for a, b in zip(received, received[1:])), (assoc_id, received)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_larger_source_buffer_never_evicts_more_or_delivers_less(seed):
+    """On the lossless ``evictions`` golden, as ``buffer_capacity`` grows,
+    ``evicted`` never rises and ``delivered`` never falls."""
+    raw = json.loads((GOLDEN / "evictions.json").read_text(encoding="utf-8"))
+    assert raw["medium"] == {}
+    counts = []
+    for capacity in (1, 2, 4, 8, 16, 1024):
+        raw["params"]["buffer_capacity"] = capacity
+        report = run_scenario(validate_scenario(raw), seed)[1].measurements
+        counts.append((report.evicted, report.delivered))
+    evicted, delivered = zip(*counts)
+    assert evicted[-1] == 0 and evicted[0] > 0, counts
+    assert list(evicted) == sorted(evicted, reverse=True), counts
+    assert list(delivered) == sorted(delivered), counts
 
 
 def test_the_fold_declares_every_event_name_it_branches_on():

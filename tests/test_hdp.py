@@ -21,7 +21,6 @@ from hdpsim.hdp import (
     Measurement,
     METRICS,
     NoControlChannel,
-    ReadingMemo,
     Released,
     scale_value,
     Specialization,
@@ -153,7 +152,7 @@ def test_measurement_is_an_immutable_value():
         m.seq = 8
     with pytest.raises(AttributeError):
         m.note = "extra"
-    twin = Measurement.decode(m.encode(), ReadingMemo())
+    twin = Measurement.decode(m.encode())
     assert twin == m and hash(twin) == hash(m) and twin is not m
     assert m != Measurement.build(Specialization.HEART_RATE, 8, 1000, HEART_READINGS)
 
@@ -162,84 +161,154 @@ def test_decoding_an_unknown_specialization_code_raises_value_error():
     raw = bytearray(Measurement.build(Specialization.HEART_RATE, 7, 1000, HEART_READINGS).encode())
     raw[12] = 0xEE  # the specialization code
     with pytest.raises(ValueError, match="^238 is not a valid Specialization$"):
-        Measurement.decode(bytes(raw), ReadingMemo())
+        Measurement.decode(bytes(raw))
+
+
+def test_equal_values_of_another_class_fail_to_encode():
+    Measurement(Specialization.SCALE, 1, 0, (("mass_kg", 700),)).encode()
+    with pytest.raises(struct.error):
+        Measurement(Specialization.SCALE, 1, 0, (("mass_kg", 700.0),)).encode()
+
+
+def test_decoding_an_unknown_metric_code_or_a_cut_short_entry_raises():
+    raw = Measurement.build(Specialization.HEART_RATE, 3, 10, HEART_READINGS).encode()
+    assert Measurement.decode(raw) == Measurement.build(
+        Specialization.HEART_RATE, 3, 10, HEART_READINGS
+    )
+    bad = bytearray(raw)
+    bad[14] = 0xEE  # the first metric code
+    with pytest.raises(UnknownMetric):
+        Measurement.decode(bytes(bad))
+    with pytest.raises(struct.error):
+        Measurement.decode(raw[:-1])  # the last entry cut short
+
+
+def test_a_measurement_without_values_is_invalid():
+    for values in ((), None):
+        with pytest.raises(InvalidMeasurement):
+            Measurement(None, 0, 0, values)
+
+
+def test_a_measurement_always_checks_its_seq_and_values():
+    m = Measurement.build(Specialization.HEART_RATE, 1, 0, HEART_READINGS)
+    with pytest.raises(InvalidMeasurement):
+        Measurement(Specialization.HEART_RATE, 2, 0, m.values[:2])
+    with pytest.raises(InvalidMeasurement):
+        Measurement(Specialization.HEART_RATE, 2**32, 0, m.values)
+
+
+def record_payloads(stack, monkeypatch):
+    """The payloads ``McapManager.send`` was given, in order."""
+    payloads = []
+    send = stack.mcap.send
+
+    def recording(channel, sender, payload, op=None):
+        payloads.append(payload)
+        return send(channel, sender, payload, op)
+
+    monkeypatch.setattr(stack.mcap, "send", recording)
+    return payloads
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of the named ``Measurement`` classmethods."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(cls, *args, _name=name, _real=getattr(Measurement, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(Measurement, name, classmethod(counted))
+    return calls
 
 
 def test_equal_readings_of_another_class_are_scaled_anew():
     # 0.15 * 10 rounds to 1.5 in floats and so to 2; the exact value of the
     # same float, as a Fraction, is just under 0.15 and scales to 1.
-    memo = ReadingMemo()
-
-    def build(readings):
-        return Measurement.build(Specialization.SCALE, 1, 0, readings, memo).values
-
-    assert build({"mass_kg": 0.15}) == (("mass_kg", 2),)
-    assert build({"mass_kg": Fraction(0.15)}) == (("mass_kg", 1),)
-    # Equal dicts whose classes sit under the other names, in another order.
-    assert build({"mass_kg": 0.15, "temperature_c": Fraction(0.15)}) == (
-        ("mass_kg", 2),
-        ("temperature_c", 1),
-    )
-    assert build({"temperature_c": 0.15, "mass_kg": Fraction(0.15)}) == (
-        ("mass_kg", 1),
-        ("temperature_c", 2),
-    )
-
-
-def test_equal_values_of_another_class_are_encoded_anew():
-    memo = ReadingMemo()
-    Measurement(Specialization.SCALE, 1, 0, (("mass_kg", 700),)).encode(memo)
-    with pytest.raises(struct.error):
-        Measurement(Specialization.SCALE, 1, 0, (("mass_kg", 700.0),)).encode(memo)
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    assoc = operating_assoc(stack, source, sink, Specialization.SCALE)
+    received = record_readings(stack, sink)
+    series = [
+        {"mass_kg": 0.15},
+        {"mass_kg": Fraction(0.15)},
+        # Equal dicts whose classes sit under the other names, in another order.
+        {"mass_kg": 0.15, "temperature_c": Fraction(0.15)},
+        {"temperature_c": 0.15, "mass_kg": Fraction(0.15)},
+    ]
+    ops = [stack.hdp.send_measurement(assoc, readings) for readings in series]
+    run_while(stack, lambda: not all(op.done for op in ops), 1_000_000)
+    assert [m.values for _a, m, _ts, _at in received] == [
+        (("mass_kg", 2),),
+        (("mass_kg", 1),),
+        (("mass_kg", 2), ("temperature_c", 1)),
+        (("mass_kg", 1), ("temperature_c", 2)),
+    ]
 
 
-def test_decoding_an_unknown_metric_code_raises_after_a_memo_hit():
-    memo = ReadingMemo()
-    raw = Measurement.build(Specialization.HEART_RATE, 3, 10, HEART_READINGS).encode()
-    assert Measurement.decode(raw, memo) == Measurement.decode(raw, memo)
-    bad = bytearray(raw)
-    bad[14] = 0xEE  # the first metric code
-    with pytest.raises(UnknownMetric):
-        Measurement.decode(bytes(bad), memo)
-    with pytest.raises(struct.error):
-        Measurement.decode(raw[:-1], memo)  # the last entry cut short
-    assert Measurement.decode(raw, memo).seq == 3
+def test_a_repeated_reading_past_the_last_seq_raises_and_takes_no_seq():
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    assoc = operating_assoc(stack, source, sink)
+    assoc.next_seq = 2**32 - 1
+    stack.hdp.send_measurement(assoc, HEART_READINGS)
+    with pytest.raises(InvalidMeasurement, match="seq must fit in 32 bits"):
+        stack.hdp.send_measurement(assoc, HEART_READINGS)
+    assert assoc.next_seq == 2**32
+    tx = [e.detail["seq"] for e in stack.engine.trace if e.ev == "measurement_tx"]
+    assert tx == [2**32 - 1]
 
 
-def test_a_fresh_memo_passes_no_values_check():
-    for values in ((), None):
-        with pytest.raises(InvalidMeasurement):
-            Measurement(None, 0, 0, values, ReadingMemo())
-
-
-def test_an_invalid_reading_after_a_valid_one_raises_with_a_memo():
-    memo = ReadingMemo()
-    Measurement.build(Specialization.HEART_RATE, 1, 0, HEART_READINGS, memo)
-    with pytest.raises(InvalidMeasurement):
-        Measurement.build(Specialization.SCALE, 2, 0, {"mass_kg": 3e8}, memo)
-    with pytest.raises(InvalidMeasurement):
-        Measurement(Specialization.HEART_RATE, 2, 0, memo.scaled[1][:2], memo)
-    with pytest.raises(InvalidMeasurement):
-        Measurement(Specialization.HEART_RATE, 2**32, 0, memo.scaled[1], memo)
-
-
-def test_reading_memos_hold_one_entry():
-    memo = ReadingMemo()
+def test_an_association_keeps_only_its_last_readings(monkeypatch):
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    assoc = operating_assoc(stack, source, sink)
+    payloads = record_payloads(stack, monkeypatch)
     for i in range(1_000):
         readings = dict(HEART_READINGS, heart_rate_bpm=float(i))
-        m = Measurement.build(Specialization.HEART_RATE, i + 1, i, readings, memo)
-        raw = m.encode(memo)
-        assert raw == m.encode()
-        assert Measurement.decode(raw, memo) == m == Measurement.build(
-            Specialization.HEART_RATE, i + 1, i, readings
-        )
-    assert memo.scaled == ([(k, float, v) for k, v in readings.items()], m.values)
-    assert memo.valid == (Specialization.HEART_RATE, m.values)
-    assert memo.packed == (m.values, raw[14:])
-    assert memo.decoded == (raw[13:], m.values)
+        now = stack.engine.now
+        stack.hdp.send_measurement(assoc, readings)
+        raw = payloads[-1]
+        assert raw == Measurement.build(Specialization.HEART_RATE, i + 1, now, readings).encode()
+        stack.engine.run_until(now + 100_000)
+    assert assoc.last_readings == ([(k, float, v) for k, v in readings.items()], 3, raw[14:])
 
 
-def test_interleaved_associations_each_reuse_their_own_readings():
+@pytest.mark.parametrize("callback", [False, True])
+def test_a_series_is_built_once_and_decoded_only_for_a_callback(monkeypatch, callback):
+    """A 100-reading series of one readings dict, half of it buffered across
+    a dropped link, builds one ``Measurement``; the sink decodes each reading
+    for its callback, which gets ``Measurement.decode`` of the bytes sent,
+    time-stamped when the reading was submitted, and decodes none without
+    one."""
+    stack = make_stack()
+    source, sink = sensor_pair(stack, source_offset_us=1500)
+    assoc = operating_assoc(stack, source, sink)
+    payloads = record_payloads(stack, monkeypatch)
+    received = record_readings(stack, sink) if callback else []
+    calls = count_calls(monkeypatch, "build", "decode")
+    ops, submitted = [], []
+    for i in range(100):
+        if i == 50:
+            stack.links.drop_link(source.address, sink.address)
+        submitted.append(source.local_time(stack.engine.now))
+        ops.append(stack.hdp.send_measurement(assoc, HEART_READINGS))
+        stack.engine.run_until(stack.engine.now + 20_000)
+    assert len(assoc.buffer) > 0
+    run_while(stack, lambda: not all(op.done for op in ops), 30_000_000)
+    assert all(op.result is SendStatus.DELIVERED for op in ops)
+    rx = [e.detail["seq"] for e in stack.engine.trace if e.ev == "measurement_rx"]
+    assert rx == list(range(1, 101))
+    assert calls == {"build": 1, "decode": 100 if callback else 0}
+    if callback:
+        got = [m for _a, m, _ts, _at in received]
+        assert got == [Measurement.decode(raw) for raw in payloads]
+        assert [m.source_timestamp_us for m in got] == submitted
+        assert all(m.values == got[0].values for m in got)
+
+
+def test_interleaved_associations_each_reuse_their_own_readings(monkeypatch):
     stack = make_stack()
     sink = add_device(stack, 3, position=(1.0, 0.0))
     stack.links.set_pin(sink.address, Pin.from_text("1234"))
@@ -253,6 +322,7 @@ def test_interleaved_associations_each_reuse_their_own_readings():
         stack.mcap.open_control_channel(source, sink)
         assocs.append(operating_assoc(stack, source, sink))
     received = record_readings(stack, sink)
+    calls = count_calls(monkeypatch, "build")
     readings = [dict(HEART_READINGS, heart_rate_bpm=60.0 + i) for i in range(2)]
     ops = [
         stack.hdp.send_measurement(assoc, r)
@@ -260,12 +330,12 @@ def test_interleaved_associations_each_reuse_their_own_readings():
         for assoc, r in zip(assocs, readings)
     ]
     run_while(stack, lambda: not all(op.done for op in ops), 1_000_000)
+    # Each send after an association's first reused its own readings.
+    assert calls == {"build": 2}
     for i, assoc in enumerate(assocs):
         got = [m for a, m, _ts, _at in received if a is assoc]
         assert [m.value("heart_rate_bpm") for m in got] == [60.0 + i] * 3
-        # Each send and each receipt after the first reused the memo.
-        assert all(m.values is got[0].values for m in got)
-        assert assoc.memo.scaled[1] == assoc.memo.decoded[1] == got[0].values
+        assert assoc.last_readings[0] == [(k, float, v) for k, v in readings[i].items()]
 
 
 def test_audio_channel_kind_is_rejected():

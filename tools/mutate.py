@@ -6,7 +6,7 @@ is replaced with ``pass`` and pytest runs with ``-x``; the mutant is killed
 when a test fails or the run times out, and survives when every test passes.
 A surviving guard is dead code, or a behaviour no test pins.
 
-    python tools/mutate.py [--map FILE]
+    python tools/mutate.py [--map FILE] [--module NAME]
 
 ``--map FILE`` is the per-line test map that ``tools/reach.py --map FILE``
 writes on the same tree: a mutant then runs only the tests that reached its
@@ -14,7 +14,8 @@ guard's body, and one whose body no test reached survives without a run. A
 line reached while tests were collected runs the whole suite. Without a map,
 every mutant runs the whole suite. A run longer than ``TIMEOUT_S`` counts
 as killed. This is a manual tool, not a CI step: with a map, the 132 guards
-took 9 minutes on a 2-vCPU host.
+took 9 minutes on a 2-vCPU host. ``--module NAME`` (say ``hdp.py``) mutates
+only the guards of that module, with or without a map.
 """
 
 from __future__ import annotations
@@ -110,10 +111,16 @@ def run(copy: Path, guard: Guard, ids: list[str] | None) -> tuple[str, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--map", type=Path, help="tools/reach.py's per-line test map")
+    parser.add_argument("--module", help="mutate only this module's guards, e.g. hdp.py")
     args = parser.parse_args(argv)
 
+    paths = sorted(SRC.glob("*.py"))
+    if args.module is not None:
+        paths = [path for path in paths if path.name == args.module]
+        if not paths:
+            parser.error(f"no module {args.module} in {SRC}")
     test_map = json.loads(args.map.read_text(encoding="utf-8")) if args.map else None
-    sites = [g for path in sorted(SRC.glob("*.py")) for g in guards(path)]
+    sites = [g for path in paths for g in guards(path)]
     print(f"mutate: {len(sites)} guards")
     survivors = []
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
