@@ -12,16 +12,17 @@ three consecutive misses on either side mark the link lost, after which the
 same master may page again to restore the same link object with its
 negotiated parameters intact.
 
-On a lossless, jitter-free medium, with the keepalive interval longer than a
-round trip of 2p (p the propagation delay), a tick at T whose two ends are in
-range sends no keepalive: the keepalive would land at T+p, and the ack the
-slave then sends would land at T+2p. The tick keeps the delivery's
-``(T+p, event id)`` on the link, and the next tick first settles the exchange:
-the slave has heard, the master's keepalive is answered. A move of either
-end, or a new medium model, before that delivery can change the ack, so it
-queues the real keepalive under the kept id, and the slave answers it as
-usual. Stopping supervision before then (a loss, a restore or a role switch)
-queues it too, since the slave may still hear it.
+On a jitter-free medium, with the keepalive interval over a round trip of
+2p (p the propagation delay), a tick at T whose ends are in range sends no
+keepalive: it draws the keepalive's loss and, if it lands at T+p, keeps
+``(T+p, event id)`` on the link. On a lossy medium, once the tick has
+returned (``Engine.after_event``), the exchange settles if no event comes
+before T+2p: the slave has heard, and the ack, its loss drawn as at T+p,
+answers the master if it lands; otherwise the real keepalive is queued under
+the kept id. On a lossless one the next tick settles the exchange, unless a
+move or a new medium model before T+p, which can change the ack, queues the
+real keepalive. So does stopping supervision before then (a loss, a restore
+or a role switch), since the slave may still hear it.
 
 Paging reuses the inquiry sweep arithmetic: the pager transmits at the
 moments the target's standby scan is on the matching frequency, then the
@@ -517,9 +518,12 @@ class LinkManager:
                 self._lose(link, "keepalive_timeout")
                 return
         if self._elides_keepalive(link):
-            now = self.engine.now
-            at = now + self.engine.medium.propagation_us
-            link._ka_elided = (now, at, self.engine.reserve_ids(1))
+            engine, now = self.engine, self.engine.now
+            # The keepalive's loss draw and delivery id, where broadcast makes them.
+            if engine.draw(link.frequency_at(now), link, (link.slave,), now):
+                link._ka_elided = (now, now + engine.medium.propagation_us, engine.reserve_ids(1))
+                if engine.medium.loss_probability:  # the ack's draw is not known yet
+                    engine.after_event(lambda: self._settle_keepalive(link))
         else:
             self.send_on_link(link, link.master, PROTO_LINK, bytes([_MSG_KEEPALIVE]))
         link.ka_pending = True
@@ -536,14 +540,29 @@ class LinkManager:
         )
 
     def _elides_keepalive(self, link: Link) -> bool:
-        """Whether the keepalive about to be sent, and its ack, surely land."""
+        """Whether the keepalive about to be sent may go unsent (see the module docstring)."""
         medium = self.engine.medium
         return (
-            medium.loss_probability == 0.0
-            and medium.jitter_us == 0
+            medium.jitter_us == 0
             and self.params.keepalive_interval_us > 2 * medium.propagation_us
             and self.engine.in_range(link.master, link.slave)
         )
+
+    def _settle_keepalive(self, link: Link) -> None:
+        """Settle an elided keepalive's exchange under loss, or queue the
+        keepalive: see the module docstring."""
+        if link._ka_elided is None:  # the tick lost the link, which queued it
+            return
+        engine, at = self.engine, link._ka_elided[1]
+        if at + engine.medium.propagation_us < engine.settle_limit():
+            link._ka_elided = None
+            link.slave_heard = True
+            if engine.draw(link.frequency_at(at), link, (link.master,), at):
+                engine.reserve_ids(1)  # the ack's delivery
+                link.ka_pending = False
+                link.ka_misses = 0
+        else:
+            self._unelide(link)
 
     def _unelide(self, link: Link) -> None:
         """Queue an elided keepalive that has not landed yet as the real frame,

@@ -114,7 +114,13 @@ _ANSWERS = {answer: kind for kind, (_request, answer) in _HANDSHAKES.items()}
 
 _MDL_SEND, _MDL_RX, _MDL_ACK = TYPED["mdl_send"], TYPED["mdl_rx"], TYPED["mdl_ack"]
 
-_DATA_HEADER = struct.Struct(">HIBq")
+# Each PDU is packed with its opcode first and read where it lies.
+_ID_PDU = struct.Struct(">BH")  # opcode, mdl id: the handshakes and abort
+_CREATE_PDU = struct.Struct(">BHB")  # opcode, mdl id, flags
+_DATA_PDU = struct.Struct(">BHIBq")  # opcode, mdl id, seq, flags, clock; then the payload
+_ACK_PDU = struct.Struct(">BHI")  # opcode, mdl id, seq
+_SYNC_REQ_PDU = struct.Struct(">BI")  # opcode, token
+_SYNC_RSP_PDU = struct.Struct(">BIq")  # opcode, token, the responder's local time
 _FLAG_RELIABLE = 1
 _FLAG_ENCRYPTED = 2
 
@@ -258,17 +264,14 @@ class McapManager:
 
     # -- wire helpers -------------------------------------------------------
 
-    def _tx(self, control: ControlChannel, sender: Device, opcode: int, body: bytes) -> None:
+    def _tx(self, control: ControlChannel, sender: Device, pdu: bytes) -> None:
         try:
-            self.links.send_on_link(
-                control.link, sender, PROTO_MCAP, bytes([opcode]) + body
-            )
+            self.links.send_on_link(control.link, sender, PROTO_MCAP, pdu)
         except LinkError:
             return
-        name = _OP_NAMES.get(opcode)
-        if name is not None:
-            mdl_id = struct.unpack(">H", body[:2])[0] if len(body) >= 2 else 0
-            self.engine.emit("mcap_tx", sender.address, op=name, mdl_id=mdl_id)
+        name = _OP_NAMES.get(pdu[0])
+        if name is not None:  # a handshake or abort PDU, led by its mdl id
+            self.engine.emit("mcap_tx", sender.address, op=name, mdl_id=_ID_PDU.unpack_from(pdu)[1])
 
     # -- exchange machinery -------------------------------------------------
 
@@ -316,18 +319,18 @@ class McapManager:
         mdl_id: int,
         op: Op,
         on_answer: Callable[[], None],
-        body: bytes | None = None,
+        pdu: bytes | None = None,
     ) -> Op:
-        """``_exchange`` for one ``_HANDSHAKES`` request on ``mdl_id`` (``body``
-        defaults to the bare id); ``op`` fails with ``McapTimeout``."""
-        opcode = _HANDSHAKES[kind][0]
-        if body is None:
-            body = struct.pack(">H", mdl_id)
+        """``_exchange`` for one ``_HANDSHAKES`` request on ``mdl_id`` (``pdu``
+        defaults to the request opcode and the bare id); ``op`` fails with
+        ``McapTimeout``."""
+        if pdu is None:
+            pdu = _ID_PDU.pack(_HANDSHAKES[kind][0], mdl_id)
         return self._exchange(
             control,
             (kind, mdl_id),
             op,
-            lambda: self._tx(control, initiator, opcode, body),
+            lambda: self._tx(control, initiator, pdu),
             on_answer,
             lambda: op.resolve(error=McapTimeout(str((control.link.pair, kind, mdl_id)))),
             self.params.retransmit_interval_us,
@@ -364,16 +367,16 @@ class McapManager:
         def accepted() -> None:
             self._handshake(control, initiator, "config", mdl_id, op, confirmed)
 
-        req = struct.pack(">HB", mdl_id, _FLAG_RELIABLE if reliable else 0)
+        req = _CREATE_PDU.pack(_OP_CREATE_REQ, mdl_id, _FLAG_RELIABLE if reliable else 0)
         return self._handshake(control, initiator, "create", mdl_id, op, accepted, req)
 
-    def _on_create_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
-        mdl_id, flags = struct.unpack(">HB", body[:3])
+    def _on_create_req(self, control: ControlChannel, receiver: Device, pdu: bytes) -> None:
+        _op, mdl_id, flags = _CREATE_PDU.unpack_from(pdu)
         if mdl_id not in control.channels:
             control.channels[mdl_id] = DataChannel(
                 control=control, mdl_id=mdl_id, reliable=bool(flags & _FLAG_RELIABLE)
             )
-        self._tx(control, receiver, _OP_CREATE_ACCEPT, struct.pack(">H", mdl_id))
+        self._tx(control, receiver, _ID_PDU.pack(_OP_CREATE_ACCEPT, mdl_id))
 
     # -- reconnect ----------------------------------------------------------
 
@@ -402,14 +405,13 @@ class McapManager:
 
         return self._handshake(control, initiator, "reconnect", mdl_id, op, complete)
 
-    def _on_reconnect_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
-        mdl_id = struct.unpack(">H", body[:2])[0]
+    def _on_reconnect_req(self, control: ControlChannel, receiver: Device, mdl_id: int) -> None:
         channel = control.channels[mdl_id]
         if channel.state is ChannelState.CLOSED:
             return
         if channel.state is ChannelState.SUSPENDED:
             channel.state = ChannelState.ACTIVE
-        self._tx(control, receiver, _OP_RECONNECT_ACCEPT, struct.pack(">H", mdl_id))
+        self._tx(control, receiver, _ID_PDU.pack(_OP_RECONNECT_ACCEPT, mdl_id))
         self._pump(channel, receiver, channel.sender(receiver.address))
 
     # -- close --------------------------------------------------------------
@@ -428,7 +430,7 @@ class McapManager:
             return Op.resolved(channel)
         mdl_id = channel.mdl_id
         if abort:
-            self._tx(control, initiator, _OP_ABORT, struct.pack(">H", mdl_id))  # dropped on a down link
+            self._tx(control, initiator, _ID_PDU.pack(_OP_ABORT, mdl_id))  # dropped on a down link
             self._close_local(channel, initiator.address, "abort")
             return Op.resolved(channel)
         op = Op()
@@ -465,10 +467,9 @@ class McapManager:
         abandoned = sum(self.abandon_pending(channel, sender) for sender in list(channel.senders))
         self.engine.emit("mdl_close", by, mdl_id=channel.mdl_id, mode=mode, abandoned=abandoned)
 
-    def _on_delete_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
-        mdl_id = struct.unpack(">H", body[:2])[0]
+    def _on_delete_req(self, control: ControlChannel, receiver: Device, mdl_id: int) -> None:
         self._close_local(control.channels[mdl_id], receiver.address, "delete")
-        self._tx(control, receiver, _OP_DELETE_ACK, struct.pack(">H", mdl_id))
+        self._tx(control, receiver, _ID_PDU.pack(_OP_DELETE_ACK, mdl_id))
 
     # -- data plane ---------------------------------------------------------
 
@@ -530,11 +531,9 @@ class McapManager:
         if link.link_key is not None:
             body = apply_cipher(link.link_key, clock, payload)
             flags |= _FLAG_ENCRYPTED
-        header = _DATA_HEADER.pack(channel.mdl_id, seq, flags, clock)
+        header = _DATA_PDU.pack(_OP_DATA, channel.mdl_id, seq, flags, clock)
         try:
-            deliveries = self.links.send_on_link(
-                link, sender, PROTO_MCAP, bytes([_OP_DATA]) + header + body
-            )
+            deliveries = self.links.send_on_link(link, sender, PROTO_MCAP, header + body)
         except LinkError:
             return False
         self.engine.emit_typed(
@@ -561,13 +560,13 @@ class McapManager:
         retx.start()
 
     def _on_data(
-        self, control: ControlChannel, receiver: Device, from_addr: DeviceAddress, body: bytes, now: SimTime
+        self, control: ControlChannel, receiver: Device, from_addr: DeviceAddress, pdu: bytes, now: SimTime
     ) -> None:
-        mdl_id, seq, flags, clock = _DATA_HEADER.unpack_from(body, 0)
+        _op, mdl_id, seq, flags, clock = _DATA_PDU.unpack_from(pdu)
         channel = control.channels[mdl_id]
         if channel.state is ChannelState.CLOSED:
             return
-        payload = body[_DATA_HEADER.size :]
+        payload = pdu[_DATA_PDU.size :]
         if flags & _FLAG_ENCRYPTED:
             payload = apply_cipher(control.link.link_key, clock, payload)
         reliable = bool(flags & _FLAG_RELIABLE)
@@ -576,7 +575,7 @@ class McapManager:
             last = state.rx_last
             if seq > last + 1:
                 return  # out of order: not taken
-            self._tx(control, receiver, _OP_DATA_ACK, struct.pack(">HI", mdl_id, seq))
+            self._tx(control, receiver, _ACK_PDU.pack(_OP_DATA_ACK, mdl_id, seq))
             if seq <= last:
                 return  # a duplicate, acked again
             state.rx_last = seq
@@ -584,8 +583,8 @@ class McapManager:
         for fn in list(channel._receivers):
             fn(channel, from_addr, payload, now)
 
-    def _on_data_ack(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
-        mdl_id, seq = struct.unpack(">HI", body[:6])
+    def _on_data_ack(self, control: ControlChannel, receiver: Device, pdu: bytes) -> None:
+        _op, mdl_id, seq = _ACK_PDU.unpack_from(pdu)
         channel = control.channels[mdl_id]
         state = channel.senders.get(receiver.address)
         # An ack with no running retry (the channel was suspended or settled
@@ -640,42 +639,43 @@ class McapManager:
             control,
             ("sync", token),
             op,
-            lambda: self._tx(control, requester, _OP_SYNC_REQ, struct.pack(">I", token)),
+            lambda: self._tx(control, requester, _SYNC_REQ_PDU.pack(_OP_SYNC_REQ, token)),
             answered,
             timed_out,
             self.params.sync_timeout_us,
             self.params.sync_timeout_us,
         )
 
-    def _on_sync_req(self, control: ControlChannel, receiver: Device, body: bytes) -> None:
-        token = struct.unpack(">I", body[:4])[0]
+    def _on_sync_req(self, control: ControlChannel, receiver: Device, pdu: bytes) -> None:
+        _op, token = _SYNC_REQ_PDU.unpack_from(pdu)
         t1 = receiver.local_time(self.engine.now)
-        self._tx(control, receiver, _OP_SYNC_RSP, struct.pack(">Iq", token, t1))
+        self._tx(control, receiver, _SYNC_RSP_PDU.pack(_OP_SYNC_RSP, token, t1))
 
     # -- dispatch -----------------------------------------------------------
 
     def _on_pdu(
-        self, link: Link, receiver: Device, from_addr: DeviceAddress, body: bytes, now: SimTime
+        self, link: Link, receiver: Device, from_addr: DeviceAddress, pdu: bytes, now: SimTime
     ) -> None:
-        control = link.control  # _tx and _tx_data send an opcode, on control.link only
-        opcode = body[0]
-        rest = body[1:]
+        control = link.control  # _tx and _tx_data send a PDU, on control.link only
+        opcode = pdu[0]
         if opcode == _OP_DATA:
-            self._on_data(control, receiver, from_addr, rest, now)
+            self._on_data(control, receiver, from_addr, pdu, now)
         elif opcode == _OP_DATA_ACK:
-            self._on_data_ack(control, receiver, rest)
-        elif opcode in _ANSWERS:
-            self._answered(control, (_ANSWERS[opcode], struct.unpack(">H", rest[:2])[0]))
-        elif opcode == _OP_CREATE_REQ:
-            self._on_create_req(control, receiver, rest)
-        elif opcode == _OP_CREATE_CONFIG:  # the channel exists since the accept
-            self._tx(control, receiver, _OP_CREATE_CONFIRM, rest[:2])
-        elif opcode == _OP_RECONNECT_REQ:
-            self._on_reconnect_req(control, receiver, rest)
-        elif opcode == _OP_DELETE_REQ:
-            self._on_delete_req(control, receiver, rest)
+            self._on_data_ack(control, receiver, pdu)
         elif opcode == _OP_SYNC_REQ:
-            self._on_sync_req(control, receiver, rest)
+            self._on_sync_req(control, receiver, pdu)
         elif opcode == _OP_SYNC_RSP:
-            token, t1 = struct.unpack(">Iq", rest[:12])
+            _op, token, t1 = _SYNC_RSP_PDU.unpack_from(pdu)
             self._answered(control, ("sync", token), t1)
+        else:  # a handshake PDU or an abort, led by its mdl id
+            mdl_id = _ID_PDU.unpack_from(pdu)[1]
+            if opcode in _ANSWERS:
+                self._answered(control, (_ANSWERS[opcode], mdl_id))
+            elif opcode == _OP_CREATE_REQ:
+                self._on_create_req(control, receiver, pdu)
+            elif opcode == _OP_CREATE_CONFIG:  # the channel exists since the accept
+                self._tx(control, receiver, _ID_PDU.pack(_OP_CREATE_CONFIRM, mdl_id))
+            elif opcode == _OP_RECONNECT_REQ:
+                self._on_reconnect_req(control, receiver, mdl_id)
+            elif opcode == _OP_DELETE_REQ:
+                self._on_delete_req(control, receiver, mdl_id)

@@ -356,8 +356,10 @@ def _validate_action(
     _require(isinstance(kind, str) and kind in ACTIONS, _UNKNOWN_ACTION, ".action")
     values = _fields(_ACTION_TABLES[kind], raw, declared)
     for key in _ADDRESS_KEYS[kind]:
+        # Only an address parsed fresh may be unknown: an undeclared text's, requested's keys.
         value = values[key]
-        for address in value if isinstance(value, dict) else (value,):  # of a dict, its keys
+        fresh = value if isinstance(value, dict) else () if raw[key] in declared else (value,)
+        for address in fresh:
             if address not in known:
                 at = f".{key}" if address is value else f".{key}[{address}]"
                 raise ValidationError(at, f"references undefined device {address}")

@@ -9,9 +9,10 @@ challenge-response authentication that fails on any PIN mismatch and does
 not admit replays; and a symmetric keystream cipher parameterized by the
 link key and clock so that both ends compute the same stream.
 
-Every keyed computation runs through one PRF that copies HMAC-SHA256 state
-keyed once (RFC 2104's inner and outer hashes after the padded key). A
-``LinkKey`` keys its state when made and reuses it for every keystream block.
+Every keyed computation is one PRF that copies HMAC-SHA256 state keyed once
+(RFC 2104's inner and outer hashes after the padded key). A ``LinkKey`` keys
+its state when made, and ``apply_cipher`` copies it for every keystream block
+in its own loop, with no call per block.
 It also caches its last cipher call as ``(clock, output, input)``: XOR with
 one stream is its own inverse, so the receiver of a payload, deciphering the
 sender's output at the sender's clock, gets the sender's input back without
@@ -90,16 +91,12 @@ def _keyed_state(key: bytes) -> tuple:
     return hashlib.sha256(inner), hashlib.sha256(outer)
 
 
-def _prf(state: tuple, message: bytes) -> bytes:
-    inner, outer = state[0].copy(), state[1].copy()
+def keyed_prf(key: bytes, message: bytes) -> bytes:
+    """16-byte keyed pseudo-random value used by every security operation."""
+    inner, outer = _keyed_state(key)
     inner.update(message)
     outer.update(inner.digest())
     return outer.digest()[:KEY_LEN]
-
-
-def keyed_prf(key: bytes, message: bytes) -> bytes:
-    """16-byte keyed pseudo-random value used by every security operation."""
-    return _prf(_keyed_state(key), message)
 
 
 def derive_init_key(pin: Pin, claimant: DeviceAddress, rand: bytes) -> LinkKey:
@@ -159,17 +156,24 @@ def keystream(key: LinkKey, clock_us: SimTime, length: int) -> bytes:
 def apply_cipher(key: LinkKey, clock_us: SimTime, payload: bytes) -> bytes:
     """XOR the payload with the link keystream; applying twice restores it.
 
-    The stream is the PRF of the clock and a block counter, one 16-byte
-    block at a time. The payload that the key's last call output at the
-    same clock is answered from the key's cache (see the module docstring).
+    The stream is the PRF of the clock and a 4-byte block counter, one
+    16-byte block at a time, made in one loop over the key's two keyed
+    states. The payload that the key's last call output at the same clock
+    is answered from the key's cache (see the module docstring).
     """
     last_clock, last_output, last_input = key._last_cipher
     if last_clock == clock_us and last_output == payload:
         return last_input
     n = len(payload)
+    inner, outer = key._state
     seed = _CIPHER_PREFIX + clock_us.to_bytes(8, "big", signed=True)
-    blocks = range(-(-n // KEY_LEN))
-    stream = b"".join([_prf(key._state, seed + i.to_bytes(4, "big")) for i in blocks])[:n]
-    output = (int.from_bytes(payload, "big") ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
+    stream = b""
+    for i in range(-(-n // KEY_LEN)):
+        block = inner.copy()
+        block.update(seed + i.to_bytes(4, "big"))
+        mac = outer.copy()
+        mac.update(block.digest())
+        stream += mac.digest()[:KEY_LEN]
+    output = (int.from_bytes(payload, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
     object.__setattr__(key, "_last_cipher", (clock_us, output, payload))
     return output

@@ -10,7 +10,8 @@ and a stand-in that always declines it:
 - ``quiet_slots``: ``DiscoveryManager._quiet`` is False, so every sweep slot
   is broadcast;
 - ``keepalive_elision``: ``LinkManager._elides_keepalive`` is False, so every
-  keepalive is sent as a frame;
+  keepalive is sent as a frame, lossy media included, and no exchange is
+  settled after its tick;
 - ``reading_memo``: ``HdpManager._encode`` builds and encodes a
   ``Measurement`` for every reading, so no readings are reused.
 

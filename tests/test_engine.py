@@ -122,6 +122,33 @@ def test_settle_limit_counts_a_cancelled_key_at_the_top_of_the_heap():
     assert limits == [20, 100]
 
 
+def test_after_event_runs_once_the_event_returns_and_at_once_outside_a_run():
+    engine = Engine()
+    seen = []
+
+    def event() -> None:
+        engine.after_event(lambda: seen.append(("after", engine.settle_limit())))
+        engine.after_event(lambda: seen.append(("second", engine.now)))
+        engine.schedule(15, lambda: seen.append(("next", engine.now)))
+        seen.append(("event", engine.now))
+
+    def raises() -> None:
+        engine.after_event(lambda: seen.append("dropped"))
+        raise RuntimeError("event failed")
+
+    engine.schedule(10, event)
+    engine.schedule(15, raises)
+    engine.after_event(lambda: seen.append(("outside", engine.now)))
+    assert seen == [("outside", 0)]
+    with pytest.raises(RuntimeError):
+        engine.run_until(20)
+    # The callbacks see the event the firing one queued, in the order they
+    # were given; a raising event's callbacks are dropped with it.
+    assert seen[1:] == [("event", 10), ("after", 15), ("second", 10)]
+    engine.run_until(20)
+    assert seen[4:] == [("next", 15)]
+
+
 @pytest.mark.parametrize("t", [0, 2**62 + 3])
 def test_an_event_at_t_fires_in_run_until_t_but_not_before(t):
     engine = Engine()

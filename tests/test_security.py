@@ -139,8 +139,9 @@ def _reference_cipher(key: LinkKey, clock: int, payload: bytes) -> bytes:
 @pytest.mark.parametrize("clock", [0, 1, 777, 2**40 + 3, -5_000, 2**63 - 1])
 def test_cipher_and_keystream_equal_the_per_block_hmac_reference(clock):
     key = LinkKey(bytes.fromhex("f32e31cff3cd1ad29727b6e70ca2d439"))
-    payload = bytes(range(7, 87))
-    for n in range(81):
+    payload = bytes((7 + i) % 256 for i in range(4096))
+    # page_size_bytes is a scenario parameter: the block counter runs on at any length.
+    for n in [*range(81), 1024, 1025, 4096]:
         expected = _reference_cipher(key, clock, payload[:n])
         assert apply_cipher(key, clock, payload[:n]) == expected, n
         assert keystream(key, clock, n) == _reference_cipher(key, clock, bytes(n)), n
