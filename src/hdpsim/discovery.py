@@ -32,13 +32,20 @@ discovery's handlers are the only inquiry and response handlers and every
 device in range is in ``_seen`` or cannot answer (non-discoverable, or
 limited with its window closed when the first frame lands). The run stops
 short of the deadline and of ``Engine.settle_limit``: the first queued event
-or the ``run_until`` bound. It draws early, through ``Engine.draw`` as
-``broadcast`` does but scheduling nothing, in the plain path's order: per
-unquiet slot, the inquiry to the inquirer's neighbours, then one repeat
-response per delivered copy that answers. It sets aside the ids of the
-events it replaces (cycles, slots, and the deliveries of inquiry frames and
-of repeat responses) and queues the first cycle it does not settle, so
-trace, event ids and generator state are unchanged. An unseen
+or the ``run_until`` bound. It draws early, scheduling nothing, in the plain
+path's order: per unquiet slot, the inquiry to the inquirer's neighbours,
+then one repeat response per delivered copy that answers. It goes a stretch
+at a time, the cycles between two scan window changes. A stretch's first
+cycle draws through ``Engine.draw``, and the rest in one loop of
+``engine.rng.random()`` calls by its loss rule if, at the first, the medium
+is lossy, every neighbour hears every slot through its scan (``_listening``)
+and answers until the deadline, and the inquirer hears each slot's responses
+through its inquiry listen (always: they land before the next slot). A scan
+is fixed within a stretch, or repeats each cycle while inquiring, and a mode
+change or a move is an event, so every later check passes too. It sets aside
+the ids of the events it replaces (cycles, slots, and the deliveries of
+inquiry frames and of repeat responses) and queues the first cycle it does
+not settle, so trace, event ids and generator state are unchanged. An unseen
 non-discoverable neighbour no longer keeps a settled run sending, though it
 still keeps its slots from being quiet.
 """
@@ -286,35 +293,47 @@ class DiscoveryManager:
         cycle_us, slot_us = self.params.inquiry_cycle_us, self.params.inquiry_slot_us
         # The least time from a slot to the next, the next cycle's first included.
         gap = min(slot_us, cycle_us - min(FREQ_COUNT - 1, (cycle_us - 1) // slot_us) * slot_us)
-        first = now + p  # the earliest delivery
+        first, neighbours = now + p, engine.neighbours(inquirer)  # first: the earliest delivery
         if (
             medium.jitter_us
             or p >= gap
-            or not self._ignores(
-                inquiry, [d for d in engine.neighbours(inquirer) if self._answers(d, first)],
-                first,
-            )
+            or not self._ignores(inquiry, [d for d in neighbours if self._answers(d, first)], first)
         ):
             return False
         # Only the time part of _quiet varies, and every settled slot meets it.
         quiet = self._quiet(inquiry, now)
+        loss, rand = medium.loss_probability, engine.rng.random
         ids = 0  # of the cycle, slot, delivery and response events the run replaces
-        start, stable = now, 0
+        start, stable, repeat = now, 0, None  # repeat: None until a stretch's first cycle drew
         while start < limit and not (slots and slots[-1][0] + 2 * p >= limit):
-            ids += start > now  # this cycle's event; the first one is firing
-            for slot, freq in slots:
-                # A slot at its cycle's start is swept by the cycle event itself.
-                ids += slot > start
-                if not quiet:  # the slot's inquiry deliveries, then its repeat responses
-                    sent = engine.draw(freq, None, engine.neighbours(inquirer), slot)
-                    answers = [inquirer for d, _ in sent if self._answers(d, slot + p)]
-                    ids += len(sent) + len(engine.draw(freq, None, answers, slot + p))
-            start += cycle_us
-            if start + cycle_us <= stable:  # no scan window changes: shift the slots
-                slots = [(slot + cycle_us, freq) for slot, freq in slots]
+            if repeat:  # the rest of the stretch that the run reaches: loss draws alone
+                edge = slots[-1][0] + 2 * p if slots else start
+                cycles = min((stable - start) // cycle_us, (limit - 1 - edge) // cycle_us + 1)
+                ids += cycles * (1 + sum(slot > start for slot, _ in slots))
+                for _ in range(cycles * len(slots)):  # a slot's inquiry, then its responses
+                    sent = 0
+                    for _ in neighbours:
+                        sent += rand() >= loss
+                    for _ in range(sent):
+                        ids += rand() >= loss
+                    ids += sent
+                start += cycles * cycle_us
             else:
-                slots = self._slots(inquiry, start)
-                # Until a listener next changes its scan window, or the deadline.
+                ids += start > now  # this cycle's event; the first one is firing
+                for slot, freq in slots:
+                    ids += slot > start  # one at its cycle's start is swept by the cycle event
+                    if not quiet:  # the slot's inquiry deliveries, then its repeat responses
+                        sent = engine.draw(freq, None, neighbours, slot)
+                        answers = [inquirer for d, _ in sent if self._answers(d, slot + p)]
+                        ids += len(sent) + len(engine.draw(freq, None, answers, slot + p))
+                start += cycle_us
+            if start + cycle_us <= stable and not repeat:  # no scan window change: shift the slots
+                if repeat is None:  # the stretch's first cycle: do its checks hold throughout?
+                    repeat = loss > 0.0 and all(self._answers(d, inquiry.deadline_us) and all(
+                        f in self._listening(d, s) for s, f in slots) for d in neighbours)
+                slots = [(slot + cycle_us, freq) for slot, freq in slots]
+            else:  # a new stretch, until a listener next changes its scan window or the deadline
+                slots, repeat = self._slots(inquiry, start), None
                 window, offsets = self.schedule.window_us, self._offsets[inquirer][1]
                 hops = [(start + o) // window * window + window - o for o in offsets]
                 stable = min(hops + [inquiry.deadline_us])

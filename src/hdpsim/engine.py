@@ -531,8 +531,12 @@ class Engine:
         ``t``, unless the frame is on a link, whose addressee listens on its
         hop frequency by construction; each one that does is dropped with the
         loss probability and otherwise lands after the propagation delay
-        plus a jitter draw. This is the medium's one delivery rule: the
-        settled inquiry runs of ``hdpsim.discovery`` draw through it too."""
+        plus a jitter draw. As the medium's one delivery rule, it draws the
+        first cycle of each stretch (between scan window changes) of a
+        settled inquiry run of ``hdpsim.discovery``; the others take its loss
+        rule alone if, at the first, every neighbour's scan hears every slot,
+        every neighbour answers until the deadline and the inquirer hears
+        the responses."""
         medium = self._medium
         loss, jitter = medium.loss_probability, medium.jitter_us
         deliveries: list[tuple[Device, SimTime]] = []

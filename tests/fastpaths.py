@@ -6,7 +6,11 @@ the method that decides whether the fast path is taken, or that takes it,
 and a stand-in that always declines it:
 
 - ``settle``: ``DiscoveryManager._settle`` declines, so every inquiry cycle
-  runs as events;
+  runs as events; with it on, a settled run draws the first cycle of each
+  stretch between scan window changes through ``Engine.draw``, and the
+  later ones in one loop of loss draws if, at the first, the medium is
+  lossy, every neighbour hears every slot through its scan and answers
+  until the deadline, and the inquirer hears each slot's responses;
 - ``quiet_slots``: ``DiscoveryManager._quiet`` is False, so every sweep slot
   is broadcast;
 - ``keepalive_elision``: ``LinkManager._elides_keepalive`` is False, so every

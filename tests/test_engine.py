@@ -736,11 +736,14 @@ def test_another_response_handler_gets_every_repeat_response(loss):
 # -- runs of inquiry cycles settled inline -------------------------------------
 
 
-def _outcome(scenario, seed, settle=True):
+def _outcome(scenario, seed, settle=True, listen=None):
     """A run's trace and metrics bytes, how many event ids it issued and its
-    final RNG state; and how many runs of inquiry cycles it settled."""
+    final RNG state; and how many runs of inquiry cycles it settled. A
+    ``listen`` provider, if given, is added to the run's engine."""
     with contextlib.nullcontext() if settle else fastpaths.off("settle"):
         run = ScenarioRun(scenario, seed)
+        if listen is not None:
+            run.stack.engine.add_listen_provider(listen)
         discovery = run.stack.discovery
         settled = []
         step = discovery._settle
@@ -764,7 +767,10 @@ def test_settled_inquiry_cycles_keep_the_bytes_ids_and_draws():
         sensors=st.lists(
             st.tuples(
                 st.floats(0.5, 12.0),
-                st.sampled_from([0, 300, 39_700_000, 1_281_000, 10_240_000, 20_480_000]),
+                # 1,240,000 changes scan window at 40 ms, inside the inquiries.
+                st.sampled_from(
+                    [0, 300, 39_700_000, 1_281_000, 1_240_000, 10_240_000, 20_480_000]
+                ),
             ),
             min_size=1,
             max_size=4,
@@ -817,6 +823,32 @@ def test_settled_inquiry_cycles_keep_the_bytes_ids_and_draws():
         first_us=95_000, gap_us=1, second_us=1, moves=[],
         modes=[(0, 0, "limited", 60_001)], seed=0,
     )
+    @example(  # lossy, settled from 10 ms across the sensor's scan window change
+        # at 40 ms: the cycles at 30 ms and 50-80 ms repeat their stretch's first
+        loss=0.3, jitter=0, propagation=1, sensors=[(1.0, 1_240_000)],
+        first_us=95_000, gap_us=1, second_us=1, moves=[], modes=[], seed=0,
+    )
+    @example(  # lossy, settled from 10 ms: both sensors hear the first slot until
+        # 40 ms, so the 30 ms cycle repeats the 20 ms one; from 40 ms each hears a
+        # slot of its own, and every cycle draws through Engine.draw
+        loss=0.3, jitter=0, propagation=1, sensors=[(1.0, 0), (1.5, 1_240_000)],
+        first_us=95_000, gap_us=1, second_us=1, moves=[], modes=[], seed=5,
+    )
+    @example(  # lossy: the page queued at 100 ms, not the deadline, ends a stretch
+        loss=0.3, jitter=0, propagation=1, sensors=[(1.0, 0)],
+        first_us=120_000, gap_us=1, second_us=1, moves=[], modes=[], seed=1,
+    )
+    @example(  # lossy: the page at 100 ms ends a stretch inside its last cycle,
+        # between the cycle's start and its slot's response at 99,703 + 2 * 200 us
+        loss=0.3, jitter=0, propagation=200, sensors=[(1.0, 39_700_000)],
+        first_us=120_000, gap_us=1, second_us=1, moves=[], modes=[], seed=0,
+    )
+    @example(  # lossy, with one stretch from 40 ms to the deadline, in which a
+        # limited window closes at 60 ms: its later cycles cannot repeat the first
+        loss=0.3, jitter=0, propagation=1, sensors=[(1.0, 1_240_000)],
+        first_us=95_000, gap_us=1, second_us=1, moves=[],
+        modes=[(0, 0, "limited", 60_001)], seed=0,
+    )
     def check(loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves, modes, seed):
         scenario = _edges_scenario(
             loss, jitter, propagation, sensors, first_us, gap_us, second_us, moves, modes
@@ -829,6 +861,25 @@ def test_settled_inquiry_cycles_keep_the_bytes_ids_and_draws():
     check()
     assert any(runs for loss, runs in settled if loss > 0.0)
     assert any(runs for loss, runs in settled if loss == 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_another_listen_provider_keeps_every_settled_cycle_on_engine_draw(seed):
+    """A neighbour that the scan does not hear at the cycle's first slot, but
+    that another listen provider has listen on its frequency in odd cycles
+    only, draws differently from cycle to cycle: the settled run falls back
+    to ``Engine.draw`` for every cycle and still draws as the plain path."""
+    deaf = "AA:00:00:00:00:02"  # scans frequency 4, not the first slot's 0
+    scenario = _edges_scenario(
+        0.3, 0, 1, [(1.0, 0), (1.5, 5_120_000)], 95_000, 1, 1, moves=[]
+    )
+
+    def listen(device, t):
+        return (0,) if str(device.address) == deaf and t // 10_000 % 2 else ()
+
+    settled_on, runs = _outcome(scenario, seed, listen=listen)
+    assert settled_on == _outcome(scenario, seed, settle=False, listen=listen)[0]
+    assert runs > 0
 
 
 @settings(max_examples=40, deadline=None)
