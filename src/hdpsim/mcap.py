@@ -18,11 +18,14 @@ closed the shared channel already. A closed channel's queues are settled by
 the receiver's watermark, as ``abandon_pending`` settles them.
 
 Payloads on an authenticated link are enciphered with the link key and the
-transmit clock; the clock rides in the data header so the receiver can
-compute the same keystream. A pair's one control channel sits on its one
-``Link`` (``Link.control``), the only index of control channels: a PDU
-finds it from the link its frame carried, with no pair lookup, and
-``open_control_channel`` returns the one the link already has.
+transmit clock while the wire is observed, that is while a raw-frame tap
+beyond the link layer's own reads data frames; the clock rides in the data
+header so the receiver can compute the same keystream. No trace line or
+metric reads the ciphertext, so an unobserved wire makes no stream. A
+pair's one control channel sits on its one ``Link`` (``Link.control``), the
+only index of control channels: a PDU finds it from the link its frame
+carried, with no pair lookup, and ``open_control_channel`` returns the one
+the link already has.
 
 Each control exchange runs on the engine's ``Retry``: the request is resent
 every ``retransmit_interval_us`` and the exchange fails with
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import DeviceAddress, SimTime
-from .engine import TYPED, Device, Engine, Op, Retry
+from .engine import TYPED, Device, Engine, FrameKind, Op, Retry
 from .link import Link, LinkError, LinkManager, LinkState, PROTO_MCAP
 from .params import SimParams
 from .security import NotAuthenticated, apply_cipher
@@ -528,7 +531,7 @@ class McapManager:
         flags = _FLAG_RELIABLE if channel.reliable else 0
         clock = self.engine.now
         body = payload
-        if link.link_key is not None:
+        if link.link_key is not None and self._wire_observed():
             body = apply_cipher(link.link_key, clock, payload)
             flags |= _FLAG_ENCRYPTED
         header = _DATA_PDU.pack(_OP_DATA, channel.mdl_id, seq, flags, clock)
@@ -540,6 +543,10 @@ class McapManager:
             _MDL_SEND, sender.address, len(payload), channel.mdl_id, attempts, seq
         )
         return bool(deliveries)
+
+    def _wire_observed(self) -> bool:
+        """Whether a raw-frame tap beyond the link layer's own can read data frames."""
+        return len(self.engine._frame_handlers[FrameKind.LINK_DATA]) > 1
 
     def _pump(self, channel: DataChannel, sender: Device, state: SenderState) -> None:
         """Start the sender's ``Retry`` on its queue head, unless one is in

@@ -12,12 +12,9 @@ link key and clock so that both ends compute the same stream.
 Every keyed computation is one PRF that copies HMAC-SHA256 state keyed once
 (RFC 2104's inner and outer hashes after the padded key). A ``LinkKey`` keys
 its state when made, and ``apply_cipher`` copies it for every keystream block
-in its own loop, with no call per block.
-It also caches its last cipher call as ``(clock, output, input)``: XOR with
-one stream is its own inverse, so the receiver of a payload, deciphering the
-sender's output at the sender's clock, gets the sender's input back without
-making the stream again. The cache compares the whole output, so it answers
-exactly. Both live and die with the key.
+in its own loop, with no call per block. ``mcap`` makes a data frame's stream
+only while a raw-frame tap can read the frame; no trace line or metric
+depends on it.
 """
 
 from __future__ import annotations
@@ -72,10 +69,8 @@ class LinkKey:
     def __post_init__(self):
         if len(self.value) != KEY_LEN:
             raise ValueError(f"link key must be {KEY_LEN} bytes")
-        # Keyed PRF state for the keystream and the last cipher call made
-        # with it, (clock_us, output, input); attributes, not fields.
+        # Keyed PRF state for the keystream; an attribute, not a field.
         object.__setattr__(self, "_state", _keyed_state(self.value))
-        object.__setattr__(self, "_last_cipher", (None, b"", b""))
 
     def hash8(self) -> str:
         """Short correlation tag for traces; never the key itself."""
@@ -158,12 +153,8 @@ def apply_cipher(key: LinkKey, clock_us: SimTime, payload: bytes) -> bytes:
 
     The stream is the PRF of the clock and a 4-byte block counter, one
     16-byte block at a time, made in one loop over the key's two keyed
-    states. The payload that the key's last call output at the same clock
-    is answered from the key's cache (see the module docstring).
+    states.
     """
-    last_clock, last_output, last_input = key._last_cipher
-    if last_clock == clock_us and last_output == payload:
-        return last_input
     n = len(payload)
     inner, outer = key._state
     seed = _CIPHER_PREFIX + clock_us.to_bytes(8, "big", signed=True)
@@ -174,6 +165,4 @@ def apply_cipher(key: LinkKey, clock_us: SimTime, payload: bytes) -> bytes:
         mac = outer.copy()
         mac.update(block.digest())
         stream += mac.digest()[:KEY_LEN]
-    output = (int.from_bytes(payload, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
-    object.__setattr__(key, "_last_cipher", (clock_us, output, payload))
-    return output
+    return (int.from_bytes(payload, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")

@@ -17,7 +17,10 @@ and a stand-in that always declines it:
   keepalive is sent as a frame, lossy media included, and no exchange is
   settled after its tick;
 - ``reading_memo``: ``HdpManager._encode`` builds and encodes a
-  ``Measurement`` for every reading, so no readings are reused.
+  ``Measurement`` for every reading, so no readings are reused;
+- ``wire_cipher``: ``McapManager._wire_observed`` is True, so every data
+  frame on an authenticated link is enciphered and deciphered, whether or
+  not a raw-frame tap can read it.
 
 ``off`` patches the classes, so it reaches every stack used inside it.
 """
@@ -30,6 +33,7 @@ from typing import Callable, Iterator
 from hdpsim.discovery import DiscoveryManager
 from hdpsim.hdp import HdpManager, Measurement
 from hdpsim.link import LinkManager
+from hdpsim.mcap import McapManager
 
 # name -> (class, method, the stand-in that declines the fast path)
 FAST_PATHS: dict[str, tuple[type, str, Callable]] = {
@@ -43,6 +47,7 @@ FAST_PATHS: dict[str, tuple[type, str, Callable]] = {
             assoc.specialization, seq, local_us, readings
         ).encode(),
     ),
+    "wire_cipher": (McapManager, "_wire_observed", lambda self: True),
 }
 
 

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import pytest
 
+from hdpsim import mcap as mcap_module
 from hdpsim.engine import Op
 from hdpsim.link import PROTO_MCAP, LinkError
 from hdpsim.mcap import (
+    _DATA_PDU,
+    _FLAG_ENCRYPTED,
+    _OP_DATA,
     ChannelClosed,
     ChannelState,
     ClockSyncResult,
@@ -14,8 +18,9 @@ from hdpsim.mcap import (
     SendStatus,
     SyncTimeout,
 )
-from hdpsim.security import NotAuthenticated
+from hdpsim.security import NotAuthenticated, apply_cipher
 
+import fastpaths
 from conftest import add_device, connect, make_stack, paired_pair, run_while
 
 
@@ -387,6 +392,69 @@ def test_payloads_are_ciphered_on_authenticated_links():
     stack.engine.run_until(stack.engine.now + 20_000)
     assert received == [plaintext]
     assert raw and all(plaintext not in blob for blob in raw)
+
+
+def test_untapped_authenticated_link_makes_no_keystream(monkeypatch):
+    # No trace line or metric reads a data frame's ciphertext, so with no
+    # raw-frame tap the sender enciphers nothing and the receiver deciphers
+    # nothing; with the wire_cipher switch off both ends make the stream.
+    calls = []
+
+    def counting(key, clock, payload):
+        calls.append(clock)
+        return apply_cipher(key, clock, payload)
+
+    monkeypatch.setattr(mcap_module, "apply_cipher", counting)
+    plaintexts = [b"reading-%d" % i for i in range(3)]
+
+    def run():
+        stack = make_stack()
+        a, _, _, control = control_pair(stack)
+        channel = open_channel(stack, control, a)
+        received = []
+        channel.on_receive(lambda ch, frm, payload, now: received.append(payload))
+        for plaintext in plaintexts:
+            stack.mcap.send(channel, a, plaintext)
+            stack.engine.run_until(stack.engine.now + 20_000)
+        return received
+
+    assert run() == plaintexts
+    assert calls == []
+    with fastpaths.off("wire_cipher"):
+        assert run() == plaintexts
+    assert len(calls) == 2 * len(plaintexts)
+
+
+def test_tap_added_mid_run_sees_ciphertext_on_every_later_data_frame():
+    from hdpsim.engine import FrameKind
+
+    stack = make_stack()
+    a, _, link, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    received = []
+    channel.on_receive(lambda ch, frm, payload, now: received.append(payload))
+    before = [b"untapped-%d" % i for i in range(2)]
+    after = [b"very-secret-%d" % i for i in range(3)]
+    for plaintext in before:
+        stack.mcap.send(channel, a, plaintext)
+        stack.engine.run_until(stack.engine.now + 20_000)
+    data = []
+
+    def tap(dev, frame, now):
+        if frame.payload[0] == PROTO_MCAP and frame.payload[1] == _OP_DATA:
+            data.append(frame.payload[1:])
+
+    stack.engine.add_frame_handler(FrameKind.LINK_DATA, tap)
+    for plaintext in after:
+        stack.mcap.send(channel, a, plaintext)
+        stack.engine.run_until(stack.engine.now + 20_000)
+    assert received == before + after
+    assert len(data) == len(after)
+    for pdu, plaintext in zip(data, after):
+        _op, _mdl, _seq, flags, clock = _DATA_PDU.unpack_from(pdu)
+        body = pdu[_DATA_PDU.size :]
+        assert flags & _FLAG_ENCRYPTED and body != plaintext
+        assert apply_cipher(link.link_key, clock, body) == plaintext
 
 
 def test_clock_sync_exact_offset_without_jitter():

@@ -154,8 +154,8 @@ def test_cipher_and_keystream_equal_the_per_block_hmac_reference(clock):
     )
 )
 def test_interleaved_ciphers_over_two_keys_equal_the_uncached_keystream(calls):
-    # Each key keeps its last stream; equal and different clocks and lengths
-    # alternate over two keys, and a fresh key's stream is computed anew.
+    # Equal and different clocks and lengths alternate over two keys, and a
+    # used key's stream equals a fresh key's.
     raw = (b"\x5a" * 16, bytes.fromhex("f32e31cff3cd1ad29727b6e70ca2d439"))
     keys = [LinkKey(value) for value in raw]
     for which, clock, payload in calls:
@@ -173,8 +173,8 @@ def test_interleaved_ciphers_over_two_keys_equal_the_uncached_keystream(calls):
     )
 )
 def test_cached_cipher_answers_equal_the_reference(calls):
-    # Each call ciphers a fresh payload or the last output, which at the last
-    # clock the key answers from its cache: the receiver of a frame.
+    # Each call ciphers a fresh payload or the last output, as the receiver
+    # of a frame deciphers the sender's output at the sender's clock.
     key = LinkKey(bytes.fromhex("f32e31cff3cd1ad29727b6e70ca2d439"))
     last = b""
     for clock, payload, decipher_last in calls:
