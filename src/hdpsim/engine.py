@@ -161,11 +161,7 @@ def trace_line(t_us: SimTime, seq: int, ev: str, dev: str, detail: dict) -> str:
     the lines of ``TYPED_EVENTS``, which their ``TypedEvent`` templates make,
     byte for byte the same."""
     return '{"detail":%s,"dev":%s,"ev":%s,"seq":%d,"t_us":%d}\n' % (
-        _encode_detail(detail),
-        _encode_str(dev),
-        _encode_str(ev),
-        seq,
-        t_us,
+        _encode_detail(detail), _encode_str(dev), _encode_str(ev), seq, t_us
     )
 
 
@@ -519,7 +515,10 @@ class Engine:
             return []
         deliveries = self.draw(frame.freq_index, link, candidates, self.now)
         for receiver, deliver_at in deliveries:
-            self.schedule(deliver_at, self.delivery(frame, receiver))
+            def run(receiver: Device = receiver) -> None:  # delivery's event, made inline
+                for handler in self._frame_handlers[frame.kind]:
+                    handler(receiver, frame, self.now)
+            self.schedule(deliver_at, run)
         return deliveries
 
     def draw(
@@ -556,7 +555,8 @@ class Engine:
         return deliveries
 
     def delivery(self, frame: RadioFrame, receiver: Device) -> Callable[[], None]:
-        """The event that hands ``frame`` to the receiver's frame handlers."""
+        """The event that hands ``frame`` to the receiver's frame handlers;
+        ``broadcast`` makes it inline for each delivery it draws."""
 
         def run():
             for handler in self._frame_handlers[frame.kind]:

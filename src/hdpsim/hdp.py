@@ -498,11 +498,7 @@ class HdpManager:
         elif assoc.reliable_mdl is None:
             channel: DataChannel = op.result
             assoc.reliable_mdl = channel
-            channel.on_receive(
-                lambda ch, from_addr, payload, now, a=assoc: self._on_measurement_frame(
-                    a, from_addr, payload, now
-                )
-            )
+            channel.on_receive(self._measurement_receiver(assoc))
             self._set_up(assoc)
         else:
             assoc.clock_map = op.result
@@ -534,11 +530,18 @@ class HdpManager:
         if assoc.state is AssocState.RELEASED:
             raise Released(f"association {assoc.assoc_id} is released")
         seq = assoc.next_seq
-        raw = self._encode(assoc, seq, assoc.source.local_time(self.engine.now), readings)
+        source = assoc.source
+        raw = self._encode(assoc, seq, self.engine.now + source.config.clock_offset_us, readings)
         assoc.next_seq = seq + 1
         op = Op()
-        if assoc.link.state is LinkState.CONNECTED and self._channel_up(assoc) and not assoc.buffer:
-            self._transmit(assoc, seq, raw, op)
+        if (
+            assoc.link.state is LinkState.CONNECTED
+            and assoc.state is AssocState.OPERATING  # hence its channel is set
+            and assoc.reliable_mdl.state is ChannelState.ACTIVE
+            and not assoc.buffer
+        ):
+            self.mcap.send(assoc.reliable_mdl, source, raw, op)
+            self.engine.emit_typed(_MEASUREMENT_TX, source.address, assoc.assoc_id, seq)
         else:
             self._buffer(assoc, seq, raw, op)
         return op
@@ -558,19 +561,8 @@ class HdpManager:
         elif not 0 <= seq <= _SEQ_MAX:
             raise InvalidMeasurement("seq must fit in 32 bits")
         _key, count, entries = assoc.last_readings
-        return _HEADER.pack(seq, local_us, assoc.specialization.value, count) + entries
-
-    def _channel_up(self, assoc: Association) -> bool:
-        channel = assoc.reliable_mdl
-        return (
-            assoc.state is AssocState.OPERATING
-            and channel is not None
-            and channel.state is ChannelState.ACTIVE
-        )
-
-    def _transmit(self, assoc: Association, seq: int, raw: bytes, op: Op) -> None:
-        self.mcap.send(assoc.reliable_mdl, assoc.source, raw, op)
-        self.engine.emit_typed(_MEASUREMENT_TX, assoc.source.address, assoc.assoc_id, seq)
+        # _value_: the member's value as a plain attribute; .value is a property.
+        return _HEADER.pack(seq, local_us, assoc.specialization._value_, count) + entries
 
     def _buffer(self, assoc: Association, seq: int, raw: bytes, op: Op) -> None:
         evicted = None
@@ -585,27 +577,34 @@ class HdpManager:
             evicted.resolve(SendStatus.EVICTED)
 
     def _flush(self, assoc: Association) -> None:
-        if self._channel_up(assoc):
+        if assoc.state is AssocState.OPERATING and assoc.reliable_mdl.state is ChannelState.ACTIVE:
             while assoc.buffer:
-                self._transmit(assoc, *assoc.buffer.popleft())
+                seq, raw, op = assoc.buffer.popleft()
+                self.mcap.send(assoc.reliable_mdl, assoc.source, raw, op)
+                self.engine.emit_typed(_MEASUREMENT_TX, assoc.source.address, assoc.assoc_id, seq)
 
-    def _on_measurement_frame(
-        self, assoc: Association, from_addr: DeviceAddress, payload: bytes, now: SimTime
-    ) -> None:
-        if from_addr is not assoc.source.address and from_addr != assoc.source.address:
-            return
-        if assoc.state is AssocState.RELEASED:
-            # Teardown is atomic for both ends; a frame still in flight at
-            # release time was already settled as abandoned, so logging it
-            # here would double-count it.
-            return
-        seq, source_ts, _spec, _count = _HEADER.unpack_from(payload)
-        offset = assoc.clock_map.offset_us if assoc.clock_map is not None else 0
-        sink_ts = source_ts - offset
-        self.engine.emit_typed(_MEASUREMENT_RX, assoc.sink.address, assoc.assoc_id, seq, sink_ts)
-        on_reading = self._sink_callbacks.get(assoc.sink.address)
-        if on_reading is not None:
-            on_reading(assoc, Measurement.decode(payload), sink_ts)
+    def _measurement_receiver(self, assoc: Association) -> Callable:
+        """The receiver of ``assoc``'s channel, called with each payload the sink takes."""
+
+        def received(ch: DataChannel, from_addr: DeviceAddress, payload: bytes, now: SimTime):
+            if from_addr is not assoc.source.address and from_addr != assoc.source.address:
+                return
+            if assoc.state is AssocState.RELEASED:
+                # Teardown is atomic for both ends; a frame still in flight at
+                # release time was already settled as abandoned, so logging it
+                # here would double-count it.
+                return
+            seq, source_ts, _spec, _count = _HEADER.unpack_from(payload)
+            offset = assoc.clock_map.offset_us if assoc.clock_map is not None else 0
+            sink_ts = source_ts - offset
+            self.engine.emit_typed(
+                _MEASUREMENT_RX, assoc.sink.address, assoc.assoc_id, seq, sink_ts
+            )
+            on_reading = self._sink_callbacks.get(assoc.sink.address)
+            if on_reading is not None:
+                on_reading(assoc, Measurement.decode(payload), sink_ts)
+
+        return received
 
     # -- link loss and recovery ----------------------------------------------
 
@@ -662,7 +661,7 @@ class HdpManager:
         if channel is not None and channel.state is not ChannelState.CLOSED:
             # Settle the channel queue now so nothing sends after release;
             # the sink's receive watermark tells which items arrived.
-            abandoned += self.mcap.abandon_pending(channel, assoc.source.address)
+            abandoned += self.mcap.abandon_pending(channel, assoc.source)
             use_abort = link.state is not LinkState.CONNECTED
             self.mcap.close_channel(channel, assoc.source, abort=use_abort)
         self.engine.emit(

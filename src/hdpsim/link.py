@@ -594,15 +594,9 @@ class LinkManager:
             return
         link.state = LinkState.LOST
         self._stop_supervision(link)
-        self.engine.emit(
-            "link_lost",
-            link.master.address,
-            peer=str(link.slave.address),
-            reason=reason,
-        )
-        log.debug(
-            "t=%d link %s-%s lost: %s", self.engine.now, link.master.address, link.slave.address, reason
-        )
+        master, slave = link.master.address, link.slave.address
+        self.engine.emit("link_lost", master, peer=str(slave), reason=reason)
+        log.debug("t=%d link %s-%s lost: %s", self.engine.now, master, slave, reason)
         self._notify(link)
 
     def _notify(self, link: Link) -> None:
@@ -620,7 +614,12 @@ class LinkManager:
     def send_on_link(self, link: Link, sender: Device, proto: int, body: bytes):
         if link.state is not LinkState.CONNECTED:
             raise LinkError("link is down")
-        peer = link.peer_of(sender)
+        if sender is link.master:  # Link.peer_of, inline
+            peer = link.slave
+        elif sender is link.slave:
+            peer = link.master
+        else:
+            raise LinkError(f"{sender.address} is not an endpoint of this link")
         frame = tuple.__new__(RadioFrame, (
             sender.address, link.frequency_at(self.engine.now), FrameKind.LINK_DATA,
             bytes([proto]) + body, peer.address, link,
@@ -718,11 +717,7 @@ class LinkManager:
         self._stop_supervision(link)
         link.master, link.slave = new_master, new_slave
         self._start_supervision(link)
-        self.engine.emit(
-            "role_switch",
-            new_master.address,
-            peer=str(new_slave.address),
-        )
+        self.engine.emit("role_switch", new_master.address, peer=str(new_slave.address))
         return link
 
     def admit_traffic(

@@ -34,8 +34,8 @@ sampling sends once and fails with ``SyncTimeout`` after
 ``sync_timeout_us``). A control channel holds its pending exchanges, keyed
 by kind and id; each entry carries the continuation that runs when the
 answer arrives, and a repeated reconnect or delete of a channel joins the
-exchange in flight. Each reliable sender keeps one ``Retry`` with no
-deadline, made at its first payload: it resends the queue head until the
+exchange in flight. Each end of a channel keeps one ``Retry`` with no
+deadline, made with the channel: it resends the queue head until the
 head's ack, a suspend or a close resolves it, and is started again for each
 new head, after a reconnect too.
 Channel operations return an engine ``Op``: ``result`` is the
@@ -50,7 +50,7 @@ import enum
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import DeviceAddress, SimTime
 from .engine import TYPED, Device, Engine, FrameKind, Op, Retry
@@ -145,12 +145,12 @@ class SendStatus(enum.Enum):
     ABANDONED = "abandoned"
 
 
-@dataclass
-class _QueuedItem:
+class _QueuedItem(NamedTuple):
+    """A payload waiting for its ack; made with ``tuple.__new__``."""
+
     seq: int
     payload: bytes
     op: Op
-    attempts: int = 0
 
 
 @dataclass
@@ -164,16 +164,17 @@ class ClockSyncResult:
 
 class SenderState:
     """One sender's side of a data channel: the seq of its last payload, its
-    queue of unacknowledged payloads (reliable channels), its one ``Retry``
-    (made at its first reliable payload, and running while it resends the
-    queue head on an active channel), and the receiver's watermark, the last
-    seq it took in order from this sender."""
+    queue of unacknowledged payloads (reliable channels), how many times the
+    queue head has been sent, its one ``Retry`` (set with the state, and
+    running while it resends the queue head on an active channel), and the
+    receiver's watermark, the last seq it took in order from this sender."""
 
-    __slots__ = ("tx_seq", "queue", "retx", "rx_last")
+    __slots__ = ("tx_seq", "queue", "head_sends", "retx", "rx_last")
 
     def __init__(self):
         self.tx_seq = 0
         self.queue: deque[_QueuedItem] = deque()
+        self.head_sends = 0
         self.retx: Optional[Retry] = None
         self.rx_last = 0
 
@@ -182,30 +183,23 @@ class SenderState:
 class DataChannel:
     """One logical data pipe between a pair; shared by both endpoints.
 
-    ``senders`` holds one ``SenderState`` per sending address, so each
-    payload, ack and receipt looks its sender up once.
+    ``senders`` holds the ``SenderState`` of each end, keyed by its
+    ``Device`` (hashed by identity) and made with the channel, the
+    initiator's first: each payload, ack and receipt indexes it once.
     """
 
     control: "ControlChannel"
     mdl_id: int
     reliable: bool
     state: ChannelState = ChannelState.ACTIVE
-    senders: dict[DeviceAddress, SenderState] = field(default_factory=dict)
+    senders: dict[Device, SenderState] = field(default_factory=dict)
     _receivers: list[Callable] = field(default_factory=list)
 
     def on_receive(self, fn: Callable[["DataChannel", DeviceAddress, bytes, SimTime], None]) -> None:
         self._receivers.append(fn)
 
-    def sender(self, address: DeviceAddress) -> SenderState:
-        """The state of ``address``'s side, made on first use."""
-        state = self.senders.get(address)
-        if state is None:
-            state = self.senders[address] = SenderState()
-        return state
-
-    def pending_count(self, sender: DeviceAddress) -> int:
-        state = self.senders.get(sender)
-        return 0 if state is None else len(state.queue)
+    def pending_count(self, sender: Device) -> int:
+        return len(self.senders[sender].queue)
 
 
 @dataclass
@@ -262,8 +256,7 @@ class McapManager:
 
     def _halt_retx(self, channel: DataChannel) -> None:
         for state in channel.senders.values():
-            if state.retx is not None:
-                state.retx.resolve()
+            state.retx.resolve()
 
     # -- wire helpers -------------------------------------------------------
 
@@ -376,10 +369,26 @@ class McapManager:
     def _on_create_req(self, control: ControlChannel, receiver: Device, pdu: bytes) -> None:
         _op, mdl_id, flags = _CREATE_PDU.unpack_from(pdu)
         if mdl_id not in control.channels:
-            control.channels[mdl_id] = DataChannel(
+            channel = control.channels[mdl_id] = DataChannel(
                 control=control, mdl_id=mdl_id, reliable=bool(flags & _FLAG_RELIABLE)
             )
+            for end in (control.link.peer_of(receiver), receiver):
+                channel.senders[end] = self._sender_state(channel, end)
         self._tx(control, receiver, _ID_PDU.pack(_OP_CREATE_ACCEPT, mdl_id))
+
+    def _sender_state(self, channel: DataChannel, sender: Device) -> SenderState:
+        """A new side of ``channel`` for ``sender``, with the ``Retry`` that
+        sends its queue head: it is started on an active channel whenever a
+        payload heads the queue and no run is live."""
+        state = SenderState()
+
+        def send() -> None:
+            item = state.queue[0]
+            self._tx_data(channel, sender, item.seq, item.payload, state.head_sends)
+            state.head_sends += 1
+
+        state.retx = Retry(self.engine, send, self.params.retransmit_interval_us)
+        return state
 
     # -- reconnect ----------------------------------------------------------
 
@@ -397,14 +406,13 @@ class McapManager:
 
         def complete() -> None:
             channel.state = ChannelState.ACTIVE
+            state = channel.senders[initiator]
             self.engine.emit(
-                "mdl_reconnect",
-                initiator.address,
-                mdl_id=mdl_id,
-                pending=channel.pending_count(initiator.address),
+                "mdl_reconnect", initiator.address, mdl_id=mdl_id, pending=len(state.queue)
             )
             op.resolve(channel)
-            self._pump(channel, initiator, channel.sender(initiator.address))
+            if channel.state is ChannelState.ACTIVE and state.queue and state.retx.done:
+                state.retx.start()
 
         return self._handshake(control, initiator, "reconnect", mdl_id, op, complete)
 
@@ -415,7 +423,9 @@ class McapManager:
         if channel.state is ChannelState.SUSPENDED:
             channel.state = ChannelState.ACTIVE
         self._tx(control, receiver, _ID_PDU.pack(_OP_RECONNECT_ACCEPT, mdl_id))
-        self._pump(channel, receiver, channel.sender(receiver.address))
+        state = channel.senders[receiver]
+        if channel.state is ChannelState.ACTIVE and state.queue and state.retx.done:
+            state.retx.start()
 
     # -- close --------------------------------------------------------------
 
@@ -441,19 +451,16 @@ class McapManager:
             control, initiator, "delete", mdl_id, op, lambda: op.resolve(channel)
         )
 
-    def abandon_pending(self, channel: DataChannel, sender: DeviceAddress) -> int:
+    def abandon_pending(self, channel: DataChannel, sender: Device) -> int:
         """Settle a sender's queue without transmitting further.
 
         Items whose channel seq is at most the receiver's watermark
         (``SenderState.rx_last``) are marked delivered, since the peer took
         them in order; the rest are abandoned. Returns the abandoned count.
         """
-        state = channel.senders.get(sender)
-        if state is None:
-            return 0
-        items, state.queue = state.queue, deque()
-        if state.retx is not None:
-            state.retx.resolve()
+        state = channel.senders[sender]
+        items, state.queue, state.head_sends = state.queue, deque(), 0
+        state.retx.resolve()
         abandoned = 0
         for item in items:
             if item.seq <= state.rx_last:
@@ -499,13 +506,14 @@ class McapManager:
         limit = link.params.page_size_bytes
         if len(payload) > limit:
             raise McapError(f"payload of {len(payload)} bytes exceeds page size {limit}")
-        state = channel.sender(sender.address)
+        state = channel.senders[sender]
         seq = state.tx_seq = state.tx_seq + 1
         if op is None:
             op = Op()
         if channel.reliable:
-            state.queue.append(_QueuedItem(seq=seq, payload=payload, op=op))
-            self._pump(channel, sender, state)
+            state.queue.append(tuple.__new__(_QueuedItem, (seq, payload, op)))
+            if channel.state is ChannelState.ACTIVE and state.retx.done:
+                state.retx.start()
             return op
         if (
             channel.state is ChannelState.SUSPENDED
@@ -548,24 +556,6 @@ class McapManager:
         """Whether a raw-frame tap beyond the link layer's own can read data frames."""
         return len(self.engine._frame_handlers[FrameKind.LINK_DATA]) > 1
 
-    def _pump(self, channel: DataChannel, sender: Device, state: SenderState) -> None:
-        """Start the sender's ``Retry`` on its queue head, unless one is in
-        flight; ``state`` is the sender's side of the channel."""
-        if channel.state is not ChannelState.ACTIVE or not state.queue:
-            return
-        retx = state.retx
-        if retx is None:
-
-            def send() -> None:
-                item = state.queue[0]
-                self._tx_data(channel, sender, item.seq, item.payload, item.attempts)
-                item.attempts += 1
-
-            retx = state.retx = Retry(self.engine, send, self.params.retransmit_interval_us)
-        elif not retx.done:
-            return
-        retx.start()
-
     def _on_data(
         self, control: ControlChannel, receiver: Device, from_addr: DeviceAddress, pdu: bytes, now: SimTime
     ) -> None:
@@ -578,11 +568,16 @@ class McapManager:
             payload = apply_cipher(control.link.link_key, clock, payload)
         reliable = bool(flags & _FLAG_RELIABLE)
         if reliable:
-            state = channel.sender(from_addr)
+            link = control.link
+            state = channel.senders[link.master if receiver is link.slave else link.slave]
             last = state.rx_last
             if seq > last + 1:
                 return  # out of order: not taken
-            self._tx(control, receiver, _ACK_PDU.pack(_OP_DATA_ACK, mdl_id, seq))
+            ack = _ACK_PDU.pack(_OP_DATA_ACK, mdl_id, seq)
+            try:  # as _tx sends it: a lost link carries nothing
+                self.links.send_on_link(link, receiver, PROTO_MCAP, ack)
+            except LinkError:
+                pass
             if seq <= last:
                 return  # a duplicate, acked again
             state.rx_last = seq
@@ -593,17 +588,18 @@ class McapManager:
     def _on_data_ack(self, control: ControlChannel, receiver: Device, pdu: bytes) -> None:
         _op, mdl_id, seq = _ACK_PDU.unpack_from(pdu)
         channel = control.channels[mdl_id]
-        state = channel.senders.get(receiver.address)
+        state = channel.senders[receiver]
         # An ack with no running retry (the channel was suspended or settled
         # meanwhile) or for an older seq is ignored; the queue is non-empty
         # while its retry runs.
-        if state is None or state.retx is None or state.retx.done or state.queue[0].seq != seq:
+        if state.retx.done or state.queue[0].seq != seq:
             return
         state.retx.resolve()
-        item = state.queue.popleft()
+        item, state.head_sends = state.queue.popleft(), 0
         self.engine.emit_typed(_MDL_ACK, receiver.address, mdl_id, seq)
         item.op.resolve(SendStatus.DELIVERED)
-        self._pump(channel, receiver, state)
+        if channel.state is ChannelState.ACTIVE and state.queue and state.retx.done:
+            state.retx.start()
 
     # -- clock sync ---------------------------------------------------------
 

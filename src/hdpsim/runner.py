@@ -73,14 +73,7 @@ def build_stack(
     links = LinkManager(engine, discovery, params)
     mcap = McapManager(engine, links, params)
     hdp = HdpManager(engine, links, mcap, params)
-    return Stack(
-        engine=engine,
-        params=params,
-        discovery=discovery,
-        links=links,
-        mcap=mcap,
-        hdp=hdp,
-    )
+    return Stack(engine, params, discovery, links, mcap, hdp)
 
 
 class ScenarioRun:
@@ -188,13 +181,16 @@ class ScenarioRun:
         # Send i goes at start + i * interval under id first + i - 1; only
         # the next send is queued, and each one queues the send after it.
         first = engine.reserve_ids(count - 1)
+        i = 0  # the send last fired; send 0 went above
 
-        def fire(i: int) -> None:
+        def fire() -> None:
+            nonlocal i
+            i += 1
             if i + 1 < count:
-                engine.schedule_as(first + i, start + (i + 1) * interval, lambda: fire(i + 1))
+                engine.schedule_as(first + i, start + (i + 1) * interval, fire)
             self._attempt("send_measurement", send, assoc, readings)
 
-        engine.schedule_as(first, start + interval, lambda: fire(1))
+        engine.schedule_as(first, start + interval, fire)
 
     def _move_device(self, action: dict) -> None:
         self.stack.engine.move_device(action["device"], action["position"])

@@ -20,7 +20,11 @@ and a stand-in that always declines it:
   ``Measurement`` for every reading, so no readings are reused;
 - ``wire_cipher``: ``McapManager._wire_observed`` is True, so every data
   frame on an authenticated link is enciphered and deciphered, whether or
-  not a raw-frame tap can read it.
+  not a raw-frame tap can read it;
+- ``hop_cache``: ``Link.frequency_at`` computes ``hop_frequency`` for every
+  frame, listen check and keepalive draw, with no per-slot cache;
+- ``neighbour_lists``: ``Engine.neighbours`` scans every registered device
+  for each inquiry frame and settled run, with no list kept between moves.
 
 ``off`` patches the classes, so it reaches every stack used inside it.
 """
@@ -31,8 +35,9 @@ import contextlib
 from typing import Callable, Iterator
 
 from hdpsim.discovery import DiscoveryManager
+from hdpsim.engine import Engine
 from hdpsim.hdp import HdpManager, Measurement
-from hdpsim.link import LinkManager
+from hdpsim.link import Link, LinkManager, hop_frequency
 from hdpsim.mcap import McapManager
 
 # name -> (class, method, the stand-in that declines the fast path)
@@ -48,6 +53,14 @@ FAST_PATHS: dict[str, tuple[type, str, Callable]] = {
         ).encode(),
     ),
     "wire_cipher": (McapManager, "_wire_observed", lambda self: True),
+    "hop_cache": (Link, "frequency_at", lambda self, t: hop_frequency(self.params, t)),
+    "neighbour_lists": (
+        Engine,
+        "neighbours",
+        lambda self, sender: [
+            d for d in self.devices.values() if d is not sender and self.in_range(sender, d)
+        ],
+    ),
 }
 
 

@@ -523,7 +523,7 @@ def test_a_reliable_payload_past_the_next_seq_is_not_taken(monkeypatch):
     first = stack.hdp.send_measurement(assoc, HEART_READINGS)
     run_while(stack, lambda: not first.done, 1_000_000)
     channel = assoc.reliable_mdl
-    state = channel.sender(source.address)
+    state = channel.senders[source]
     last = state.rx_last
     assert last == 1
     frames = []

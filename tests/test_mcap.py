@@ -197,7 +197,7 @@ def test_streaming_send_drops_on_loss_without_retransmit():
     stack.engine.run_until(stack.engine.now + 1_000_000)
     drops = [e for e in stack.engine.trace if e.ev == "mdl_drop"]
     assert drops and drops[0].detail["reason"] == "loss"
-    assert channel.pending_count(a.address) == 0
+    assert channel.pending_count(a) == 0
 
 
 def test_streaming_send_drops_while_link_down():
@@ -267,6 +267,27 @@ def test_reliable_queue_survives_link_loss_and_resumes():
     reconnected = [e for e in stack.engine.trace if e.ev == "mdl_reconnect"]
     assert len(suspended) == 1 and len(reconnected) == 1
     assert reconnected[0].detail["pending"] == 3
+
+
+def test_a_responder_queue_resumes_when_the_initiator_reconnects():
+    """Payloads the channel's responder queued while the link was down go out
+    once the initiator's reconnect request reaches it."""
+    stack = make_stack()
+    a, b, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    received = []
+    channel.on_receive(lambda ch, frm, payload, now: received.append((frm, payload)))
+    stack.links.drop_link(a.address, b.address)
+    ops = [stack.mcap.send(channel, b, b"y%d" % i) for i in range(2)]
+    stack.engine.run_until(stack.engine.now + 500_000)
+    assert not any(op.done for op in ops) and received == []
+    connect(stack, a, b)
+    op = stack.mcap.reconnect_data_channel(channel, a)
+    stack.engine.run_until(stack.engine.now + 1_000_000)
+    assert op.done and [o.result for o in ops] == [SendStatus.DELIVERED] * 2
+    assert received == [(b.address, b"y0"), (b.address, b"y1")]
+    (reconnected,) = [e for e in stack.engine.trace if e.ev == "mdl_reconnect"]
+    assert reconnected.detail["pending"] == 0  # the initiator's own queue
 
 
 def test_send_on_closed_channel_raises():
@@ -353,15 +374,15 @@ def test_abandon_pending_honors_delivery_evidence():
     stack.links.drop_link(a.address, b.address)
     ops = [stack.mcap.send(channel, a, b"p%d" % i) for i in range(3)]
     # A sender's channel seqs count from 1 in send order; the peer took seq 1.
-    channel.sender(a.address).rx_last = 1
-    abandoned = stack.mcap.abandon_pending(channel, a.address)
+    channel.senders[a].rx_last = 1
+    abandoned = stack.mcap.abandon_pending(channel, a)
     assert abandoned == 2
     assert [op.result for op in ops] == [
         SendStatus.DELIVERED,
         SendStatus.ABANDONED,
         SendStatus.ABANDONED,
     ]
-    assert channel.pending_count(a.address) == 0
+    assert channel.pending_count(a) == 0
 
 
 def test_payload_size_capped_by_link_page_size():

@@ -17,13 +17,13 @@ from conftest import add_device, connect, make_stack, paired_pair, run_while
 
 def queues(channel):
     """Sender -> its queue of unacknowledged payloads."""
-    return {address: state.queue for address, state in channel.senders.items()}
+    return {device.address: state.queue for device, state in channel.senders.items()}
 
 
 def retries(channel):
     """Sender -> its Retry, for each whose Retry is resending its queue head."""
     return {
-        a: state.retx for a, state in channel.senders.items()
+        device.address: state.retx for device, state in channel.senders.items()
         if state.retx is not None and not state.retx.done
     }
 
@@ -278,9 +278,33 @@ def test_ack_landing_after_the_suspend_is_ignored():
     assert received == [b"head"]
     stack.links.drop_link(a.address, b.address)
     stack.engine.run_until(t + 500_000)
-    assert not op.done and channel.pending_count(a.address) == 1
+    assert not op.done and channel.pending_count(a) == 1
     assert not [e for e in stack.engine.trace if e.ev == "mdl_ack"]
     assert_nothing_pending(stack)
+    connect(stack, a, b)
+    stack.mcap.reconnect_data_channel(channel, a)
+    run_while(stack, lambda: not op.done, 1_000_000)
+    # The resend is a duplicate to the peer, which acks it without a second rx.
+    assert op.result is SendStatus.DELIVERED and received == [b"head"]
+    assert [retx for _, retx in sends_of(stack)] == [0, 1]
+    assert_nothing_pending(stack)
+
+
+def test_a_payload_landing_after_the_link_is_lost_is_taken_but_not_acked():
+    stack = make_stack()
+    a, b, _, control = control_pair(stack)
+    channel = open_channel(stack, control, a)
+    received = []
+    channel.on_receive(lambda ch, frm, payload, now: received.append(payload))
+    t = stack.engine.now
+    op = stack.mcap.send(channel, a, b"head")
+    # The link drops at t, before the payload lands at t+1 us: the peer takes
+    # it, and the ack it would send finds no link.
+    stack.links.drop_link(a.address, b.address)
+    stack.engine.run_until(t + 500_000)
+    assert received == [b"head"] and channel.senders[a].rx_last == 1
+    assert [e.ev for e in stack.engine.trace if e.t_us == t + 1] == ["mdl_rx"]
+    assert not op.done and channel.pending_count(a) == 1
     connect(stack, a, b)
     stack.mcap.reconnect_data_channel(channel, a)
     run_while(stack, lambda: not op.done, 1_000_000)
@@ -297,7 +321,7 @@ def test_a_reliable_sender_keeps_one_retry_across_payloads_a_suspend_and_a_recon
     held = []
     for payload in (b"one", b"two", b"three"):
         op = stack.mcap.send(channel, a, payload)
-        held.append(channel.senders[a.address].retx)
+        held.append(channel.senders[a].retx)
         run_while(stack, lambda: not op.done, 1_000_000)
         assert op.result is SendStatus.DELIVERED
     retry = held[0]
@@ -313,7 +337,7 @@ def test_a_reliable_sender_keeps_one_retry_across_payloads_a_suspend_and_a_recon
     stack.mcap.reconnect_data_channel(channel, a)
     run_while(stack, lambda: not op.done, 1_000_000)
     assert op.result is SendStatus.DELIVERED
-    assert channel.senders[a.address].retx is retry and retry.done
+    assert channel.senders[a].retx is retry and retry.done
     assert_nothing_pending(stack)
 
 
