@@ -1,11 +1,13 @@
 """Device discovery: standby scanning, discoverability modes, inquiry sweeps.
 
 An idle device listens on one of 32 frequencies at a time, changing frequency
-every scan window (1.28 s), so a full listening sweep takes 40.96 s. An
-inquiring device transmits on all 32 frequencies within each 10 ms cycle and
-collects responses until its deadline. Whether a scanned device answers is
-governed by its discoverability mode; whether it accepts connections is a
-separate connectability setting.
+every scan window (1.28 s), so a full listening sweep takes 40.96 s: at sim
+time t it listens on ``(t + clock_offset_us) // scan_window_us % 32``, the
+rule that ``sweep_slots``, the listen check and a settled run's stretches
+apply. An inquiring device transmits on all 32 frequencies within each 10 ms
+cycle and collects responses until its deadline. Whether a scanned device
+answers is governed by its discoverability mode; whether it accepts
+connections is a separate connectability setting.
 
 The inquiry transmit sweep is simulated per cycle rather than per frame: for
 each cycle the manager computes which transmit slots fall inside some
@@ -76,27 +78,6 @@ class InquiryInProgress(Exception):
     """The device already has an active inquiry."""
 
 
-def scan_frequency(window_index: int) -> int:
-    """Listening frequency for the given scan window ordinal."""
-    return window_index % FREQ_COUNT
-
-
-@dataclass(frozen=True)
-class ScanSchedule:
-    """Deterministic standby listening pattern of one device."""
-
-    window_us: int
-
-    def window_index(self, local_time_us: SimTime) -> int:
-        return local_time_us // self.window_us
-
-    def frequency_at(self, local_time_us: SimTime) -> int:
-        return scan_frequency(self.window_index(local_time_us))
-
-    def full_sweep_us(self) -> int:
-        return self.window_us * FREQ_COUNT
-
-
 @dataclass(frozen=True)
 class DiscoveryResult:
     address: DeviceAddress
@@ -128,11 +109,7 @@ class Inquiry:
 
 
 def sweep_slots(
-    params: SimParams,
-    schedule: ScanSchedule,
-    listener_offset_us: int,
-    cycle_start: SimTime,
-    not_after: SimTime,
+    params: SimParams, listener_offset_us: int, cycle_start: SimTime, not_after: SimTime
 ) -> list[tuple[SimTime, int]]:
     """Transmit slots within one sweep cycle that the listener's scan hits.
 
@@ -143,12 +120,12 @@ def sweep_slots(
     cycle_end = min(cycle_start + params.inquiry_cycle_us, not_after)
     hits: list[tuple[SimTime, int]] = []
     seg_start = cycle_start
+    window_us = params.scan_window_us
     while seg_start < cycle_end:
-        local = seg_start + listener_offset_us
-        window = schedule.window_index(local)
-        freq = scan_frequency(window)
+        window = (seg_start + listener_offset_us) // window_us
+        freq = window % FREQ_COUNT
         # Sim time at which the listener hops to its next scan frequency.
-        boundary = (window + 1) * schedule.window_us - listener_offset_us
+        boundary = (window + 1) * window_us - listener_offset_us
         seg_end = min(boundary, cycle_end)
         slot = cycle_start + freq * params.inquiry_slot_us
         if seg_start <= slot < seg_end:
@@ -163,7 +140,6 @@ class DiscoveryManager:
     def __init__(self, engine: Engine, params: SimParams):
         self.engine = engine
         self.params = params
-        self.schedule = ScanSchedule(params.scan_window_us)
         self._modes: dict[DeviceAddress, _ModeState] = {}
         self._known: dict[DeviceAddress, set[DeviceAddress]] = {}
         # inquirer -> its running inquiry; a finished one is removed
@@ -222,7 +198,7 @@ class DiscoveryManager:
             in_cycle = elapsed % self.params.inquiry_cycle_us
             return (min(in_cycle // self.params.inquiry_slot_us, FREQ_COUNT - 1),)
         # Standby: the scan frequency at the device's local time.
-        return ((t + device.config.clock_offset_us) // self.schedule.window_us % FREQ_COUNT,)
+        return ((t + device.config.clock_offset_us) // self.params.scan_window_us % FREQ_COUNT,)
 
     # -- inquiry
 
@@ -250,9 +226,7 @@ class DiscoveryManager:
             self._offsets[inquirer] = (len(devices), offsets)
         slots: dict[SimTime, int] = {}
         for offset in offsets:
-            for slot, freq in sweep_slots(
-                self.params, self.schedule, offset, start, inquiry.deadline_us
-            ):
+            for slot, freq in sweep_slots(self.params, offset, start, inquiry.deadline_us):
                 slots[slot] = freq
         return sorted(slots.items())
 
@@ -334,7 +308,7 @@ class DiscoveryManager:
                 slots = [(slot + cycle_us, freq) for slot, freq in slots]
             else:  # a new stretch, until a listener next changes its scan window or the deadline
                 slots, repeat = self._slots(inquiry, start), None
-                window, offsets = self.schedule.window_us, self._offsets[inquirer][1]
+                window, offsets = self.params.scan_window_us, self._offsets[inquirer][1]
                 hops = [(start + o) // window * window + window - o for o in offsets]
                 stable = min(hops + [inquiry.deadline_us])
         if start == now:

@@ -29,8 +29,8 @@ queued, a repeat inquiry response too, which discovery ignores on arrival. A
 frame whose whole exchange is known is not sent at all: the link layer
 settles a keepalive on a jitter-free medium without frames (see
 ``hdpsim.link``), drawing through ``draw`` and keeping its delivery's event
-id from ``reserve_ids``; under loss ``after_event`` runs its settle once the
-tick has returned, when every event the tick queued bounds ``settle_limit``.
+id from ``reserve_ids``; under loss the tick settles it as its last step,
+when every event the tick queues bounds ``settle_limit``.
 ``add_medium_hook`` reports each ``move_device`` and each replacement of
 ``medium``, and ``fired`` tells whether the delivery's ``(t, id)`` has
 passed, so that a change that comes first queues the real ``delivery`` under
@@ -129,9 +129,6 @@ class Device:
         self.config = config
         self.address: DeviceAddress = config.address
         self.position = config.position
-
-    def local_time(self, now: SimTime) -> int:
-        return now + self.config.clock_offset_us
 
     def __repr__(self) -> str:
         return f"Device({self.config.address})"
@@ -312,7 +309,6 @@ class Engine:
         self._entries: dict[int, Callable[[], None]] = {}  # pending key -> callback
         self._firing: int | float = _IDLE  # the key now firing; see fired
         self._until: SimTime | float = -_IDLE  # run_until's bound; -inf outside it
-        self._after: list[Callable[[], None]] = []  # see after_event
         # kind -> [fn(receiver_device, frame, now)]
         self._frame_handlers: dict[FrameKind, list[Callable]] = {k: [] for k in FrameKind}
         # fn(device, t) -> iterable of frequency indices the device listens on
@@ -398,15 +394,6 @@ class Engine:
         A cancelled key at the top of the heap still bounds it."""
         return min(self._heap[0] >> _ID_BITS, self._until) if self._heap else self._until
 
-    def after_event(self, fn: Callable[[], None]) -> None:
-        """Call ``fn`` once the event now firing has returned, before the next
-        one fires, so that every event it queued bounds ``settle_limit``;
-        outside ``run_until``, at once."""
-        if self._firing is _IDLE:
-            fn()
-        else:
-            self._after.append(fn)
-
     def cancel(self, key: int) -> None:
         """Drop the pending event ``key`` (as ``schedule`` returned it); a key
         that has fired, was cancelled or was never issued is ignored."""
@@ -417,7 +404,7 @@ class Engine:
         if t < self.now:
             raise SchedulingInPast(f"cannot run to {t}, now is {self.now}")
         self._until = t
-        heap, entries, after, pop = self._heap, self._entries, self._after, heapq.heappop
+        heap, entries, pop = self._heap, self._entries, heapq.heappop
         limit = (t + 1) << _ID_BITS  # the first key past t
         try:
             while heap and heap[0] < limit:
@@ -428,10 +415,7 @@ class Engine:
                 self.now = key >> _ID_BITS
                 self._firing = key
                 fn()
-                while after:
-                    after.pop(0)()
         finally:
-            after.clear()  # an event raised
             self._firing = _IDLE
             self._until = -_IDLE
         self.now = t

@@ -15,8 +15,8 @@ negotiated parameters intact.
 On a jitter-free medium, with the keepalive interval over a round trip of
 2p (p the propagation delay), a tick at T whose ends are in range sends no
 keepalive: it draws the keepalive's loss and, if it lands at T+p, keeps
-``(T+p, event id)`` on the link. On a lossy medium, once the tick has
-returned (``Engine.after_event``), the exchange settles if no event comes
+``(T+p, event id)`` on the link. On a lossy medium, as the tick's last step,
+once it has queued its next tick, the exchange settles if no event comes
 before T+2p: the slave has heard, and the ack, its loss drawn as at T+p,
 answers the master if it lands; otherwise the real keepalive is queued under
 the kept id. On a lossless one the next tick settles the exchange, unless a
@@ -372,11 +372,7 @@ class LinkManager:
         now = self.engine.now
         target_dev = self.engine.device(page.target)
         hits = sweep_slots(
-            self.params,
-            self.discovery.schedule,
-            target_dev.config.clock_offset_us,
-            now,
-            page.retry.deadline_us,
+            self.params, target_dev.config.clock_offset_us, now, page.retry.deadline_us
         )
         for slot, freq in hits:
             if slot == now:
@@ -504,8 +500,9 @@ class LinkManager:
         )
 
     def _supervise(self, link: Link) -> None:
-        """Master miss check and keepalive, slave miss check, next tick. It
-        runs on live links only: ``_lose`` cancels the tick."""
+        """Master miss check and keepalive, slave miss check, next tick, then
+        the settle of a keepalive elided under loss. It runs on live links
+        only: ``_lose`` cancels the tick."""
         if link._ka_elided is not None:
             # The last tick's elided exchange has landed, ack included.
             link._ka_elided = None
@@ -522,8 +519,6 @@ class LinkManager:
             # The keepalive's loss draw and delivery id, where broadcast makes them.
             if engine.draw(link.frequency_at(now), link, (link.slave,), now):
                 link._ka_elided = (now, now + engine.medium.propagation_us, engine.reserve_ids(1))
-                if engine.medium.loss_probability:  # the ack's draw is not known yet
-                    engine.after_event(lambda: self._settle_keepalive(link))
         else:
             self.send_on_link(link, link.master, PROTO_LINK, bytes([_MSG_KEEPALIVE]))
         link.ka_pending = True
@@ -538,6 +533,8 @@ class LinkManager:
         link._timer = self.engine.schedule_in(
             self.params.keepalive_interval_us, lambda: self._supervise(link)
         )
+        if link._ka_elided is not None and self.engine.medium.loss_probability:
+            self._settle_keepalive(link)  # the ack's draw is not known yet
 
     def _elides_keepalive(self, link: Link) -> bool:
         """Whether the keepalive about to be sent may go unsent (see the module docstring)."""
@@ -549,10 +546,8 @@ class LinkManager:
         )
 
     def _settle_keepalive(self, link: Link) -> None:
-        """Settle an elided keepalive's exchange under loss, or queue the
-        keepalive: see the module docstring."""
-        if link._ka_elided is None:  # the tick lost the link, which queued it
-            return
+        """Settle the exchange of the keepalive this tick elided under loss,
+        or queue the keepalive: see the module docstring."""
         engine, at = self.engine, link._ka_elided[1]
         if at + engine.medium.propagation_us < engine.settle_limit():
             link._ka_elided = None

@@ -615,10 +615,10 @@ class McapManager:
         token = control.next_token
         control.next_token += 1
         op = Op()
-        t0 = requester.local_time(self.engine.now)
+        t0 = self.engine.now + requester.config.clock_offset_us
 
         def answered(t1: int) -> None:
-            t2 = requester.local_time(self.engine.now)
+            t2 = self.engine.now + requester.config.clock_offset_us
             rtt = t2 - t0
             offset = t1 - (t0 + t2) // 2
             accuracy = (rtt + 1) // 2
@@ -651,7 +651,7 @@ class McapManager:
 
     def _on_sync_req(self, control: ControlChannel, receiver: Device, pdu: bytes) -> None:
         _op, token = _SYNC_REQ_PDU.unpack_from(pdu)
-        t1 = receiver.local_time(self.engine.now)
+        t1 = self.engine.now + receiver.config.clock_offset_us
         self._tx(control, receiver, _SYNC_RSP_PDU.pack(_OP_SYNC_RSP, token, t1))
 
     # -- dispatch -----------------------------------------------------------

@@ -15,7 +15,7 @@ and a stand-in that always declines it:
   is broadcast;
 - ``keepalive_elision``: ``LinkManager._elides_keepalive`` is False, so every
   keepalive is sent as a frame, lossy media included, and no exchange is
-  settled after its tick;
+  settled without one;
 - ``reading_memo``: ``HdpManager._encode`` builds and encodes a
   ``Measurement`` for every reading, so no readings are reused;
 - ``wire_cipher``: ``McapManager._wire_observed`` is True, so every data
@@ -24,7 +24,13 @@ and a stand-in that always declines it:
 - ``hop_cache``: ``Link.frequency_at`` computes ``hop_frequency`` for every
   frame, listen check and keepalive draw, with no per-slot cache;
 - ``neighbour_lists``: ``Engine.neighbours`` scans every registered device
-  for each inquiry frame and settled run, with no list kept between moves.
+  for each inquiry frame and settled run, with no list kept between moves;
+- ``typed_lines``: ``TypedEvent.line`` makes each per-reading line with
+  ``trace_line`` from a dict of its fields, not from its template;
+- ``topology_walk``: ``ScenarioRun._run_action`` walks the topology after
+  every action, not only once ``topology_changes`` has moved;
+- ``offsets_cache``: ``DiscoveryManager._slots`` collects the other devices'
+  clock offsets on every call, with no set kept per inquirer.
 
 ``off`` patches the classes, so it reaches every stack used inside it.
 """
@@ -35,10 +41,24 @@ import contextlib
 from typing import Callable, Iterator
 
 from hdpsim.discovery import DiscoveryManager
-from hdpsim.engine import Engine
+from hdpsim.engine import Engine, TypedEvent, trace_line
 from hdpsim.hdp import HdpManager, Measurement
 from hdpsim.link import Link, LinkManager, hop_frequency
 from hdpsim.mcap import McapManager
+from hdpsim.runner import HANDLERS, ScenarioRun
+
+_cached_slots = DiscoveryManager._slots
+
+
+def _walk_after_every_action(self, action):
+    self._attempt(action["action"], HANDLERS[action["action"]], self, action)
+    self._check_invariants()
+
+
+def _slots_without_cache(self, inquiry, start):
+    self._offsets.pop(inquiry.device, None)
+    return _cached_slots(self, inquiry, start)
+
 
 # name -> (class, method, the stand-in that declines the fast path)
 FAST_PATHS: dict[str, tuple[type, str, Callable]] = {
@@ -61,6 +81,15 @@ FAST_PATHS: dict[str, tuple[type, str, Callable]] = {
             d for d in self.devices.values() if d is not sender and self.in_range(sender, d)
         ],
     ),
+    "typed_lines": (
+        TypedEvent,
+        "line",
+        lambda self, values, dev, seq, t_us: trace_line(
+            t_us, seq, self.ev, dev, dict(zip(self.fields, values))
+        ),
+    ),
+    "topology_walk": (ScenarioRun, "_run_action", _walk_after_every_action),
+    "offsets_cache": (DiscoveryManager, "_slots", _slots_without_cache),
 }
 
 

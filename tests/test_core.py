@@ -18,7 +18,11 @@ from hdpsim.core import (
     format_address,
     parse_address,
 )
-from hdpsim.engine import Device, Engine
+from hdpsim.engine import Engine
+from hdpsim.mcap import _OP_SYNC_RSP, _SYNC_RSP_PDU
+from hdpsim.security import Pin
+
+from conftest import add_device, connect, make_stack
 
 
 @given(st.integers(min_value=0, max_value=2**48 - 1))
@@ -125,16 +129,32 @@ def test_name_wire_roundtrip(text):
 
 
 def test_local_time_applies_clock_offset():
-    config = DeviceConfig(
-        address=DeviceAddress(1),
-        name=DeviceName("a"),
-        position=(0.0, 0.0),
-        radio_range_m=10.0,
-        clock_offset_us=1500,
-    )
-    device = Device(config)
-    assert device.local_time(0) == 1500
-    assert device.local_time(100) == 1600
+    """A device's local clock is the sim clock plus its offset: the sync
+    response carries the responder's, and the result compares it with the
+    requester's."""
+    stack = make_stack()
+    a = add_device(stack, 1, clock_offset_us=1500)
+    b = add_device(stack, 2, position=(1.0, 0.0), clock_offset_us=-700)
+    stack.links.set_pin(a.address, Pin.from_text("1"))
+    stack.links.set_pin(b.address, Pin.from_text("1"))
+    connect(stack, a, b)
+    control = stack.mcap.open_control_channel(a, b)
+    responses = []
+    tx = stack.mcap._tx
+
+    def recorded(control, sender, pdu):
+        if pdu[0] == _OP_SYNC_RSP:
+            responses.append((stack.engine.now, _SYNC_RSP_PDU.unpack(pdu)[2]))
+        return tx(control, sender, pdu)
+
+    stack.mcap._tx = recorded
+    op = stack.mcap.sync_clocks(control, a)
+    stack.engine.run_until(stack.engine.now + 20_000)
+    [(answered_at, responder_local)] = responses
+    assert responder_local == answered_at - 700
+    # Sent at local T+1500 and answered 2 us later: the responder's -700
+    # sits 2,200 us behind the midpoint.
+    assert (op.result.offset_us, op.result.rtt_us) == (-2200, 2)
 
 
 def test_registry_rejects_duplicate_address():

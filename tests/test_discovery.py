@@ -10,8 +10,6 @@ from hdpsim.discovery import (
     ConnectabilityMode,
     DiscoverabilityMode,
     InquiryInProgress,
-    ScanSchedule,
-    scan_frequency,
     sweep_slots,
 )
 from hdpsim.params import SimParams
@@ -19,16 +17,28 @@ from hdpsim.params import SimParams
 from conftest import add_device, addr, make_stack
 
 
+def standby_listener(clock_offset_us: int = 0):
+    """The listen rule the medium applies to an idle device with the given
+    clock offset: its frequencies at sim time ``t``."""
+    stack = make_stack()
+    device = add_device(stack, 1, clock_offset_us=clock_offset_us)
+    return lambda t: stack.discovery._listening(device, t)
+
+
 def test_scan_frequency_cycles_over_32():
-    assert [scan_frequency(w) for w in (0, 1, 31, 32, 33)] == [0, 1, 31, 0, 1]
+    listening = standby_listener()
+    window = SimParams().scan_window_us
+    assert [listening(w * window) for w in (0, 1, 31, 32, 33)] == [(0,), (1,), (31,), (0,), (1,)]
 
 
 def test_scan_schedule_changes_frequency_every_window():
-    schedule = ScanSchedule(window_us=1_280_000)
-    assert schedule.frequency_at(0) == 0
-    assert schedule.frequency_at(1_279_999) == 0
-    assert schedule.frequency_at(1_280_000) == 1
-    assert schedule.full_sweep_us() == 40_960_000
+    listening = standby_listener()
+    assert listening(0) == listening(1_279_999) == (0,)
+    assert listening(1_280_000) == (1,)
+    assert listening(40_959_999) == (31,)
+    assert listening(40_960_000) == (0,)  # a full sweep takes 32 windows
+    # The scan runs on the local clock: an offset of 100 us hops 100 us early.
+    assert standby_listener(100)(1_279_900) == (1,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -38,25 +48,24 @@ def test_scan_schedule_changes_frequency_every_window():
 )
 def test_sweep_slots_matches_per_frame_listening_check(offset, cycle_index):
     # Oracle: a transmission on frequency f at slot time t is heard iff the
-    # listener's scan frequency at local time t is f. The analytic per-cycle
-    # slot list must contain exactly the hearable slots.
+    # listener's scan listens on f at t, as the medium checks it. The
+    # analytic per-cycle slot list must contain exactly the hearable slots.
     params = SimParams()
-    schedule = ScanSchedule(params.scan_window_us)
+    listening = standby_listener(offset)
     cycle_start = cycle_index * params.inquiry_cycle_us
     expected = []
     for freq in range(32):
         slot = cycle_start + freq * params.inquiry_slot_us
-        if schedule.frequency_at(slot + offset) == freq:
+        if freq in listening(slot):
             expected.append((slot, freq))
-    assert sweep_slots(params, schedule, offset, cycle_start, cycle_start + 10_000) == expected
+    assert sweep_slots(params, offset, cycle_start, cycle_start + 10_000) == expected
 
 
 def test_sweep_slots_respects_not_after():
     params = SimParams()
-    schedule = ScanSchedule(params.scan_window_us)
-    full = sweep_slots(params, schedule, 0, 0, 10_000)
+    full = sweep_slots(params, 0, 0, 10_000)
     assert full == [(0, 0)]
-    assert sweep_slots(params, schedule, 0, 0, 0) == []
+    assert sweep_slots(params, 0, 0, 0) == []
 
 
 def test_inquiry_discovers_in_range_device():

@@ -122,31 +122,18 @@ def test_settle_limit_counts_a_cancelled_key_at_the_top_of_the_heap():
     assert limits == [20, 100]
 
 
-def test_after_event_runs_once_the_event_returns_and_at_once_outside_a_run():
+def test_an_event_that_raises_leaves_the_engine_between_runs():
     engine = Engine()
     seen = []
-
-    def event() -> None:
-        engine.after_event(lambda: seen.append(("after", engine.settle_limit())))
-        engine.after_event(lambda: seen.append(("second", engine.now)))
-        engine.schedule(15, lambda: seen.append(("next", engine.now)))
-        seen.append(("event", engine.now))
-
-    def raises() -> None:
-        engine.after_event(lambda: seen.append("dropped"))
-        raise RuntimeError("event failed")
-
-    engine.schedule(10, event)
-    engine.schedule(15, raises)
-    engine.after_event(lambda: seen.append(("outside", engine.now)))
-    assert seen == [("outside", 0)]
-    with pytest.raises(RuntimeError):
+    engine.schedule(10, lambda: 1 // 0)
+    engine.schedule(15, lambda: seen.append(engine.now))
+    with pytest.raises(ZeroDivisionError):
         engine.run_until(20)
-    # The callbacks see the event the firing one queued, in the order they
-    # were given; a raising event's callbacks are dropped with it.
-    assert seen[1:] == [("event", 10), ("after", 15), ("second", 10)]
+    # Outside a run again: settle_limit allows nothing and fired reads the clock.
+    assert engine.settle_limit() == float("-inf")
+    assert engine.fired(10, 0) and not engine.fired(11, 0)
     engine.run_until(20)
-    assert seen[4:] == [("next", 15)]
+    assert seen == [15]
 
 
 @pytest.mark.parametrize("t", [0, 2**62 + 3])
@@ -410,11 +397,9 @@ def test_inquiry_cycle_sweeps_the_union_of_every_listener_slots(
     inquirer = add_device(stack, 1, clock_offset_us=inquirer_offset)
     for i, offset in enumerate(offsets + offsets[:2]):  # repeated offsets too
         add_device(stack, 2 + i, position=(1.0, 0.0), clock_offset_us=offset)
-    params, schedule = stack.discovery.params, stack.discovery.schedule
+    params = stack.discovery.params
     expected = {
-        hit
-        for offset in offsets
-        for hit in sweep_slots(params, schedule, offset, start, start + duration)
+        hit for offset in offsets for hit in sweep_slots(params, offset, start, start + duration)
     }
     sent = []
     broadcast = stack.engine.broadcast

@@ -292,7 +292,7 @@ def test_a_series_is_built_once_and_decoded_only_for_a_callback(monkeypatch, cal
     for i in range(100):
         if i == 50:
             stack.links.drop_link(source.address, sink.address)
-        submitted.append(source.local_time(stack.engine.now))
+        submitted.append(stack.engine.now + 1500)  # the source's local clock
         ops.append(stack.hdp.send_measurement(assoc, HEART_READINGS))
         stack.engine.run_until(stack.engine.now + 20_000)
     assert len(assoc.buffer) > 0

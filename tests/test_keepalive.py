@@ -5,7 +5,7 @@ sending it (see ``hdpsim.link``): under loss only when no event comes before
 the ack would land, and otherwise it falls back to the real keepalive. These
 tests run each generated case twice, once as is and once with the elision
 switched off (``fastpaths.off("keepalive_elision")``), and require the same
-trace bytes and the same supervision fields after every tick. Moves, drops,
+trace bytes and the same supervision fields at every tick. Moves, drops,
 re-pages, role switches and medium swaps land at offsets of 0, 1, p-1, p,
 p+1, 2p and 2p+1 from the real tick times, queued either before the tick (so
 they fire first at equal times) or by the tick itself (so they fire after its
@@ -15,6 +15,7 @@ keepalive). On the lossy base, some ticks must settle and some fall back.
 from __future__ import annotations
 
 import contextlib
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -124,13 +125,20 @@ def run_case(base: str, seed: int, steps: list, elide: bool, fired: dict):
     """Trace bytes and per-tick supervision fields of one run, with the
     elision switched off unless ``elide``; ``fired`` counts the elided
     keepalives by the medium they were elided on, and the elided keepalives
-    on a lossy medium that settled or fell back to the real frame."""
+    on a lossy medium that settled or fell back to the real frame.
+
+    A tick's fields are recorded where it reads them, as it decides whether
+    to elide its keepalive. Its late steps are queued where the tick's own
+    events would be: before it settles an exchange elided under loss, or
+    else once it returns; either way after its keepalive's id."""
     with contextlib.nullcontext() if elide else fastpaths.off("keepalive_elision"):
         run = ScenarioRun(validate_scenario(pair_scenario(BASES[base])), seed)
         engine, links = run.stack.engine, run.stack.links
         supervise, elides = links._supervise, links._elides_keepalive
         settle = links._settle_keepalive
         ticks: list[tuple] = []
+        counter = itertools.count()
+        firing: list[int] = []  # the firing tick, until its late steps are queued
 
         def queue(tick: int, late: bool, at_base: int) -> None:
             for index, offset, step_late, kind, master_end, swap in steps:
@@ -140,14 +148,21 @@ def run_case(base: str, seed: int, steps: list, elide: bool, fired: dict):
                         lambda k=kind, m=master_end, s=swap: perturb(run, k, m, s),
                     )
 
+        def queue_late() -> None:
+            if firing:
+                queue(firing.pop(), True, engine.now)
+
         def traced_supervise(link) -> None:
-            tick, now = len(ticks), engine.now
-            queue(tick + 1, False, now + K)  # before the next tick's own events
+            tick = next(counter)
+            queue(tick + 1, False, engine.now + K)  # before the next tick's own events
+            firing.append(tick)
             supervise(link)
+            queue_late()
+
+        def traced_elides(link) -> bool:
             ticks.append(
                 (
-                    now,
-                    link.state.value,
+                    engine.now,
                     str(link.master.address),
                     link.ka_pending,
                     link.ka_misses,
@@ -155,9 +170,6 @@ def run_case(base: str, seed: int, steps: list, elide: bool, fired: dict):
                     link.slave_misses,
                 )
             )
-            queue(tick, True, now)  # after this tick's keepalive
-
-        def traced_elides(link) -> bool:
             result = elides(link)
             medium = engine.medium
             kind = "lossy" if medium.loss_probability or medium.jitter_us else "lossless"
@@ -165,11 +177,11 @@ def run_case(base: str, seed: int, steps: list, elide: bool, fired: dict):
             return result
 
         def traced_settle(link) -> None:
-            lossy = link._ka_elided is not None and engine.medium.loss_probability > 0
+            queue_late()
             pending = engine.pending_events
             settle(link)
-            if lossy:  # a fallback queues the real keepalive
-                fired["fell_back" if engine.pending_events > pending else "settled"] += 1
+            # A fallback queues the real keepalive.
+            fired["fell_back" if engine.pending_events > pending else "settled"] += 1
 
         links._supervise = traced_supervise
         links._elides_keepalive = traced_elides

@@ -630,7 +630,7 @@ def test_a_page_done_on_its_first_sweep_hit_sends_nothing_on_the_second(monkeypa
     stack = make_stack()
     a = add_device(stack, 1)
     b = add_device(stack, 2, position=(1.0, 0.0), clock_offset_us=1_280_000 - 100)
-    hits = sweep_slots(stack.params, stack.discovery.schedule, b.config.clock_offset_us, 0, 10_000)
+    hits = sweep_slots(stack.params, b.config.clock_offset_us, 0, 10_000)
     assert [slot for slot, _freq in hits] == [0, 313]
     stack.discovery.note_known(a.address, b.address)
     sent = _frames_sent_by(stack, monkeypatch, a)

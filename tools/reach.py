@@ -18,7 +18,8 @@ tracer's own allocations break their memory bounds.
     python tools/reach.py [--map FILE]
 
 ``--map FILE`` also writes, for each reached line, the tests that reached it
-(``tools/mutate.py --map`` runs only those). Executable-line sets differ
+(``tools/mutate.py --map`` runs only those). Hypothesis runs with seed 0, so
+the same tree reaches the same lines on every run. Executable-line sets differ
 between Python versions; the pin is taken on Python 3.11.
 """
 
@@ -141,8 +142,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"reach: left out {nodeid}")
     tracer = LineTracer(SRC)
     try:
+        # A fixed Hypothesis seed: every run draws the same examples, so it
+        # reaches the same lines.
         status = pytest.main(
-            ["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT), str(ROOT / "tests")]
+            ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "--rootdir", str(ROOT)]
+            + [str(ROOT / "tests")]
             + [arg for nodeid in LEFT_OUT for arg in ("--deselect", nodeid)],
             plugins=[tracer],
         )
