@@ -26,20 +26,18 @@ Work whose outcome is already known is skipped, though never a random draw:
 a link frame skips the listen search, since its addressee listens on the
 link's hop frequency by construction. Every delivery ``broadcast`` draws is
 queued, a repeat inquiry response too, which discovery ignores on arrival. A
-frame whose whole exchange is known is not sent at all: the link layer
-settles a keepalive on a jitter-free medium without frames (see
-``hdpsim.link``), drawing through ``draw`` and keeping its delivery's event
-id from ``reserve_ids``; under loss the tick settles it as its last step,
-when every event the tick queues bounds ``settle_limit``.
-``add_medium_hook`` reports each ``move_device`` and each replacement of
-``medium``, and ``fired`` tells whether the delivery's ``(t, id)`` has
-passed, so that a change that comes first queues the real ``delivery`` under
-that id with ``schedule_as``. Discovery settles a run of inquiry cycles in
-one event the same way (see ``hdpsim.discovery``), drawing its frames'
-deliveries through ``draw`` without scheduling them; ``settle_limit`` bounds
-such a run by the first queued event and the bound of the running
-``run_until``, and outside ``run_until`` allows nothing, since API calls
-between runs queue no event.
+frame whose whole exchange is known is not sent at all: on a medium with no
+loss and no jitter, where a link frame draws nothing, the link layer settles
+a keepalive without frames (see ``hdpsim.link``), keeping its delivery's
+event id from ``reserve_ids``. ``add_medium_hook`` reports each
+``move_device`` and each replacement of ``medium``, and ``fired`` tells
+whether the delivery's ``(t, id)`` has passed, so that a change that comes
+first queues the real ``delivery`` under that id with ``schedule_as``.
+Discovery settles a run of inquiry cycles in one event (see
+``hdpsim.discovery``), drawing its frames' deliveries through ``draw``
+without scheduling them; ``settle_limit`` bounds such a run by the first
+queued event and the bound of the running ``run_until``, and outside
+``run_until`` allows nothing, since API calls between runs queue no event.
 
 Every protocol exchange that waits for an answer runs on one ``Retry``: it
 sends at once, resends every interval, and fails exactly at its deadline,

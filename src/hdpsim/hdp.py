@@ -322,7 +322,7 @@ class HdpManager:
         self.associations: dict[int, Association] = {}
         self._roles: dict[DeviceAddress, str] = {}
         self._whitelists: dict[DeviceAddress, frozenset[Specialization]] = {}
-        self._sink_callbacks: dict[DeviceAddress, SinkCallback] = {}
+        self._sink_callbacks: dict[Device, SinkCallback] = {}
         self._next_assoc_id = 1
         links.register_protocol(PROTO_HDP, self._on_pdu)
 
@@ -340,9 +340,9 @@ class HdpManager:
 
     def set_sink_callback(self, address: DeviceAddress, fn: SinkCallback) -> None:
         """Call ``fn(association, measurement, sink_timestamp_us)`` for every
-        reading the sink at ``address`` receives, after its
-        ``measurement_rx`` event; the simulator itself keeps no readings."""
-        self._sink_callbacks[address] = fn
+        reading the sink at ``address`` (``UnknownDevice`` if none) receives,
+        after its ``measurement_rx`` event; the simulator keeps no readings."""
+        self._sink_callbacks[self.engine.device(address)] = fn
 
     # -- association --------------------------------------------------------
 
@@ -600,7 +600,7 @@ class HdpManager:
             self.engine.emit_typed(
                 _MEASUREMENT_RX, assoc.sink.address, assoc.assoc_id, seq, sink_ts
             )
-            on_reading = self._sink_callbacks.get(assoc.sink.address)
+            on_reading = self._sink_callbacks.get(assoc.sink)
             if on_reading is not None:
                 on_reading(assoc, Measurement.decode(payload), sink_ts)
 

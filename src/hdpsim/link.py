@@ -12,17 +12,15 @@ three consecutive misses on either side mark the link lost, after which the
 same master may page again to restore the same link object with its
 negotiated parameters intact.
 
-On a jitter-free medium, with the keepalive interval over a round trip of
-2p (p the propagation delay), a tick at T whose ends are in range sends no
-keepalive: it draws the keepalive's loss and, if it lands at T+p, keeps
-``(T+p, event id)`` on the link. On a lossy medium, as the tick's last step,
-once it has queued its next tick, the exchange settles if no event comes
-before T+2p: the slave has heard, and the ack, its loss drawn as at T+p,
-answers the master if it lands; otherwise the real keepalive is queued under
-the kept id. On a lossless one the next tick settles the exchange, unless a
-move or a new medium model before T+p, which can change the ack, queues the
-real keepalive. So does stopping supervision before then (a loss, a restore
-or a role switch), since the slave may still hear it.
+On a medium with no loss and no jitter, with the keepalive interval over a
+round trip of 2p (p the propagation delay), a tick at T whose ends are in
+range sends no keepalive: the frame would make no draw and land at T+p, so
+the tick keeps ``(T+p, event id)`` on the link and the next tick settles the
+exchange, ack included. A move or a new medium model before T+p, which can
+change the ack, queues the real keepalive under the kept id. So does
+stopping supervision before then (a loss, a restore or a role switch), since
+the slave may still hear it. On any other medium the keepalive and its ack
+are frames.
 
 Paging reuses the inquiry sweep arithmetic: the pager transmits at the
 moments the target's standby scan is on the matching frequency, then the
@@ -500,9 +498,8 @@ class LinkManager:
         )
 
     def _supervise(self, link: Link) -> None:
-        """Master miss check and keepalive, slave miss check, next tick, then
-        the settle of a keepalive elided under loss. It runs on live links
-        only: ``_lose`` cancels the tick."""
+        """Master miss check and keepalive, slave miss check, next tick. It
+        runs on live links only: ``_lose`` cancels the tick."""
         if link._ka_elided is not None:
             # The last tick's elided exchange has landed, ack included.
             link._ka_elided = None
@@ -516,9 +513,8 @@ class LinkManager:
                 return
         if self._elides_keepalive(link):
             engine, now = self.engine, self.engine.now
-            # The keepalive's loss draw and delivery id, where broadcast makes them.
-            if engine.draw(link.frequency_at(now), link, (link.slave,), now):
-                link._ka_elided = (now, now + engine.medium.propagation_us, engine.reserve_ids(1))
+            # The keepalive's delivery id, where broadcast takes it.
+            link._ka_elided = (now, now + engine.medium.propagation_us, engine.reserve_ids(1))
         else:
             self.send_on_link(link, link.master, PROTO_LINK, bytes([_MSG_KEEPALIVE]))
         link.ka_pending = True
@@ -533,31 +529,16 @@ class LinkManager:
         link._timer = self.engine.schedule_in(
             self.params.keepalive_interval_us, lambda: self._supervise(link)
         )
-        if link._ka_elided is not None and self.engine.medium.loss_probability:
-            self._settle_keepalive(link)  # the ack's draw is not known yet
 
     def _elides_keepalive(self, link: Link) -> bool:
         """Whether the keepalive about to be sent may go unsent (see the module docstring)."""
         medium = self.engine.medium
         return (
-            medium.jitter_us == 0
+            medium.loss_probability == 0.0
+            and medium.jitter_us == 0
             and self.params.keepalive_interval_us > 2 * medium.propagation_us
             and self.engine.in_range(link.master, link.slave)
         )
-
-    def _settle_keepalive(self, link: Link) -> None:
-        """Settle the exchange of the keepalive this tick elided under loss,
-        or queue the keepalive: see the module docstring."""
-        engine, at = self.engine, link._ka_elided[1]
-        if at + engine.medium.propagation_us < engine.settle_limit():
-            link._ka_elided = None
-            link.slave_heard = True
-            if engine.draw(link.frequency_at(at), link, (link.master,), at):
-                engine.reserve_ids(1)  # the ack's delivery
-                link.ka_pending = False
-                link.ka_misses = 0
-        else:
-            self._unelide(link)
 
     def _unelide(self, link: Link) -> None:
         """Queue an elided keepalive that has not landed yet as the real frame,

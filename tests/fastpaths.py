@@ -14,8 +14,8 @@ and a stand-in that always declines it:
 - ``quiet_slots``: ``DiscoveryManager._quiet`` is False, so every sweep slot
   is broadcast;
 - ``keepalive_elision``: ``LinkManager._elides_keepalive`` is False, so every
-  keepalive is sent as a frame, lossy media included, and no exchange is
-  settled without one;
+  keepalive is sent as a frame, lossless media included (on a lossy or
+  jittery one it always is);
 - ``reading_memo``: ``HdpManager._encode`` builds and encodes a
   ``Measurement`` for every reading, so no readings are reused;
 - ``wire_cipher``: ``McapManager._wire_observed`` is True, so every data

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdpsim.engine import MediumModel
+from hdpsim.engine import MediumModel, UnknownDevice
 from hdpsim.hdp import (
     AlreadyReleased,
     AssocState,
@@ -36,7 +36,7 @@ from hdpsim.runner import run_scenario
 from hdpsim.scenario import load_scenario
 from hdpsim.security import Pin
 
-from conftest import add_device, connect, make_stack, run_while
+from conftest import add_device, addr, connect, make_stack, run_while
 
 HEART_READINGS = {
     "heart_rate_bpm": 72.0,
@@ -45,9 +45,9 @@ HEART_READINGS = {
 }
 
 
-def sensor_pair(stack, source_offset_us=0):
-    source = add_device(stack, 1, position=(0.0, 0.0), clock_offset_us=source_offset_us)
-    sink = add_device(stack, 2, position=(1.0, 0.0))
+def sensor_pair(stack, source_offset_us=0, source_i=1, sink_i=2):
+    source = add_device(stack, source_i, position=(0.0, 0.0), clock_offset_us=source_offset_us)
+    sink = add_device(stack, sink_i, position=(1.0, 0.0))
     stack.links.set_pin(source.address, Pin.from_text("1234"))
     stack.links.set_pin(sink.address, Pin.from_text("1234"))
     stack.hdp.set_role(source.address, "source")
@@ -417,6 +417,29 @@ def test_measurement_reaches_sink_with_mapped_timestamp():
     )
     rx = [e for e in stack.engine.trace if e.ev == "measurement_rx"]
     assert rx and rx[0].detail["seq"] == 1
+
+
+def test_a_sink_callback_sees_only_its_own_sinks_readings():
+    stack = make_stack()
+    source, sink = sensor_pair(stack)
+    other_source, other_sink = sensor_pair(stack, source_i=3, sink_i=4)
+    assoc = operating_assoc(stack, source, sink)
+    other_assoc = operating_assoc(stack, other_source, other_sink)
+    received = record_readings(stack, sink)
+    ops = [
+        stack.hdp.send_measurement(other_assoc, HEART_READINGS),
+        stack.hdp.send_measurement(assoc, HEART_READINGS),
+        stack.hdp.send_measurement(other_assoc, HEART_READINGS),
+    ]
+    run_while(stack, lambda: not all(op.done for op in ops), 1_000_000)
+    assert [op.result for op in ops] == [SendStatus.DELIVERED] * 3
+    assert [(got, m.seq) for got, m, _ts, _at in received] == [(assoc, 1)]
+
+
+def test_a_sink_callback_needs_a_registered_device():
+    stack = make_stack()
+    with pytest.raises(UnknownDevice):
+        stack.hdp.set_sink_callback(addr(9), lambda assoc, m, sink_ts: None)
 
 
 def test_measurements_buffer_while_link_down_and_flush_on_restore():
